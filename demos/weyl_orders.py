@@ -1,8 +1,8 @@
 """Element orders in Weyl groups, rank 8 and below.
 
-Classical types come from partition combinatorics, exceptional types
-from exact matrix enumeration; E8 is sampled with a fixed seed.  Expect
-roughly half a minute for the full table on one core.
+Classical types come from partition combinatorics, exceptional types,
+E8 included, from exact coset tallies of the Weyl group.  Expect roughly
+half a minute for the full table on one core.
 
 Run as: python3 demos/weyl_orders.py
 """

@@ -25,7 +25,6 @@ from .rootsystems import (RootSystem, almost_minuscule_data,
 from .weilparams import (build_tame_parameter, char_poly_shape,
                          g2_admissible_eigenvalues, is_g2_real,
                          parameter_image, real_parameter)
-from .weylenum import DEFAULT_E8_SAMPLES, DEFAULT_E8_SEED
 from .wildtwo import build_g2_jordan, build_so_wild, g2_jordan_report, \
     so_wild_report
 
@@ -150,8 +149,7 @@ def _cmd_wild_g2(args):
 
 def _cmd_weyl_orders(args):
     rs = RootSystem.parse(args.type)
-    oset = weyl_element_orders(rs, mode=args.mode, seed=args.seed,
-                               samples=args.samples)
+    oset = weyl_element_orders(rs)
     results = {"root_system": rs.label, "mode": oset.mode,
                "orders": sorted(oset.orders),
                "maximal": sorted(oset.maximal),
@@ -165,23 +163,20 @@ def _cmd_weyl_orders(args):
         _check("orders_covered",
                all(any(m % o == 0 for m in maximal) for o in oset.orders)),
     ]
-    return {"type": args.type, "mode": args.mode, "seed": args.seed,
-            "samples": args.samples}, results, checks
+    return {"type": args.type}, results, checks
 
 
 def _cmd_weyl_table(args):
-    rows = order_table(seed=args.seed, samples=args.samples)
+    rows = order_table()
     checks = [_check(f"row {r['root_system']}", r["agrees"],
                      ",".join(str(x) for x in r["maximal"]))
               for r in rows]
-    return {"seed": args.seed, "samples": args.samples}, {"rows": rows}, \
-        checks
+    return {}, {"rows": rows}, checks
 
 
 def _cmd_weyl_unique(args):
     required = sorted({int(x) for x in args.orders.split(",")})
-    hits = uniqueness_scan(args.rank, required, seed=args.seed,
-                           samples=args.samples)
+    hits = uniqueness_scan(args.rank, required)
     labels = [rs.label for rs in hits]
     results = {"rank_bound": args.rank, "required_orders": required,
                "root_systems": labels}
@@ -260,11 +255,6 @@ def _add_common(sub):
                      help="also write the report to FILE")
 
 
-def _add_e8_flags(sub):
-    sub.add_argument("--seed", type=int, default=DEFAULT_E8_SEED)
-    sub.add_argument("--samples", type=int, default=DEFAULT_E8_SAMPLES)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ggt",
@@ -316,19 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = weyl.add_subparsers(dest="kind", required=True)
     p = wsub.add_parser("orders", help="order set of one root system")
     p.add_argument("--type", required=True, metavar="A4+G2")
-    p.add_argument("--mode", choices=("auto", "exact", "sampled"),
-                   default="auto")
-    _add_e8_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_weyl_orders)
     p = wsub.add_parser("table", help="reproduce the reference order table")
-    _add_e8_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_weyl_table)
     p = wsub.add_parser("unique", help="systems realizing all given orders")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--orders", required=True, metavar="8,12")
-    _add_e8_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_weyl_unique)
 

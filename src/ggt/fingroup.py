@@ -452,6 +452,8 @@ def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
 
 def cyclic(n: int) -> FinGroup:
     """Z/n as the rotation group of n points."""
+    if n < 1:
+        raise ValueError(f"cyclic group order must be positive, got {n}")
     if n == 1:
         return FinGroup([Perm((0,))], [Perm((0,))], Perm((0,)))
     gen = Perm(tuple((i + 1) % n for i in range(n)))

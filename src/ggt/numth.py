@@ -1,9 +1,9 @@
 """Integer number theory: primality, multiplicative orders, cyclotomic values.
 
 Everything here is exact integer arithmetic.  No floats, no probabilistic
-answers: the Miller-Rabin witness set below is deterministic for every
-64-bit integer, and inputs beyond that range fall back to trial division
-of the witnesses' span (we never need numbers that large).
+answers: the Miller-Rabin witness set below is deterministic below
+psi_12 ~ 3.2 * 10^23, which covers every 64-bit integer, and is_prime
+refuses larger inputs rather than give an unproven answer.
 """
 
 from __future__ import annotations
@@ -23,16 +23,21 @@ __all__ = [
     "PrimePair",
 ]
 
-# Deterministic for n < 3.3 * 10^24 (Sorenson-Webster witness set).
+# The first 12 primes as witnesses decide every n < psi_12; psi_12 itself
+# is the least strong pseudoprime to all of them (Sorenson-Webster 2015).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the integer sizes used here."""
+    """Deterministic primality test; ValueError for n >= psi_12."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"{n} is past the proven range of the primality test")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

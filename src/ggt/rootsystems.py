@@ -9,16 +9,15 @@ consumed by the enumeration engine all derive from that.
 Order sets for the classical families come from cycle-type formulas:
 partitions of n+1 for type A; partitions of n with per-part doubling
 (negative cycles) for B and C; the same with an even number of doubled
-parts for D.  The exceptional types through E7 are enumerated exactly;
-E8 is sampled with a fixed seed.  Sums of systems combine by pairwise
-lcm.  All per-type sets are cached for the session, so the expensive
-E7 enumeration and E8 sampling run once.
+parts for D.  The exceptional types, E8 included, are tallied exactly by
+the parabolic coset tower in weylenum.  Sums of systems combine by
+pairwise lcm.  All per-type sets are cached for the session, so the
+expensive E7 and E8 tallies run once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,9 +25,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .errors import ResourceBoundExceeded
-from .weylenum import (DEFAULT_E8_SAMPLES, DEFAULT_E8_SEED, enumerate_orders,
-                       sampled_orders)
+from .weylenum import enumerate_orders, weyl_group_elements
 
 __all__ = [
     "IRREDUCIBLE_LABELS",
@@ -311,62 +308,35 @@ def _signed_orders(n: int, even_negatives: bool) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _exceptional_orders(label: str) -> frozenset[int]:
+def _exceptional_tally(label: str) -> tuple[tuple[int, int], ...]:
+    """Sorted (order, element count) pairs of an exceptional Weyl group."""
     data = root_data(label)
-    tally = enumerate_orders(data.cartan_array(), data.base_coords_array(),
-                             data.weyl_order)
-    return frozenset(tally)
+    return tuple(sorted(enumerate_orders(data.cartan_array(),
+                                         data.weyl_order).items()))
 
 
 @lru_cache(maxsize=None)
-def _e8_sampled_orders(seed: int, samples: int) -> frozenset[int]:
-    data = root_data("E8")
-    return frozenset(sampled_orders(data.cartan_array(), seed=seed,
-                                    samples=samples))
-
-
-@lru_cache(maxsize=None)
-def _component_orders(label: str, mode: str, seed: int,
-                      samples: int) -> tuple[frozenset[int], bool]:
-    """Order set of one irreducible factor plus an is-exact flag."""
+def _component_orders(label: str) -> frozenset[int]:
+    """Order set of one irreducible factor."""
     fam, n = _parse_label(label)
     if fam == "A":
-        return _type_a_orders(n), True
+        return _type_a_orders(n)
     if fam in ("B", "C"):
-        return _signed_orders(n, even_negatives=False), True
+        return _signed_orders(n, even_negatives=False)
     if fam == "D":
-        return _signed_orders(n, even_negatives=True), True
-    if label == "E8":
-        if mode == "exact":
-            raise ResourceBoundExceeded(
-                "E8 exact enumeration is out of scale; use sampled mode")
-        # order 1 is knowledge, not observation: random words of fixed
-        # positive length essentially never hit the identity
-        return _e8_sampled_orders(seed, samples) | {1}, False
-    return _exceptional_orders(label), True
+        return _signed_orders(n, even_negatives=True)
+    return frozenset(order for order, _ in _exceptional_tally(label))
 
 
-def weyl_element_orders(rs: RootSystem | str, mode: str = "auto",
-                        seed: int = DEFAULT_E8_SEED,
-                        samples: int = DEFAULT_E8_SAMPLES) -> OrderSet:
-    """Element orders of the Weyl group, combining factors by lcm.
-
-    mode "exact" refuses E8; "sampled" and "auto" sample it with the
-    given seed and sample count and mark the result accordingly.
-    """
+def weyl_element_orders(rs: RootSystem | str) -> OrderSet:
+    """Element orders of the Weyl group, combining factors by lcm."""
     if isinstance(rs, str):
         rs = RootSystem.parse(rs)
-    if mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     combined = frozenset([1])
-    exact = True
     for c in rs.components:
-        part, part_exact = _component_orders(c, mode, seed, samples)
-        exact = exact and part_exact
+        part = _component_orders(c)
         combined = frozenset(lcm(a, b) for a in combined for b in part)
-    return OrderSet(
-        orders=combined,
-        mode="exact" if exact else f"sampled(seed={seed},samples={samples})")
+    return OrderSet(orders=combined, mode="exact")
 
 
 # Frozen reference rows: root system -> the reference maximal-order
@@ -393,8 +363,7 @@ EXPECTED_TABLE: tuple[tuple[str, frozenset[int]], ...] = tuple(
     ])
 
 
-def order_table(seed: int = DEFAULT_E8_SEED,
-                samples: int = DEFAULT_E8_SAMPLES) -> list[dict]:
+def order_table() -> list[dict]:
     """Every reference row next to the computed order data.
 
     A row agrees when each reference value is a genuine element order
@@ -405,8 +374,7 @@ def order_table(seed: int = DEFAULT_E8_SEED,
     """
     out = []
     for label, reference in EXPECTED_TABLE:
-        oset = weyl_element_orders(label, mode="auto", seed=seed,
-                                   samples=samples)
+        oset = weyl_element_orders(label)
         agrees = reference <= oset.orders and all(
             any(s % o == 0 for s in reference) for o in oset.orders)
         out.append({"root_system": label,
@@ -417,10 +385,9 @@ def order_table(seed: int = DEFAULT_E8_SEED,
     return out
 
 
-def check_order_table(seed: int = DEFAULT_E8_SEED,
-                      samples: int = DEFAULT_E8_SAMPLES) -> list[dict]:
+def check_order_table() -> list[dict]:
     """order_table, with any disagreeing row a hard failure."""
-    rows = order_table(seed=seed, samples=samples)
+    rows = order_table()
     for row in rows:
         if not row["agrees"]:
             raise AssertionError(
@@ -447,18 +414,17 @@ def _all_systems(rank_bound: int):
             yield RootSystem(tuple(sorted(combo)))
 
 
-def uniqueness_scan(rank_bound: int, required_orders,
-                    seed: int = DEFAULT_E8_SEED,
-                    samples: int = DEFAULT_E8_SAMPLES) -> list[RootSystem]:
+def uniqueness_scan(rank_bound: int, required_orders) -> list[RootSystem]:
     """All systems of rank <= rank_bound whose Weyl group realizes every
     required element order."""
     if not 1 <= rank_bound <= 8:
         raise ValueError("rank bound must be in 1..8")
     required = set(required_orders)
+    if any(o < 1 for o in required):
+        raise ValueError("element orders must be positive")
     hits = []
     for rs in _all_systems(rank_bound):
-        orders = weyl_element_orders(rs, mode="auto", seed=seed,
-                                     samples=samples).orders
+        orders = weyl_element_orders(rs).orders
         if required <= orders:
             hits.append(rs)
     return hits
@@ -480,7 +446,7 @@ def audit_omission_policy(rank_bound: int = 7) -> dict:
     """
     systems = sorted(_all_systems(rank_bound),
                      key=lambda rs: (rs.rank, rs.label))
-    osets = {rs.label: weyl_element_orders(rs, mode="exact").orders
+    osets = {rs.label: weyl_element_orders(rs).orders
              for rs in systems}
     printed = []
     for rs in systems:
@@ -562,31 +528,6 @@ def _signed_permutation_matrices(n: int, even_only: bool):
             yield mat
 
 
-def _weyl_matrices_in_base(label: str):
-    # the whole group as integer matrices on simple-root coordinates;
-    # only sane for small types (used for G2)
-    from .weylenum import reflection_matrices
-
-    data = root_data(label)
-    refl = list(reflection_matrices(data.cartan_array()))
-    eye = np.eye(data.rank, dtype=np.int64)
-    seen = {eye.tobytes(): eye}
-    frontier = [eye]
-    while frontier:
-        new = []
-        for x in frontier:
-            for r in refl:
-                y = x @ r
-                k = y.tobytes()
-                if k not in seen:
-                    seen[k] = y
-                    new.append(y)
-        frontier = new
-    if len(seen) != data.weyl_order:
-        raise AssertionError("Weyl closure came out the wrong size")
-    return list(seen.values())
-
-
 def _short_roots(label: str, in_base: bool = False):
     data = root_data(label)
     mn = min(_dot(v, v) for v in data.roots)
@@ -622,8 +563,15 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
             raise AssertionError("the signed cycle witness failed")
         return True
     if label == "G2" and dim == 7:
+        # tower elements act on row vectors of fundamental-weight
+        # coordinates; transposed, they act on columns like the rest
+        data = root_data(label)
+        cartan = data.cartan_array()
+        weights = [tuple(np.array(b) @ cartan)
+                   for b in _short_roots(label, in_base=True)]
+        elems = weyl_group_elements(cartan, data.weyl_order)
         return _weight_permutation_full_cycle(
-            _short_roots(label, in_base=True), _weyl_matrices_in_base(label))
+            weights, elems.transpose(0, 2, 1))
     if fam == "D" and dim == 2 * n:
         weights = [tuple(r) for r in np.eye(n, dtype=np.int64)]
         weights += [tuple(-r) for r in np.eye(n, dtype=np.int64)]

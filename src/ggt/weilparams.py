@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import Cyc
-from .errors import ResourceBoundExceeded
 from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup, is_type_np
 from .monomial import MonomialMatrix
 from .numth import is_prime

@@ -128,6 +128,16 @@ def test_weyl_unique(capsys):
         capsys, ["weyl", "unique", "--rank", "4", "--orders", "8,12"])
     assert code == 0
     assert report["results"]["root_systems"] == ["F4"]
+    code, _ = _run(capsys, ["weyl", "unique", "--rank", "4",
+                            "--orders", "0"])
+    assert code == 2
+
+
+def test_weyl_removed_sampling_flags():
+    # E8 is exact; the old sampling knobs are usage errors now
+    assert main(["weyl", "orders", "--type", "E8", "--samples", "0"]) == 2
+    assert main(["weyl", "table", "--seed", "7"]) == 2
+    assert main(["weyl", "orders", "--type", "G2", "--mode", "exact"]) == 2
 
 
 def test_minuscule(capsys):
@@ -150,6 +160,9 @@ def test_group_analyze(capsys):
     assert report["results"]["type_np"]["found"] is True
     code, _ = _run(capsys, ["group", "analyze", "--preset", "metacyclic",
                             "--m", "4", "--p", "7"])
+    assert code == 2
+    code, _ = _run(capsys, ["group", "analyze", "--preset", "cyclic",
+                            "--m", "0"])
     assert code == 2
 
 

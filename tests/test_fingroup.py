@@ -48,6 +48,10 @@ def test_cyclic_group():
     assert c12.abelianization() == [12]
     orders = {c12.element_order(x) for x in c12.elements}
     assert orders == {1, 2, 3, 4, 6, 12}
+    assert cyclic(1).order == 1
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            cyclic(n)
 
 
 def test_metacyclic_structure():

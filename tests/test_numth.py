@@ -31,6 +31,16 @@ def test_is_prime_pseudoprime_traps():
         assert not is_prime(n), n
     for n in (2**31 - 1, 999999937, 67280421310721):
         assert is_prime(n), n
+    assert is_prime(2**64 - 59)  # the largest 64-bit prime
+
+
+def test_is_prime_refuses_past_proven_range():
+    # psi_12: the least strong pseudoprime to every base 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError):
+        is_prime(psi12)
+    assert not is_prime(psi12 - 1)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

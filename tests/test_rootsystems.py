@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from ggt.errors import ResourceBoundExceeded
 from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootSystem,
-                             almost_minuscule_data, audit_omission_policy,
+                             _exceptional_tally, almost_minuscule_data,
+                             audit_omission_policy,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
-from ggt.weylenum import enumerate_orders, reflection_matrices, sampled_orders
+from ggt.weylenum import enumerate_orders, reflection_matrices
 
 
 def test_cartan_matrices_well_formed():
@@ -104,15 +105,54 @@ def test_type_d_orders_match_even_signed_permutations():
 
 def test_enumeration_agrees_with_partition_formulas():
     # the matrix engine and the combinatorial route are independent
-    for label in ("A3", "B4", "D4", "C3"):
+    labels = [lab for lab in IRREDUCIBLE_LABELS
+              if lab[0] in "ABCD" and root_data(lab).rank <= 6]
+    assert len(labels) == 6 + 5 + 4 + 3
+    for label in labels:
         data = root_data(label)
-        enumerated = enumerate_orders(
-            data.cartan_array(),
-            np.array(data.roots_in_base, dtype=np.int64),
-            data.weyl_order)
+        enumerated = enumerate_orders(data.cartan_array(), data.weyl_order)
         assert sum(enumerated.values()) == data.weyl_order
         assert frozenset(enumerated) == weyl_element_orders(label).orders, \
             label
+
+
+# element-order tallies of the hash-keyed breadth-first enumeration that
+# the coset tower replaced: an independent reference for each type
+BFS_TALLIES = {
+    "G2": {1: 1, 2: 7, 3: 2, 6: 2},
+    "F4": {1: 1, 2: 139, 3: 80, 4: 228, 6: 464, 8: 144, 12: 96},
+    "E6": {1: 1, 2: 891, 3: 800, 4: 5940, 5: 5184, 6: 12960, 8: 6480,
+           9: 5760, 10: 5184, 12: 8640},
+    "E7": {1: 1, 2: 10207, 3: 16352, 4: 151200, 5: 48384, 6: 560672,
+           7: 207360, 8: 362880, 9: 161280, 10: 338688, 12: 483840,
+           14: 207360, 15: 96768, 18: 161280, 30: 96768},
+}
+
+E8_TALLY = {1: 1, 2: 199951, 3: 365120, 4: 12806640, 5: 1741824,
+            6: 48843200, 7: 24883200, 8: 83462400, 9: 19353600,
+            10: 30772224, 12: 120960000, 14: 74649600, 15: 34836480,
+            18: 58060800, 20: 69672960, 24: 58060800, 30: 58060800}
+
+
+def test_exceptional_tallies_match_bfs():
+    for label, want in BFS_TALLIES.items():
+        assert dict(_exceptional_tally(label)) == want, label
+
+
+def test_e8_tally_is_exact():
+    # cached for the process: criterion 1 of the acceptance suite pays
+    # for it when the whole suite runs
+    tally = dict(_exceptional_tally("E8"))
+    assert sum(tally.values()) == 696_729_600 == weyl_order("E8")
+    assert tally == E8_TALLY
+
+
+def test_tower_work_counter():
+    # E8 tallies 5 cosets of W(E7); the bound trips before any is tallied
+    data = root_data("E8")
+    with pytest.raises(ResourceBoundExceeded, match="14515200 matrices"):
+        enumerate_orders(data.cartan_array(), data.weyl_order,
+                         bound=5 * 2_903_040 - 1)
 
 
 def test_composite_orders_via_block_cartan():
@@ -121,12 +161,8 @@ def test_composite_orders_via_block_cartan():
     cartan = np.zeros((4, 4), dtype=np.int64)
     cartan[:2, :2] = a2.cartan_array()
     cartan[2:, 2:] = b2.cartan_array()
-    roots = []
-    for r in a2.roots_in_base:
-        roots.append(r + (0, 0))
-    for r in b2.roots_in_base:
-        roots.append((0, 0) + r)
-    direct = enumerate_orders(cartan, np.array(roots, dtype=np.int64), 48)
+    direct = enumerate_orders(cartan, 48)
+    assert sum(direct.values()) == 48
     assert frozenset(direct) == weyl_element_orders("A2+B2").orders
     assert weyl_order("A2+B2") == 48
 
@@ -159,36 +195,22 @@ def test_order_set_maximal_is_divisibility_antichain(orders):
 
 
 def test_weyl_element_orders_modes():
-    exact = weyl_element_orders("G2", mode="exact")
+    exact = weyl_element_orders("G2")
     assert exact.orders == {1, 2, 3, 6}
     assert exact.maximal == {6}
     assert exact.mode == "exact"
-    with pytest.raises(ValueError):
-        weyl_element_orders("G2", mode="guess")
-    with pytest.raises(ResourceBoundExceeded):
-        weyl_element_orders("E8", mode="exact")
-    # classical factors are exact whatever the mode says
-    assert weyl_element_orders("B3", mode="sampled").mode == "exact"
-    mini = weyl_element_orders("E8", mode="sampled", seed=7, samples=20000)
-    assert mini.mode == "sampled(seed=7,samples=20000)"
-    assert 1 in mini.orders
-    assert mini.maximal == {14, 18, 20, 24, 30}
+    assert weyl_element_orders("B3").mode == "exact"
+    e8 = weyl_element_orders("E8")
+    assert e8.mode == "exact"
+    assert e8.maximal == {14, 18, 20, 24, 30}
 
 
 def test_enumerate_orders_rejects_wrong_group_order():
     data = root_data("G2")
     with pytest.raises(AssertionError):
-        enumerate_orders(data.cartan_array(),
-                         np.array(data.roots_in_base, dtype=np.int64), 13)
-
-
-def test_sampling_is_deterministic():
-    data = root_data("D4")
-    cartan = data.cartan_array()
-    a = sampled_orders(cartan, seed=11, samples=3000)
-    b = sampled_orders(cartan, seed=11, samples=3000)
-    assert a == b
-    assert frozenset(a) <= weyl_element_orders("D4").orders
+        enumerate_orders(data.cartan_array(), 13)
+    with pytest.raises(AssertionError):
+        enumerate_orders(data.cartan_array(), 24)
 
 
 def test_order_table_rows():
@@ -202,12 +224,14 @@ def test_order_table_rows():
     for name, row in rows.items():
         if name != "B4":
             assert row["maximal"] == row["reference"], name
-    assert rows["E8"]["mode"].startswith("sampled")
+    assert all(r["mode"] == "exact" for r in rows.values())
 
 
 def test_uniqueness_scan_rank_four():
     hits = uniqueness_scan(4, {8, 12})
     assert [rs.label for rs in hits] == ["F4"]
+    with pytest.raises(ValueError):
+        uniqueness_scan(4, {0, 8})
 
 
 def test_omission_policy_small_rank():
