@@ -15,7 +15,7 @@ from functools import lru_cache
 from .numth import cyclotomic_poly, is_prime
 from .roots import RootOfUnity
 
-__all__ = ["Cyc", "cyc_one", "cyc_zero", "cyc_root"]
+__all__ = ["Cyc"]
 
 
 class _CtxData:
@@ -164,15 +164,3 @@ class Cyc:
     def __repr__(self) -> str:
         terms = [f"{c}*z^{k}" for k, c in enumerate(self.vec) if c]
         return f"Cyc({self.n}: {' + '.join(terms) or '0'})"
-
-
-def cyc_zero(n: int) -> Cyc:
-    return Cyc.zero(n)
-
-
-def cyc_one(n: int) -> Cyc:
-    return Cyc.integer(n, 1)
-
-
-def cyc_root(n: int, k: int) -> Cyc:
-    return Cyc.root(n, k)

@@ -1,16 +1,26 @@
 """Monomial matrices over roots of unity.
 
-A monomial matrix has one nonzero entry per row and column; we store the
-column permutation and the column entries, so entry (perm[j], j) equals
-diag[j].  Products, inverses, determinants and bilinear-form checks are
-all exact.  A symmetric form is described by a pairing involution iota,
-the form sum_j x_j * x_{iota(j)}; the antidiagonal iota(j) = dim-1-j is
-the default.
+A monomial matrix has one nonzero entry per row and column, and entry
+(perm[j], j) is a root of unity.  Over mu_N such matrices form the wreath
+product mu_N wr S_dim, so a matrix is stored as plain integers: the
+column permutation perm, an exponent vector exps and a modulus n, entry j
+being exp(2*pi*i * exps[j]/n).  The modulus is canonical, the lcm of the
+entry orders (n = 1 for a permutation matrix), so equal matrices have
+equal (perm, exps, n) and equality, hashing and ordering are those of
+that tuple.  RootOfUnity objects appear only at the boundary: the
+constructor, .diag, det() and the JSON form.
+
+Products, inverses, determinants and bilinear-form checks are all exact.
+A symmetric form is described by a pairing involution iota, the form
+sum_j x_j * x_{iota(j)}; the antidiagonal iota(j) = dim-1-j is the
+default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, itemgetter, mod, mul
 
 from .roots import ONE, RootOfUnity
 
@@ -21,20 +31,55 @@ def antidiagonal_pairing(dim: int) -> tuple[int, ...]:
     return tuple(dim - 1 - j for j in range(dim))
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
-    perm: tuple[int, ...]
-    diag: tuple[RootOfUnity, ...]
+def _make(perm: tuple[int, ...], exps: tuple[int, ...],
+          n: int) -> "MonomialMatrix":
+    # reduce n to the lcm of the entry orders, n / gcd(n, *exps)
+    g = gcd(n, *exps)
+    if g > 1:
+        n //= g
+        exps = tuple(e // g for e in exps)
+    return tuple.__new__(MonomialMatrix, (perm, exps, n))
 
-    def __post_init__(self) -> None:
-        if len(self.perm) != len(self.diag):
+
+class MonomialMatrix(tuple):
+    """The tuple (perm, exps, n); build one from (perm, diag)."""
+
+    __slots__ = ()
+
+    def __new__(cls, perm: tuple[int, ...],
+                diag: tuple[RootOfUnity, ...]) -> "MonomialMatrix":
+        perm, diag = tuple(perm), tuple(diag)
+        if len(perm) != len(diag):
             raise ValueError("permutation and diagonal sizes differ")
-        if sorted(self.perm) != list(range(len(self.perm))):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
+        n = lcm(*(r.den for r in diag))
+        return tuple.__new__(cls, (perm, tuple(r.num * (n // r.den)
+                                               for r in diag), n))
+
+    def __getnewargs__(self):
+        return self.perm, self.diag
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return self[0]
+
+    @property
+    def exps(self) -> tuple[int, ...]:
+        return self[1]
+
+    @property
+    def n(self) -> int:
+        return self[2]
+
+    @property
+    def diag(self) -> tuple[RootOfUnity, ...]:
+        _, exps, n = self
+        return tuple(RootOfUnity(e, n) for e in exps)
 
     @property
     def dim(self) -> int:
-        return len(self.perm)
+        return len(self[0])
 
     @classmethod
     def identity(cls, dim: int) -> "MonomialMatrix":
@@ -49,61 +94,79 @@ class MonomialMatrix:
         return cls(perm, (ONE,) * len(perm))
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.dim != other.dim:
+        # (A B) e_k = B_k A_{p2[k]} e_{p1[p2[k]]}: gather A along p2
+        p1, e1, n1 = self
+        p2, e2, n2 = other
+        if len(p1) != len(p2):
             raise ValueError("dimension mismatch")
-        p1, d1 = self.perm, self.diag
-        p2, d2 = other.perm, other.diag
-        perm = tuple(p1[p2[k]] for k in range(self.dim))
-        diag = tuple(d1[p2[k]] * d2[k] for k in range(self.dim))
-        return MonomialMatrix(perm, diag)
+        n = n1
+        if n1 != n2:
+            n = lcm(n1, n2)
+            if n != n1:
+                e1 = tuple(map(mul, e1, repeat(n // n1)))
+            if n != n2:
+                e2 = tuple(map(mul, e2, repeat(n // n2)))
+        if len(p2) < 2:
+            # itemgetter with one index returns a bare item, not a tuple
+            return _make(tuple(p1[k] for k in p2),
+                         tuple((e1[k] + e) % n for k, e in zip(p2, e2)), n)
+        g = itemgetter(*p2)
+        if n == 1:
+            return tuple.__new__(MonomialMatrix, (g(p1), e1, 1))
+        return _make(g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n))),
+                     n)
 
     def inverse(self) -> "MonomialMatrix":
-        n = self.dim
-        pinv = [0] * n
-        for j, i in enumerate(self.perm):
+        perm, exps, n = self
+        pinv = [0] * len(perm)
+        for j, i in enumerate(perm):
             pinv[i] = j
-        diag = tuple(self.diag[pinv[k]].inverse() for k in range(n))
-        return MonomialMatrix(tuple(pinv), diag)
+        return tuple.__new__(MonomialMatrix, (
+            tuple(pinv), tuple(-exps[j] % n for j in pinv), n))
 
     def det(self) -> RootOfUnity:
-        d = ONE
-        for x in self.diag:
-            d = d * x
-        if _perm_sign(self.perm) < 0:
+        _, exps, n = self
+        d = RootOfUnity(sum(exps), n)
+        if _perm_sign(self[0]) < 0:
             d = d * RootOfUnity(1, 2)
         return d
 
     def preserves_form(self, pairing: tuple[int, ...] | None = None) -> bool:
         """Whether M^T J M = J for the symmetric form given by the pairing."""
-        iota = pairing if pairing is not None else antidiagonal_pairing(self.dim)
-        if any(iota[iota[j]] != j for j in range(self.dim)):
+        perm, exps, n = self
+        iota = pairing if pairing is not None else antidiagonal_pairing(
+            len(perm))
+        if any(iota[iota[j]] != j for j in range(len(perm))):
             raise ValueError("pairing must be an involution")
-        for j in range(self.dim):
-            if self.perm[iota[j]] != iota[self.perm[j]]:
+        for j in range(len(perm)):
+            if perm[iota[j]] != iota[perm[j]]:
                 return False
-            if not (self.diag[j] * self.diag[iota[j]]).is_one:
+            if (exps[j] + exps[iota[j]]) % n:
                 return False
         return True
 
-    def trace_int(self) -> int:
-        """Trace when every fixed-point entry is +-1."""
+    def trace_int(self, inverse: bool = False) -> int:
+        """Trace (of the inverse, if asked) when every fixed-point entry is
+        +-1; an entry e/n on the diagonal becomes -e/n in the inverse."""
+        perm, exps, n = self
         t = 0
-        for j in range(self.dim):
-            if self.perm[j] == j:
-                t += self.diag[j].as_int()
+        for j, i in enumerate(perm):
+            if i == j:
+                e = -exps[j] % n if inverse else exps[j]
+                if e == 0:
+                    t += 1
+                elif 2 * e == n:
+                    t -= 1
+                else:
+                    raise ValueError(f"{RootOfUnity(e, n)} is not rational")
         return t
-
-    def trace_exponents(self) -> list[RootOfUnity]:
-        """The diagonal entries actually on the diagonal, as a multiset."""
-        return [self.diag[j] for j in range(self.dim) if self.perm[j] == j]
 
     @property
     def is_identity(self) -> bool:
-        return all(i == j for j, i in enumerate(self.perm)) and \
-            all(x.is_one for x in self.diag)
+        return self[2] == 1 and all(i == j for j, i in enumerate(self[0]))
 
-    def sort_key(self):
-        return (self.perm, tuple(x.sort_key() for x in self.diag))
+    def sort_key(self) -> tuple:
+        return tuple(self)
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm),

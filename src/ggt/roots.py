@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ResourceBoundExceeded
 from .numth import factorize, is_prime, mult_order
 
 __all__ = [
@@ -23,6 +24,10 @@ __all__ = [
     "check_selfdual_orbit",
     "selfdual_root",
 ]
+
+# Far above any orbit the toolkit builds (tame orbits have at most eight
+# elements); an orbit of 99,970 roots takes about 20 MB.
+DEFAULT_ORBIT_BOUND = 100_000
 
 
 @dataclass(frozen=True, order=False)
@@ -131,14 +136,21 @@ class FrobeniusOrbit:
         return cls(q=data["q"], elements=els)
 
 
-def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
-    """Orbit {tau, tau^q, tau^{q^2}, ...}; q must be coprime to the order."""
+def frobenius_orbit(tau: RootOfUnity, q: int,
+                    bound: int = DEFAULT_ORBIT_BOUND) -> FrobeniusOrbit:
+    """Orbit {tau, tau^q, tau^{q^2}, ...}; q must be coprime to the order.
+
+    Errors once the orbit would exceed bound elements.
+    """
     n = tau.den
     if math.gcd(q, n) != 1:
         raise ValueError(f"q = {q} shares a factor with the order {n}")
     exps = [tau.num]
     e = tau.num * q % n
     while e != tau.num:
+        if len(exps) >= bound:
+            raise ResourceBoundExceeded(
+                f"Frobenius orbit exceeded {bound} elements")
         exps.append(e)
         e = e * q % n
     # Rotate so the smallest exponent leads; q-steps are preserved.

@@ -106,7 +106,7 @@ def so_wild_report(w: WildImageSO) -> dict:
     selfdual = True
     for g in grp.elements:
         t = g.trace_int()
-        ti = g.inverse().trace_int()
+        ti = g.trace_int(inverse=True)
         if t != ti:
             selfdual = False
         norm += t * ti
@@ -125,12 +125,13 @@ def so_wild_report(w: WildImageSO) -> dict:
         eigs = [ONE] * 5 + [RootOfUnity(1, 2)] * 2
         g2_obstruction = not g2_admissible_eigenvalues(eigs)
 
+    abelian = grp.abelianization()
     return {
         "m": m,
         "order": grp.order,
         "order_expected": grp.order == 2 ** (m - 1) * m,
-        "abelianization": grp.abelianization(),
-        "abelianization_cyclic_m": grp.abelianization() == [m],
+        "abelianization": abelian,
+        "abelianization_cyclic_m": abelian == [m],
         "commutator": {"order": len(comm), "elementary_abelian": elementary},
         "commutator_expected": len(comm) == 2 ** (m - 1) and elementary,
         "det_trivial": det_trivial,

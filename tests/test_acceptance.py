@@ -75,7 +75,7 @@ def test_criterion_2_uniqueness_scans():
 
 
 def test_criterion_3_so_wild_suite(so_wild):
-    for m in (3, 5, 7, 9, 11):
+    for m in (3, 5, 7, 9, 11, 13):
         rep = so_wild_report(so_wild(m))
         assert rep["order"] == 2 ** (m - 1) * m and rep["order_expected"]
         assert rep["abelianization"] == [m]
@@ -84,8 +84,8 @@ def test_criterion_3_so_wild_suite(so_wild):
                                      "elementary_abelian": True}
         assert rep["det_trivial"], m
         assert rep["irreducible"], m
-    assert so_wild_report(so_wild(7))["g2_obstruction"] is True
-    print("criterion 3: sign-cycle groups verified for m in 3..11")
+        assert rep["g2_obstruction"] is (True if m == 7 else None), m
+    print("criterion 3: sign-cycle groups verified for m in 3..13")
 
 
 def test_criterion_4_jordan_suite(g2_jordan):

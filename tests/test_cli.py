@@ -32,6 +32,14 @@ def test_orbit_rejects_composite_q(capsys):
     assert code == 2
 
 
+def test_orbit_past_bound_exits_3(capsys):
+    # the orbit has 500000003 elements; the default bound stops it early
+    code = main(["orbit", "--tau", "1/1000000007", "--q", "7"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("ggt: resource bound") and "Traceback" not in err
+
+
 def test_failing_check_still_reports(capsys):
     # five 1s and two -1s: palindromic but inadmissible, exit 1 with a
     # full report either way
@@ -101,6 +109,9 @@ def test_wild_so_exit_codes(capsys):
     assert report["results"]["order"] == 12
     code, _ = _run(capsys, ["wild", "so", "--m", "15", "--bound", "500"])
     assert code == 3
+    # 245,760 elements is past the default bound of 100,000
+    code, out = _run(capsys, ["wild", "so", "--m", "15"])
+    assert code == 3 and out == ""
     code, _ = _run(capsys, ["wild", "so", "--m", "4"])
     assert code == 2
 
@@ -190,3 +201,14 @@ def test_usage_errors(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["orbit", "--tau", "nonsense", "--q", "5"]) == 2
+
+
+def test_monomial_commands_are_byte_identical(capsys):
+    for argv in (["param", "tame", "--q", "7", "--p", "43", "--n", "3"],
+                 ["wild", "so", "--m", "7"],
+                 ["wild", "g2"],
+                 ["group", "analyze", "--preset", "metacyclic", "--m", "6",
+                  "--p", "7", "--type-np", "6,7", "--ell", "5"]):
+        first = _run(capsys, argv)
+        second = _run(capsys, argv)
+        assert first[0] == 0 and first == second, argv

@@ -1,8 +1,16 @@
+from collections import Counter
+from math import lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import (FinGroup, Perm, closure, cyclic, direct_product,
                           is_type_np, is_type_npl, metacyclic)
+from ggt.monomial import MonomialMatrix
+from ggt.roots import RootOfUnity
+from ggt.wildtwo import build_so_wild
 
 
 def _sym(n):
@@ -172,3 +180,56 @@ def test_perm_basics():
     assert (a * a.inverse()).is_identity
     assert Perm.identity(3).is_identity
     assert a.sort_key() == (1, 2, 0)
+    assert a * Perm((0, 2, 1)) == Perm((1, 0, 2))
+    # degree one, where a single-index gather returns a bare item
+    one = Perm((0,))
+    assert one * one == one and (one * one).img == (0,)
+    c1 = cyclic(1)
+    assert c1.order == 1 and c1.abelianization() == []
+    assert [len(n) for n in c1.normal_subgroups()] == [1]
+
+
+def _as_permutation(m: MonomialMatrix, big_n: int) -> Perm:
+    # the embedding of mu_N wr S_dim into Sym(N * dim): point (j, a) goes
+    # to (perm[j], a + e_j), with e_j the entry exponent over N
+    scale = big_n // m.n
+    return Perm(tuple(m.perm[j] * big_n + (a + e * scale) % big_n
+                      for j, e in enumerate(m.exps) for a in range(big_n)))
+
+
+def _invariants(grp: FinGroup) -> tuple:
+    return (grp.order,
+            Counter(grp.element_order(x) for x in grp.elements),
+            sorted(len(c) for c in grp.conjugacy_classes()),
+            len(grp.commutator_subgroup()),
+            grp.abelianization())
+
+
+def _compare_with_embedding(gens: list[MonomialMatrix]) -> None:
+    big_n = lcm(*(g.n for g in gens))
+    mono = FinGroup.generate(gens)
+    perm = FinGroup.generate([_as_permutation(g, big_n) for g in gens])
+    assert _invariants(mono) == _invariants(perm)
+    assert {_as_permutation(x, big_n) for x in mono.elements} == \
+        set(perm.elements)
+
+
+@st.composite
+def small_monomial_gens(draw):
+    d = draw(st.integers(1, 3))
+    return [MonomialMatrix(tuple(draw(st.permutations(range(d)))),
+                           tuple(RootOfUnity(draw(st.integers(0, 5)),
+                                             draw(st.sampled_from((1, 2, 3))))
+                                 for _ in range(d)))
+            for _ in range(draw(st.integers(1, 2)))]
+
+
+@settings(max_examples=25)
+@given(small_monomial_gens())
+def test_monomial_group_matches_permutation_embedding(gens):
+    _compare_with_embedding(gens)
+
+
+def test_wild_group_matches_permutation_embedding():
+    w = build_so_wild(5)
+    _compare_with_embedding(list(w.group.generators))

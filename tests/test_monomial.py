@@ -1,3 +1,4 @@
+import pickle
 from math import lcm
 
 import pytest
@@ -86,10 +87,12 @@ def test_preserves_form_custom_pairing():
 def test_trace():
     m = MonomialMatrix((0, 2, 1), (RootOfUnity(1, 2), ONE, ONE))
     assert m.trace_int() == -1
-    assert m.trace_exponents() == [RootOfUnity(1, 2)]
+    assert m.trace_int(inverse=True) == m.inverse().trace_int() == -1
     bad = MonomialMatrix.diagonal((RootOfUnity(1, 3),))
     with pytest.raises(ValueError):
         bad.trace_int()
+    with pytest.raises(ValueError):
+        bad.trace_int(inverse=True)
 
 
 def test_validation():
@@ -103,4 +106,65 @@ def test_validation():
 
 @given(monomials())
 def test_json_round_trip(m):
-    assert MonomialMatrix.from_json(m.to_json()) == m
+    back = MonomialMatrix.from_json(m.to_json())
+    assert back == m and hash(back) == hash(m)
+    assert back.to_json() == m.to_json()
+    assert pickle.loads(pickle.dumps(m)) == m
+
+
+@st.composite
+def mixed_pairs(draw):
+    # each factor takes its denominators from its own pool of divisors of
+    # 60, so the two moduli usually differ and the product lifts both
+    d = draw(st.integers(1, 4))
+    pools = ((1, 2, 3, 4), (5, 6, 10, 12), (15, 20, 30, 60))
+    pair = []
+    for _ in range(2):
+        pool = draw(st.sampled_from(pools))
+        perm = tuple(draw(st.permutations(range(d))))
+        diag = tuple(RootOfUnity(draw(st.integers(0, 59)),
+                                 draw(st.sampled_from(pool)))
+                     for _ in range(d))
+        pair.append(MonomialMatrix(perm, diag))
+    return tuple(pair)
+
+
+@given(mixed_pairs())
+def test_mixed_moduli_product_matches_dense_oracle(pair):
+    a, b = pair
+    ab = a * b
+    assert _entries(ab, 60) == _matmul(_entries(a, 60), _entries(b, 60), 60)
+    # the modulus is the lcm of the entry orders, so rebuilding the product
+    # from its entries gives the same tuple and hash
+    assert ab.n == lcm(*(r.den for r in ab.diag))
+    rebuilt = MonomialMatrix(ab.perm, ab.diag)
+    assert tuple(rebuilt) == tuple(ab) and hash(rebuilt) == hash(ab)
+
+
+def test_canonical_modulus():
+    assert MonomialMatrix.diagonal((RootOfUnity(2, 4), ONE)) == \
+        MonomialMatrix.diagonal((RootOfUnity(1, 2), ONE))
+    quarter = MonomialMatrix.diagonal((RootOfUnity(1, 4), RootOfUnity(2, 4)))
+    half = MonomialMatrix.diagonal((RootOfUnity(1, 2), ONE))
+    square = quarter * quarter
+    assert square == half and hash(square) == hash(half)
+    assert square.n == 2 and len({square, half}) == 1
+    # entries that cancel leave modulus 1, the identity itself
+    t = MonomialMatrix((1, 0), (RootOfUnity(1, 3), RootOfUnity(2, 3)))
+    assert t * t == MonomialMatrix.identity(2)
+    assert hash(t * t) == hash(MonomialMatrix.identity(2))
+    assert (t * t).n == 1 and (t * t).is_identity
+    sign = MonomialMatrix.diagonal((RootOfUnity(1, 2), ONE))
+    assert (sign * t).n == 6 and (t * sign).n == 6
+
+
+def test_dimension_one():
+    a = MonomialMatrix.diagonal((RootOfUnity(1, 4),))
+    b = MonomialMatrix.diagonal((RootOfUnity(1, 6),))
+    assert (a * b).diag == (RootOfUnity(5, 12),)
+    assert a * a == MonomialMatrix.diagonal((RootOfUnity(1, 2),))
+    assert (a * a * a * a).is_identity
+    assert a.inverse() == MonomialMatrix.diagonal((RootOfUnity(3, 4),))
+    assert a.det() == RootOfUnity(1, 4)
+    one = MonomialMatrix.identity(1)
+    assert one * one == one and one.perm == (0,) and one.dim == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ggt.errors import ResourceBoundExceeded
 from ggt.numth import mult_order
 from ggt.roots import (FrobeniusOrbit, RootOfUnity, check_selfdual_orbit,
                        frobenius_orbit, selfdual_root)
@@ -78,6 +79,16 @@ def test_orbit_size_is_multiplicative_order():
 def test_orbit_rejects_shared_factor():
     with pytest.raises(ValueError):
         frobenius_orbit(RootOfUnity(1, 6), 3)
+
+
+def test_orbit_bound():
+    # 7 has order 500000003 mod 10^9 + 7: stopped at the bound
+    with pytest.raises(ResourceBoundExceeded):
+        frobenius_orbit(RootOfUnity(1, 1_000_000_007), 7, bound=1000)
+    # an orbit exactly at the bound is still built
+    assert frobenius_orbit(RootOfUnity(1, 7), 3, bound=6).size == 6
+    with pytest.raises(ResourceBoundExceeded):
+        frobenius_orbit(RootOfUnity(1, 7), 3, bound=5)
 
 
 def test_orbit_of_one_is_trivial():
