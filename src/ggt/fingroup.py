@@ -36,6 +36,14 @@ __all__ = [
 DEFAULT_CLOSURE_BOUND = 100_000
 
 
+def gatherer(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map seq -> tuple(seq[i] for i in idx), one itemgetter if it can."""
+    if len(idx) < 2:
+        # itemgetter with one index returns a bare item, not a tuple
+        return lambda seq: tuple(seq[i] for i in idx)
+    return itemgetter(*idx)
+
+
 @dataclass(frozen=True)
 class Perm:
     """Permutation of {0..n-1} as a tuple of images."""
@@ -43,11 +51,7 @@ class Perm:
     img: tuple[int, ...]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        o = other.img
-        if len(o) < 2:
-            # itemgetter with one index returns a bare item, not a tuple
-            return Perm(tuple(self.img[i] for i in o))
-        return Perm(itemgetter(*o)(self.img))
+        return Perm(gatherer(other.img)(self.img))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.img)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mod, mul
+from operator import add, mod, mul
 
+from .fingroup import gatherer
 from .roots import ONE, RootOfUnity
 
 __all__ = ["MonomialMatrix", "antidiagonal_pairing"]
@@ -59,6 +60,19 @@ class MonomialMatrix(tuple):
 
     def __getnewargs__(self):
         return self.perm, self.diag
+
+    # a matrix, not a sequence: no len(), + or repetition by an integer
+    def __len__(self):
+        raise TypeError("a MonomialMatrix has no len(); use .dim")
+
+    def __bool__(self) -> bool:  # else truth testing would call __len__
+        return True
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     @property
     def perm(self) -> tuple[int, ...]:
@@ -106,13 +120,7 @@ class MonomialMatrix(tuple):
                 e1 = tuple(map(mul, e1, repeat(n // n1)))
             if n != n2:
                 e2 = tuple(map(mul, e2, repeat(n // n2)))
-        if len(p2) < 2:
-            # itemgetter with one index returns a bare item, not a tuple
-            return _make(tuple(p1[k] for k in p2),
-                         tuple((e1[k] + e) % n for k, e in zip(p2, e2)), n)
-        g = itemgetter(*p2)
-        if n == 1:
-            return tuple.__new__(MonomialMatrix, (g(p1), e1, 1))
+        g = gatherer(p2)
         return _make(g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n))),
                      n)
 
@@ -145,14 +153,13 @@ class MonomialMatrix(tuple):
                 return False
         return True
 
-    def trace_int(self, inverse: bool = False) -> int:
-        """Trace (of the inverse, if asked) when every fixed-point entry is
-        +-1; an entry e/n on the diagonal becomes -e/n in the inverse."""
+    def trace_int(self) -> int:
+        """Trace, when every fixed-point entry is +-1."""
         perm, exps, n = self
         t = 0
         for j, i in enumerate(perm):
             if i == j:
-                e = -exps[j] % n if inverse else exps[j]
+                e = exps[j]
                 if e == 0:
                     t += 1
                 elif 2 * e == n:
@@ -166,7 +173,8 @@ class MonomialMatrix(tuple):
         return self[2] == 1 and all(i == j for j, i in enumerate(self[0]))
 
     def sort_key(self) -> tuple:
-        return tuple(self)
+        # ordered as the tuple (perm, exps, n)
+        return self
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm),

@@ -86,13 +86,10 @@ def test_preserves_form_custom_pairing():
 
 def test_trace():
     m = MonomialMatrix((0, 2, 1), (RootOfUnity(1, 2), ONE, ONE))
-    assert m.trace_int() == -1
-    assert m.trace_int(inverse=True) == m.inverse().trace_int() == -1
+    assert m.trace_int() == m.inverse().trace_int() == -1
     bad = MonomialMatrix.diagonal((RootOfUnity(1, 3),))
     with pytest.raises(ValueError):
         bad.trace_int()
-    with pytest.raises(ValueError):
-        bad.trace_int(inverse=True)
 
 
 def test_validation():
@@ -168,3 +165,23 @@ def test_dimension_one():
     assert a.det() == RootOfUnity(1, 4)
     one = MonomialMatrix.identity(1)
     assert one * one == one and one.perm == (0,) and one.dim == 1
+
+
+def test_permutation_matrices_keep_modulus_one():
+    c = MonomialMatrix.permutation((1, 2, 0))
+    assert c * c == MonomialMatrix.permutation((2, 0, 1))
+    assert (c * c).n == 1 and (c * c * c).is_identity
+
+
+def test_not_a_sequence():
+    # stored as a tuple, but len, + and integer repetition still fail
+    m = MonomialMatrix.diagonal((RootOfUnity(1, 2), ONE))
+    assert m and m.dim == 2
+    with pytest.raises(TypeError):
+        len(m)
+    with pytest.raises(TypeError):
+        m + m
+    with pytest.raises(TypeError):
+        2 * m
+    with pytest.raises(TypeError):
+        m * 2
