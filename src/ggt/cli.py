@@ -11,6 +11,7 @@ JSON with sorted keys, so identical invocations are byte-identical;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -360,10 +361,13 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+# argparse keeps no state between parses, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 0 if err.code in (0, None) else 2
 

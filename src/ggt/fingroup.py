@@ -3,23 +3,34 @@
 Elements are immutable objects with *, .inverse(), equality, hashing and a
 total sort_key().  Permutations live here as image tuples, monomial
 matrices in ggt.monomial as a permutation plus integer exponents; both
-multiply by one itemgetter gather.  Groups are materialized element
-lists, sorted once by sort_key when the FinGroup is made, so everything
-downstream (normal subgroups, quotients, abelianizations) is plain set
-combinatorics; the conjugacy classes, normal subgroups and commutator
-subgroup are computed once per group.  The intended scale is a few tens
-of thousands of elements (the wild image at m = 13 has 53,248), guarded
-by an explicit closure bound.
+multiply by one itemgetter gather.  A FinGroup is its element list,
+sorted once by sort_key, so an element is also its index in that list.
+
+For each generator g a group keeps the table i -> index(g * x_i):
+FinGroup.generate records it in its breadth-first search, which
+multiplies on the left; a group given by its elements makes it on first
+use.  Work that moves elements by generators then runs on indices, with
+no products.  Conjugation reads x g off a spanning tree of the Cayley
+graph (x = g_a y gives x g = g_a (y g)), so the conjugacy classes,
+normality tests and normal closures are orbits of index tables; and
+g (x N) = g x N, so pushing the normal subgroup N through the tables
+labels every coset of a quotient.  Subgroup closures multiply, by
+Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+Groups, 1991): a new generator outside the group H generated so far adds
+whole right cosets H t at |H| - 1 products each, the size bound checked
+before each coset is made.  The intended scale is a few tens of
+thousands of elements (the wild image at m = 13 has 53,248).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
-from .numth import is_prime
+from .numth import is_prime, mult_order
 
 __all__ = [
     "Perm",
@@ -75,37 +86,64 @@ class Perm:
 
 
 def closure(generators: Sequence, bound: int = DEFAULT_CLOSURE_BOUND) -> list:
-    """All products of the generators (BFS), unsorted.  Errors past the
+    """All products of the generators, identity first.  Errors past the
     bound."""
     if not generators:
         raise ValueError("need at least one generator")
-    e = generators[0] * generators[0].inverse()
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= bound:
-                        raise ResourceBoundExceeded(
-                            f"group closure exceeded {bound} elements")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return list(seen)
+    return _dimino(generators, generators[0] * generators[0].inverse(), bound)
+
+
+def _dimino(gens: Iterable, identity, bound: int) -> list:
+    """The group generated by gens, identity first: one Dimino step per
+    generator not yet inside."""
+    els, members, used = [identity], {identity}, []
+
+    def add_coset(t) -> None:
+        if len(els) + len(sub) >= bound:
+            raise ResourceBoundExceeded(
+                f"group closure exceeded {bound} elements")
+        coset = [t] + [h * t for h in sub]
+        els.extend(coset)
+        members.update(coset)
+        reps.append(t)
+
+    for x in gens:
+        if x in members:
+            continue
+        used.append(x)
+        # right cosets of H = <used[:-1]> (sub is H minus the identity)
+        # until every coset rep times every generator lands inside
+        sub, reps = els[1:], []
+        add_coset(x)
+        for r in reps:  # reps grows while the loop runs
+            for s in used:
+                y = r * s
+                if y not in members:
+                    add_coset(y)
+    return els
 
 
 class FinGroup:
     """A finite group given by its full element list."""
 
     def __init__(self, generators: Sequence, elements: Iterable,
-                 identity) -> None:
+                 identity, tables: Sequence | None = None) -> None:
+        """tables, if given, holds for each generator g the list
+        i -> position of g * x_i, positions in elements as passed."""
         self.generators = list(generators)
-        self.elements = sorted(elements, key=lambda z: z.sort_key())
+        els = list(elements)
+        keys = [x.sort_key() for x in els]
+        order = sorted(range(len(els)), key=keys.__getitem__)
+        self.elements = [els[i] for i in order]
         self.identity = identity
         self.index = {x: i for i, x in enumerate(self.elements)}
+        if tables is not None:
+            rank = [0] * len(order)
+            for r, i in enumerate(order):
+                rank[i] = r
+            tables = [[rank[t[i]] for i in order] for t in tables]
+        self._tables: list[list[int]] | None = tables
+        self._conj: list[list[int]] | None = None
         self._classes: list[frozenset] | None = None
         self._normals: list[frozenset] | None = None
         self._commutator: frozenset | None = None
@@ -113,9 +151,24 @@ class FinGroup:
     @classmethod
     def generate(cls, generators: Sequence,
                  bound: int = DEFAULT_CLOSURE_BOUND) -> "FinGroup":
-        els = closure(generators, bound)
+        """Breadth-first closure by left multiplication, recording each
+        generator's table.  Errors past the bound."""
+        if not generators:
+            raise ValueError("need at least one generator")
         e = generators[0] * generators[0].inverse()
-        return cls(generators, els, e)
+        els, pos = [e], {e: 0}
+        tables = [[] for _ in generators]
+        for x in els:  # els grows while the loop runs
+            for g, table in zip(generators, tables):
+                y = g * x
+                j = pos.setdefault(y, len(els))
+                if j == len(els):
+                    if j >= bound:
+                        raise ResourceBoundExceeded(
+                            f"group closure exceeded {bound} elements")
+                    els.append(y)
+                table.append(j)
+        return cls(generators, els, e, tables)
 
     @property
     def order(self) -> int:
@@ -131,82 +184,85 @@ class FinGroup:
             k += 1
         return k
 
+    def _left_tables(self) -> list[list[int]]:
+        """For each generator g, the table i -> index(g * x_i)."""
+        if self._tables is None:
+            self._tables = [[self.index[g * x] for x in self.elements]
+                            for g in self.generators]
+        return self._tables
+
+    def _conj_tables(self) -> list[list[int]]:
+        """For each generator g, the table i -> index(g^-1 x_i g)."""
+        if self._conj is None:
+            tables = self._left_tables()
+            n, e = self.order, self.index[self.identity]
+            # rights[a][i] = index(x_i g_a), filled along a spanning tree
+            # of the Cayley graph: x = g_b y gives x g_a = g_b (y g_a)
+            rights = [[t[e]] * n for t in tables]
+            queue, seen = [e], {e}
+            for p in queue:  # queue grows while the loop runs
+                for t in tables:
+                    j = t[p]
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+                        for r in rights:
+                            r[j] = t[r[p]]
+            # g^-1 (g x) g = x g
+            self._conj = []
+            for t, r in zip(tables, rights):
+                c = [0] * n
+                for i, j in zip(t, r):
+                    c[i] = j
+                self._conj.append(c)
+        return self._conj
+
+    def _conj_orbit(self, idx: set[int]) -> set[int]:
+        """Close a set of indices under conjugation, in place."""
+        conj = self._conj_tables()
+        stack = list(idx)
+        while stack:
+            i = stack.pop()
+            for c in conj:
+                j = c[i]
+                if j not in idx:
+                    idx.add(j)
+                    stack.append(j)
+        return idx
+
     def conjugacy_classes(self) -> list[frozenset]:
         if self._classes is None:
-            gens = self.generators
-            gen_invs = [g.inverse() for g in gens]
-            unseen = set(self.elements)
+            els = self.elements
+            unseen = set(range(self.order))
             classes = []
-            for x0 in self.elements:
-                if x0 not in unseen:
-                    continue
-                orbit = {x0}
-                stack = [x0]
-                while stack:
-                    x = stack.pop()
-                    for g, gi in zip(gens, gen_invs):
-                        y = gi * x * g
-                        if y not in orbit:
-                            orbit.add(y)
-                            stack.append(y)
-                unseen -= orbit
-                classes.append(frozenset(orbit))
+            for i in range(self.order):
+                if i in unseen:
+                    orbit = self._conj_orbit({i})
+                    unseen -= orbit
+                    classes.append(frozenset(els[j] for j in orbit))
             self._classes = classes
         return self._classes
 
     def subgroup_closure(self, seed: Iterable) -> frozenset:
-        """Subgroup generated by the seed elements (all must lie in self)."""
-        gens = [x for x in seed if x != self.identity]
-        sub = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in sub:
-                        sub.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(sub)
+        """Subgroup generated by the seed elements (all must lie in self).
 
-    def _closure_containing(self, target: frozenset) -> frozenset:
-        # Grow a small generating set until the closure swallows the target.
-        gens = []
-        sub = frozenset([self.identity])
-        for x in sorted(target, key=lambda z: z.sort_key()):
-            if x not in sub:
-                gens.append(x)
-                sub = self.subgroup_closure(gens)
-        return sub
+        The seed is taken in sorted order, so few of its elements become
+        generators."""
+        gens = sorted(seed, key=self.index.__getitem__)
+        return frozenset(_dimino(gens, self.identity, self.order))
 
     def normal_closure(self, seed: Iterable) -> frozenset:
         """Smallest normal subgroup containing the seed."""
-        gens = self.generators
-        gen_invs = [g.inverse() for g in gens]
-        conj = set()
-        stack = list(seed)
-        while stack:
-            x = stack.pop()
-            if x in conj:
-                continue
-            conj.add(x)
-            for g, gi in zip(gens, gen_invs):
-                stack.append(gi * x * g)
-        return self._closure_containing(frozenset(conj))
+        idx = self._conj_orbit({self.index[x] for x in seed})
+        return self.subgroup_closure(self.elements[i] for i in idx)
 
     def normal_subgroups(self) -> list[frozenset]:
         """Every normal subgroup, via joins of conjugacy class closures."""
         if self._normals is not None:
             return self._normals
-        one = frozenset([self.identity])
-        found = {one}
-        atoms = []
-        for c in self.conjugacy_classes():
-            n = self._closure_containing(frozenset(c))
-            if n not in found:
-                found.add(n)
-                atoms.append(n)
+        found = {frozenset([self.identity])}
+        found.update(self.subgroup_closure(c)
+                     for c in self.conjugacy_classes())
         # Close the set under joins; every normal subgroup is a join of
         # class closures, so this reaches all of them.
         work = list(found)
@@ -215,7 +271,7 @@ class FinGroup:
             for b in list(found):
                 if a <= b or b <= a:
                     continue
-                j = self._closure_containing(a | b)
+                j = self.subgroup_closure(a | b)
                 if j not in found:
                     found.add(j)
                     work.append(j)
@@ -224,11 +280,8 @@ class FinGroup:
         return self._normals
 
     def is_normal(self, sub: frozenset) -> bool:
-        for g in self.generators:
-            gi = g.inverse()
-            if any(gi * x * g not in sub for x in sub):
-                return False
-        return True
+        idx = {self.index[x] for x in sub}
+        return all(c[i] in idx for c in self._conj_tables() for i in idx)
 
     def index_core(self, d: int) -> frozenset:
         """Intersection of all normal subgroups of index at most d."""
@@ -257,28 +310,36 @@ class FinGroup:
         """
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
-        coset_of: dict = {}
-        reps: list = []
-        for x in self.elements:
-            if x in coset_of:
-                continue
-            cid = len(reps)
-            reps.append(x)
-            for n in sub:
-                coset_of[x * n] = cid
-        k = len(reps)
-
-        def project(g) -> Perm:
-            return Perm(tuple(coset_of[g * reps[c]] for c in range(k)))
-
-        gen_perms = [project(g) for g in self.generators]
-        els = {project(x) for x in reps} if k <= 64 else None
-        if els is None:
-            q = FinGroup.generate(gen_perms, bound=max(2 * k, 16))
-        else:
-            q = FinGroup(gen_perms, els, Perm.identity(k))
+        tables = self._left_tables()
+        label = [-1] * self.order  # -1 until the coset is found
+        cosets = [[self.index[x] for x in sub]]
+        for i in cosets[0]:
+            label[i] = 0
+        for coset in cosets:  # cosets grows while the loop runs
+            for t in tables:
+                if label[t[coset[0]]] < 0:
+                    image = [t[i] for i in coset]  # g x N, a whole coset
+                    for i in image:
+                        label[i] = 0
+                    cosets.append(image)
+        # number the cosets by least index, which the reps are
+        cosets.sort(key=min)
+        for c, coset in enumerate(cosets):
+            for i in coset:
+                label[i] = c
+        reps = [min(c) for c in cosets]
+        gen_perms = [Perm(tuple(label[t[r]] for r in reps)) for t in tables]
+        q = FinGroup.generate(gen_perms, bound=max(2 * len(reps), 16))
         if q.order != self.order // len(sub):
             raise AssertionError("quotient order mismatch")
+        # G/N acts regularly on the cosets, so an element of q is fixed by
+        # where it sends N
+        by_image = {x.img[label[self.index[self.identity]]]: x
+                    for x in q.elements}
+
+        def project(g) -> Perm:
+            return by_image[label[self.index[g]]]
+
         return q, project
 
     def abelianization(self) -> list[int]:
@@ -383,24 +444,18 @@ def is_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
         raise ValueError("p must be prime")
     if g.order % p != 0:
         return None
-    deltas = _order_p_normal_subgroups(g, p)
-    for y in deltas:
+    for y in _order_p_normal_subgroups(g, p):
         powers = {}
         z = y
         for k in range(1, p):
             powers[z] = k
             z = z * y
-        exps = []
-        ok = True
-        for gen in g.generators:
-            c = gen * y * gen.inverse()
-            if c not in powers:
-                ok = False
-                break
-            exps.append(powers[c])
-        if not ok:
+        exps = [powers.get(gen * y * gen.inverse()) for gen in g.generators]
+        if None in exps:
             continue
-        image = _unit_subgroup_order(exps, p)
+        # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
+        # of their orders
+        image = lcm(*(mult_order(a, p) for a in exps))
         if image == n:
             return TypeNPWitness(p=p, image_order=image, exponents=tuple(exps))
     return None
@@ -428,21 +483,6 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list:
                      if x != g.identity)
             out.append(y)
     return out
-
-
-def _unit_subgroup_order(exps: Sequence[int], p: int) -> int:
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        new = []
-        for u in frontier:
-            for a in exps:
-                v = u * a % p
-                if v not in seen:
-                    seen.add(v)
-                    new.append(v)
-        frontier = new
-    return len(seen)
 
 
 def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
@@ -497,7 +537,6 @@ def metacyclic(m: int, p: int) -> FinGroup:
 
 
 def _primitive_root(p: int) -> int:
-    from .numth import mult_order
     for g in range(2, p):
         if mult_order(g, p) == p - 1:
             return g

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ResourceBoundExceeded
+
 __all__ = [
     "is_prime",
     "mult_order",
@@ -29,6 +31,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# factorize tries no divisor past this: it settles every n below 10^12,
+# in at most 166,667 steps of its loop
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -59,7 +65,11 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; {prime: exponent}."""
+    """Prime factorization by trial division; {prime: exponent}.
+
+    Trial divisors stop at TRIAL_DIVISION_LIMIT: ResourceBoundExceeded if
+    what is left of n could still have a prime factor past it.
+    """
     if n <= 0:
         raise ValueError("factorize wants a positive integer")
     out: dict[int, int] = {}
@@ -67,13 +77,19 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
+    for f in range(5, TRIAL_DIVISION_LIMIT + 1, 6):
+        if f * f > n:
+            break
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
-        f += 6
+    else:
+        # every prime below f + 6 is tried
+        if (f + 6) ** 2 <= n:
+            raise ResourceBoundExceeded(
+                f"factorize: {n} has no prime factor up to the trial "
+                f"division limit {TRIAL_DIVISION_LIMIT}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -225,3 +225,29 @@ def test_monomial_commands_match_golden_output(capsys):
         report.pop("version")
         canon = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(canon).hexdigest()[:16] == digest, command
+
+
+def test_param_tame_past_trial_division_limit_exits_3(capsys):
+    # ord_p(7) needs phi(p) and so a factorization of the 19-digit prime
+    # p, which trial division cannot finish; the limit stops it early
+    code = main(["param", "tame", "--q", "7", "--p", "1000000000000000003",
+                 "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("ggt: resource bound: factorize")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_reuses_its_parser(capsys):
+    # main parses with one parser for the whole process: a usage error
+    # between two runs leaves nothing behind
+    first = ["orbit", "--tau", "1/43", "--q", "7"]
+    runs = [first, ["param", "real", "--a", "1/2,1,3/2"],
+            ["orbit", "--q", "7"], first]
+    results = []
+    for argv in runs:
+        code = main(argv)
+        results.append((code, capsys.readouterr()))
+    assert [code for code, _ in results] == [0, 0, 2, 0]
+    assert results[2][1].out == "" and "usage" in results[2][1].err
+    assert results[3][1] == results[0][1]

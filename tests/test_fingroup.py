@@ -10,7 +10,7 @@ from ggt.fingroup import (FinGroup, Perm, closure, cyclic, direct_product,
                           is_type_np, is_type_npl, metacyclic)
 from ggt.monomial import MonomialMatrix
 from ggt.roots import RootOfUnity
-from ggt.wildtwo import build_so_wild
+from ggt.wildtwo import build_so_wild, so_wild_report
 
 
 def _sym(n):
@@ -48,6 +48,45 @@ def test_alternating_group():
 def test_closure_bound():
     with pytest.raises(ResourceBoundExceeded):
         closure([Perm((1, 2, 3, 4, 0))], bound=3)
+
+
+def test_closure_bound_stops_before_the_next_coset(monkeypatch):
+    made = []
+    mul = Perm.__mul__
+
+    def counting(self, other):
+        made.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    a, b = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))  # dihedral, order 8
+    with pytest.raises(ResourceBoundExceeded):
+        closure([a, b], bound=7)
+    # the identity a * a^-1, then a^2, a^3 and a^4 = 1 close <a>; the
+    # coset <a> b would pass the bound, so no product with b is made
+    assert len(made) == 4 and all(b not in pair for pair in made)
+    assert len(closure([a, b], bound=8)) == 8
+    with pytest.raises(ResourceBoundExceeded):
+        FinGroup.generate([a, b], bound=7)
+    assert FinGroup.generate([a, b], bound=8).order == 8
+
+
+def test_wild_sweep_product_count(monkeypatch):
+    # deterministic work of the m = 3..11 sweep: the generator tables
+    # (two products per element), the Dimino closure of the commutator
+    # subgroup and the report's own checks
+    count = 0
+    mul = MonomialMatrix.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MonomialMatrix, "__mul__", counting)
+    for m in (3, 5, 7, 9, 11):
+        so_wild_report(build_so_wild(m))
+    assert count == 31_164
 
 
 def test_cyclic_group():
@@ -233,3 +272,80 @@ def test_monomial_group_matches_permutation_embedding(gens):
 def test_wild_group_matches_permutation_embedding():
     w = build_so_wild(5)
     _compare_with_embedding(list(w.group.generators))
+
+
+# -- the index-space engine against definitions made of products ----------
+
+def _generated(seed, e) -> frozenset:
+    """Close a set under products."""
+    h = {e} | set(seed)
+    while True:
+        new = {a * b for a in h for b in h} - h
+        if not new:
+            return frozenset(h)
+        h |= new
+
+
+def _naive_normal_subgroups(classes, e) -> set:
+    # every normal subgroup is generated by the classes inside it
+    found = {frozenset([e])}
+    work = list(found)
+    while work:
+        n = work.pop()
+        for c in classes:
+            j = _generated(n | c, e)
+            if j not in found:
+                found.add(j)
+                work.append(j)
+    return found
+
+
+@st.composite
+def small_group_gens(draw):
+    k = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        return [Perm(tuple(draw(st.permutations(range(d)))))
+                for _ in range(k)]
+    d = draw(st.integers(1, 3))
+    dens = (1, 2) if d == 3 else (1, 2, 3)
+    return [MonomialMatrix(tuple(draw(st.permutations(range(d)))),
+                           tuple(RootOfUnity(draw(st.integers(0, 5)),
+                                             draw(st.sampled_from(dens)))
+                                 for _ in range(d)))
+            for _ in range(k)]
+
+
+@settings(max_examples=30)
+@given(small_group_gens(), st.data())
+def test_index_engine_matches_naive_definitions(gens, data):
+    e = gens[0] * gens[0].inverse()
+    generated = FinGroup.generate(gens)
+    els = generated.elements
+    inv = {x: x.inverse() for x in els}
+    classes = {frozenset(inv[h] * x * h for h in els) for x in els}
+    normals = _naive_normal_subgroups(classes, e)
+    commutator = _generated({inv[a] * inv[b] * a * b
+                             for a in els for b in els}, e)
+    subs = [_generated(data.draw(st.lists(st.sampled_from(els),
+                                          max_size=2)), e)
+            for _ in range(3)]
+    # the explicit element list makes its tables on first use
+    explicit = FinGroup(gens, closure(gens), e)
+    assert explicit.elements == els
+    for grp in (generated, explicit):
+        assert set(grp.conjugacy_classes()) == classes
+        assert sum(map(len, grp.conjugacy_classes())) == len(els)
+        for sub in subs:
+            assert grp.is_normal(sub) == all(
+                inv[h] * s * h in sub for h in els for s in sub)
+        assert set(grp.normal_subgroups()) == normals
+        assert grp.commutator_subgroup() == commutator
+        for n in normals:
+            q, proj = grp.quotient(n)
+            assert q.order == len(els) // len(n)
+            assert {proj(x) for x in els} == set(q.elements)
+            assert frozenset(x for x in els if proj(x).is_identity) == n
+            for x in els:
+                for y in els:
+                    assert proj(x * y) == proj(x) * proj(y)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ggt.numth import (PrimePair, cyclotomic_poly, cyclotomic_value,
-                       euler_phi, factorize, is_prime, min_k_order_appears,
-                       mult_order)
+from ggt.errors import ResourceBoundExceeded
+from ggt.numth import (TRIAL_DIVISION_LIMIT, PrimePair, cyclotomic_poly,
+                       cyclotomic_value, euler_phi, factorize, is_prime,
+                       min_k_order_appears, mult_order)
 
 
 def _trial_prime(n):
@@ -56,6 +57,20 @@ def test_factorize_reconstructs(n):
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_trial_division_limit():
+    # 999983 and 1000003 are the primes on either side of the limit
+    assert TRIAL_DIVISION_LIMIT == 10**6
+    assert factorize(999983**2) == {999983: 2}
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    # a prime cofactor is settled once the divisors pass its square root
+    assert factorize(2 * (10**12 + 39)) == {2: 1, 10**12 + 39: 1}
+    for n in (1000003**2, 1000003 * 1000033, 10**18 + 3):
+        with pytest.raises(ResourceBoundExceeded):
+            factorize(n)
+    with pytest.raises(ResourceBoundExceeded):
+        mult_order(7, 10**18 + 3)
 
 
 def test_euler_phi_counting_oracle():
