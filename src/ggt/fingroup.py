@@ -271,7 +271,12 @@ class FinGroup:
             for b in list(found):
                 if a <= b or b <= a:
                     continue
-                j = self.subgroup_closure(a | b)
+                # the join is AB, of order |A||B|/|A n B|: a known
+                # subgroup of that order containing A u B is the join
+                union, size = a | b, len(a) * len(b) // len(a & b)
+                if any(len(n) == size and union <= n for n in found):
+                    continue
+                j = self.subgroup_closure(union)
                 if j not in found:
                     found.add(j)
                     work.append(j)

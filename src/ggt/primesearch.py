@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import ResourceBoundExceeded, SearchExhausted
-from .numth import PrimePair, euler_phi, is_prime, min_k_order_appears, mult_order
+from .numth import (PrimePair, euler_phi, factorize, is_prime,
+                    min_k_order_appears, mult_order)
 
 __all__ = [
     "SearchRequest",
@@ -130,21 +131,10 @@ def splits_in_small_cyclotomics(q: int, ell: int, d: int,
                for N in surrogate_moduli(ell, d, conductor_bound))
 
 
-def _order_is(q: int, p: int, m: int) -> bool:
-    # ord_p(q) == m without computing the full order
-    if pow(q, m, p) != 1:
-        return False
-    mm, r = m, 2
-    props = set()
-    while r * r <= mm:
-        if mm % r == 0:
-            props.add(m // r)
-            while mm % r == 0:
-                mm //= r
-        r += 1
-    if mm > 1:
-        props.add(m // mm)
-    return all(pow(q, k, p) != 1 for k in props)
+def _order_is(q: int, p: int, m: int, cofactors: list[int]) -> bool:
+    # ord_p(q) == m without computing the full order: cofactors holds
+    # m // r for each prime r dividing m
+    return pow(q, m, p) == 1 and all(pow(q, k, p) != 1 for k in cofactors)
 
 
 def find_prime_pair(req: SearchRequest,
@@ -180,6 +170,7 @@ def _scan_q(req: SearchRequest, p: int, step: int, two_n: int,
     # ord_p(q) = 2n; None when the scan passes the ceiling.
     if step % 2 == 1:
         step *= 2  # keep candidates odd
+    cofactors = [two_n // r for r in factorize(two_n)]
     q = 1
     while True:
         q += step
@@ -187,7 +178,7 @@ def _scan_q(req: SearchRequest, p: int, step: int, two_n: int,
             return None
         if q == p or q == req.ell or not is_prime(q):
             continue
-        if _order_is(q, p, two_n):
+        if _order_is(q, p, two_n, cofactors):
             return q
 
 
@@ -265,8 +256,7 @@ def _slow_order(a: int, p: int, bound: int = 10_000_000) -> int:
 
 
 def _slow_phi(n: int) -> int:
-    from math import gcd as _g
-    return sum(1 for x in range(1, n + 1) if _g(x, n) == 1)
+    return sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
 
 
 def validate_certificate(cert: SearchCertificate) -> dict:

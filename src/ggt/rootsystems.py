@@ -1,10 +1,18 @@
 """Root systems of rank at most 8 and their Weyl element orders.
 
-Irreducible systems are built from integer simple-root coordinates (the
-types with half-integer standard coordinates are scaled by 2, which
-changes no reflection).  Full root sets come from closing the simple
-roots under simple reflections; Cartan matrices, lengths, and the data
-consumed by the enumeration engine all derive from that.
+Irreducible systems are given by integer simple roots in standard
+coordinates (the types with half-integer standard coordinates are scaled
+by 2, which changes no reflection).  Their Gram matrix gives the Cartan
+matrix C and the root lengths.  The roots are found in simple-root
+coordinates, by closing the unit vectors under the integer reflections
+s_j(b) = b - (b . C[:, j]) e_j; each must come out positive or negative,
+and the standard-coordinate roots are the integer products b @ simple.
+
+Weights live in the coordinates of weylenum: row vectors over the
+fundamental weights, on which s_i is I - e_i C[i, :].  The nonzero
+weights of a minuscule or quasi-minuscule representation are the W-orbit
+of one fundamental weight, and every Weyl-group element used here comes
+from the coset tower of weylenum.
 
 Order sets for the classical families come from cycle-type formulas:
 partitions of n+1 for type A; partitions of n with per-part doubling
@@ -19,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, lcm
 
 import numpy as np
 
-from .weylenum import enumerate_orders, weyl_group_elements
+from .errors import ResourceBoundExceeded
+from .weylenum import (enumerate_orders, reflection_matrices,
+                       weyl_group_elements)
 
 __all__ = [
     "IRREDUCIBLE_LABELS",
@@ -143,82 +152,52 @@ class RootData:
         return np.array(self.roots_in_base, dtype=np.int64)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _reflect(v, alpha, alpha_norm):
-    num = 2 * _dot(v, alpha)
-    if num % alpha_norm:
-        raise AssertionError("reflection left the lattice")
-    c = num // alpha_norm
-    return tuple(x - c * a for x, a in zip(v, alpha))
-
-
-def _coords_in_base(vec, simple) -> tuple[int, ...]:
-    # exact solve of simple^T x = vec; the simple roots are independent
-    n, d = len(simple), len(simple[0])
-    rows = [[Fraction(simple[j][k]) for j in range(n)] + [Fraction(vec[k])]
-            for k in range(d)]
-    piv = 0
-    pivots = []
-    for col in range(n):
-        r = next((i for i in range(piv, d) if rows[i][col] != 0), None)
-        if r is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        lead = rows[piv][col]
-        rows[piv] = [x / lead for x in rows[piv]]
-        for i in range(d):
-            if i != piv and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
-        pivots.append(col)
-        piv += 1
-    if piv != n or any(rows[i][-1] != 0 for i in range(n, d)):
-        raise AssertionError("vector outside the root lattice span")
-    out = [0] * n
-    for i, col in enumerate(pivots):
-        x = rows[i][-1]
-        if x.denominator != 1:
-            raise AssertionError("non-integral root coordinate")
-        out[col] = int(x)
-    return tuple(out)
+def _orbit(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Every row reached from the rows of start under the row-vector
+    action of the stacked matrices, in breadth-first order."""
+    width = start.shape[1]
+    seen = dict.fromkeys(map(tuple, start.tolist()))
+    frontier = start
+    while len(frontier):
+        images = (frontier @ mats).reshape(-1, width).tolist()
+        new = [p for p in dict.fromkeys(map(tuple, images)) if p not in seen]
+        seen.update(dict.fromkeys(new))
+        frontier = np.array(new, dtype=np.int64).reshape(-1, width)
+    return np.array(list(seen), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def root_data(label: str) -> RootData:
     """Full root data for one irreducible type, exactly."""
     fam, n = _parse_label(label)
-    simple = tuple(tuple(r) for r in _SIMPLE_BUILDERS[fam](n))
-    norms = [_dot(a, a) for a in simple]
-
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for v in frontier:
-            for a, an in zip(simple, norms):
-                w = _reflect(v, a, an)
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
-        frontier = new
-    roots = tuple(sorted(roots))
-    if len(roots) != _ROOT_COUNT[fam](n):
+    simple = np.array(_SIMPLE_BUILDERS[fam](n), dtype=np.int64)
+    gram = simple @ simple.T
+    simple_norms = np.diag(gram)
+    cartan = 2 * gram // simple_norms  # C[i, j] = <alpha_i, alpha_j^vee>
+    # on simple-root coordinates s_j(b) = b - (b . C[:, j]) e_j: the
+    # transposed simple reflections of the dual root system
+    refl = reflection_matrices(cartan.T).transpose(0, 2, 1)
+    base = _orbit(np.eye(n, dtype=np.int64), refl)
+    if len(base) != _ROOT_COUNT[fam](n):
         raise AssertionError(
-            f"{label}: found {len(roots)} roots, "
+            f"{label}: found {len(base)} roots, "
             f"expected {_ROOT_COUNT[fam](n)}")
+    if not ((base >= 0).all(axis=1) | (base <= 0).all(axis=1)).all():
+        raise AssertionError(f"{label}: a root is neither positive "
+                             "nor negative")
 
-    cartan = tuple(tuple(2 * _dot(a, b) // _dot(b, b) for b in simple)
-                   for a in simple)
-    base = tuple(_coords_in_base(v, simple) for v in roots)
-    min_norm = min(_dot(v, v) for v in roots)
+    roots = base @ simple
+    order = np.lexsort(roots.T[::-1])  # ascending as tuples
+    roots, base = roots[order], base[order]
+    norms = (roots * roots).sum(axis=1)
+    min_norm = norms.min()
     return RootData(
-        label=label, rank=n, simple=simple, roots=roots, cartan=cartan,
-        roots_in_base=base,
-        short_root_count=sum(1 for v in roots if _dot(v, v) == min_norm),
-        short_simple_count=sum(1 for a in simple if _dot(a, a) == min_norm),
+        label=label, rank=n, simple=tuple(map(tuple, simple.tolist())),
+        roots=tuple(map(tuple, roots.tolist())),
+        cartan=tuple(map(tuple, cartan.tolist())),
+        roots_in_base=tuple(map(tuple, base.tolist())),
+        short_root_count=int((norms == min_norm).sum()),
+        short_simple_count=int((simple_norms == min_norm).sum()),
     )
 
 
@@ -490,60 +469,36 @@ def almost_minuscule_data(rs: RootSystem | str) -> tuple[int, int]:
     return data.short_root_count + zero_mult, zero_mult
 
 
-def _weight_permutation_full_cycle(weights: list[tuple[int, ...]],
-                                   matrices) -> bool:
-    """Whether some matrix permutes the weights in one full cycle."""
-    index = {w: i for i, w in enumerate(weights)}
-    m = len(weights)
-    for mat in matrices:
-        perm = []
-        ok = True
-        for w in weights:
-            img = tuple(int(x) for x in np.asarray(mat) @ np.array(w))
-            if img not in index:
-                ok = False
-                break
-            perm.append(index[img])
-        if not ok:
-            continue
-        # single m-cycle iff the orbit of 0 has size m
-        seen = 1
-        j = perm[0]
-        while j != 0 and seen <= m:
-            j = perm[j]
-            seen += 1
-        if j == 0 and seen == m:
-            return True
-    return False
+def _cycles_orbit(omega: np.ndarray, size: int, elems: np.ndarray) -> bool:
+    """Whether some matrix of the stack moves omega through all `size`
+    points of its W-orbit before returning, that is, permutes the orbit
+    in one full cycle: w^k omega != omega for k = 1..size-1."""
+    point = np.broadcast_to(omega, (len(elems), len(omega)))
+    cycling = np.ones(len(elems), dtype=bool)
+    for _ in range(size - 1):
+        point = np.einsum("ki,kij->kj", point, elems)
+        cycling &= (point != omega).any(axis=1)
+    return bool(cycling.any())
 
 
-def _signed_permutation_matrices(n: int, even_only: bool):
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if even_only and signs.count(-1) % 2:
-                continue
-            mat = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                mat[perm[j], j] = signs[j]
-            yield mat
-
-
-def _short_roots(label: str, in_base: bool = False):
-    data = root_data(label)
-    mn = min(_dot(v, v) for v in data.roots)
-    pairs = zip(data.roots, data.roots_in_base)
-    return [b if in_base else v for v, b in pairs if _dot(v, v) == mn]
+# the exhaustive scans hold the whole group in memory: W(B6) is the
+# largest group they take
+_SCAN_BOUND = 46_080
 
 
 def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
     """Whether a Weyl element cycles all nonzero weights of the named
     orthogonal weight system in a single full cycle.
 
-    Supported systems: B_n standard (dim 2n+1, weights the short roots
-    +-e_i, witnessed by a signed n-cycle of order 2n); G2 (dim 7, the
-    Coxeter element cycles the six short roots); and the even-dimensional
-    negative controls, decided by exhaustive scans: D_n standard
-    (dim 2n), B_n spin (dim 2^n, n <= 4), A3 six-dimensional.
+    The nonzero weights are the W-orbit of one fundamental weight, in
+    the row-vector fundamental-weight coordinates of weylenum: omega_1
+    for B_n standard (dim 2n+1), G2 (dim 7) and D_n standard (dim 2n);
+    omega_n for B_n spin (dim 2^n); omega_2 for A3 six-dimensional.
+    The B_n standard case is witnessed by the Coxeter element, which
+    cycles the 2n short roots; every other case scans the whole group
+    (G2 finds a cycling element, the even-dimensional controls of
+    even_dimension_controls find none).  A scan of a group larger than
+    W(B6) raises ResourceBoundExceeded.
     """
     if isinstance(rs, str):
         rs = RootSystem.parse(rs)
@@ -551,44 +506,36 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
         raise ValueError("weight-cycle check wants an irreducible system")
     label = rs.components[0]
     fam, n = _parse_label(label)
+    standard_b = fam == "B" and dim == 2 * n + 1
+    if standard_b or label == "G2" and dim == 7 or fam == "D" and dim == 2 * n:
+        k = 1
+    elif fam == "B" and dim == 2 ** n:
+        k = n
+    elif label == "A3" and dim == 6:
+        k = 2
+    else:
+        raise ValueError(
+            f"unsupported weight system ({rs.label}, dim={dim})")
 
-    if fam == "B" and dim == 2 * n + 1:
-        # signed cycle e_1 -> e_2 -> ... -> e_n -> -e_1
-        mat = np.zeros((n, n), dtype=np.int64)
-        for j in range(n - 1):
-            mat[j + 1, j] = 1
-        mat[0, n - 1] = -1
-        weights = _short_roots(label)
-        if not _weight_permutation_full_cycle(weights, [mat]):
-            raise AssertionError("the signed cycle witness failed")
+    data = root_data(label)
+    cartan = data.cartan_array()
+    refl = reflection_matrices(cartan)
+    omega = np.eye(n, dtype=np.int64)[k - 1]
+    size = len(_orbit(omega[None], refl))
+    if size != dim - dim % 2:  # odd dimensions add one zero weight
+        raise AssertionError(f"omega_{k} has {size} conjugates in "
+                             f"dimension {dim}")
+    if standard_b:
+        coxeter = reduce(np.matmul, refl)
+        if not _cycles_orbit(omega, size, coxeter[None]):
+            raise AssertionError("the Coxeter element witness failed")
         return True
-    if label == "G2" and dim == 7:
-        # tower elements act on row vectors of fundamental-weight
-        # coordinates; transposed, they act on columns like the rest
-        data = root_data(label)
-        cartan = data.cartan_array()
-        weights = [tuple(np.array(b) @ cartan)
-                   for b in _short_roots(label, in_base=True)]
-        elems = weyl_group_elements(cartan, data.weyl_order)
-        return _weight_permutation_full_cycle(
-            weights, elems.transpose(0, 2, 1))
-    if fam == "D" and dim == 2 * n:
-        weights = [tuple(r) for r in np.eye(n, dtype=np.int64)]
-        weights += [tuple(-r) for r in np.eye(n, dtype=np.int64)]
-        return _weight_permutation_full_cycle(
-            weights, _signed_permutation_matrices(n, even_only=True))
-    if fam == "B" and dim == 2 ** n:
-        weights = [tuple(s) for s in
-                   itertools.product((1, -1), repeat=n)]
-        return _weight_permutation_full_cycle(
-            weights, _signed_permutation_matrices(n, even_only=False))
-    if label == "A3" and dim == 6:
-        # the six-dimensional orthogonal representation of A3 = D3
-        weights = [tuple(r) for r in np.eye(3, dtype=np.int64)]
-        weights += [tuple(-r) for r in np.eye(3, dtype=np.int64)]
-        return _weight_permutation_full_cycle(
-            weights, _signed_permutation_matrices(3, even_only=True))
-    raise ValueError(f"unsupported weight system ({rs.label}, dim={dim})")
+    if data.weyl_order > _SCAN_BOUND:
+        raise ResourceBoundExceeded(
+            f"scanning {data.weyl_order} elements of W({label}) exceeds "
+            f"the bound {_SCAN_BOUND}")
+    return _cycles_orbit(omega, size,
+                         weyl_group_elements(cartan, data.weyl_order))
 
 
 def even_dimension_controls() -> dict[str, bool]:

@@ -100,7 +100,9 @@ def so_wild_report(w: WildImageSO) -> dict:
     elementary = all(x * x == grp.identity for x in comm
                      if x != grp.identity)
 
-    det_trivial = all(g.det().is_one for g in grp.elements)
+    # det is a homomorphism and generate closed the group over these
+    # generators, so they decide it
+    det_trivial = all(g.det().is_one for g in grp.generators)
 
     # trace_int admits only +-1 on the diagonal, so the character is
     # integer-valued: chi(g^-1) = chi(g), and it is self-dual

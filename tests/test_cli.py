@@ -204,20 +204,31 @@ def test_usage_errors(capsys):
     assert main(["orbit", "--tau", "nonsense", "--q", "5"]) == 2
 
 
-# sha256 prefixes of the reports (version dropped, keys sorted) as the
-# RootOfUnity-per-entry monomial matrices produced them; a change that
-# moves a number or the order of a list shows up here
-MONOMIAL_GOLDEN = {
+# sha256 prefixes of the reports (version dropped, keys sorted): the
+# first four as the RootOfUnity-per-entry monomial matrices produced
+# them, the rest as the Fraction-solved root data and the hand-built
+# weight lists produced them; a change that moves a number or the order
+# of a list shows up here
+CLI_GOLDEN = {
     "param tame --q 7 --p 43 --n 3": "b576c766a40b699f",
     "wild so --m 7": "ac4fa2ea2cd8bc5d",
     "wild g2": "a82267da4dca81b5",
     "group analyze --preset metacyclic --m 6 --p 7 --type-np 6,7 --ell 5":
         "897f911945a85c37",
+    "minuscule --type B2": "f4f574a47287e817",
+    "minuscule --type B3": "2fc8ba7f914d9d18",
+    "minuscule --type B8": "9436b7d003dfcc20",
+    "minuscule --type G2": "3837b495aa27b9c2",
+    "minuscule --type C3": "8db0e81752d85179",
+    "minuscule --type F4": "5c6c5f6e1f61a0b1",
+    "minuscule --type E8": "60a2edbedae66ad2",
+    "weyl orders --type E7": "5b3ca27ab2dc5699",
+    "weyl orders --type B8": "a7a7e1d10c1ac161",
 }
 
 
-def test_monomial_commands_match_golden_output(capsys):
-    for command, digest in MONOMIAL_GOLDEN.items():
+def test_commands_match_golden_output(capsys):
+    for command, digest in CLI_GOLDEN.items():
         argv = command.split()
         first = _run(capsys, argv)
         assert first[0] == 0 and first == _run(capsys, argv), command

@@ -113,6 +113,33 @@ def test_metacyclic_structure():
     assert s3.order == 6 and s3.abelianization() == [2]
 
 
+def test_normal_subgroups_skip_known_joins(monkeypatch):
+    # deterministic work of normal_subgroups over every metacyclic group
+    # Z/p x| Z/m with p < 20: a join already found is not closed again
+    groups = {(m, p): metacyclic(m, p) for p in (3, 5, 7, 11, 13, 17, 19)
+              for m in range(2, p) if (p - 1) % m == 0}
+    count = 0
+    mul = Perm.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    for (m, p), g in groups.items():
+        # normal subgroups: 1 and Z/p x| Z/k for each k dividing m
+        assert [len(n) for n in g.normal_subgroups()] == \
+            [1] + [p * k for k in range(1, m + 1) if m % k == 0], (m, p)
+    assert len(groups) == 23 and count == 13_918
+    # only a known subgroup of the join's order may stand in for it: in
+    # C4 x C4 the whole group contains every pair, and 7 of its 15
+    # subgroups have order 4 (the Klein group is a join of two C2s)
+    c44 = direct_product(cyclic(4), cyclic(4))
+    assert sorted(len(n) for n in c44.normal_subgroups()) == \
+        [1, 2, 2, 2] + [4] * 7 + [8, 8, 8, 16]
+
+
 def test_metacyclic_rejects_non_divisor():
     with pytest.raises(ValueError):
         metacyclic(4, 7)

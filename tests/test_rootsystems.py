@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 from math import lcm
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggt.errors import ResourceBoundExceeded
-from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootSystem,
+from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
+                             RootSystem,
                              _exceptional_tally, almost_minuscule_data,
                              audit_omission_policy,
                              cyclic_weight_permutation_check,
@@ -30,6 +33,30 @@ def test_cartan_matrices_well_formed():
         assert (base @ simple == roots).all(), label
         assert len(data.roots) % 2 == 0
         assert data.short_simple_count <= data.rank
+
+
+# sha256 prefixes, per RootData field, of repr([field of root_data(label)
+# for label in IRREDUCIBLE_LABELS]) as the Euclidean reflection closure
+# and the Fraction solve into simple-root coordinates produced them
+ROOT_DATA_GOLDEN = {
+    "label": "9442748ced3f7970",
+    "rank": "22b31ac921d02f43",
+    "simple": "7df6164783877beb",
+    "roots": "6b04e1c498daf748",
+    "cartan": "bf34026673c3d739",
+    "roots_in_base": "a1353d2df9605fb3",
+    "short_root_count": "e28af236040c67df",
+    "short_simple_count": "b5e14fd6ee66e0be",
+}
+
+
+def test_root_data_matches_golden_digests():
+    assert len(IRREDUCIBLE_LABELS) == 31
+    for field in dataclasses.fields(RootData):
+        values = [getattr(root_data(label), field.name)
+                  for label in IRREDUCIBLE_LABELS]
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+        assert digest == ROOT_DATA_GOLDEN[field.name], field.name
 
 
 def test_reflection_matrices_are_reflections():
@@ -252,8 +279,8 @@ def test_almost_minuscule_dimensions():
 
 
 def test_weight_cycle_positives():
-    assert cyclic_weight_permutation_check("B2", 5)
-    assert cyclic_weight_permutation_check("B4", 9)
+    for n in range(2, 9):
+        assert cyclic_weight_permutation_check(f"B{n}", 2 * n + 1), n
     assert cyclic_weight_permutation_check("G2", 7)
 
 
@@ -267,3 +294,8 @@ def test_weight_cycle_negatives():
     }
     with pytest.raises(ValueError):
         cyclic_weight_permutation_check("F4", 26)
+    with pytest.raises(ValueError):
+        cyclic_weight_permutation_check("B3", 9)
+    # W(D7) has 322,560 elements: past the scan bound, before any is built
+    with pytest.raises(ResourceBoundExceeded, match="322560 elements"):
+        cyclic_weight_permutation_check("D7", 14)

@@ -1,8 +1,11 @@
 import pytest
 
 from ggt.errors import ResourceBoundExceeded
-from ggt.wildtwo import (build_g2_jordan, build_so_wild, g2_jordan_report,
-                         mackey_decompose, so_wild_report)
+from ggt.fingroup import FinGroup
+from ggt.monomial import MonomialMatrix
+from ggt.roots import MINUS_ONE, ONE
+from ggt.wildtwo import (WildImageSO, build_g2_jordan, build_so_wild,
+                         g2_jordan_report, mackey_decompose, so_wild_report)
 
 
 def test_so_wild_smallest(so_wild):
@@ -17,6 +20,17 @@ def test_so_wild_smallest(so_wild):
     assert rep["conjugates_distinct"]
     assert rep["joint_kernel_is_diagonal"]
     assert rep["g2_obstruction"] is None
+
+
+def test_so_wild_det_decided_on_generators():
+    # a single -1 has det -1; with the 3-cycle it generates all 24
+    # sign-monomial matrices of size 3, and the report must see it
+    flip = MonomialMatrix.diagonal((MINUS_ONE, ONE, ONE))
+    cycle = MonomialMatrix.permutation((2, 0, 1))
+    grp = FinGroup.generate([flip, cycle])
+    assert grp.order == 24
+    w = WildImageSO(m=3, sign_gens=(flip,), cycle=cycle, group=grp)
+    assert so_wild_report(w)["det_trivial"] is False
 
 
 def test_so_wild_five(so_wild):
