@@ -1,19 +1,26 @@
 """A small engine for concrete finite groups.
 
-Elements are immutable objects with *, .inverse(), equality, hashing and a
-total sort_key().  Permutations live here as image tuples, monomial
-matrices in ggt.monomial as a permutation plus integer exponents; both
-multiply by one itemgetter gather.  A FinGroup is its element list,
-sorted once by sort_key, so an element is also its index in that list.
+Elements are immutable objects with *, .inverse(), equality, hashing, a
+total sort_key() and a point_action hook.  Permutations live here as
+image tuples, monomial matrices in ggt.monomial as a permutation plus
+integer exponents; both multiply by one itemgetter gather.  A FinGroup
+is its element list, sorted once by sort_key, so an element is also its
+index in that list.
 
-For each generator g a group keeps the table i -> index(g * x_i):
-FinGroup.generate records it in its breadth-first search, which
-multiplies on the left; a group given by its elements makes it on first
-use.  Work that moves elements by generators then runs on indices, with
-no products.  Conjugation reads x g off a spanning tree of the Cayley
-graph (x = g_a y gives x g = g_a (y g)), so the conjugacy classes,
-normality tests and normal closures are orbits of index tables; and
-g (x N) = g x N, so pushing the normal subgroup N through the tables
+For each generator g a group keeps the table i -> index(g * x_i).
+FinGroup.generate records it in a breadth-first search on base images
+(Seress, Permutation Group Algorithms, 2003, ch. 4).  The element type's
+point_action hook lets the group act on a finite set of points: every
+point of a permutation, the vectors zeta^e e_j of a monomial matrix.  An
+element is the tuple of its images of a base, points whose images
+determine it, so left multiplication by g is one gather of g's point
+table through that tuple, with no product; each element is decoded once
+at the end.  A group given by its elements makes the tables by products
+on first use.  Work that moves elements by generators then runs on
+indices, with no products.  Conjugation reads x g off a spanning tree of
+the Cayley graph (x = g_a y gives x g = g_a (y g)), so the conjugacy
+classes, normality tests and normal closures are orbits of index tables;
+and g (x N) = g x N, so pushing the normal subgroup N through the tables
 labels every coset of a quotient.  Subgroup closures multiply, by
 Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
 Groups, 1991): a new generator outside the group H generated so far adds
@@ -62,7 +69,19 @@ class Perm:
     img: tuple[int, ...]
 
     def __mul__(self, other: "Perm") -> "Perm":
+        if len(self.img) != len(other.img):
+            raise ValueError("degree mismatch")
         return Perm(gatherer(other.img)(self.img))
+
+    @staticmethod
+    def point_action(gens: Sequence["Perm"], bound: int
+                     ) -> tuple[tuple[int, ...], list, Callable]:
+        """The hook of FinGroup.generate: the base is every point, so a
+        permutation is its own tuple of base images."""
+        n = len(gens[0].img)
+        if any(len(g.img) != n for g in gens):
+            raise ValueError("degree mismatch")
+        return tuple(range(n)), [g.img for g in gens], Perm
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.img)
@@ -152,23 +171,31 @@ class FinGroup:
     def generate(cls, generators: Sequence,
                  bound: int = DEFAULT_CLOSURE_BOUND) -> "FinGroup":
         """Breadth-first closure by left multiplication, recording each
-        generator's table.  Errors past the bound."""
+        generator's table.  Errors past the bound.
+
+        The search runs on base images: the element type's point_action
+        hook gives the identity's base images, each generator as a
+        table of point images and the map back to elements, so g * x is
+        one gather of g's table through x and no element is multiplied.
+        """
         if not generators:
             raise ValueError("need at least one generator")
-        e = generators[0] * generators[0].inverse()
-        els, pos = [e], {e: 0}
-        tables = [[] for _ in generators]
-        for x in els:  # els grows while the loop runs
-            for g, table in zip(generators, tables):
-                y = g * x
-                j = pos.setdefault(y, len(els))
-                if j == len(els):
+        start, phis, decode = generators[0].point_action(generators, bound)
+        imgs, pos = [start], {start: 0}
+        tables = [[] for _ in phis]
+        for x in imgs:  # imgs grows while the loop runs
+            gx = gatherer(x)
+            for phi, table in zip(phis, tables):
+                y = gx(phi)
+                j = pos.setdefault(y, len(imgs))
+                if j == len(imgs):
                     if j >= bound:
                         raise ResourceBoundExceeded(
                             f"group closure exceeded {bound} elements")
-                    els.append(y)
+                    imgs.append(y)
                 table.append(j)
-        return cls(generators, els, e, tables)
+        els = [decode(x) for x in imgs]
+        return cls(generators, els, els[0], tables)
 
     @property
     def order(self) -> int:

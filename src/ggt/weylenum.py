@@ -84,12 +84,15 @@ def _transversal(refl: np.ndarray, k: int, limit: int) -> np.ndarray:
 
 
 def _products(transversals, n: int) -> np.ndarray:
-    """Every element of X_k ... X_1 as an int8 stack, one GEMM per x."""
+    """Every element of X_k ... X_1 as an int8 stack, one GEMM per x,
+    each written straight into its block of the stack."""
     elems = np.eye(n, dtype=np.int8)[None]
     for xs in transversals:
         flat = elems.reshape(-1, n).astype(np.float64)
-        elems = np.concatenate([(flat @ x).reshape(-1, n, n)
-                                for x in xs]).astype(np.int8)
+        elems = np.empty((len(xs), len(flat), n), dtype=np.int8)
+        for x, block in zip(xs, elems):
+            block[...] = flat @ x
+        elems = elems.reshape(-1, n, n)
     return elems
 
 

@@ -50,15 +50,20 @@ def test_closure_bound():
         closure([Perm((1, 2, 3, 4, 0))], bound=3)
 
 
-def test_closure_bound_stops_before_the_next_coset(monkeypatch):
+def _counting_mul(monkeypatch, cls) -> list:
     made = []
-    mul = Perm.__mul__
+    mul = cls.__mul__
 
     def counting(self, other):
         made.append((self, other))
         return mul(self, other)
 
-    monkeypatch.setattr(Perm, "__mul__", counting)
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return made
+
+
+def test_closure_bound_stops_before_the_next_coset(monkeypatch):
+    made = _counting_mul(monkeypatch, Perm)
     a, b = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))  # dihedral, order 8
     with pytest.raises(ResourceBoundExceeded):
         closure([a, b], bound=7)
@@ -72,21 +77,48 @@ def test_closure_bound_stops_before_the_next_coset(monkeypatch):
 
 
 def test_wild_sweep_product_count(monkeypatch):
-    # deterministic work of the m = 3..11 sweep: the generator tables
-    # (two products per element), the Dimino closure of the commutator
-    # subgroup and the report's own checks
-    count = 0
-    mul = MonomialMatrix.__mul__
-
-    def counting(self, other):
-        nonlocal count
-        count += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(MonomialMatrix, "__mul__", counting)
+    # deterministic work of the m = 3..11 sweep: the Dimino closure of
+    # the commutator subgroup and the report's own checks; the generator
+    # tables are gathers on base images and make no product
+    made = _counting_mul(monkeypatch, MonomialMatrix)
     for m in (3, 5, 7, 9, 11):
         so_wild_report(build_so_wild(m))
-    assert count == 31_164
+    assert len(made) == 2_943
+
+
+def test_generate_makes_no_products(monkeypatch):
+    perm_gens = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
+    mono_gens = list(build_so_wild(5).group.generators)
+    perm_made = _counting_mul(monkeypatch, Perm)
+    mono_made = _counting_mul(monkeypatch, MonomialMatrix)
+    s5 = FinGroup.generate(perm_gens)
+    wild = FinGroup.generate(mono_gens)
+    assert (s5.order, wild.order) == (120, 80)
+    assert perm_made == [] and mono_made == []
+
+
+def test_generate_rejects_mixed_degrees():
+    with pytest.raises(ValueError):
+        FinGroup.generate([Perm((0, 2, 1)), Perm((1, 0))])
+    with pytest.raises(ValueError):
+        Perm((0, 2, 1)) * Perm((1, 0))
+    with pytest.raises(ValueError):
+        FinGroup.generate([MonomialMatrix.permutation((1, 0)),
+                           MonomialMatrix.permutation((0, 2, 1))])
+
+
+def test_generate_point_bound():
+    # the points are the orbit of the base, not all of dim x mu_N: an
+    # involution over a huge modulus touches four points
+    big = 10 ** 9 + 7
+    zeta = RootOfUnity(1, big)
+    swap = MonomialMatrix((1, 0), (zeta, zeta.inverse()))
+    assert FinGroup.generate([swap]).order == 2
+    # a cyclic group of order 10^6 has 10^6 points; the walk stops at
+    # dim * bound of them
+    rot = MonomialMatrix.diagonal((RootOfUnity(1, 10 ** 6),))
+    with pytest.raises(ResourceBoundExceeded):
+        FinGroup.generate([rot], bound=1000)
 
 
 def test_cyclic_group():
@@ -118,20 +150,12 @@ def test_normal_subgroups_skip_known_joins(monkeypatch):
     # Z/p x| Z/m with p < 20: a join already found is not closed again
     groups = {(m, p): metacyclic(m, p) for p in (3, 5, 7, 11, 13, 17, 19)
               for m in range(2, p) if (p - 1) % m == 0}
-    count = 0
-    mul = Perm.__mul__
-
-    def counting(self, other):
-        nonlocal count
-        count += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(Perm, "__mul__", counting)
+    made = _counting_mul(monkeypatch, Perm)
     for (m, p), g in groups.items():
         # normal subgroups: 1 and Z/p x| Z/k for each k dividing m
         assert [len(n) for n in g.normal_subgroups()] == \
             [1] + [p * k for k in range(1, m + 1) if m % k == 0], (m, p)
-    assert len(groups) == 23 and count == 13_918
+    assert len(groups) == 23 and len(made) == 13_918
     # only a known subgroup of the join's order may stand in for it: in
     # C4 x C4 the whole group contains every pair, and 7 of its 15
     # subgroups have order 4 (the Klein group is a join of two C2s)
@@ -360,6 +384,8 @@ def test_index_engine_matches_naive_definitions(gens, data):
     # the explicit element list makes its tables on first use
     explicit = FinGroup(gens, closure(gens), e)
     assert explicit.elements == els
+    # the tables gathered on base images equal those made by products
+    assert generated._left_tables() == explicit._left_tables()
     for grp in (generated, explicit):
         assert set(grp.conjugacy_classes()) == classes
         assert sum(map(len, grp.conjugacy_classes())) == len(els)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from math import lcm
 
 import numpy as np
@@ -16,7 +17,8 @@ from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
-from ggt.weylenum import enumerate_orders, reflection_matrices
+from ggt.weylenum import (enumerate_orders, reflection_matrices,
+                          weyl_group_elements)
 
 
 def test_cartan_matrices_well_formed():
@@ -180,6 +182,23 @@ def test_tower_work_counter():
     with pytest.raises(ResourceBoundExceeded, match="14515200 matrices"):
         enumerate_orders(data.cartan_array(), data.weyl_order,
                          bound=5 * 2_903_040 - 1)
+
+
+def test_weyl_group_elements_peak_memory():
+    # the largest scanned group: each block of products goes straight
+    # into the int8 stack, so the peak stays near the 1.66 MB result
+    # (float64 copies of the whole stack took it to 26.8 MB)
+    data = root_data("B6")
+    cartan = data.cartan_array()
+    tracemalloc.start()
+    try:
+        elems = weyl_group_elements(cartan, data.weyl_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elems.shape == (46_080, 6, 6) and elems.dtype == np.int8
+    assert len(np.unique(elems.reshape(len(elems), -1), axis=0)) == 46_080
+    assert peak <= 4_000_000
 
 
 def test_composite_orders_via_block_cartan():
