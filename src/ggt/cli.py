@@ -199,6 +199,8 @@ def _cmd_minuscule(args):
 
 
 def _cmd_group_analyze(args):
+    if args.ell is not None and not args.type_np:
+        raise ValueError("--ell needs --type-np")
     if args.preset == "metacyclic":
         if args.m is None or args.p is None:
             raise ValueError("metacyclic preset needs --m and --p")

@@ -166,6 +166,7 @@ class FinGroup:
         self._classes: list[frozenset] | None = None
         self._normals: list[frozenset] | None = None
         self._commutator: frozenset | None = None
+        self._type_np: dict[tuple[int, int], TypeNPWitness | None] = {}
 
     @classmethod
     def generate(cls, generators: Sequence,
@@ -468,12 +469,19 @@ def is_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
 
     The conjugation image (inner automorphisms restricted to the normal
     subgroup) sits inside the cyclic group (Z/p)*, and the criterion asks
-    for its order to be exactly n.  Requires n >= 2.
+    for its order to be exactly n.  Requires n >= 2.  The answer is
+    cached on g per (n, p).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if (n, p) not in g._type_np:
+        g._type_np[n, p] = _find_type_np(g, n, p)
+    return g._type_np[n, p]
+
+
+def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     if g.order % p != 0:
         return None
     for y in _order_p_normal_subgroups(g, p):

@@ -6,11 +6,14 @@ exactly two -1 entries in cyclically shifted positions, together with the
 m-cycle permuting them.  For G2, the image is the order-168 extension of
 F_8 by its multiplicative group and its field automorphisms, realized
 through the 21-dimensional monomial representation induced from the
-nontrivial additive character of F_8.
+nontrivial additive character of F_8.  The G2 side runs on tables: F_8
+multiplication and Frobenius powers are looked up, the group is closed
+by FinGroup.generate, and the model is checked to be a homomorphism on
+the group's left multiplication tables.
 
 All character arithmetic is exact: traces are integers, constituent
-values are integer vectors in the cyclotomic ring of order 21, and inner
-products must come out as exact nonnegative integers.
+values are integer vectors in Z[omega], omega a cube root of unity, and
+inner products must come out as exact nonnegative integers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded
 from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup
-from .monomial import MonomialMatrix
+from .monomial import MonomialMatrix, _make
 from .roots import MINUS_ONE, ONE
 from .weilparams import g2_admissible_eigenvalues
 
@@ -142,7 +145,8 @@ def so_wild_report(w: WildImageSO) -> dict:
 
 # ---------------------------------------------------------------------------
 # The G2 side: F_8 = F_2[x]/(x^3 + x + 1) as bitmasks 0..7 with basis
-# 1, x, x^2; the primitive element e is x itself.
+# 1, x, x^2; the primitive element e is x itself.  _f8_mul and _f8_pow2
+# define the field; the code below reads the tables made from them.
 
 _F8_POLY = 0b1011
 
@@ -165,26 +169,29 @@ def _f8_pow2(a: int, k: int) -> int:
     return a
 
 
-_F8_INV = {a: next(b for b in range(1, 8) if _f8_mul(a, b) == 1)
-           for a in range(1, 8)}
+# _F8_MUL[a][b] = ab and _F8_FROB[k][a] = a^(2^k)
+_F8_MUL = tuple(tuple(_f8_mul(a, b) for b in range(8)) for a in range(8))
+_F8_FROB = tuple(tuple(_f8_pow2(a, k) for a in range(8)) for k in range(3))
 
-_F8_TRACE = {a: (a ^ _f8_pow2(a, 1) ^ _f8_pow2(a, 2)) & 1 for a in range(8)}
+_F8_INV = {a: _F8_MUL[a].index(1) for a in range(1, 8)}
+
+_F8_TRACE = tuple((a ^ _F8_FROB[1][a] ^ _F8_FROB[2][a]) & 1
+                  for a in range(8))
 
 
 def _triple_mul(g1: tuple[int, int, int],
                 g2: tuple[int, int, int]) -> tuple[int, int, int]:
     v1, a1, f1 = g1
     v2, a2, f2 = g2
-    return (v1 ^ _f8_mul(a1, _f8_pow2(v2, f1)),
-            _f8_mul(a1, _f8_pow2(a2, f1)),
-            (f1 + f2) % 3)
+    scale, frob = _F8_MUL[a1], _F8_FROB[f1]
+    return (v1 ^ scale[frob[v2]], scale[frob[a2]], (f1 + f2) % 3)
 
 
 def _triple_inv(g: tuple[int, int, int]) -> tuple[int, int, int]:
     v, a, f = g
-    ai = _F8_INV[a]
-    fi = (3 - f) % 3
-    return (_f8_pow2(_f8_mul(ai, v), fi), _f8_pow2(ai, fi), fi)
+    ai, fi = _F8_INV[a], -f % 3
+    frob = _F8_FROB[fi]
+    return (frob[_F8_MUL[ai][v]], frob[ai], fi)
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,9 @@ class G2JordanGroup:
     """Order-168 group with its 21-dimensional induced monomial model.
 
     triples lists the abstract elements (v, a, phi); matrix maps each to
-    its monomial matrix; jordan is the translation subgroup of order 8.
+    its sign-monomial matrix; group is the FinGroup that the matrices of
+    the three generators generate, which holds every matrix; jordan is
+    the translation subgroup of order 8.
     """
 
     triples: tuple[tuple[int, int, int], ...]
@@ -209,26 +218,30 @@ def _coset_index(a: int, f: int) -> int:
 
 
 def _induced_matrix(g: tuple[int, int, int]) -> MonomialMatrix:
+    # g sends the coset (a, f) to (a2, f0 + f), a2 = a0 a^(2^f0), with
+    # the sign (-1)^Tr(v0 / a2): the Frobenius power that the induction
+    # puts on v0 / a2 does not change its trace
     v0, a0, f0 = g
-    perm = [0] * 21
-    diag = [ONE] * 21
+    scale, frob = _F8_MUL[a0], _F8_FROB[f0]
+    perm, exps = [], []
     for a in range(1, 8):
+        a2 = scale[frob[a]]
+        sign = _F8_TRACE[_F8_MUL[v0][_F8_INV[a2]]]
         for f in range(3):
-            a2 = _f8_mul(a0, _f8_pow2(a, f0))
-            f2 = (f0 + f) % 3
-            u = _f8_pow2(_f8_mul(v0, _F8_INV[a2]), (3 - f2) % 3)
-            j = _coset_index(a, f)
-            perm[j] = _coset_index(a2, f2)
-            diag[j] = MINUS_ONE if _F8_TRACE[u] else ONE
-    return MonomialMatrix(tuple(perm), tuple(diag))
+            perm.append(_coset_index(a2, (f0 + f) % 3))
+            exps.append(sign)
+    return _make(tuple(perm), tuple(exps), 2)
 
 
 def build_g2_jordan() -> G2JordanGroup:
     """The full order-168 group and its induced 21-dimensional model.
 
-    Checks on the way out: the map to matrices is an injective
-    homomorphism, the translation subgroup is the unique minimal normal
-    subgroup, and the normal subgroup orders are 1, 8, 56, 168.
+    Checks on the way out: the map to matrices is injective, the three
+    generator matrices generate a group of order 168 holding every
+    matrix, and on the group's left tables M(g) M(t) = M(g t) for each
+    generator g and each triple t, so the map is a homomorphism; the
+    translation subgroup is normal and elementary abelian, and the
+    normal subgroup orders are 1, 8, 56, 168.
     """
     triples = tuple((v, a, f)
                     for v in range(8) for a in range(1, 8) for f in range(3))
@@ -236,14 +249,21 @@ def build_g2_jordan() -> G2JordanGroup:
     if len(set(matrix.values())) != 168:
         raise AssertionError("induced model is not faithful")
     gens = [(1, 1, 0), (0, 2, 0), (0, 1, 1)]
-    for g1 in gens:
-        for g2 in triples:
-            if matrix[g1] * matrix[g2] != matrix[_triple_mul(g1, g2)]:
-                raise AssertionError("induced model is not a homomorphism")
-    grp = FinGroup([matrix[g] for g in gens],
-                   matrix.values(), matrix[(0, 1, 0)])
+    try:
+        grp = FinGroup.generate([matrix[g] for g in gens], bound=168)
+    except ResourceBoundExceeded:
+        raise AssertionError("generators close past order 168") from None
     if grp.order != 168:
         raise AssertionError(f"expected order 168, got {grp.order}")
+    pos = {g: grp.index.get(x) for g, x in matrix.items()}
+    if None in pos.values():
+        raise AssertionError("an induced matrix lies outside the group")
+    # table[i] = index(M(g) x_i): the generators generate, so these
+    # checks make M a homomorphism
+    for g, table in zip(gens, grp._left_tables()):
+        for t in triples:
+            if table[pos[t]] != pos[_triple_mul(g, t)]:
+                raise AssertionError("induced model is not a homomorphism")
 
     jordan = frozenset(matrix[(v, 1, 0)] for v in range(8))
     orders = [len(n) for n in grp.normal_subgroups()]
@@ -262,25 +282,19 @@ def character_stabilizer_order(g2j: G2JordanGroup) -> int:
     of the trace character; the field automorphisms and nothing else."""
     # character c: v -> (-1)^Tr(cv); conjugation by (0,a,f) sends the
     # character at c = 1 to the one at c', found by matching all values
+    chars = {tuple(_F8_TRACE[x] for x in _F8_MUL[c]): c for c in range(1, 8)}
     stab = 0
     orbit = set()
     for a in range(1, 8):
-        for f in range(3):
-            vals = tuple(_F8_TRACE[_f8_mul(a, _f8_pow2(v, f))]
-                         for v in range(8))
-            base = tuple(_F8_TRACE[v] for v in range(8))
-            if vals == base:
+        scale = _F8_MUL[a]
+        for frob in _F8_FROB:
+            vals = tuple(_F8_TRACE[scale[frob[v]]] for v in range(8))
+            if vals == _F8_TRACE:
                 stab += 1
-            c = next(c for c in range(1, 8)
-                     if tuple(_F8_TRACE[_f8_mul(c, v)]
-                              for v in range(8)) == vals)
-            orbit.add(c)
-    if len(orbit) != 7:
+            orbit.add(chars.get(vals))
+    if orbit != set(range(1, 8)):
         raise AssertionError("character orbit is not full")
     return stab
-
-
-_OMEGA_EXP = 7  # cube root of unity inside the order-21 cyclotomic ring
 
 
 @dataclass(frozen=True)
@@ -295,31 +309,44 @@ class Constituent:
                 "faithful": self.faithful}
 
 
-def _induced_from_extension(g2j: G2JordanGroup, k: int) -> dict:
-    """Character induced from the degree-24 subgroup of pairs (v, 1, f),
-    where the extension multiplies the trace sign by the k-th power of a
-    cube root of unity raised to f."""
-    reps = [(0, a, 0) for a in range(1, 8)]
-    rep_invs = [_triple_inv(r) for r in reps]
-    vals: dict = {}
+def _conjugation_terms(g2j: G2JordanGroup) -> dict:
+    """For each g, one (sign, f) per coset representative r = (0, a, 0)
+    with r^-1 g r = (v, 1, f) in the subgroup of pairs (v, 1, f), the
+    sign being (-1)^Tr(v)."""
+    reps = [((0, a, 0), _triple_inv((0, a, 0))) for a in range(1, 8)]
+    terms = {}
     for g in g2j.triples:
-        total = Cyc.zero(21)
-        for r, ri in zip(reps, rep_invs):
+        terms[g] = []
+        for r, ri in reps:
             v, a, f = _triple_mul(ri, _triple_mul(g, r))
-            if a != 1:
-                continue
-            sign = -1 if _F8_TRACE[v] else 1
-            term = Cyc.root(21, (_OMEGA_EXP * k * f) % 21)
-            total = total + (term if sign == 1 else -term)
-        vals[g] = total
+            if a == 1:
+                terms[g].append((-1 if _F8_TRACE[v] else 1, f))
+    return terms
+
+
+def _induced_from_extension(terms: dict, k: int) -> dict:
+    """Character induced from the degree-24 subgroup of pairs (v, 1, f),
+    where the extension multiplies the trace sign by omega^(k f), omega a
+    cube root of unity; its values lie in Z[omega]."""
+    vals = {}
+    for g, ts in terms.items():
+        vec = [0, 0, 0]
+        for sign, f in ts:
+            vec[k * f % 3] += sign
+        vals[g] = Cyc(3, tuple(vec))
     return vals
 
 
-def _inner_product(g2j: G2JordanGroup, avals: dict, bvals: dict) -> int:
-    total = Cyc.zero(21)
-    for g in g2j.triples:
-        total = total + avals[g] * bvals[g].conj()
-    r = total.rational_value()
+def _inner_product(avals: dict, bvals: dict) -> int:
+    # sum of a(g) conj(b(g)) as coefficients of 1, omega, omega^2
+    acc = [0, 0, 0]
+    for g, a in avals.items():
+        b = bvals[g].vec
+        for i, x in enumerate(a.vec):
+            if x:
+                for j, y in enumerate(b):
+                    acc[(i - j) % 3] += x * y
+    r = Cyc(3, tuple(acc)).rational_value()
     if r is None or r % 168 != 0:
         raise AssertionError(f"inner product {r} is not an integer multiple")
     return r // 168
@@ -330,23 +357,26 @@ def mackey_decompose(g2j: G2JordanGroup) -> list[Constituent]:
 
     The three candidate constituents are induced from the three
     extensions of the trace character to the translations-plus-Galois
-    subgroup.  Verifies, with exact integer inner products: each is
-    irreducible, they are pairwise distinct, and their pointwise sum is
-    the 21-dimensional character.  Anything but three degree-7 faithful
-    constituents with exactly one self-dual is a hard failure.
+    subgroup; the conjugation data they share is computed once.
+    Verifies, with exact integer inner products: each is irreducible and
+    occurs once in the 21-dimensional character, they are pairwise
+    orthogonal, and their pointwise sum is that character.  Anything but
+    three degree-7 faithful constituents with exactly one self-dual is a
+    hard failure.
     """
-    big = {g: Cyc.integer(21, g2j.trace(g)) for g in g2j.triples}
+    terms = _conjugation_terms(g2j)
+    big = {g: Cyc.integer(3, g2j.trace(g)) for g in g2j.triples}
     out = []
     parts = []
     for k in range(3):
-        vals = _induced_from_extension(g2j, k)
-        if _inner_product(g2j, vals, vals) != 1:
+        vals = _induced_from_extension(terms, k)
+        if _inner_product(vals, vals) != 1:
             raise AssertionError(f"constituent {k} is not irreducible")
-        if _inner_product(g2j, big, vals) != 1:
+        if _inner_product(big, vals) != 1:
             raise AssertionError(f"constituent {k} missing from induction")
         deg = vals[(0, 1, 0)].rational_value()
         kernel = [g for g in g2j.triples
-                  if vals[g] == Cyc.integer(21, deg)]
+                  if vals[g] == Cyc.integer(3, deg)]
         selfdual = all(vals[g] == vals[_triple_inv(g)]
                        for g in g2j.triples)
         parts.append(vals)
@@ -354,7 +384,7 @@ def mackey_decompose(g2j: G2JordanGroup) -> list[Constituent]:
                                faithful=kernel == [(0, 1, 0)]))
     for i in range(3):
         for j in range(i + 1, 3):
-            if _inner_product(g2j, parts[i], parts[j]) != 0:
+            if _inner_product(parts[i], parts[j]) != 0:
                 raise AssertionError("constituents are not distinct")
     for g in g2j.triples:
         if parts[0][g] + parts[1][g] + parts[2][g] != big[g]:

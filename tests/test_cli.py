@@ -178,6 +178,15 @@ def test_group_analyze(capsys):
     assert code == 2
 
 
+def test_group_analyze_ell_needs_type_np(capsys):
+    # --ell acts only with --type-np; alone it was echoed and ignored
+    code = main(["group", "analyze", "--preset", "metacyclic",
+                 "--m", "6", "--p", "7", "--ell", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "ggt: --ell needs --type-np\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = _run(capsys, ["orbit", "--tau", "1/3", "--q", "5",

@@ -10,6 +10,7 @@ from ggt.fingroup import (FinGroup, Perm, closure, cyclic, direct_product,
                           is_type_np, is_type_npl, metacyclic)
 from ggt.monomial import MonomialMatrix
 from ggt.roots import RootOfUnity
+from ggt.weilparams import build_tame_parameter
 from ggt.wildtwo import build_so_wild, so_wild_report
 
 
@@ -402,3 +403,19 @@ def test_index_engine_matches_naive_definitions(gens, data):
             for x in els:
                 for y in els:
                     assert proj(x * y) == proj(x) * proj(y)
+
+
+def test_is_type_np_is_cached(monkeypatch):
+    # param tame asks a group for the same witness three times
+    param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
+    image = FinGroup.generate([param.inertia, param.frobenius])
+    made = _counting_mul(monkeypatch, MonomialMatrix)
+    first = is_type_np(image, 6, 43)
+    assert first is not None and made
+    assert is_type_np(image, 3, 43) is None
+    made.clear()
+    assert is_type_np(image, 6, 43) is first
+    assert is_type_np(image, 3, 43) is None
+    assert made == []
+    with pytest.raises(ValueError):
+        is_type_np(image, 6, 42)

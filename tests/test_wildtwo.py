@@ -1,5 +1,7 @@
 import pytest
+from test_fingroup import _counting_mul
 
+from ggt import wildtwo
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import FinGroup
 from ggt.monomial import MonomialMatrix
@@ -97,3 +99,64 @@ def test_jordan_determinism():
     a = g2_jordan_report(build_g2_jordan())
     b = g2_jordan_report(build_g2_jordan())
     assert a == b
+
+
+def test_f8_tables_match_definitions():
+    for a in range(8):
+        assert wildtwo._F8_MUL[a] == tuple(wildtwo._f8_mul(a, b)
+                                           for b in range(8))
+        for k in range(3):
+            assert wildtwo._F8_FROB[k][a] == wildtwo._f8_pow2(a, k)
+    # the units are cyclic of order 7, generated by x
+    powers = [1]
+    for _ in range(7):
+        powers.append(wildtwo._F8_MUL[powers[-1]][0b10])
+    assert powers[7] == 1 and sorted(powers[:7]) == list(range(1, 8))
+    assert all(wildtwo._F8_MUL[a][wildtwo._F8_INV[a]] == 1
+               for a in range(1, 8))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({(0, 1, 1): "flip"}, "past order 168"),
+    ({(5, 3, 2): "flip"}, "outside the group"),
+    ({(5, 3, 2): (6, 3, 2), (6, 3, 2): (5, 3, 2)}, "not a homomorphism"),
+])
+def test_g2_jordan_rejects_a_corrupted_model(monkeypatch, changes, message):
+    # a generator with one sign flipped generates past order 168; another
+    # matrix flipped lies outside the group; two matrices swapped stay
+    # inside it but break the group law
+    induced = wildtwo._induced_matrix
+
+    def corrupted(g):
+        c = changes.get(g, g)
+        if c != "flip":
+            return induced(c)
+        m = induced(g)
+        return MonomialMatrix(m.perm, (m.diag[0] * MINUS_ONE,) + m.diag[1:])
+
+    monkeypatch.setattr(wildtwo, "_induced_matrix", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        build_g2_jordan()
+
+
+def test_mackey_rejects_a_corrupted_term(monkeypatch, g2_jordan):
+    terms = wildtwo._conjugation_terms
+
+    def corrupted(g2j):
+        out = terms(g2j)
+        sign, f = out[(3, 1, 0)][0]
+        out[(3, 1, 0)][0] = (-sign, f)
+        return out
+
+    monkeypatch.setattr(wildtwo, "_conjugation_terms", corrupted)
+    with pytest.raises(AssertionError):
+        mackey_decompose(g2_jordan)
+
+
+def test_g2_jordan_product_count(monkeypatch):
+    # generate and the homomorphism check run on index tables; what is
+    # left is 890 products in the Dimino closures of normal_subgroups
+    # and 8 squaring the translations
+    made = _counting_mul(monkeypatch, MonomialMatrix)
+    g2_jordan_report(build_g2_jordan())
+    assert len(made) == 898
