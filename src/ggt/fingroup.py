@@ -25,14 +25,24 @@ labels every coset of a quotient.  Subgroup closures multiply, by
 Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
 Groups, 1991): a new generator outside the group H generated so far adds
 whole right cosets H t at |H| - 1 products each, the size bound checked
-before each coset is made.  The intended scale is a few tens of
-thousands of elements (the wild image at m = 13 has 53,248).
+before each coset is made.
+
+Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
+same normal closure (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, ch. 4), so normal_subgroups closes one conjugacy
+class per rational class.  The quotient by {1} is G itself: the
+ell-core criterion and the abelianization of an abelian group use G and
+never build its regular representation.  A type (n, p) witness
+builds the cyclic group <y> once, as the map y^k -> k that both tests
+normality and reads off the conjugation exponents.  The intended scale
+is a few tens of thousands of elements (the wild image at m = 13 has
+53,248).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -163,6 +173,7 @@ class FinGroup:
             tables = [[rank[t[i]] for i in order] for t in tables]
         self._tables: list[list[int]] | None = tables
         self._conj: list[list[int]] | None = None
+        self._orbits: list[set[int]] | None = None
         self._classes: list[frozenset] | None = None
         self._normals: list[frozenset] | None = None
         self._commutator: frozenset | None = None
@@ -258,17 +269,23 @@ class FinGroup:
                     stack.append(j)
         return idx
 
-    def conjugacy_classes(self) -> list[frozenset]:
-        if self._classes is None:
-            els = self.elements
+    def _class_orbits(self) -> list[set[int]]:
+        """The conjugacy classes as index sets, numbered by least index."""
+        if self._orbits is None:
             unseen = set(range(self.order))
-            classes = []
+            self._orbits = []
             for i in range(self.order):
                 if i in unseen:
                     orbit = self._conj_orbit({i})
                     unseen -= orbit
-                    classes.append(frozenset(els[j] for j in orbit))
-            self._classes = classes
+                    self._orbits.append(orbit)
+        return self._orbits
+
+    def conjugacy_classes(self) -> list[frozenset]:
+        if self._classes is None:
+            els = self.elements
+            self._classes = [frozenset(els[j] for j in orbit)
+                             for orbit in self._class_orbits()]
         return self._classes
 
     def subgroup_closure(self, seed: Iterable) -> frozenset:
@@ -285,12 +302,29 @@ class FinGroup:
         return self.subgroup_closure(self.elements[i] for i in idx)
 
     def normal_subgroups(self) -> list[frozenset]:
-        """Every normal subgroup, via joins of conjugacy class closures."""
+        """Every normal subgroup, via joins of conjugacy class closures.
+
+        One class is closed per rational class: x is the least-index
+        element of a class not yet covered, and the classes of the
+        generators x^k (gcd(k, ord x) = 1) of <x>, which have the same
+        normal closure, are marked covered."""
         if self._normals is not None:
             return self._normals
+        orbits = self._class_orbits()
+        label = [0] * self.order
+        for c, orbit in enumerate(orbits):
+            for i in orbit:
+                label[i] = c
+        covered = [False] * len(orbits)
         found = {frozenset([self.identity])}
-        found.update(self.subgroup_closure(c)
-                     for c in self.conjugacy_classes())
+        for c, orbit in enumerate(orbits):
+            if covered[c]:
+                continue
+            powers = _powers(self.elements[min(orbit)], self.identity)
+            for k, y in enumerate(powers, 1):
+                if gcd(k, len(powers)) == 1:
+                    covered[label[self.index[y]]] = True
+            found.add(self.subgroup_closure(self.elements[i] for i in orbit))
         # Close the set under joins; every normal subgroup is a join of
         # class closures, so this reaches all of them.
         work = list(found)
@@ -377,7 +411,8 @@ class FinGroup:
 
     def abelianization(self) -> list[int]:
         """Invariant factors d1 | d2 | ... of G made abelian."""
-        q, _ = self.quotient(self.commutator_subgroup())
+        comm = self.commutator_subgroup()
+        q = self if len(comm) == 1 else self.quotient(comm)[0]
         factors = []
         while q.order > 1:
             x = max(q.elements,
@@ -453,6 +488,14 @@ def _element_of_order_p(g: FinGroup, p: int):
     return None
 
 
+def _powers(x, e) -> list:
+    """[x, x^2, ..., x^ord(x) = e], one product each."""
+    out = [x]
+    while out[-1] != e:
+        out.append(out[-1] * x)
+    return out
+
+
 def _power(x, k: int, e):
     acc = e
     base = x
@@ -484,12 +527,8 @@ def is_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
 def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     if g.order % p != 0:
         return None
-    for y in _order_p_normal_subgroups(g, p):
-        powers = {}
-        z = y
-        for k in range(1, p):
-            powers[z] = k
-            z = z * y
+    for powers in _order_p_normal_subgroups(g, p):
+        y = next(iter(powers))
         exps = [powers.get(gen * y * gen.inverse()) for gen in g.generators]
         if None in exps:
             continue
@@ -501,8 +540,9 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     return None
 
 
-def _order_p_normal_subgroups(g: FinGroup, p: int) -> list:
-    """Generators of the normal subgroups of order p, one per subgroup."""
+def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
+    """The normal subgroups of order p, one power map {y^k: k} (k = 1..p,
+    the generator y first) per subgroup."""
     t = g.order
     pp = 1
     while t % p == 0:
@@ -514,34 +554,38 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list:
         y = _element_of_order_p(g, p)
         if y is None:
             return []
-        sub = g.subgroup_closure([y])
-        return [y] if g.is_normal(sub) else []
+        powers = _power_map(y, g.identity)
+        return [powers] if g.is_normal(frozenset(powers)) else []
     out = []
     for nsub in g.normal_subgroups():
         if len(nsub) == p:
             y = next(x for x in sorted(nsub, key=lambda z: z.sort_key())
                      if x != g.identity)
-            out.append(y)
+            out.append(_power_map(y, g.identity))
     return out
+
+
+def _power_map(y, e) -> dict:
+    return {z: k for k, z in enumerate(_powers(y, e), 1)}
 
 
 def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
     """True iff some quotient by a normal ell-subgroup has a type (n, p)
-    witness.  Checked against the ell-core quotient, which must agree."""
+    witness.  Checked against the ell-core quotient, which must agree.
+
+    Each quotient of the family is built once; the one by {1} is g
+    itself, whose (cached) witness is asked for directly."""
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     if ell == p:
         raise ValueError("p and ell must be distinct")
-    ell_subs = [s for s in g.normal_subgroups()
-                if _is_prime_power(len(s), ell)]
-    answers = []
-    for s in ell_subs:
-        q, _ = g.quotient(s)
-        answers.append(is_type_np(q, n, p) is not None)
-    core = g.ell_core(ell)
-    core_q, _ = g.quotient(core)
-    core_answer = is_type_np(core_q, n, p) is not None
-    if any(answers) != core_answer:
+    answers = {}
+    for s in g.normal_subgroups():
+        if _is_prime_power(len(s), ell):
+            q = g if len(s) == 1 else g.quotient(s)[0]
+            answers[s] = is_type_np(q, n, p) is not None
+    core_answer = answers[g.ell_core(ell)]
+    if any(answers.values()) != core_answer:
         raise AssertionError("ell-core quotient disagrees with the family")
     return core_answer
 

@@ -395,17 +395,31 @@ def _all_systems(rank_bound: int):
 
 def uniqueness_scan(rank_bound: int, required_orders) -> list[RootSystem]:
     """All systems of rank <= rank_bound whose Weyl group realizes every
-    required element order."""
+    required element order, in the order of _all_systems.
+
+    The walk is _all_systems' recursion: a system's order set is its
+    prefix's set combined with one more factor's, and only hits become
+    RootSystems.  Only factors of rank <= rank_bound are asked for."""
     if not 1 <= rank_bound <= 8:
         raise ValueError("rank bound must be in 1..8")
     required = set(required_orders)
     if any(o < 1 for o in required):
         raise ValueError("element orders must be positive")
+    labels = [(lab, r) for lab in IRREDUCIBLE_LABELS
+              if (r := _parse_label(lab)[1]) <= rank_bound]
+    parts = [weyl_element_orders(lab).orders for lab, _ in labels]
     hits = []
-    for rs in _all_systems(rank_bound):
-        orders = weyl_element_orders(rs).orders
-        if required <= orders:
-            hits.append(rs)
+
+    def rec(start: int, remaining: int, combo: tuple, orders: frozenset):
+        for k in range(start, len(labels)):
+            lab, r = labels[k]
+            if r <= remaining:
+                grown = frozenset(lcm(a, b) for a in orders for b in parts[k])
+                if required <= grown:
+                    hits.append(RootSystem(tuple(sorted(combo + (lab,)))))
+                rec(k, remaining - r, combo + (lab,), grown)
+
+    rec(0, rank_bound, (), frozenset([1]))
     return hits
 
 

@@ -233,6 +233,10 @@ CLI_GOLDEN = {
     "minuscule --type E8": "60a2edbedae66ad2",
     "weyl orders --type E7": "5b3ca27ab2dc5699",
     "weyl orders --type B8": "a7a7e1d10c1ac161",
+    "param tame --q 31 --p 409 --n 4": "c5d5ff1604a56051",
+    "group analyze --preset metacyclic --m 18 --p 19 --type-np 18,19 "
+    "--ell 2": "1d06631353a775f5",
+    "group analyze --preset cyclic --m 250 --gamma-d 3": "562e59c9d960e445",
 }
 
 

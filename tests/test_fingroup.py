@@ -148,7 +148,8 @@ def test_metacyclic_structure():
 
 def test_normal_subgroups_skip_known_joins(monkeypatch):
     # deterministic work of normal_subgroups over every metacyclic group
-    # Z/p x| Z/m with p < 20: a join already found is not closed again
+    # Z/p x| Z/m with p < 20: one class is closed per rational class, and
+    # a join already found is not closed again
     groups = {(m, p): metacyclic(m, p) for p in (3, 5, 7, 11, 13, 17, 19)
               for m in range(2, p) if (p - 1) % m == 0}
     made = _counting_mul(monkeypatch, Perm)
@@ -156,13 +157,31 @@ def test_normal_subgroups_skip_known_joins(monkeypatch):
         # normal subgroups: 1 and Z/p x| Z/k for each k dividing m
         assert [len(n) for n in g.normal_subgroups()] == \
             [1] + [p * k for k in range(1, m + 1) if m % k == 0], (m, p)
-    assert len(groups) == 23 and len(made) == 13_918
+    assert len(groups) == 23 and len(made) == 4_476
     # only a known subgroup of the join's order may stand in for it: in
     # C4 x C4 the whole group contains every pair, and 7 of its 15
     # subgroups have order 4 (the Klein group is a join of two C2s)
     c44 = direct_product(cyclic(4), cyclic(4))
     assert sorted(len(n) for n in c44.normal_subgroups()) == \
         [1, 2, 2, 2] + [4] * 7 + [8, 8, 8, 16]
+
+
+def test_normal_subgroups_close_one_class_per_rational_class(monkeypatch):
+    # the 60 classes of Z/60 fall into 12 rational classes, the generators
+    # of its 12 subgroups; every join is one of them, so nothing else is
+    # closed
+    g = cyclic(60)
+    closed = []
+    closure_of = FinGroup.subgroup_closure
+
+    def counting(self, seed):
+        closed.append(closure_of(self, seed))
+        return closed[-1]
+
+    monkeypatch.setattr(FinGroup, "subgroup_closure", counting)
+    assert [len(n) for n in g.normal_subgroups()] == \
+        [k for k in range(1, 61) if 60 % k == 0]
+    assert sorted(map(len, closed)) == [len(n) for n in g.normal_subgroups()]
 
 
 def test_metacyclic_rejects_non_divisor():
@@ -224,6 +243,43 @@ def test_type_npl():
     assert is_type_npl(metacyclic(6, 7), 6, 7, 5)
     with pytest.raises(ValueError):
         is_type_npl(g, 6, 7, 7)
+
+
+def _explicit_type_npl(g, n, p, ell) -> bool:
+    # the definition, the regular quotient by {1} included
+    return any(is_type_np(g.quotient(s)[0], n, p) is not None
+               for s in g.normal_subgroups() if len(s) in
+               {ell ** k for k in range(g.order.bit_length())})
+
+
+def test_type_npl_matches_its_definition():
+    groups = _battery() + [direct_product(cyclic(4), metacyclic(6, 7))]
+    cases = [(n, p, ell) for n in (2, 3, 4, 6) for p in (3, 5, 7)
+             for ell in (2, 3) if ell != p]
+    hits = 0
+    for g in groups:
+        for n, p, ell in cases:
+            got = is_type_npl(g, n, p, ell)
+            assert got == _explicit_type_npl(g, n, p, ell), \
+                (g.order, n, p, ell)
+            hits += got
+    assert hits > 0
+
+
+def test_trivial_subgroup_is_never_a_quotient(monkeypatch):
+    quotient = FinGroup.quotient
+
+    def checked(self, sub):
+        assert len(sub) > 1, "quotient by {1}"
+        return quotient(self, sub)
+
+    monkeypatch.setattr(FinGroup, "quotient", checked)
+    g = direct_product(cyclic(4), metacyclic(6, 7))
+    assert is_type_npl(g, 6, 7, 2) and not is_type_npl(g, 3, 7, 2)
+    assert is_type_npl(metacyclic(6, 7), 6, 7, 5)
+    assert g.abelianization() == [2, 12]
+    assert cyclic(12).abelianization() == [12]
+    assert direct_product(cyclic(2), cyclic(6)).abelianization() == [2, 6]
 
 
 def _battery():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ggt.errors import ResourceBoundExceeded
 from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              RootSystem,
-                             _exceptional_tally, almost_minuscule_data,
+                             _all_systems, _exceptional_tally,
+                             almost_minuscule_data,
                              audit_omission_policy,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
@@ -278,6 +279,19 @@ def test_uniqueness_scan_rank_four():
     assert [rs.label for rs in hits] == ["F4"]
     with pytest.raises(ValueError):
         uniqueness_scan(4, {0, 8})
+
+
+def test_uniqueness_scan_matches_its_definition():
+    # the incremental walk against a RootSystem and a weyl_element_orders
+    # call per system
+    for rank in range(1, 7):
+        systems = list(_all_systems(rank))
+        for required in ({1}, {2}, {6}, {4, 6}, {8, 12}, {9}, {10, 12},
+                         {7}, {12, 30}):
+            expected = [rs for rs in systems
+                        if required <= weyl_element_orders(rs).orders]
+            assert uniqueness_scan(rank, required) == expected, \
+                (rank, required)
 
 
 def test_omission_policy_small_rank():
