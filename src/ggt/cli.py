@@ -396,8 +396,13 @@ def main(argv=None) -> int:
     else:
         rendered = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as err:
+            print(f"ggt: cannot write {args.out}: {err.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         print(rendered)
     return 0 if all(c["pass"] for c in checks) else 1

@@ -15,17 +15,22 @@ point of a permutation, the vectors zeta^e e_j of a monomial matrix.  An
 element is the tuple of its images of a base, points whose images
 determine it, so left multiplication by g is one gather of g's point
 table through that tuple, with no product; each element is decoded once
-at the end.  A group given by its elements makes the tables by products
-on first use.  Work that moves elements by generators then runs on
-indices, with no products.  Conjugation reads x g off a spanning tree of
-the Cayley graph (x = g_a y gives x g = g_a (y g)), so the conjugacy
-classes, normality tests and normal closures are orbits of index tables;
-and g (x N) = g x N, so pushing the normal subgroup N through the tables
-labels every coset of a quotient.  Subgroup closures multiply, by
+at the end.  Every group is made this way.
+
+The rest runs on indices.  One breadth-first spanning tree of the
+Cayley graph gives, for any element s, the table i -> index(x_i s) in
+one pass: x = g_a y gives x s = g_a (y s).  Conjugation by a generator
+is such a table, so the conjugacy classes, normality tests and normal
+closures are orbits of index tables; and g (x N) = g x N, so pushing the
+normal subgroup N through the tables labels every coset of a quotient.
+The powers of x are the cycle of the identity under right
+multiplication by x, which gives element orders.  Subgroup closures run
 Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
-Groups, 1991): a new generator outside the group H generated so far adds
-whole right cosets H t at |H| - 1 products each, the size bound checked
-before each coset is made.
+Groups, 1991) on indices: a seed element s outside the group H generated
+so far adds whole right cosets, and H r s is the coset H r pushed
+through the table of s.  Past generate, elements are multiplied only
+for the commutator seeds and for the conjugates g y g^-1 of a type
+(n, p) witness y.
 
 Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
 same normal closure (Holt, Eick and O'Brien, Handbook of Computational
@@ -44,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
 from .numth import is_prime, mult_order
@@ -53,7 +58,6 @@ __all__ = [
     "Perm",
     "FinGroup",
     "TypeNPWitness",
-    "closure",
     "is_type_np",
     "is_type_npl",
     "metacyclic",
@@ -114,51 +118,13 @@ class Perm:
         return f"Perm{self.img}"
 
 
-def closure(generators: Sequence, bound: int = DEFAULT_CLOSURE_BOUND) -> list:
-    """All products of the generators, identity first.  Errors past the
-    bound."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    return _dimino(generators, generators[0] * generators[0].inverse(), bound)
-
-
-def _dimino(gens: Iterable, identity, bound: int) -> list:
-    """The group generated by gens, identity first: one Dimino step per
-    generator not yet inside."""
-    els, members, used = [identity], {identity}, []
-
-    def add_coset(t) -> None:
-        if len(els) + len(sub) >= bound:
-            raise ResourceBoundExceeded(
-                f"group closure exceeded {bound} elements")
-        coset = [t] + [h * t for h in sub]
-        els.extend(coset)
-        members.update(coset)
-        reps.append(t)
-
-    for x in gens:
-        if x in members:
-            continue
-        used.append(x)
-        # right cosets of H = <used[:-1]> (sub is H minus the identity)
-        # until every coset rep times every generator lands inside
-        sub, reps = els[1:], []
-        add_coset(x)
-        for r in reps:  # reps grows while the loop runs
-            for s in used:
-                y = r * s
-                if y not in members:
-                    add_coset(y)
-    return els
-
-
 class FinGroup:
     """A finite group given by its full element list."""
 
     def __init__(self, generators: Sequence, elements: Iterable,
-                 identity, tables: Sequence | None = None) -> None:
-        """tables, if given, holds for each generator g the list
-        i -> position of g * x_i, positions in elements as passed."""
+                 identity, tables: Sequence) -> None:
+        """tables holds for each generator g the list i -> position of
+        g * x_i, positions in elements as passed."""
         self.generators = list(generators)
         els = list(elements)
         keys = [x.sort_key() for x in els]
@@ -166,12 +132,13 @@ class FinGroup:
         self.elements = [els[i] for i in order]
         self.identity = identity
         self.index = {x: i for i, x in enumerate(self.elements)}
-        if tables is not None:
-            rank = [0] * len(order)
-            for r, i in enumerate(order):
-                rank[i] = r
-            tables = [[rank[t[i]] for i in order] for t in tables]
-        self._tables: list[list[int]] | None = tables
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        # for each generator g, the table i -> index(g * x_i)
+        self.tables = [[rank[t[i]] for i in order] for t in tables]
+        self._e = self.index[identity]
+        self._tree: list[tuple[int, list[int], int]] | None = None
         self._conj: list[list[int]] | None = None
         self._orbits: list[set[int]] | None = None
         self._classes: list[frozenset] | None = None
@@ -216,42 +183,47 @@ class FinGroup:
     def __contains__(self, x) -> bool:
         return x in self.index
 
-    def element_order(self, x) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = y * x
-            k += 1
-        return k
+    def _right(self, s: int) -> list[int]:
+        """The table i -> index(x_i x_s), filled along a breadth-first
+        spanning tree of the Cayley graph: x = g y gives x x_s = g (y x_s).
+        """
+        if self._tree is None:
+            # steps (j, t, i) in search order: x_j = g x_i, t the table
+            # of g
+            self._tree, seen = [], [False] * self.order
+            seen[self._e] = True
+            queue = [self._e]
+            for i in queue:  # queue grows while the loop runs
+                for t in self.tables:
+                    j = t[i]
+                    if not seen[j]:
+                        seen[j] = True
+                        queue.append(j)
+                        self._tree.append((j, t, i))
+        r = [s] * self.order
+        for j, t, i in self._tree:
+            r[j] = t[r[i]]
+        return r
 
-    def _left_tables(self) -> list[list[int]]:
-        """For each generator g, the table i -> index(g * x_i)."""
-        if self._tables is None:
-            self._tables = [[self.index[g * x] for x in self.elements]
-                            for g in self.generators]
-        return self._tables
+    def _powers(self, i: int) -> list[int]:
+        """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
+        the identity under right multiplication by x."""
+        r, out = self._right(i), [i]
+        while out[-1] != self._e:
+            out.append(r[out[-1]])
+        return out
+
+    def element_order(self, x) -> int:
+        return len(self._powers(self.index[x]))
 
     def _conj_tables(self) -> list[list[int]]:
         """For each generator g, the table i -> index(g^-1 x_i g)."""
         if self._conj is None:
-            tables = self._left_tables()
-            n, e = self.order, self.index[self.identity]
-            # rights[a][i] = index(x_i g_a), filled along a spanning tree
-            # of the Cayley graph: x = g_b y gives x g_a = g_b (y g_a)
-            rights = [[t[e]] * n for t in tables]
-            queue, seen = [e], {e}
-            for p in queue:  # queue grows while the loop runs
-                for t in tables:
-                    j = t[p]
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-                        for r in rights:
-                            r[j] = t[r[p]]
-            # g^-1 (g x) g = x g
             self._conj = []
-            for t, r in zip(tables, rights):
-                c = [0] * n
-                for i, j in zip(t, r):
+            for t in self.tables:
+                # g^-1 (g x) g = x g
+                c = [0] * self.order
+                for i, j in zip(t, self._right(t[self._e])):
                     c[i] = j
                 self._conj.append(c)
         return self._conj
@@ -289,12 +261,31 @@ class FinGroup:
         return self._classes
 
     def subgroup_closure(self, seed: Iterable) -> frozenset:
-        """Subgroup generated by the seed elements (all must lie in self).
+        """Subgroup generated by the seed elements (all must lie in self),
+        by Dimino's algorithm on indices.
 
-        The seed is taken in sorted order, so few of its elements become
+        The seed is taken in index order, so few of its elements become
         generators."""
-        gens = sorted(seed, key=self.index.__getitem__)
-        return frozenset(_dimino(gens, self.identity, self.order))
+        member = [False] * self.order
+        member[self._e] = True
+        els, rights = [self._e], []
+        for s in sorted({self.index[x] for x in seed}):
+            if member[s]:
+                continue
+            rights.append(self._right(s))
+            # right cosets H r of H = <the seed so far>, H itself first,
+            # until every coset times every seed generator lands inside;
+            # H r s is the coset H r pushed through the table of s
+            cosets = [els[:]]
+            for c in cosets:  # cosets grows while the loop runs
+                for r in rights:
+                    if not member[r[c[0]]]:
+                        coset = [r[i] for i in c]
+                        for i in coset:
+                            member[i] = True
+                        els.extend(coset)
+                        cosets.append(coset)
+        return frozenset(self.elements[i] for i in els)
 
     def normal_closure(self, seed: Iterable) -> frozenset:
         """Smallest normal subgroup containing the seed."""
@@ -320,10 +311,10 @@ class FinGroup:
         for c, orbit in enumerate(orbits):
             if covered[c]:
                 continue
-            powers = _powers(self.elements[min(orbit)], self.identity)
+            powers = self._powers(min(orbit))
             for k, y in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
-                    covered[label[self.index[y]]] = True
+                    covered[label[y]] = True
             found.add(self.subgroup_closure(self.elements[i] for i in orbit))
         # Close the set under joins; every normal subgroup is a join of
         # class closures, so this reaches all of them.
@@ -347,7 +338,9 @@ class FinGroup:
         return self._normals
 
     def is_normal(self, sub: frozenset) -> bool:
-        idx = {self.index[x] for x in sub}
+        return self._is_normal({self.index[x] for x in sub})
+
+    def _is_normal(self, idx: Collection[int]) -> bool:
         return all(c[i] in idx for c in self._conj_tables() for i in idx)
 
     def index_core(self, d: int) -> frozenset:
@@ -377,7 +370,7 @@ class FinGroup:
         """
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
-        tables = self._left_tables()
+        tables = self.tables
         label = [-1] * self.order  # -1 until the coset is found
         cosets = [[self.index[x] for x in sub]]
         for i in cosets[0]:
@@ -415,10 +408,11 @@ class FinGroup:
         q = self if len(comm) == 1 else self.quotient(comm)[0]
         factors = []
         while q.order > 1:
-            x = max(q.elements,
-                    key=lambda z: (q.element_order(z), z.sort_key()))
-            factors.append(q.element_order(x))
-            q, _ = q.quotient(q.subgroup_closure([x]))
+            # the last element of largest order, in index (= sort) order
+            orders = [len(q._powers(i)) for i in range(q.order)]
+            i = max(range(q.order), key=lambda j: (orders[j], j))
+            factors.append(orders[i])
+            q, _ = q.quotient(q.subgroup_closure([q.elements[i]]))
         factors.reverse()
         return factors
 
@@ -473,38 +467,14 @@ class TypeNPWitness:
     exponents: tuple[int, ...]
 
 
-def _element_of_order_p(g: FinGroup, p: int):
-    t = g.order
-    m = t
-    while m % p == 0:
-        m //= p
-    for x in g.elements:
-        y = _power(x, m, g.identity)
-        while y != g.identity:
-            z = _power(y, p, g.identity)
-            if z == g.identity:
-                return y
-            y = z
+def _element_of_order_p(g: FinGroup, p: int) -> int | None:
+    """The index of x^(ord x / p) for the first x, in index order, whose
+    order p divides."""
+    for i in range(g.order):
+        powers = g._powers(i)
+        if len(powers) % p == 0:
+            return powers[len(powers) // p - 1]
     return None
-
-
-def _powers(x, e) -> list:
-    """[x, x^2, ..., x^ord(x) = e], one product each."""
-    out = [x]
-    while out[-1] != e:
-        out.append(out[-1] * x)
-    return out
-
-
-def _power(x, k: int, e):
-    acc = e
-    base = x
-    while k:
-        if k & 1:
-            acc = acc * base
-        base = base * base
-        k >>= 1
-    return acc
 
 
 def is_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
@@ -528,8 +498,9 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     if g.order % p != 0:
         return None
     for powers in _order_p_normal_subgroups(g, p):
-        y = next(iter(powers))
-        exps = [powers.get(gen * y * gen.inverse()) for gen in g.generators]
+        y = g.elements[next(iter(powers))]
+        exps = [powers.get(g.index[gen * y * gen.inverse()])
+                for gen in g.generators]
         if None in exps:
             continue
         # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
@@ -541,8 +512,8 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
 
 
 def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
-    """The normal subgroups of order p, one power map {y^k: k} (k = 1..p,
-    the generator y first) per subgroup."""
+    """The normal subgroups of order p, one power map {index(y^k): k}
+    (k = 1..p, the generator y first) per subgroup."""
     t = g.order
     pp = 1
     while t % p == 0:
@@ -554,19 +525,18 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
         y = _element_of_order_p(g, p)
         if y is None:
             return []
-        powers = _power_map(y, g.identity)
-        return [powers] if g.is_normal(frozenset(powers)) else []
+        powers = _power_map(g, y)
+        return [powers] if g._is_normal(powers) else []
     out = []
     for nsub in g.normal_subgroups():
         if len(nsub) == p:
-            y = next(x for x in sorted(nsub, key=lambda z: z.sort_key())
-                     if x != g.identity)
-            out.append(_power_map(y, g.identity))
+            y = min(g.index[x] for x in nsub if x != g.identity)
+            out.append(_power_map(g, y))
     return out
 
 
-def _power_map(y, e) -> dict:
-    return {z: k for k, z in enumerate(_powers(y, e), 1)}
+def _power_map(g: FinGroup, y: int) -> dict[int, int]:
+    return {z: k for k, z in enumerate(g._powers(y), 1)}
 
 
 def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
@@ -594,8 +564,6 @@ def cyclic(n: int) -> FinGroup:
     """Z/n as the rotation group of n points."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    if n == 1:
-        return FinGroup([Perm((0,))], [Perm((0,))], Perm((0,)))
     gen = Perm(tuple((i + 1) % n for i in range(n)))
     return FinGroup.generate([gen])
 
@@ -636,6 +604,4 @@ def direct_product(a: FinGroup, b: FinGroup) -> FinGroup:
     ida = tuple(range(da))
     gens = [Perm(g.img + idb) for g in a.generators]
     gens += [Perm(ida + tuple(i + da for i in h.img)) for h in b.generators]
-    els = [Perm(x.img + tuple(i + da for i in y.img))
-           for x in a.elements for y in b.elements]
-    return FinGroup(gens, els, Perm.identity(da + db))
+    return FinGroup.generate(gens, bound=a.order * b.order)

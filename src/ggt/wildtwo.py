@@ -260,7 +260,7 @@ def build_g2_jordan() -> G2JordanGroup:
         raise AssertionError("an induced matrix lies outside the group")
     # table[i] = index(M(g) x_i): the generators generate, so these
     # checks make M a homomorphism
-    for g, table in zip(gens, grp._left_tables()):
+    for g, table in zip(gens, grp.tables):
         for t in triples:
             if table[pos[t]] != pos[_triple_mul(g, t)]:
                 raise AssertionError("induced model is not a homomorphism")

@@ -197,6 +197,15 @@ def test_out_file(tmp_path, capsys):
     assert report["command"] == "orbit"
 
 
+def test_out_file_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = main(["orbit", "--tau", "1/43", "--q", "7", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"ggt: cannot write {target}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_text_format(capsys):
     code, out = _run(capsys, ["orbit", "--tau", "1/3", "--q", "5",
                               "--format", "text"])
@@ -237,6 +246,9 @@ CLI_GOLDEN = {
     "group analyze --preset metacyclic --m 18 --p 19 --type-np 18,19 "
     "--ell 2": "1d06631353a775f5",
     "group analyze --preset cyclic --m 250 --gamma-d 3": "562e59c9d960e445",
+    "group analyze --preset cyclic --m 1000 --gamma-d 3": "7e350347c12f04ea",
+    "group analyze --preset metacyclic --m 6 --p 1009 --type-np 6,1009 "
+    "--ell 5": "7b50686a7f12ccfa",
 }
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggt.errors import ResourceBoundExceeded
-from ggt.fingroup import (FinGroup, Perm, closure, cyclic, direct_product,
-                          is_type_np, is_type_npl, metacyclic)
+from ggt.fingroup import (FinGroup, Perm, cyclic, direct_product, is_type_np,
+                          is_type_npl, metacyclic)
 from ggt.monomial import MonomialMatrix
 from ggt.roots import RootOfUnity
 from ggt.weilparams import build_tame_parameter
@@ -32,6 +32,10 @@ def test_symmetric_group_basics():
     assert s3.abelianization() == [2]
     assert sorted(s3.element_order(x) for x in s3.elements) == \
         [1, 2, 2, 2, 3, 3]
+    # <a><b> has 6 elements and is no group: Dimino must close the
+    # cosets under a as well as b
+    a, b = Perm((1, 0, 2, 3)), Perm((0, 2, 3, 1))
+    assert _sym(4).subgroup_closure([a, b]) == frozenset(_sym(4).elements)
 
 
 def test_alternating_group():
@@ -46,11 +50,6 @@ def test_alternating_group():
     assert len(a4.index_core(12)) == 1
 
 
-def test_closure_bound():
-    with pytest.raises(ResourceBoundExceeded):
-        closure([Perm((1, 2, 3, 4, 0))], bound=3)
-
-
 def _counting_mul(monkeypatch, cls) -> list:
     made = []
     mul = cls.__mul__
@@ -63,28 +62,23 @@ def _counting_mul(monkeypatch, cls) -> list:
     return made
 
 
-def test_closure_bound_stops_before_the_next_coset(monkeypatch):
-    made = _counting_mul(monkeypatch, Perm)
+def test_closure_bound_stops_before_the_next_coset():
     a, b = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))  # dihedral, order 8
-    with pytest.raises(ResourceBoundExceeded):
-        closure([a, b], bound=7)
-    # the identity a * a^-1, then a^2, a^3 and a^4 = 1 close <a>; the
-    # coset <a> b would pass the bound, so no product with b is made
-    assert len(made) == 4 and all(b not in pair for pair in made)
-    assert len(closure([a, b], bound=8)) == 8
     with pytest.raises(ResourceBoundExceeded):
         FinGroup.generate([a, b], bound=7)
     assert FinGroup.generate([a, b], bound=8).order == 8
 
 
 def test_wild_sweep_product_count(monkeypatch):
-    # deterministic work of the m = 3..11 sweep: the Dimino closure of
-    # the commutator subgroup and the report's own checks; the generator
-    # tables are gathers on base images and make no product
+    # deterministic work of the m = 3..11 sweep: generate and the
+    # commutator closure run on index tables, so what multiplies is
+    # build_so_wild's shift check (2m), the 12 commutator seeds of each
+    # group and so_wild_report squaring the 2^(m-1) - 1 nontrivial
+    # commutators
     made = _counting_mul(monkeypatch, MonomialMatrix)
     for m in (3, 5, 7, 9, 11):
         so_wild_report(build_so_wild(m))
-    assert len(made) == 2_943
+    assert len(made) == 70 + 60 + 1_359
 
 
 def test_generate_makes_no_products(monkeypatch):
@@ -147,9 +141,10 @@ def test_metacyclic_structure():
 
 
 def test_normal_subgroups_skip_known_joins(monkeypatch):
-    # deterministic work of normal_subgroups over every metacyclic group
-    # Z/p x| Z/m with p < 20: one class is closed per rational class, and
-    # a join already found is not closed again
+    # normal_subgroups over every metacyclic group Z/p x| Z/m with
+    # p < 20: one class is closed per rational class, a join already
+    # found is not closed again, and the closures and powers run on
+    # index tables with no product
     groups = {(m, p): metacyclic(m, p) for p in (3, 5, 7, 11, 13, 17, 19)
               for m in range(2, p) if (p - 1) % m == 0}
     made = _counting_mul(monkeypatch, Perm)
@@ -157,7 +152,7 @@ def test_normal_subgroups_skip_known_joins(monkeypatch):
         # normal subgroups: 1 and Z/p x| Z/k for each k dividing m
         assert [len(n) for n in g.normal_subgroups()] == \
             [1] + [p * k for k in range(1, m + 1) if m % k == 0], (m, p)
-    assert len(groups) == 23 and len(made) == 4_476
+    assert len(groups) == 23 and made == []
     # only a known subgroup of the join's order may stand in for it: in
     # C4 x C4 the whole group contains every pair, and 7 of its 15
     # subgroups have order 4 (the Klein group is a join of two C2s)
@@ -314,8 +309,13 @@ def test_quotient_by_ell_group_preserves_type():
         assert is_type_np(q, 6, 7) is not None, len(sub)
 
 
-def test_fin_group_json():
-    data = metacyclic(6, 7).to_json(d=6, type_np=(6, 7), ell=5)
+def test_fin_group_json(monkeypatch):
+    g = metacyclic(6, 7)
+    made = _counting_mul(monkeypatch, Perm)
+    data = g.to_json(d=6, type_np=(6, 7), ell=5)
+    # past generate only the 3 * 2^2 commutator seeds and the 2 * 2
+    # witness conjugates g y g^-1 multiply
+    assert len(made) == 12 + 4
     assert data["order"] == 42
     assert data["gamma_d"] == {"d": 6, "order": 7}
     assert data["type_np"]["found"] is True
@@ -428,37 +428,40 @@ def small_group_gens(draw):
 @given(small_group_gens(), st.data())
 def test_index_engine_matches_naive_definitions(gens, data):
     e = gens[0] * gens[0].inverse()
-    generated = FinGroup.generate(gens)
-    els = generated.elements
+    grp = FinGroup.generate(gens)
+    els = grp.elements
     inv = {x: x.inverse() for x in els}
     classes = {frozenset(inv[h] * x * h for h in els) for x in els}
     normals = _naive_normal_subgroups(classes, e)
     commutator = _generated({inv[a] * inv[b] * a * b
                              for a in els for b in els}, e)
-    subs = [_generated(data.draw(st.lists(st.sampled_from(els),
-                                          max_size=2)), e)
-            for _ in range(3)]
-    # the explicit element list makes its tables on first use
-    explicit = FinGroup(gens, closure(gens), e)
-    assert explicit.elements == els
+    seeds = [data.draw(st.lists(st.sampled_from(els), max_size=2))
+             for _ in range(3)]
+    subs = [_generated(seed, e) for seed in seeds]
     # the tables gathered on base images equal those made by products
-    assert generated._left_tables() == explicit._left_tables()
-    for grp in (generated, explicit):
-        assert set(grp.conjugacy_classes()) == classes
-        assert sum(map(len, grp.conjugacy_classes())) == len(els)
-        for sub in subs:
-            assert grp.is_normal(sub) == all(
-                inv[h] * s * h in sub for h in els for s in sub)
-        assert set(grp.normal_subgroups()) == normals
-        assert grp.commutator_subgroup() == commutator
-        for n in normals:
-            q, proj = grp.quotient(n)
-            assert q.order == len(els) // len(n)
-            assert {proj(x) for x in els} == set(q.elements)
-            assert frozenset(x for x in els if proj(x).is_identity) == n
-            for x in els:
-                for y in els:
-                    assert proj(x * y) == proj(x) * proj(y)
+    assert grp.tables == [[els.index(g * x) for x in els] for g in gens]
+    for seed, sub in zip(seeds, subs):
+        assert grp.subgroup_closure(seed) == sub
+    for x in els:
+        k, y = 1, x
+        while y != e:
+            k, y = k + 1, y * x
+        assert grp.element_order(x) == k
+    assert set(grp.conjugacy_classes()) == classes
+    assert sum(map(len, grp.conjugacy_classes())) == len(els)
+    for sub in subs:
+        assert grp.is_normal(sub) == all(
+            inv[h] * s * h in sub for h in els for s in sub)
+    assert set(grp.normal_subgroups()) == normals
+    assert grp.commutator_subgroup() == commutator
+    for n in normals:
+        q, proj = grp.quotient(n)
+        assert q.order == len(els) // len(n)
+        assert {proj(x) for x in els} == set(q.elements)
+        assert frozenset(x for x in els if proj(x).is_identity) == n
+        for x in els:
+            for y in els:
+                assert proj(x * y) == proj(x) * proj(y)
 
 
 def test_is_type_np_is_cached(monkeypatch):
