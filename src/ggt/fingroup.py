@@ -1,36 +1,37 @@
 """A small engine for concrete finite groups.
 
-Elements are immutable objects with *, .inverse(), equality, hashing, a
-total sort_key() and a point_action hook.  Permutations live here as
-image tuples, monomial matrices in ggt.monomial as a permutation plus
-integer exponents; both multiply by one itemgetter gather.  A FinGroup
-is its element list, sorted once by sort_key, so an element is also its
-index in that list.
+Elements are immutable objects with *, .inverse(), equality, hashing and
+a point_action hook.  Permutations live here as image tuples, monomial
+matrices in ggt.monomial as a permutation plus integer exponents; both
+multiply by one itemgetter gather.
 
-For each generator g a group keeps the table i -> index(g * x_i).
-FinGroup.generate records it in a breadth-first search on base images
-(Seress, Permutation Group Algorithms, 2003, ch. 4).  The element type's
-point_action hook lets the group act on a finite set of points: every
-point of a permutation, the vectors zeta^e e_j of a monomial matrix.  An
-element is the tuple of its images of a base, points whose images
-determine it, so left multiplication by g is one gather of g's point
-table through that tuple, with no product; each element is decoded once
-at the end.  Every group is made this way.
+FinGroup.generate closes the generators by a breadth-first search on
+base images (Seress, Permutation Group Algorithms, 2003, ch. 4).  The
+element type's point_action hook lets the group act on a finite set of
+points: every point of a permutation, the vectors zeta^e e_j of a
+monomial matrix.  An element is the tuple of its images of a base,
+points whose images determine it, so left multiplication by g is one
+gather of g's point table through that tuple, with no product.  An
+element's index is the position where the search first finds it, so
+the identity is 0, and for each generator g the group keeps the table
+i -> index(g * x_i).  Elements are decoded from their base images only
+when first asked for.  Every group is made this way.
 
-The rest runs on indices.  One breadth-first spanning tree of the
-Cayley graph gives, for any element s, the table i -> index(x_i s) in
-one pass: x = g_a y gives x s = g_a (y s).  Conjugation by a generator
-is such a table, so the conjugacy classes, normality tests and normal
-closures are orbits of index tables; and g (x N) = g x N, so pushing the
+The rest runs on indices and multiplies no element.  The search's
+spanning tree of the Cayley graph gives, for any element s, the table
+i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
+Conjugation by a generator g is the table x g -> g x, so the conjugacy
+classes, normality tests and normal closures are orbits of index
+tables, and the commutator subgroup is the normal closure of the
+h^-1 (g h g^-1) for generators g and h.  g (x N) = g x N, so pushing the
 normal subgroup N through the tables labels every coset of a quotient.
 The powers of x are the cycle of the identity under right
 multiplication by x, which gives element orders.  Subgroup closures run
 Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
 Groups, 1991) on indices: a seed element s outside the group H generated
 so far adds whole right cosets, and H r s is the coset H r pushed
-through the table of s.  Past generate, elements are multiplied only
-for the commutator seeds and for the conjugates g y g^-1 of a type
-(n, p) witness y.
+through the table of s.  Every reported number is an invariant of the
+group, so none depends on how the elements are numbered.
 
 Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
 same normal closure (Holt, Eick and O'Brien, Handbook of Computational
@@ -47,6 +48,7 @@ is a few tens of thousands of elements (the wild image at m = 13 has
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
@@ -111,34 +113,22 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.img))
 
-    def sort_key(self):
-        return self.img
-
     def __repr__(self) -> str:
         return f"Perm{self.img}"
 
 
 class FinGroup:
-    """A finite group given by its full element list."""
+    """A finite group given by its Cayley tables, numbered in search
+    order; the elements are decoded on first use."""
 
-    def __init__(self, generators: Sequence, elements: Iterable,
-                 identity, tables: Sequence) -> None:
-        """tables holds for each generator g the list i -> position of
-        g * x_i, positions in elements as passed."""
+    def __init__(self, generators: Sequence, tables: Sequence,
+                 images: list, decode: Callable) -> None:
+        """tables holds for each generator g the list i -> index(g x_i),
+        where x_i = decode(images[i]) and x_0 is the identity."""
         self.generators = list(generators)
-        els = list(elements)
-        keys = [x.sort_key() for x in els]
-        order = sorted(range(len(els)), key=keys.__getitem__)
-        self.elements = [els[i] for i in order]
-        self.identity = identity
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        # for each generator g, the table i -> index(g * x_i)
-        self.tables = [[rank[t[i]] for i in order] for t in tables]
-        self._e = self.index[identity]
-        self._tree: list[tuple[int, list[int], int]] | None = None
+        self.tables = list(tables)
+        self._images, self._decode = images, decode
+        self._tree: list[tuple[list[int], int]] | None = None
         self._conj: list[list[int]] | None = None
         self._orbits: list[set[int]] | None = None
         self._classes: list[frozenset] | None = None
@@ -173,35 +163,45 @@ class FinGroup:
                             f"group closure exceeded {bound} elements")
                     imgs.append(y)
                 table.append(j)
-        els = [decode(x) for x in imgs]
-        return cls(generators, els, els[0], tables)
+        return cls(generators, tables, imgs, decode)
+
+    @cached_property
+    def elements(self) -> list:
+        """The elements in index order."""
+        els = list(map(self._decode, self._images))
+        self._images = None  # the base images are not needed again
+        return els
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @property
+    def identity(self):
+        return self.elements[0]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.tables[0])
 
     def __contains__(self, x) -> bool:
         return x in self.index
 
     def _right(self, s: int) -> list[int]:
-        """The table i -> index(x_i x_s), filled along a breadth-first
-        spanning tree of the Cayley graph: x = g y gives x x_s = g (y x_s).
-        """
+        """The table i -> index(x_i x_s), filled along the spanning tree
+        of generate's search: x = g y gives x x_s = g (y x_s)."""
         if self._tree is None:
-            # steps (j, t, i) in search order: x_j = g x_i, t the table
-            # of g
-            self._tree, seen = [], [False] * self.order
-            seen[self._e] = True
-            queue = [self._e]
+            # replay generate's search, which numbered each element as it
+            # found it: x_j = g x_i, t the table of g, at the first step
+            # with t[i] = j; the queue holds the tables' own ints
+            self._tree, queue = [], [0]
             for i in queue:  # queue grows while the loop runs
                 for t in self.tables:
-                    j = t[i]
-                    if not seen[j]:
-                        seen[j] = True
-                        queue.append(j)
-                        self._tree.append((j, t, i))
+                    if t[i] == len(queue):
+                        queue.append(t[i])
+                        self._tree.append((t, i))
         r = [s] * self.order
-        for j, t, i in self._tree:
+        for j, (t, i) in enumerate(self._tree, 1):
             r[j] = t[r[i]]
         return r
 
@@ -209,7 +209,7 @@ class FinGroup:
         """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
         the identity under right multiplication by x."""
         r, out = self._right(i), [i]
-        while out[-1] != self._e:
+        while out[-1]:
             out.append(r[out[-1]])
         return out
 
@@ -217,13 +217,13 @@ class FinGroup:
         return len(self._powers(self.index[x]))
 
     def _conj_tables(self) -> list[list[int]]:
-        """For each generator g, the table i -> index(g^-1 x_i g)."""
+        """For each generator g, the table i -> index(g x_i g^-1)."""
         if self._conj is None:
             self._conj = []
             for t in self.tables:
-                # g^-1 (g x) g = x g
+                # g (x g) g^-1 = g x
                 c = [0] * self.order
-                for i, j in zip(t, self._right(t[self._e])):
+                for i, j in zip(self._right(t[0]), t):
                     c[i] = j
                 self._conj.append(c)
         return self._conj
@@ -267,8 +267,8 @@ class FinGroup:
         The seed is taken in index order, so few of its elements become
         generators."""
         member = [False] * self.order
-        member[self._e] = True
-        els, rights = [self._e], []
+        member[0] = True
+        els, rights = [0], []
         for s in sorted({self.index[x] for x in seed}):
             if member[s]:
                 continue
@@ -354,13 +354,13 @@ class FinGroup:
         return core
 
     def commutator_subgroup(self) -> frozenset:
+        """The normal closure N of the h^-1 (g h g^-1) over generators g
+        and h: modulo N the generators commute, so N is G'."""
         if self._commutator is None:
-            gens = self.generators
-            comms = []
-            for a in gens:
-                for b in gens:
-                    comms.append(a.inverse() * b.inverse() * a * b)
-            self._commutator = self.normal_closure(comms)
+            seeds = {t.index(c[t[0]])
+                     for t in self.tables for c in self._conj_tables()}
+            self._commutator = self.normal_closure(
+                self.elements[i] for i in seeds)
         return self._commutator
 
     def quotient(self, sub: frozenset) -> tuple["FinGroup", Callable]:
@@ -372,7 +372,7 @@ class FinGroup:
             raise ValueError("subgroup is not normal")
         tables = self.tables
         label = [-1] * self.order  # -1 until the coset is found
-        cosets = [[self.index[x] for x in sub]]
+        cosets = [[self.index[x] for x in sub]]  # N is coset 0
         for i in cosets[0]:
             label[i] = 0
         for coset in cosets:  # cosets grows while the loop runs
@@ -380,22 +380,16 @@ class FinGroup:
                 if label[t[coset[0]]] < 0:
                     image = [t[i] for i in coset]  # g x N, a whole coset
                     for i in image:
-                        label[i] = 0
+                        label[i] = len(cosets)
                     cosets.append(image)
-        # number the cosets by least index, which the reps are
-        cosets.sort(key=min)
-        for c, coset in enumerate(cosets):
-            for i in coset:
-                label[i] = c
-        reps = [min(c) for c in cosets]
-        gen_perms = [Perm(tuple(label[t[r]] for r in reps)) for t in tables]
-        q = FinGroup.generate(gen_perms, bound=max(2 * len(reps), 16))
+        gen_perms = [Perm(tuple(label[t[c[0]]] for c in cosets))
+                     for t in tables]
+        q = FinGroup.generate(gen_perms, bound=max(2 * len(cosets), 16))
         if q.order != self.order // len(sub):
             raise AssertionError("quotient order mismatch")
         # G/N acts regularly on the cosets, so an element of q is fixed by
         # where it sends N
-        by_image = {x.img[label[self.index[self.identity]]]: x
-                    for x in q.elements}
+        by_image = {x.img[0]: x for x in q.elements}
 
         def project(g) -> Perm:
             return by_image[label[self.index[g]]]
@@ -408,7 +402,7 @@ class FinGroup:
         q = self if len(comm) == 1 else self.quotient(comm)[0]
         factors = []
         while q.order > 1:
-            # the last element of largest order, in index (= sort) order
+            # the last element of largest order, in index order
             orders = [len(q._powers(i)) for i in range(q.order)]
             i = max(range(q.order), key=lambda j: (orders[j], j))
             factors.append(orders[i])
@@ -498,9 +492,9 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     if g.order % p != 0:
         return None
     for powers in _order_p_normal_subgroups(g, p):
-        y = g.elements[next(iter(powers))]
-        exps = [powers.get(g.index[gen * y * gen.inverse()])
-                for gen in g.generators]
+        # the exponents k with gen y gen^-1 = y^k, y the generator
+        y = next(iter(powers))
+        exps = [powers.get(c[y]) for c in g._conj_tables()]
         if None in exps:
             continue
         # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
@@ -597,9 +591,9 @@ def _primitive_root(p: int) -> int:
 
 def direct_product(a: FinGroup, b: FinGroup) -> FinGroup:
     """Direct product of two permutation groups, acting side by side."""
-    if not isinstance(a.identity, Perm) or not isinstance(b.identity, Perm):
+    if not all(isinstance(x.generators[0], Perm) for x in (a, b)):
         raise TypeError("direct_product expects permutation groups")
-    da, db = len(a.identity.img), len(b.identity.img)
+    da, db = len(a.generators[0].img), len(b.generators[0].img)
     idb = tuple(range(da, da + db))
     ida = tuple(range(da))
     gens = [Perm(g.img + idb) for g in a.generators]

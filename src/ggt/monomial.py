@@ -211,10 +211,6 @@ class MonomialMatrix(tuple):
     def is_identity(self) -> bool:
         return self[2] == 1 and all(i == j for j, i in enumerate(self[0]))
 
-    def sort_key(self) -> tuple:
-        # ordered as the tuple (perm, exps, n)
-        return self
-
     def to_json(self) -> dict:
         return {"perm": list(self.perm),
                 "diag": [str(x) for x in self.diag]}

@@ -119,12 +119,19 @@ _WEYL_ORDER = {
 }
 
 
+# every RootSystem parses its labels twice, and a uniqueness scan builds
+# thousands; only the 31 valid labels are ever cached
+@lru_cache(maxsize=None)
 def _parse_label(label: str) -> tuple[str, int]:
-    fam, n = label[0], int(label[1:])
-    lo, hi = _RANK_RANGE.get(fam, (1, 0))
-    if not lo <= n <= hi:
-        raise ValueError(f"unknown irreducible type {label!r}")
-    return fam, n
+    fam, rank = label[:1], label[1:]
+    # the canonical <family><rank> only: int() alone would also take a
+    # sign, zero padding, spaces, underscores and non-ASCII digits
+    if rank.isascii() and rank.isdigit() and rank[0] != "0":
+        n = int(rank)
+        lo, hi = _RANK_RANGE.get(fam, (1, 0))
+        if lo <= n <= hi:
+            return fam, n
+    raise ValueError(f"unknown irreducible type {label!r}")
 
 
 @dataclass(frozen=True)
@@ -217,9 +224,9 @@ class RootSystem:
 
     @classmethod
     def parse(cls, text: str) -> "RootSystem":
-        parts = [p.strip() for p in text.split("+") if p.strip()]
-        if not parts:
-            raise ValueError("empty root system")
+        parts = [p.strip() for p in text.split("+")]
+        if "" in parts:
+            raise ValueError(f"empty component in root system {text!r}")
         return cls(tuple(sorted(parts)))
 
     @property

@@ -161,6 +161,18 @@ def test_minuscule(capsys):
         {"dim_consistent", "full_cycle_witness"}
 
 
+def test_non_canonical_root_system_labels_exit_2(capsys):
+    # only canonical labels: A1+A01 is no spelling of A1+A1
+    for argv in (["weyl", "orders", "--type", "A01"],
+                 ["weyl", "orders", "--type", "A1+"],
+                 ["weyl", "orders", "--type", "A1+A01"],
+                 ["minuscule", "--type", "B0_3"]):
+        code, out = _run(capsys, argv)
+        assert code == 2 and out == "", argv
+    code, report = _report(capsys, ["weyl", "orders", "--type", "A1 + B2"])
+    assert code == 0 and report["results"]["root_system"] == "A1+B2"
+
+
 def test_group_analyze(capsys):
     code, report = _report(
         capsys, ["group", "analyze", "--preset", "metacyclic",

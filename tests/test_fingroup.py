@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggt import fingroup, monomial
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import (FinGroup, Perm, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
 from ggt.monomial import MonomialMatrix
 from ggt.roots import RootOfUnity
-from ggt.weilparams import build_tame_parameter
+from ggt.weilparams import build_tame_parameter, parameter_image
 from ggt.wildtwo import build_so_wild, so_wild_report
 
 
@@ -70,15 +71,14 @@ def test_closure_bound_stops_before_the_next_coset():
 
 
 def test_wild_sweep_product_count(monkeypatch):
-    # deterministic work of the m = 3..11 sweep: generate and the
-    # commutator closure run on index tables, so what multiplies is
-    # build_so_wild's shift check (2m), the 12 commutator seeds of each
-    # group and so_wild_report squaring the 2^(m-1) - 1 nontrivial
-    # commutators
+    # deterministic work of the m = 3..11 sweep: generate, the commutator
+    # seeds and closure run on index tables, so what multiplies is
+    # build_so_wild's shift check (2m) and so_wild_report squaring the
+    # 2^(m-1) - 1 nontrivial commutators
     made = _counting_mul(monkeypatch, MonomialMatrix)
     for m in (3, 5, 7, 9, 11):
         so_wild_report(build_so_wild(m))
-    assert len(made) == 70 + 60 + 1_359
+    assert len(made) == 70 + 1_359
 
 
 def test_generate_makes_no_products(monkeypatch):
@@ -313,9 +313,9 @@ def test_fin_group_json(monkeypatch):
     g = metacyclic(6, 7)
     made = _counting_mul(monkeypatch, Perm)
     data = g.to_json(d=6, type_np=(6, 7), ell=5)
-    # past generate only the 3 * 2^2 commutator seeds and the 2 * 2
-    # witness conjugates g y g^-1 multiply
-    assert len(made) == 12 + 4
+    # the commutator seeds and the witness conjugates g y g^-1 are read
+    # off the conjugation tables: past generate nothing multiplies
+    assert made == []
     assert data["order"] == 42
     assert data["gamma_d"] == {"d": 6, "order": 7}
     assert data["type_np"]["found"] is True
@@ -326,7 +326,6 @@ def test_perm_basics():
     a = Perm((1, 2, 0))
     assert (a * a.inverse()).is_identity
     assert Perm.identity(3).is_identity
-    assert a.sort_key() == (1, 2, 0)
     assert a * Perm((0, 2, 1)) == Perm((1, 0, 2))
     # degree one, where a single-index gather returns a bare item
     one = Perm((0,))
@@ -468,13 +467,63 @@ def test_is_type_np_is_cached(monkeypatch):
     # param tame asks a group for the same witness three times
     param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
     image = FinGroup.generate([param.inertia, param.frobenius])
-    made = _counting_mul(monkeypatch, MonomialMatrix)
+    searched = []
+    find = fingroup._find_type_np
+
+    def counting(g, n, p):
+        searched.append((n, p))
+        return find(g, n, p)
+
+    monkeypatch.setattr(fingroup, "_find_type_np", counting)
     first = is_type_np(image, 6, 43)
-    assert first is not None and made
+    assert first is not None
     assert is_type_np(image, 3, 43) is None
-    made.clear()
     assert is_type_np(image, 6, 43) is first
     assert is_type_np(image, 3, 43) is None
-    assert made == []
+    assert searched == [(6, 43), (3, 43)]
     with pytest.raises(ValueError):
         is_type_np(image, 6, 42)
+
+
+def _counting_decodes(monkeypatch) -> list:
+    made = []
+    make = monomial._make
+
+    def counting(perm, exps, n):
+        made.append(perm)
+        return make(perm, exps, n)
+
+    monkeypatch.setattr(monomial, "_make", counting)
+    return made
+
+
+def test_elements_are_decoded_on_demand(monkeypatch):
+    # the type (n, p) criterion reads indices only, so building the tame
+    # image and finding its witness decodes no element
+    param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
+    made = _counting_decodes(monkeypatch)
+    image = parameter_image(param)
+    assert is_type_np(image, 6, 43) is not None
+    assert image.order == 258 and made == []
+    # the elements are decoded once, on first use
+    first = image.elements
+    assert image.elements is first and len(made) == 258
+    assert len(set(first)) == 258 and first[0].is_identity
+
+
+def test_results_do_not_depend_on_generator_order():
+    # indices follow the generator list; every reported number is a
+    # group invariant, so reversing the list changes none of them
+    cases = [
+        (metacyclic(6, 7), (6, 7), 5),
+        (direct_product(cyclic(4), metacyclic(6, 7)), (6, 7), 2),
+        (_sym(4), (2, 3), 2),
+        (build_so_wild(5).group, (5, 2), 5),
+    ]
+    for grp, type_np, ell in cases:
+        other = FinGroup.generate(grp.generators[::-1])
+        assert other.elements != grp.elements
+        for d in (2, 6):
+            assert other.to_json(d, type_np, ell) == \
+                grp.to_json(d, type_np, ell), grp.order
+        assert other.abelianization() == grp.abelianization()

@@ -226,8 +226,14 @@ def test_root_system_parsing():
         RootSystem.parse("H4")
     with pytest.raises(ValueError):
         RootSystem.parse("D3")  # rank range starts at 4
-    with pytest.raises(ValueError):
-        RootSystem.parse("")
+    # spaces around + are fine; anything but the canonical
+    # <family><rank> and an empty component are not
+    assert RootSystem.parse("A1 + B2").label == "A1+B2"
+    for text in ("", "A01", "G02", "B0_3", "A 1", "A+1", "a1", "A-1",
+                 "A\u0661", "A1+", "+A1", "A1++B2", "A1+ +B2",
+                 "A1+A01"):
+        with pytest.raises(ValueError):
+            RootSystem.parse(text)
 
 
 @given(st.frozensets(st.integers(1, 60), min_size=1, max_size=12))
