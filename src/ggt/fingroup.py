@@ -140,7 +140,8 @@ class FinGroup:
     def generate(cls, generators: Sequence,
                  bound: int = DEFAULT_CLOSURE_BOUND) -> "FinGroup":
         """Breadth-first closure by left multiplication, recording each
-        generator's table.  Errors past the bound.
+        generator's table.  Errors past the bound, which must be
+        positive.
 
         The search runs on base images: the element type's point_action
         hook gives the identity's base images, each generator as a
@@ -149,6 +150,8 @@ class FinGroup:
         """
         if not generators:
             raise ValueError("need at least one generator")
+        if bound < 1:
+            raise ValueError(f"bound must be positive, got {bound}")
         start, phis, decode = generators[0].point_action(generators, bound)
         imgs, pos = [start], {start: 0}
         tables = [[] for _ in phis]

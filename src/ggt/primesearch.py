@@ -144,8 +144,11 @@ def find_prime_pair(req: SearchRequest,
     Scans p ascending through the progression 1 mod 2n (forced by the
     order condition), and for each admissible p scans q ascending through
     the progression cut out by the splitting congruences.  Raises
-    SearchExhausted when no pair exists with p, q below the ceiling.
+    SearchExhausted when no pair exists with p, q below the ceiling, and
+    ValueError for a ceiling below 2, under which no prime lies.
     """
+    if ceiling < 2:
+        raise ValueError(f"ceiling must be at least 2, got {ceiling}")
     two_n = 2 * req.n
     moduli = surrogate_moduli(req.ell, req.d, req.conductor_bound)
     step_q = lcm(*moduli) if moduli else 1

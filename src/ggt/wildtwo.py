@@ -3,13 +3,20 @@
 Two constructions live here.  For odd orthogonal groups, the image is a
 group of m x m sign-monomial matrices: m diagonal involutions, each with
 exactly two -1 entries in cyclically shifted positions, together with the
-m-cycle permuting them.  For G2, the image is the order-168 extension of
-F_8 by its multiplicative group and its field automorphisms, realized
-through the 21-dimensional monomial representation induced from the
-nontrivial additive character of F_8.  The G2 side runs on tables: F_8
-multiplication and Frobenius powers are looked up, the group is closed
-by FinGroup.generate, and the model is checked to be a homomorphism on
-the group's left multiplication tables.
+m-cycle permuting them.  build_so_wild closes it exhaustively; the report
+reads every clause off the F_2[C_m]-module instead.  A sign vector is an
+int bitmask, V is the F_2 span of the shifted sign vectors (for the
+wild image the even-weight code), the cycle acts on V as x does on
+F_2[x]/(x^m - 1), and the group is V x| C_m, which the closure's order
+confirms.  Its commutator subgroup is (1 + x)V, its abelianization
+V/(1 + x)V x C_m, and since no nontrivial power of an m-cycle fixes a
+point, the character norm is a sum over V alone.  For G2, the image is
+the order-168 extension of F_8 by its multiplicative group and its
+field automorphisms, realized through the 21-dimensional monomial
+representation induced from the nontrivial additive character of F_8.
+The G2 side runs on tables: F_8 multiplication and Frobenius powers are
+looked up, the group is closed by FinGroup.generate, and the model is
+checked to be a homomorphism on the group's left multiplication tables.
 
 All character arithmetic is exact: traces are integers, constituent
 values are integer vectors in Z[omega], omega a cube root of unity, and
@@ -19,6 +26,8 @@ inner products must come out as exact nonnegative integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded
@@ -67,6 +76,8 @@ def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
     """
     if m % 2 == 0 or not 3 <= m <= 15:
         raise ValueError(f"m must be odd in [3, 15], got {m}")
+    if bound < 1:
+        raise ValueError(f"bound must be positive, got {bound}")
     expected = 2 ** (m - 1) * m
     if expected > bound:
         raise ResourceBoundExceeded(
@@ -90,6 +101,77 @@ def _character_tuples(m: int) -> list[tuple[int, ...]]:
             for i in range(m)]
 
 
+def _xor_basis(vectors: Iterable[int]) -> list[int]:
+    """A basis of the F_2 span of the bitmasks, one per leading bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return list(basis.values())
+
+
+def _sign_module(gens: Sequence[MonomialMatrix], m: int
+                 ) -> tuple[list[int], Callable[[int], int]]:
+    """A basis of V and the cycle's action on sign vectors.
+
+    The generators must be +-1 diagonal matrices and one permutation
+    matrix that is an m-cycle c.  Bit j of a sign vector is set when
+    entry j is -1; c D c^-1 moves entry j to c's image of j, and V is the
+    span of every shift of the diagonal generators."""
+    signs, cycles = [], []
+    for g in gens:
+        perm, exps, n = g
+        if len(perm) != m or n > 2:
+            raise ValueError(f"{g} is not an m x m sign-monomial matrix")
+        if all(i == j for j, i in enumerate(perm)):
+            signs.append(sum(e << j for j, e in enumerate(exps)))
+            continue
+        j, length = perm[0], 1
+        while j != 0:
+            j, length = perm[j], length + 1
+        if n != 1 or length != m:
+            raise ValueError(f"{g} is neither a sign matrix nor an m-cycle")
+        cycles.append(perm)
+    if len(cycles) != 1:
+        raise ValueError(f"need exactly one m-cycle, got {len(cycles)}")
+    cycle = cycles[0]
+
+    def shift(v: int) -> int:
+        return sum(1 << cycle[j] for j in range(m) if v >> j & 1)
+
+    orbit = []
+    for v in signs:
+        for _ in range(m):
+            orbit.append(v)
+            v = shift(v)
+    return _xor_basis(orbit), shift
+
+
+def _trace_square_sum(m: int, basis: Sequence[int]) -> int:
+    """The sum of tr(v)^2 = (m - 2 wt v)^2 over the span of basis, by a
+    Gray-code walk: step k flips the basis vector at k's lowest set bit."""
+    v, total = 0, m * m
+    for k in range(1, 1 << len(basis)):
+        v ^= basis[(k & -k).bit_length() - 1]
+        total += (m - 2 * v.bit_count()) ** 2
+    return total
+
+
+def _invariant_factors(orders: Iterable[int]) -> list[int]:
+    """Invariant factors d1 | d2 | ... of a product of cyclic groups:
+    C_a x C_b = C_gcd(a, b) x C_lcm(a, b)."""
+    ds = list(orders)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return [d for d in ds if d > 1]
+
+
 def so_wild_report(w: WildImageSO) -> dict:
     """All structure clauses for the odd orthogonal wild image, exactly.
 
@@ -97,27 +179,41 @@ def so_wild_report(w: WildImageSO) -> dict:
     order 2^(m-1), determinant identically 1, irreducibility by character
     norm, self-duality because every element's trace is an integer, and
     for m = 7 the negative eigenvalue arrangement result.
+
+    Each clause comes from the F_2[C_m]-module V of sign vectors that the
+    generators span, which must be +-1 diagonal matrices and one m-cycle
+    (else ValueError); the group is read only for its order, which must
+    be 2^dim(V) * m, and its generators.  No element is multiplied or
+    decoded.
     """
     m, grp = w.m, w.group
-    comm = grp.commutator_subgroup()
-    elementary = all(x * x == grp.identity for x in comm
-                     if x != grp.identity)
+    basis, shift = _sign_module(grp.generators, m)
+    # V and <c> meet trivially, so the closure is V x| <c> exactly when
+    # the orders agree
+    if 2 ** len(basis) * m != grp.order:
+        raise AssertionError(f"closure has order {grp.order}, the module "
+                             f"gives {2 ** len(basis) * m}")
+    # G' is the image of 1 + x on V, a subgroup of the elementary abelian V
+    comm = _xor_basis(v ^ shift(v) for v in basis)
+    abelian = _invariant_factors([2] * (len(basis) - len(comm)) + [m])
 
     # det is a homomorphism and generate closed the group over these
     # generators, so they decide it
     det_trivial = all(g.det().is_one for g in grp.generators)
 
-    # trace_int admits only +-1 on the diagonal, so the character is
-    # integer-valued: chi(g^-1) = chi(g), and it is self-dual
-    norm = sum(g.trace_int() ** 2 for g in grp.elements)
+    # every entry is +-1, so the character is integer-valued: chi(g^-1) =
+    # chi(g), and it is self-dual; tr(v c^k) = 0 for k != 0, so the norm
+    # sums over V
+    norm = _trace_square_sum(m, basis)
     if norm % grp.order != 0:
         raise AssertionError("character norm is not an integer")
 
     tuples = _character_tuples(m)
-    # joint kernel of the shifted characters inside the full sign group
-    kernel = [v for v in range(2 ** m)
-              if all(sum((v >> j) & 1 for j in range(m)
-                         if t[j] == -1) % 2 == 0 for t in tuples)]
+    # the joint kernel of the shifted characters inside the full sign
+    # group is {0, 1...1} when their rows have rank m - 1 and even weight
+    rows = [sum(1 << j for j, s in enumerate(t) if s == -1) for t in tuples]
+    joint_kernel = (len(_xor_basis(rows)) == m - 1
+                    and all(r.bit_count() % 2 == 0 for r in rows))
 
     g2_obstruction = None
     if m == 7:
@@ -125,20 +221,19 @@ def so_wild_report(w: WildImageSO) -> dict:
         eigs = [ONE] * 5 + [RootOfUnity(1, 2)] * 2
         g2_obstruction = not g2_admissible_eigenvalues(eigs)
 
-    abelian = grp.abelianization()
     return {
         "m": m,
         "order": grp.order,
         "order_expected": grp.order == 2 ** (m - 1) * m,
         "abelianization": abelian,
         "abelianization_cyclic_m": abelian == [m],
-        "commutator": {"order": len(comm), "elementary_abelian": elementary},
-        "commutator_expected": len(comm) == 2 ** (m - 1) and elementary,
+        "commutator": {"order": 2 ** len(comm), "elementary_abelian": True},
+        "commutator_expected": len(comm) == m - 1,
         "det_trivial": det_trivial,
         "irreducible": norm == grp.order,
         "selfdual": True,
         "conjugates_distinct": len(set(tuples)) == m,
-        "joint_kernel_is_diagonal": kernel == [0, 2 ** m - 1],
+        "joint_kernel_is_diagonal": joint_kernel,
         "g2_obstruction": g2_obstruction,
     }
 

@@ -117,6 +117,24 @@ def test_wild_so_exit_codes(capsys):
     assert code == 2
 
 
+def _usage_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", argv
+    assert err.startswith("ggt: ") and err.count("\n") == 1, argv
+    assert "Traceback" not in err and "resource bound" not in err, argv
+
+
+def test_non_positive_bounds_exit_2(capsys):
+    # a bound no group fits under and a ceiling no prime lies below are
+    # bad input, not a resource bound that was hit
+    for bound in ("0", "-5"):
+        _usage_error(capsys, ["wild", "so", "--m", "3", "--bound", bound])
+    for ceiling in ("1", "-1"):
+        _usage_error(capsys, ["primes", "--n", "3", "--ell", "3", "--t", "3",
+                              "--d", "5", "--ceiling", ceiling])
+
+
 def test_wild_g2(capsys):
     code, report = _report(capsys, ["wild", "g2"])
     assert code == 0
@@ -261,6 +279,12 @@ CLI_GOLDEN = {
     "group analyze --preset cyclic --m 1000 --gamma-d 3": "7e350347c12f04ea",
     "group analyze --preset metacyclic --m 6 --p 1009 --type-np 6,1009 "
     "--ell 5": "7b50686a7f12ccfa",
+    # as the exhaustive closure of the wild image produced them
+    "wild so --m 3": "58427e662b1e6a77",
+    "wild so --m 5": "ade6775249e2a16a",
+    "wild so --m 9": "019ab51b8cf2ecda",
+    "wild so --m 11": "ff96803e6050a190",
+    "wild so --m 13": "87e7751217b7301b",
 }
 
 

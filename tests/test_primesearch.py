@@ -102,6 +102,10 @@ def test_ell_two_flag():
 def test_search_exhausted():
     with pytest.raises(SearchExhausted):
         find_prime_pair(SearchRequest(1, 2, 1, 1), ceiling=3)
+    # no prime lies below 2, so such a ceiling is bad input
+    for ceiling in (1, 0, -1):
+        with pytest.raises(ValueError):
+            find_prime_pair(SearchRequest(1, 2, 1, 1), ceiling=ceiling)
 
 
 def test_minimal_p_monotone_in_d():

@@ -1,3 +1,7 @@
+from dataclasses import replace
+from math import comb
+from types import SimpleNamespace
+
 import pytest
 from test_fingroup import _counting_mul
 
@@ -5,7 +9,7 @@ from ggt import wildtwo
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import FinGroup
 from ggt.monomial import MonomialMatrix
-from ggt.roots import MINUS_ONE, ONE
+from ggt.roots import MINUS_ONE, ONE, RootOfUnity
 from ggt.wildtwo import (WildImageSO, build_g2_jordan, build_so_wild,
                          g2_jordan_report, mackey_decompose, so_wild_report)
 
@@ -24,15 +28,139 @@ def test_so_wild_smallest(so_wild):
     assert rep["g2_obstruction"] is None
 
 
-def test_so_wild_det_decided_on_generators():
-    # a single -1 has det -1; with the 3-cycle it generates all 24
-    # sign-monomial matrices of size 3, and the report must see it
-    flip = MonomialMatrix.diagonal((MINUS_ONE, ONE, ONE))
-    cycle = MonomialMatrix.permutation((2, 0, 1))
+def _signed_cycle_group(m, minus=(0,), cycle=None):
+    # -1 at the positions in minus, and an m-cycle, by default the one
+    # build_so_wild uses; a single -1 generates all 2^m m signed cyclic
+    # permutation matrices of size m
+    flip = MonomialMatrix.diagonal(tuple(MINUS_ONE if j in minus else ONE
+                                         for j in range(m)))
+    cycle = MonomialMatrix.permutation(
+        cycle or tuple((k - 1) % m for k in range(m)))
     grp = FinGroup.generate([flip, cycle])
-    assert grp.order == 24
-    w = WildImageSO(m=3, sign_gens=(flip,), cycle=cycle, group=grp)
+    return WildImageSO(m=m, sign_gens=(flip,), cycle=cycle, group=grp)
+
+
+def test_so_wild_det_decided_on_generators():
+    # a single -1 has det -1, and the report must see it
+    w = _signed_cycle_group(3)
+    assert w.group.order == 24
     assert so_wild_report(w)["det_trivial"] is False
+
+
+def _exhaustive_so_wild_report(w):
+    """The report computed from the closed group, element by element."""
+    m, grp = w.m, w.group
+    comm = grp.commutator_subgroup()
+    elementary = all(x * x == grp.identity for x in comm
+                     if x != grp.identity)
+    det_trivial = all(g.det().is_one for g in grp.generators)
+    norm = sum(g.trace_int() ** 2 for g in grp.elements)
+    assert norm % grp.order == 0
+    tuples = wildtwo._character_tuples(m)
+    kernel = [v for v in range(2 ** m)
+              if all(sum((v >> j) & 1 for j in range(m)
+                         if t[j] == -1) % 2 == 0 for t in tuples)]
+    g2_obstruction = None
+    if m == 7:
+        eigs = [ONE] * 5 + [MINUS_ONE] * 2
+        g2_obstruction = not wildtwo.g2_admissible_eigenvalues(eigs)
+    abelian = grp.abelianization()
+    return {
+        "m": m,
+        "order": grp.order,
+        "order_expected": grp.order == 2 ** (m - 1) * m,
+        "abelianization": abelian,
+        "abelianization_cyclic_m": abelian == [m],
+        "commutator": {"order": len(comm), "elementary_abelian": elementary},
+        "commutator_expected": len(comm) == 2 ** (m - 1) and elementary,
+        "det_trivial": det_trivial,
+        "irreducible": norm == grp.order,
+        "selfdual": True,
+        "conjugates_distinct": len(set(tuples)) == m,
+        "joint_kernel_is_diagonal": kernel == [0, 2 ** m - 1],
+        "g2_obstruction": g2_obstruction,
+    }
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+def test_so_wild_report_matches_the_closed_group(so_wild, m):
+    w = so_wild(m)
+    assert so_wild_report(w) == _exhaustive_so_wild_report(w)
+
+
+@pytest.mark.parametrize("m, minus, cycle, order, abelian", [
+    # V is all of F_2^m and (1 + x)V the even-weight code, so the
+    # abelianization is C_2 x C_m
+    (3, (0,), None, 24, [6]),
+    (4, (0,), None, 64, [2, 4]),
+    # 1 + x + x^3 divides x^7 - 1, so the shifts span a 4-dimensional V;
+    # along the cycle 0 3 1 6 2 5 4 the same signs read 1 + x + x^2,
+    # prime to x^7 - 1, and span F_2^7
+    (7, (0, 1, 3), None, 112, [14]),
+    (7, (0, 1, 3), (3, 6, 5, 1, 0, 4, 2), 896, [14]),
+])
+def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
+                                                  abelian):
+    w = _signed_cycle_group(m, minus, cycle)
+    rep = so_wild_report(w)
+    assert rep == _exhaustive_so_wild_report(w)
+    assert (rep["order"], rep["abelianization"]) == (order, abelian)
+
+
+def test_so_wild_report_does_no_group_work(monkeypatch):
+    w = build_so_wild(7)
+
+    def refuse(self):
+        raise AssertionError("commutator_subgroup called")
+
+    made = _counting_mul(monkeypatch, MonomialMatrix)
+    monkeypatch.setattr(FinGroup, "commutator_subgroup", refuse)
+    assert so_wild_report(w)["commutator"]["order"] == 64
+    assert made == []
+    assert "elements" not in w.group.__dict__
+
+
+@pytest.mark.parametrize("gens", [
+    # a diagonal entry that is not +-1
+    [MonomialMatrix.diagonal((RootOfUnity(1, 4), ONE, ONE)),
+     MonomialMatrix.permutation((2, 0, 1))],
+    # a transposition, not a 3-cycle
+    [MonomialMatrix.diagonal((MINUS_ONE, ONE, ONE)),
+     MonomialMatrix.permutation((1, 0, 2))],
+    # a signed cycle
+    [MonomialMatrix((2, 0, 1), (MINUS_ONE, ONE, ONE))],
+    # two cycles
+    [MonomialMatrix.permutation((2, 0, 1)),
+     MonomialMatrix.permutation((1, 2, 0))],
+])
+def test_so_wild_report_rejects_other_generators(gens):
+    w = WildImageSO(m=3, sign_gens=(), cycle=gens[-1],
+                    group=FinGroup.generate(gens))
+    with pytest.raises(ValueError):
+        so_wild_report(w)
+
+
+def test_so_wild_report_checks_the_closure_order(so_wild):
+    # the report reads only the group's order and generators, and a
+    # closure whose order is not 2^dim(V) * m fails it
+    w = so_wild(5)
+    wrong = SimpleNamespace(order=160, generators=w.group.generators)
+    with pytest.raises(AssertionError, match="closure has order 160"):
+        so_wild_report(replace(w, group=wrong))
+
+
+def test_trace_square_sum_closed_form():
+    # the weight enumerator of the even-weight code gives the norm
+    # sum over even w of C(m, w) (m - 2w)^2 = m 2^(m-1) = |G|
+    for m in range(1, 200, 2):
+        assert sum(comb(m, w) * (m - 2 * w) ** 2
+                   for w in range(0, m + 1, 2)) == m * 2 ** (m - 1)
+    for m in range(3, 16, 2):
+        gens = [wildtwo._sign_generator(m, 0), MonomialMatrix.permutation(
+            tuple((k - 1) % m for k in range(m)))]
+        basis, _ = wildtwo._sign_module(gens, m)
+        assert len(basis) == m - 1
+        assert wildtwo._trace_square_sum(m, basis) == m * 2 ** (m - 1)
 
 
 def test_so_wild_five(so_wild):
