@@ -8,11 +8,12 @@ from ggt import (build_g2_jordan, build_so_wild, g2_jordan_report,
                  mackey_decompose, so_wild_report)
 
 # For odd m the image inside SO(m) is generated by the cyclic coordinate
-# shift and sign flips on adjacent pairs.  The build closes the group
-# element by element; the report reads every clause off the sign vectors
-# as a module over F_2[x]/(x^m - 1), with exact integer arithmetic:
-# order (checked against the closure), abelianization, commutator
-# (1 + x)V, irreducibility via the character norm.
+# shift and sign flips on adjacent pairs.  Nothing closes the group: the
+# report reads every clause off the sign vectors as a module V over
+# F_2[x]/(x^m - 1), with exact integer arithmetic: order 2^dim(V) * m
+# (dim V by an F_2 rank, checked against the cyclic-code gcd),
+# abelianization, commutator (1 + x)V, irreducibility via the character
+# norm.
 for m in (3, 5, 7):
     rep = so_wild_report(build_so_wild(m))
     print(f"m = {m}: order {rep['order']} "

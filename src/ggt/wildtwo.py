@@ -3,14 +3,16 @@
 Two constructions live here.  For odd orthogonal groups, the image is a
 group of m x m sign-monomial matrices: m diagonal involutions, each with
 exactly two -1 entries in cyclically shifted positions, together with the
-m-cycle permuting them.  build_so_wild closes it exhaustively; the report
-reads every clause off the F_2[C_m]-module instead.  A sign vector is an
-int bitmask, V is the F_2 span of the shifted sign vectors (for the
-wild image the even-weight code), the cycle acts on V as x does on
-F_2[x]/(x^m - 1), and the group is V x| C_m, which the closure's order
-confirms.  Its commutator subgroup is (1 + x)V, its abelianization
-V/(1 + x)V x C_m, and since no nontrivial power of an m-cycle fixes a
-point, the character norm is a sum over V alone.  For G2, the image is
+m-cycle permuting them.  Nothing closes it: the report reads every
+clause off the F_2[C_m]-module.  A sign vector is an int bitmask, V is
+the F_2 span of the shifted sign vectors (for the wild image the
+even-weight code), the cycle acts on V as x does on F_2[x]/(x^m - 1),
+and the group is V x| C_m of order 2^dim(V) * m.  dim V is the F_2
+rank of the shifts and, as a cyclic code, m - deg gcd(x^m - 1, s_i(x));
+the two must agree.  Its commutator subgroup is (1 + x)V, its
+abelianization V/(1 + x)V x C_m, and since no nontrivial power of an
+m-cycle fixes a point, the character norm is a sum over V alone, read
+off the classes of coordinates that agree on V.  For G2, the image is
 the order-168 extension of F_8 by its multiplicative group and its
 field automorphisms, realized through the 21-dimensional monomial
 representation induced from the nontrivial additive character of F_8.
@@ -25,7 +27,9 @@ inner products must come out as exact nonnegative integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -50,12 +54,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WildImageSO:
-    """Sign-monomial image for the odd orthogonal group of size m."""
+    """Sign-monomial image for the odd orthogonal group of size m.
+
+    generators are what the report reads: +-1 diagonal matrices and one
+    m-cycle.  group closes them under bound on first access; no report
+    needs it, so only callers that ask for elements pay for the closure.
+    """
 
     m: int
     sign_gens: tuple[MonomialMatrix, ...]
     cycle: MonomialMatrix
-    group: FinGroup
+    generators: tuple[MonomialMatrix, ...]
+    bound: int = DEFAULT_CLOSURE_BOUND
+
+    @cached_property
+    def group(self) -> FinGroup:
+        return FinGroup.generate(list(self.generators), bound=self.bound)
 
     def eigenvalue_multiset(self) -> dict[int, int]:
         # every sign generator has the same spectrum: two -1, rest +1
@@ -72,7 +86,9 @@ def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
     """The monomial image for odd m between 3 and 15.
 
     Generated by one sign involution and the m-cycle; the other sign
-    involutions are its cycle conjugates.  Order 2^(m-1) * m.
+    involutions are its cycle conjugates, which is checked here.  Order
+    2^(m-1) * m, which must fit under bound; so_wild_report computes it
+    from the sign vectors, and nothing is closed here.
     """
     if m % 2 == 0 or not 3 <= m <= 15:
         raise ValueError(f"m must be odd in [3, 15], got {m}")
@@ -88,11 +104,8 @@ def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
     for j in range(m):
         if cycle * signs[j] * cyc_inv != signs[(j + 1) % m]:
             raise AssertionError("cycle does not shift the sign generators")
-    grp = FinGroup.generate([signs[0], cycle], bound=bound)
-    if grp.order != expected:
-        raise AssertionError(
-            f"closure has order {grp.order}, expected {expected}")
-    return WildImageSO(m=m, sign_gens=signs, cycle=cycle, group=grp)
+    return WildImageSO(m=m, sign_gens=signs, cycle=cycle,
+                       generators=(signs[0], cycle), bound=bound)
 
 
 def _character_tuples(m: int) -> list[tuple[int, ...]]:
@@ -115,13 +128,12 @@ def _xor_basis(vectors: Iterable[int]) -> list[int]:
 
 
 def _sign_module(gens: Sequence[MonomialMatrix], m: int
-                 ) -> tuple[list[int], Callable[[int], int]]:
-    """A basis of V and the cycle's action on sign vectors.
+                 ) -> tuple[list[int], tuple[int, ...]]:
+    """The sign vectors of the diagonal generators, and the m-cycle.
 
     The generators must be +-1 diagonal matrices and one permutation
     matrix that is an m-cycle c.  Bit j of a sign vector is set when
-    entry j is -1; c D c^-1 moves entry j to c's image of j, and V is the
-    span of every shift of the diagonal generators."""
+    entry j is -1; c D c^-1 moves entry j to c's image of j."""
     signs, cycles = [], []
     for g in gens:
         perm, exps, n = g
@@ -138,27 +150,59 @@ def _sign_module(gens: Sequence[MonomialMatrix], m: int
         cycles.append(perm)
     if len(cycles) != 1:
         raise ValueError(f"need exactly one m-cycle, got {len(cycles)}")
-    cycle = cycles[0]
+    return signs, cycles[0]
 
+
+def _span_of_shifts(signs: Sequence[int], cycle: Sequence[int]
+                    ) -> tuple[list[int], Callable[[int], int]]:
+    """An xor basis of V, the span of every shift of the sign vectors,
+    and the shift itself."""
     def shift(v: int) -> int:
-        return sum(1 << cycle[j] for j in range(m) if v >> j & 1)
+        return sum(1 << c for j, c in enumerate(cycle) if v >> j & 1)
 
     orbit = []
     for v in signs:
-        for _ in range(m):
+        for _ in range(len(cycle)):
             orbit.append(v)
             v = shift(v)
     return _xor_basis(orbit), shift
 
 
+def _poly_gcd(a: int, b: int) -> int:
+    """gcd over F_2 of polynomials as bitmasks, bit i the coefficient of
+    x^i, by Euclid."""
+    while b:
+        n = b.bit_length()
+        while a.bit_length() >= n:
+            a ^= b << (a.bit_length() - n)
+        a, b = b, a
+    return a
+
+
+def _cyclic_code_dim(signs: Sequence[int], cycle: Sequence[int]) -> int:
+    """dim V as a cyclic code in F_2[x]/(x^m - 1): m - deg g, g the gcd of
+    x^m - 1 and the sign vectors read along the cycle, the point c^t(0)
+    giving x^t, so that the shift is multiplication by x."""
+    m = len(cycle)
+    path = [0]
+    for _ in range(m - 1):
+        path.append(cycle[path[-1]])
+    g = 1 << m | 1
+    for v in signs:
+        g = _poly_gcd(g, sum(1 << t for t, j in enumerate(path)
+                             if v >> j & 1))
+    return m - (g.bit_length() - 1)
+
+
 def _trace_square_sum(m: int, basis: Sequence[int]) -> int:
-    """The sum of tr(v)^2 = (m - 2 wt v)^2 over the span of basis, by a
-    Gray-code walk: step k flips the basis vector at k's lowest set bit."""
-    v, total = 0, m * m
-    for k in range(1, 1 << len(basis)):
-        v ^= basis[(k & -k).bit_length() - 1]
-        total += (m - 2 * v.bit_count()) ** 2
-    return total
+    """The sum of tr(v)^2 = (m - 2 wt v)^2 over V, the span of basis.
+
+    tr(v)^2 sums (-1)^(v_j + v_k) over pairs of coordinates, and over V
+    a pair sums to |V| when j and k agree on every basis vector, else to
+    0; so the total is |V| times the squared sizes of those classes."""
+    classes = Counter(sum((b >> j & 1) << i for i, b in enumerate(basis))
+                      for j in range(m))
+    return 2 ** len(basis) * sum(n * n for n in classes.values())
 
 
 def _invariant_factors(orders: Iterable[int]) -> list[int]:
@@ -182,30 +226,32 @@ def so_wild_report(w: WildImageSO) -> dict:
 
     Each clause comes from the F_2[C_m]-module V of sign vectors that the
     generators span, which must be +-1 diagonal matrices and one m-cycle
-    (else ValueError); the group is read only for its order, which must
-    be 2^dim(V) * m, and its generators.  No element is multiplied or
-    decoded.
+    (else ValueError).  V is normal and meets <c> trivially, so the group
+    is V x| <c> and its order 2^dim(V) * m; dim V is computed twice, as
+    the F_2 rank of the shifted sign vectors and as m - deg gcd(x^m - 1,
+    s_i(x)), and the two must agree.  No group is closed, and no element
+    is multiplied or decoded.
     """
-    m, grp = w.m, w.group
-    basis, shift = _sign_module(grp.generators, m)
-    # V and <c> meet trivially, so the closure is V x| <c> exactly when
-    # the orders agree
-    if 2 ** len(basis) * m != grp.order:
-        raise AssertionError(f"closure has order {grp.order}, the module "
-                             f"gives {2 ** len(basis) * m}")
+    m = w.m
+    signs, cycle = _sign_module(w.generators, m)
+    basis, shift = _span_of_shifts(signs, cycle)
+    dim = _cyclic_code_dim(signs, cycle)
+    if dim != len(basis):
+        raise AssertionError(f"the shifts have rank {len(basis)}, the "
+                             f"cyclic code dimension {dim}")
+    order = 2 ** dim * m
     # G' is the image of 1 + x on V, a subgroup of the elementary abelian V
     comm = _xor_basis(v ^ shift(v) for v in basis)
     abelian = _invariant_factors([2] * (len(basis) - len(comm)) + [m])
 
-    # det is a homomorphism and generate closed the group over these
-    # generators, so they decide it
-    det_trivial = all(g.det().is_one for g in grp.generators)
+    # det is a homomorphism, so the generators decide it
+    det_trivial = all(g.det().is_one for g in w.generators)
 
     # every entry is +-1, so the character is integer-valued: chi(g^-1) =
     # chi(g), and it is self-dual; tr(v c^k) = 0 for k != 0, so the norm
     # sums over V
     norm = _trace_square_sum(m, basis)
-    if norm % grp.order != 0:
+    if norm % order != 0:
         raise AssertionError("character norm is not an integer")
 
     tuples = _character_tuples(m)
@@ -223,14 +269,14 @@ def so_wild_report(w: WildImageSO) -> dict:
 
     return {
         "m": m,
-        "order": grp.order,
-        "order_expected": grp.order == 2 ** (m - 1) * m,
+        "order": order,
+        "order_expected": order == 2 ** (m - 1) * m,
         "abelianization": abelian,
         "abelianization_cyclic_m": abelian == [m],
         "commutator": {"order": 2 ** len(comm), "elementary_abelian": True},
         "commutator_expected": len(comm) == m - 1,
         "det_trivial": det_trivial,
-        "irreducible": norm == grp.order,
+        "irreducible": norm == order,
         "selfdual": True,
         "conjugates_distinct": len(set(tuples)) == m,
         "joint_kernel_is_diagonal": joint_kernel,

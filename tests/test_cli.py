@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 from ggt.cli import main
 from ggt.primesearch import SearchCertificate, validate_certificate
@@ -115,6 +116,23 @@ def test_wild_so_exit_codes(capsys):
     assert code == 3 and out == ""
     code, _ = _run(capsys, ["wild", "so", "--m", "4"])
     assert code == 2
+
+
+def test_wild_so_fifteen_without_a_closure(capsys):
+    # the order comes from the module of sign vectors, so 245,760
+    # elements cost nothing once the bound admits them
+    start = time.perf_counter()
+    code, report = _report(capsys, ["wild", "so", "--m", "15",
+                                    "--bound", "245760"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    res = report["results"]
+    assert res["order"] == 245760 and res["abelianization"] == [15]
+    assert res["commutator"]["order"] == 2 ** 14
+    assert main(["wild", "so", "--m", "15"]) == 3
+    assert capsys.readouterr() == (
+        "", "ggt: resource bound: group of order 245760 exceeds bound "
+            "100000\n")
 
 
 def _usage_error(capsys, argv):

@@ -75,8 +75,8 @@ def test_closure_bound_stops_before_the_next_coset():
 
 
 def test_wild_sweep_product_count(monkeypatch):
-    # deterministic work of the m = 3..11 sweep: generate runs on index
-    # tables and so_wild_report on sign-vector bitmasks, so what
+    # deterministic work of the m = 3..11 sweep: build_so_wild closes
+    # nothing and so_wild_report works on sign-vector bitmasks, so what
     # multiplies is build_so_wild's shift check (2m)
     made = _counting_mul(monkeypatch, MonomialMatrix)
     for m in (3, 5, 7, 9, 11):

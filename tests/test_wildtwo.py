@@ -1,8 +1,9 @@
 from dataclasses import replace
 from math import comb
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_fingroup import _counting_mul
 
 from ggt import wildtwo
@@ -31,13 +32,13 @@ def test_so_wild_smallest(so_wild):
 def _signed_cycle_group(m, minus=(0,), cycle=None):
     # -1 at the positions in minus, and an m-cycle, by default the one
     # build_so_wild uses; a single -1 generates all 2^m m signed cyclic
-    # permutation matrices of size m
+    # permutation matrices of size m, which bounds the closure
     flip = MonomialMatrix.diagonal(tuple(MINUS_ONE if j in minus else ONE
                                          for j in range(m)))
     cycle = MonomialMatrix.permutation(
         cycle or tuple((k - 1) % m for k in range(m)))
-    grp = FinGroup.generate([flip, cycle])
-    return WildImageSO(m=m, sign_gens=(flip,), cycle=cycle, group=grp)
+    return WildImageSO(m=m, sign_gens=(flip,), cycle=cycle,
+                       generators=(flip, cycle), bound=2 ** m * m)
 
 
 def test_so_wild_det_decided_on_generators():
@@ -45,6 +46,32 @@ def test_so_wild_det_decided_on_generators():
     w = _signed_cycle_group(3)
     assert w.group.order == 24
     assert so_wild_report(w)["det_trivial"] is False
+
+
+def test_so_wild_group_closes_on_first_access_under_the_bound():
+    w = build_so_wild(5, bound=80)
+    assert "group" not in w.__dict__
+    assert w.group.order == 80 and w.group is w.group
+    # the full signed 3 x 3 group has order 24, past a bound of 12
+    with pytest.raises(ResourceBoundExceeded):
+        replace(_signed_cycle_group(3), bound=12).group
+
+
+def _gray_code_square_sum(m, basis):
+    """The sum of (m - 2 wt v)^2 over the span of basis, by a Gray-code
+    walk: step k flips the basis vector at k's lowest set bit."""
+    v, total = 0, m * m
+    for k in range(1, 1 << len(basis)):
+        v ^= basis[(k & -k).bit_length() - 1]
+        total += (m - 2 * v.bit_count()) ** 2
+    return total
+
+
+def _module_basis(w):
+    signs, cycle = wildtwo._sign_module(w.generators, w.m)
+    basis, _ = wildtwo._span_of_shifts(signs, cycle)
+    assert wildtwo._cyclic_code_dim(signs, cycle) == len(basis)
+    return basis
 
 
 def _exhaustive_so_wild_report(w):
@@ -98,6 +125,10 @@ def test_so_wild_report_matches_the_closed_group(so_wild, m):
     # prime to x^7 - 1, and span F_2^7
     (7, (0, 1, 3), None, 112, [14]),
     (7, (0, 1, 3), (3, 6, 5, 1, 0, 4, 2), 896, [14]),
+    # 1 + x^3 + x^6 divides x^9 - 1, so V has dimension 3; coordinates
+    # agree on V in the three classes mod 3, the norm is 8 (3^2 + 3^2 +
+    # 3^2) = 216 = 3 |G|, and the character is reducible
+    (9, (0, 3, 6), None, 72, [18]),
 ])
 def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
                                                   abelian):
@@ -105,19 +136,51 @@ def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
     rep = so_wild_report(w)
     assert rep == _exhaustive_so_wild_report(w)
     assert (rep["order"], rep["abelianization"]) == (order, abelian)
+    basis = _module_basis(w)
+    norm = wildtwo._trace_square_sum(m, basis)
+    assert norm == _gray_code_square_sum(m, basis)
+    assert rep["irreducible"] == (norm == order) == (m != 9)
+
+
+@given(st.data())
+def test_random_sign_groups_match_the_closed_group(data):
+    # any nonempty set of -1 positions and any m-cycle; the closure is
+    # bounded by 2^m m, at most 896 elements
+    m = data.draw(st.sampled_from([3, 5, 7]))
+    minus = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+    path = data.draw(st.permutations(range(m)))
+    cycle = [0] * m
+    for a, b in zip(path, path[1:] + path[:1]):
+        cycle[a] = b
+    w = _signed_cycle_group(m, tuple(minus), tuple(cycle))
+    rep = so_wild_report(w)
+    assert rep == _exhaustive_so_wild_report(w)
+    assert 2 ** len(_module_basis(w)) * m == w.group.order == rep["order"]
 
 
 def test_so_wild_report_does_no_group_work(monkeypatch):
-    w = build_so_wild(7)
-
     def refuse(self):
         raise AssertionError("commutator_subgroup called")
 
+    closures = []
+    generate = FinGroup.generate.__func__
+
+    def counting(cls, *args, **kwargs):
+        closures.append(args)
+        return generate(cls, *args, **kwargs)
+
     made = _counting_mul(monkeypatch, MonomialMatrix)
     monkeypatch.setattr(FinGroup, "commutator_subgroup", refuse)
-    assert so_wild_report(w)["commutator"]["order"] == 64
-    assert made == []
-    assert "elements" not in w.group.__dict__
+    monkeypatch.setattr(FinGroup, "generate", classmethod(counting))
+    for m in range(3, 14, 2):
+        w = build_so_wild(m)
+        del made[:]
+        rep = so_wild_report(w)
+        assert rep["commutator"]["order"] == 2 ** (m - 1)
+        # the report multiplies no element, and nothing closes the group
+        assert made == []
+        assert "group" not in w.__dict__
+    assert closures == []
 
 
 @pytest.mark.parametrize("gens", [
@@ -135,32 +198,35 @@ def test_so_wild_report_does_no_group_work(monkeypatch):
 ])
 def test_so_wild_report_rejects_other_generators(gens):
     w = WildImageSO(m=3, sign_gens=(), cycle=gens[-1],
-                    group=FinGroup.generate(gens))
+                    generators=tuple(gens))
     with pytest.raises(ValueError):
         so_wild_report(w)
 
 
-def test_so_wild_report_checks_the_closure_order(so_wild):
-    # the report reads only the group's order and generators, and a
-    # closure whose order is not 2^dim(V) * m fails it
+def test_so_wild_report_checks_the_two_dim_paths(so_wild, monkeypatch):
+    # the order is 2^dim(V) * m, and a cyclic-code dimension one off the
+    # xor rank fails the report
     w = so_wild(5)
-    wrong = SimpleNamespace(order=160, generators=w.group.generators)
-    with pytest.raises(AssertionError, match="closure has order 160"):
-        so_wild_report(replace(w, group=wrong))
+    code_dim = wildtwo._cyclic_code_dim
+    monkeypatch.setattr(wildtwo, "_cyclic_code_dim",
+                        lambda signs, cycle: code_dim(signs, cycle) + 1)
+    with pytest.raises(AssertionError, match="rank 4, the cyclic code "
+                                             "dimension 5"):
+        so_wild_report(w)
 
 
 def test_trace_square_sum_closed_form():
     # the weight enumerator of the even-weight code gives the norm
-    # sum over even w of C(m, w) (m - 2w)^2 = m 2^(m-1) = |G|
+    # sum over even w of C(m, w) (m - 2w)^2 = m 2^(m-1) = |G|, and both
+    # the coordinate classes and the Gray-code walk over V reach it
     for m in range(1, 200, 2):
         assert sum(comb(m, w) * (m - 2 * w) ** 2
                    for w in range(0, m + 1, 2)) == m * 2 ** (m - 1)
     for m in range(3, 16, 2):
-        gens = [wildtwo._sign_generator(m, 0), MonomialMatrix.permutation(
-            tuple((k - 1) % m for k in range(m)))]
-        basis, _ = wildtwo._sign_module(gens, m)
+        basis = _module_basis(build_so_wild(m, bound=2 ** (m - 1) * m))
         assert len(basis) == m - 1
-        assert wildtwo._trace_square_sum(m, basis) == m * 2 ** (m - 1)
+        assert (wildtwo._trace_square_sum(m, basis)
+                == _gray_code_square_sum(m, basis) == m * 2 ** (m - 1))
 
 
 def test_so_wild_five(so_wild):
