@@ -1,9 +1,19 @@
 """Integer number theory: primality, multiplicative orders, cyclotomic values.
 
 Everything here is exact integer arithmetic.  No floats, no probabilistic
-answers: the Miller-Rabin witness set below is deterministic below
-psi_12 ~ 3.2 * 10^23, which covers every 64-bit integer, and is_prime
-refuses larger inputs rather than give an unproven answer.
+answers: is_prime runs Miller-Rabin with the smallest proven witness set
+for the size of n.  Each tier below ends at the least strong pseudoprime
+to all of its witnesses, so every n under that limit is decided
+(Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993, Sorenson-Webster
+2015):
+
+    n < 1,373,653        bases 2, 3
+    n < 25,326,001       bases 2, 3, 5
+    n < 3,215,031,751    bases 2, 3, 5, 7
+    n < psi_12 ~ 3.2e23  the first 12 primes, 2 to 37
+
+The last tier covers every 64-bit integer; is_prime refuses larger inputs
+rather than give an unproven answer.
 """
 
 from __future__ import annotations
@@ -25,10 +35,15 @@ __all__ = [
     "PrimePair",
 ]
 
-# The first 12 primes as witnesses decide every n < psi_12; psi_12 itself
-# is the least strong pseudoprime to all of them (Sorenson-Webster 2015).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (limit, witnesses): the witnesses decide every n < limit, and the limit
+# itself is the least strong pseudoprime to all of them
 _MR_LIMIT = 318665857834031151167461  # psi_12 = 399165290221 * 798330580441
+_MR_TIERS = (
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (_MR_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -51,7 +66,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = next(w for limit, w in _MR_TIERS if n < limit)
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -13,6 +13,16 @@ bound d, the search wants the lexicographically least pair of odd primes
     ramified only at 2 and ell),
   * q of multiplicative order exactly 2n modulo p.
 
+The order condition forces p = 1 mod 2n, so p runs through that
+progression.  For each admissible p the q scan visits only candidates
+that already meet the last two conditions: the residues of exact order
+2n modulo p are h^k for one h of that order and every k prime to 2n, and
+the Chinese remainder theorem lifts each of them, with q = 1 mod step
+(step is the lcm of the surrogate moduli, made even, so prime to p), to
+one offset modulo step * p.  Walking the sorted offsets period by period
+meets the candidates in increasing order, so the first prime among them
+is the least q, and primality is tested only on those.
+
 Every certificate can be re-checked by validate_certificate, which
 recomputes all five conditions along deliberately separate code paths
 (trial division, naive order loops, direct group-order divisibility).
@@ -24,8 +34,8 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import ResourceBoundExceeded, SearchExhausted
-from .numth import (PrimePair, euler_phi, factorize, is_prime,
-                    min_k_order_appears, mult_order)
+from .numth import (PrimePair, factorize, is_prime, min_k_order_appears,
+                    mult_order)
 
 __all__ = [
     "SearchRequest",
@@ -110,7 +120,11 @@ def surrogate_moduli(ell: int, d: int, conductor_bound: int) -> list[int]:
     while two <= conductor_bound:
         pw = two
         while pw <= conductor_bound:
-            if euler_phi(pw) <= d:
+            # phi(N) = N * prod (1 - 1/r) over the primes r in {2, ell}
+            phi = pw // 2 if pw % 2 == 0 else pw
+            if ell != 2 and pw % ell == 0:
+                phi = phi // ell * (ell - 1)
+            if phi <= d:
                 out.add(pw)
             pw *= ell
         two *= 2
@@ -131,19 +145,14 @@ def splits_in_small_cyclotomics(q: int, ell: int, d: int,
                for N in surrogate_moduli(ell, d, conductor_bound))
 
 
-def _order_is(q: int, p: int, m: int, cofactors: list[int]) -> bool:
-    # ord_p(q) == m without computing the full order: cofactors holds
-    # m // r for each prime r dividing m
-    return pow(q, m, p) == 1 and all(pow(q, k, p) != 1 for k in cofactors)
-
-
 def find_prime_pair(req: SearchRequest,
                     ceiling: int = DEFAULT_CEILING) -> SearchCertificate:
     """Lexicographically least (p, q) meeting all five conditions.
 
     Scans p ascending through the progression 1 mod 2n (forced by the
     order condition), and for each admissible p scans q ascending through
-    the progression cut out by the splitting congruences.  Raises
+    the CRT progressions of the splitting congruences and the residues of
+    order 2n modulo p (see the module docstring).  Raises
     SearchExhausted when no pair exists with p, q below the ceiling, and
     ValueError for a ceiling below 2, under which no prime lies.
     """
@@ -152,6 +161,10 @@ def find_prime_pair(req: SearchRequest,
     two_n = 2 * req.n
     moduli = surrogate_moduli(req.ell, req.d, req.conductor_bound)
     step_q = lcm(*moduli) if moduli else 1
+    if step_q % 2 == 1:
+        step_q *= 2  # keep candidates odd
+    cofactors = [two_n // r for r in factorize(two_n)]
+    exponents = [k for k in range(1, two_n) if gcd(k, two_n) == 1]
     p = 1
     while True:
         p += two_n
@@ -162,27 +175,50 @@ def find_prime_pair(req: SearchRequest,
             continue
         if not check_degree_forcing(p, req.ell, req.t, req.n):
             continue
-        q = _scan_q(req, p, step_q, two_n, ceiling)
+        offsets = _order_offsets(p, step_q, two_n, cofactors, exponents)
+        q = _scan_q(req, p, step_q * p, offsets, ceiling)
         if q is not None:
             return _certify(req, p, q, moduli)
 
 
-def _scan_q(req: SearchRequest, p: int, step: int, two_n: int,
+def _order_offsets(p: int, step: int, two_n: int, cofactors: list[int],
+                   exponents: list[int]) -> list[int]:
+    """Sorted offsets o in [0, step * p) with o = 1 mod step and o of
+    multiplicative order exactly two_n modulo the prime p.
+
+    two_n divides p - 1 and gcd(step, p) = 1; cofactors holds two_n // r
+    for each prime r dividing two_n, and exponents every k in [1, two_n)
+    prime to two_n.
+    """
+    # x^((p-1)/two_n) has order dividing two_n, and exactly two_n when x
+    # generates the cyclic unit group; then its powers h^k, k prime to
+    # two_n, are all the residues of that order
+    e = (p - 1) // two_n
+    x = 2
+    h = pow(x, e, p)
+    while any(pow(h, c, p) == 1 for c in cofactors):
+        x += 1
+        h = pow(x, e, p)
+    inv = pow(step, -1, p)
+    # o = 1 + step * t with step * t = h^k - 1 mod p
+    return sorted(1 + step * ((pow(h, k, p) - 1) * inv % p)
+                  for k in exponents)
+
+
+def _scan_q(req: SearchRequest, p: int, period: int, offsets: list[int],
             ceiling: int) -> int | None:
-    # Smallest odd prime q = 1 mod step, distinct from p and ell, with
-    # ord_p(q) = 2n; None when the scan passes the ceiling.
-    if step % 2 == 1:
-        step *= 2  # keep candidates odd
-    cofactors = [two_n // r for r in factorize(two_n)]
-    q = 1
+    # Smallest prime q = base + o, distinct from p and ell, over the
+    # periods base = 0, period, 2 * period, ... and the sorted offsets o;
+    # None once a candidate reaches the ceiling.
+    base = 0
     while True:
-        q += step
-        if q >= ceiling:
-            return None
-        if q == p or q == req.ell or not is_prime(q):
-            continue
-        if _order_is(q, p, two_n, cofactors):
-            return q
+        for o in offsets:
+            q = base + o
+            if q >= ceiling:
+                return None
+            if q != p and q != req.ell and is_prime(q):
+                return q
+        base += period
 
 
 def _certify(req: SearchRequest, p: int, q: int,
@@ -292,16 +328,16 @@ def validate_certificate(cert: SearchCertificate) -> dict:
     out["degree_forcing"] = forcing_ok
     out["k_min_agrees"] = first_divisible == cert.k_min
 
-    mods = []
+    shapes = set()  # every 2^a * ell^b up to the bound, once (ell = 2 repeats)
     N = 1
     while N <= req.conductor_bound:
         M = N
         while M <= req.conductor_bound:
-            if _slow_phi(M) <= req.d:
-                mods.append(M)
+            shapes.add(M)
             M *= ell
         N *= 2
-    out["splitting_surrogate"] = all(q % M == 1 % M for M in sorted(set(mods)))
+    mods = [M for M in sorted(shapes) if _slow_phi(M) <= req.d]
+    out["splitting_surrogate"] = all(q % M == 1 % M for M in mods)
 
     out["order_exact"] = _slow_order(q, p) == 2 * req.n
 

@@ -231,6 +231,13 @@ def so_wild_report(w: WildImageSO) -> dict:
     the F_2 rank of the shifted sign vectors and as m - deg gcd(x^m - 1,
     s_i(x)), and the two must agree.  No group is closed, and no element
     is multiplied or decoded.
+
+    Three clauses are facts for every odd m, by construction, rather than
+    checks that could fail: `selfdual` (every entry is +-1, so every trace
+    is an integer), `commutator.elementary_abelian` (G' = (1 + x)V lies
+    in V) and `joint_kernel_is_diagonal` (the character rows are the
+    circulant of 1 + x, whose kernel is always the all-ones line).  They
+    are reported for the record; the JSON keeps them.
     """
     m = w.m
     signs, cycle = _sign_module(w.generators, m)

@@ -5,9 +5,11 @@ Criterion 1 runs first on purpose: it pays for the exact E7 and E8 coset
 tallies once, and the later scans reuse those cached order sets.
 """
 
+import hashlib
 import json
 from math import gcd
 
+from ggt import primesearch
 from ggt.cli import main
 from ggt.fingroup import (FinGroup, Perm, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
@@ -151,8 +153,17 @@ def test_criterion_6_orbit_lemma_exhaustive():
           "inverse at half-way in every one")
 
 
-def test_criterion_7_prime_search_grid():
-    cells = 0
+def test_criterion_7_prime_search_grid(monkeypatch):
+    calls = 0
+    search_is_prime = primesearch.is_prime
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return search_is_prime(n)
+
+    monkeypatch.setattr(primesearch, "is_prime", counted)
+    pairs = []
     for n in (1, 2, 3, 4):
         for ell in (2, 3, 5, 7):
             for t in (1, 2, 3, 4):
@@ -161,8 +172,16 @@ def test_criterion_7_prime_search_grid():
                     verdict = validate_certificate(cert)
                     assert verdict["all_ok"], (n, ell, t, d, verdict)
                     assert mult_order(cert.pair.q, cert.pair.p) == 2 * n
-                    cells += 1
+                    pairs.append([cert.pair.p, cert.pair.q])
+    cells = len(pairs)
     assert cells == 192
+    # the least pairs, equal to those a plain scan of every q = 1 mod step
+    # finds
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == \
+        "40df301072cc7ef974685d864b9de84d8f473785ae8b796e0a09a8def6b65929"
+    # deterministic work: the primality tests the search makes (testing
+    # every q = 1 mod step would take 9,911)
+    assert calls == 3615
     print(f"criterion 7: {cells} search cells validated independently")
 
 

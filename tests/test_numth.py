@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,46 @@ def test_is_prime_pseudoprime_traps():
     for n in (2**31 - 1, 999999937, 67280421310721):
         assert is_prime(n), n
     assert is_prime(2**64 - 59)  # the largest 64-bit prime
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_witness_tiers():
+    # each tier limit is the least strong pseudoprime to the bases of the
+    # tiers below it, so a limit handled by the lower tier reads as prime
+    tiers = [(2047, (2,)), (1_373_653, (2, 3)), (25_326_001, (2, 3, 5)),
+             (3_215_031_751, (2, 3, 5, 7))]
+    below = {2047: 2039, 1_373_653: 1_373_639, 25_326_001: 25_325_981,
+             3_215_031_751: 3_215_031_749}
+    for limit, bases in tiers:
+        assert all(_strong_probable_prime(limit, a) for a in bases), limit
+        assert not _trial_prime(limit) and not is_prime(limit), limit
+        p = below[limit]
+        assert _trial_prime(p) and is_prime(p), p
+        assert not any(_trial_prime(n) for n in range(p + 1, limit)), limit
+    # strong pseudoprimes to 2 with no factor up to 47, inside the first
+    # tier, and to 2 and 3, inside the second
+    for bases, spsp in (((2,), (8321, 42799, 49141, 65281, 80581)),
+                        ((2, 3), (1530787, 1987021, 2284453, 3116107,
+                                  5173601, 6787327, 11541307, 13694761,
+                                  15978007, 16070429, 16879501))):
+        for n in spsp:
+            assert all(_strong_probable_prime(n, a) for a in bases), n
+            assert not _trial_prime(n) and not is_prime(n), n
+    # windows just past the first two limits, and a seeded sample from
+    # the third tier
+    rng = random.Random(13)
+    sample = [*range(1_373_653, 1_375_653), *range(25_326_001, 25_327_001),
+              *(rng.randrange(25_326_001, 3_215_031_751) for _ in range(300))]
+    for n in sample:
+        assert is_prime(n) == _trial_prime(n), n
 
 
 def test_is_prime_refuses_past_proven_range():

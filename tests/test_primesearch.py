@@ -1,11 +1,13 @@
+import itertools
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggt import primesearch
 from ggt.errors import SearchExhausted
-from ggt.numth import PrimePair
+from ggt.numth import PrimePair, factorize
 from ggt.primesearch import (SearchCertificate, SearchRequest,
                              check_degree_forcing, find_prime_pair,
                              splits_in_small_cyclotomics, surrogate_moduli,
@@ -155,6 +157,12 @@ def test_validator_catches_tampering():
     assert not verdict["splitting_surrogate"]
     assert not verdict["all_ok"]
 
+    # 13 has order 2 mod 7 and is 1 mod 12, but 5 mod 8, and phi(8) = 4 = d
+    bad = SearchCertificate(request=SearchRequest(1, 3, 1, 4),
+                            pair=PrimePair(7, 13, 2), k_min=3, checks={})
+    verdict = validate_certificate(bad)
+    assert not verdict["splitting_surrogate"] and verdict["order_exact"]
+
     data = cert.to_json()
     data["k_min"] = cert.k_min + 1
     verdict = validate_certificate(SearchCertificate.from_json(data))
@@ -168,3 +176,84 @@ def test_certificate_json_round_trip():
     assert again.request == cert.request
     v = validate_certificate(again)
     assert v["all_ok"] and v["k_min_agrees"]
+
+
+def test_validator_uses_no_search_helper(monkeypatch):
+    certs = [find_prime_pair(SearchRequest(*args))
+             for args in ((1, 2, 1, 1), (3, 3, 3, 5), (4, 7, 4, 10))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validator called a search-side helper")
+
+    for name in ("is_prime", "factorize", "mult_order", "min_k_order_appears",
+                 "_order_offsets", "_scan_q", "surrogate_moduli",
+                 "check_degree_forcing", "splits_in_small_cyclotomics"):
+        monkeypatch.setattr(primesearch, name, refuse)
+    # euler_phi as well, in case the module binds it
+    monkeypatch.setattr(primesearch, "euler_phi", refuse, raising=False)
+    for cert in certs:
+        assert validate_certificate(cert)["all_ok"], cert.request
+
+
+def _naive_order_is(a, p, m):
+    x = 1
+    for k in range(1, m + 1):
+        x = x * a % p
+        if x == 1:
+            return k == m
+    return False
+
+
+def test_order_offsets_against_filter():
+    # every o < step * p with o = 1 mod step and order exactly 2n mod p
+    # at p = 43 and 109 the least non-residue is a cube, so its power
+    # (p - 1) / 6 has order 2, not 6
+    for p, step, n in ((3, 2, 1), (7, 2, 3), (13, 24, 2), (17, 8, 4),
+                       (41, 30, 4), (73, 4, 3), (43, 2, 3), (109, 12, 3)):
+        two_n = 2 * n
+        cofactors = [two_n // r for r in factorize(two_n)]
+        exponents = [k for k in range(1, two_n) if gcd(k, two_n) == 1]
+        want = [o for o in range(step * p)
+                if o % step == 1 and _naive_order_is(o, p, two_n)]
+        assert primesearch._order_offsets(p, step, two_n, cofactors,
+                                          exponents) == want, (p, step, n)
+
+
+def _least_pair_oracle(n, ell, t, d, ceiling, bound=100):
+    # lexicographic scan of all (p, q) below the ceiling: trial division,
+    # phi by gcd counts, orders by repeated multiplication
+    primes = [x for x in range(3, ceiling) if _trial_prime(x)]
+    moduli = _moduli_oracle(ell, d, bound)
+    for p in primes:
+        if p <= d or p == ell:
+            continue
+        f = next(k for k in range(1, p) if pow(ell, k, p) == 1)
+        if any(f // gcd(f, 2 * i) % t for i in range(1, n + 1)):
+            continue
+        for q in primes:
+            if (q not in (p, ell) and all(q % N == 1 % N for N in moduli)
+                    and _naive_order_is(q, p, 2 * n)):
+                return p, q
+    return None
+
+
+def _trial_prime(x):
+    return x > 1 and all(x % f for f in range(2, int(x**0.5) + 1))
+
+
+def test_least_pair_against_brute_force():
+    for n, ell, t, d in itertools.product((1, 2), (2, 3), (1, 2), (1, 5)):
+        req = SearchRequest(n, ell, t, d)
+        cert = find_prime_pair(req)
+        p, q = cert.pair.p, cert.pair.q
+        # q may lie below p, as in (5, 3) for n = 2, ell = 2
+        top = max(p, q) + 1
+        assert _least_pair_oracle(n, ell, t, d, top) == (p, q), req
+        for ceiling in (p + 1, q, q + 1, (p + q) // 2):
+            want = _least_pair_oracle(n, ell, t, d, ceiling)
+            if want is None:
+                with pytest.raises(SearchExhausted):
+                    find_prime_pair(req, ceiling=ceiling)
+            else:
+                got = find_prime_pair(req, ceiling=ceiling)
+                assert (got.pair.p, got.pair.q) == want, (req, ceiling)
