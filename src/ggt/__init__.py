@@ -6,7 +6,7 @@ criteria of type (n, p)."""
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded, SearchExhausted
-from .fingroup import (FinGroup, Perm, TypeNPWitness, cyclic, direct_product,
+from .fingroup import (FinGroup, TypeNPWitness, cyclic, direct_product,
                        is_type_np, is_type_npl, metacyclic)
 from .monomial import MonomialMatrix
 from .numth import (PrimePair, cyclotomic_poly, cyclotomic_value, euler_phi,
@@ -32,7 +32,7 @@ from .wildtwo import (Constituent, G2JordanGroup, WildImageSO,
 
 __all__ = [
     "Cyc", "ResourceBoundExceeded", "SearchExhausted",
-    "FinGroup", "Perm", "TypeNPWitness", "cyclic", "direct_product",
+    "FinGroup", "TypeNPWitness", "cyclic", "direct_product",
     "is_type_np", "is_type_npl", "metacyclic",
     "MonomialMatrix",
     "PrimePair", "cyclotomic_poly", "cyclotomic_value", "euler_phi",

@@ -1,21 +1,18 @@
 """A small engine for concrete finite groups.
 
-Elements are immutable objects with *, .inverse(), equality, hashing and
-a point_action hook.  Permutations live here as image tuples, monomial
-matrices in ggt.monomial as a permutation plus integer exponents; both
-multiply by one itemgetter gather.
+Every element is a MonomialMatrix (ggt.monomial), a permutation matrix
+when its modulus is 1.  cyclic(n) is the 1x1 matrix diag(zeta_n), and
+metacyclic(m, p) the m x m group over mu_p induced from a character of
+Z/p (Serre, Linear Representations of Finite Groups, ch. 7).
 
 FinGroup.generate closes the generators by a breadth-first search on
-base images (Seress, Permutation Group Algorithms, 2003, ch. 4).  The
-element type's point_action hook lets the group act on a finite set of
-points: every point of a permutation, the vectors zeta^e e_j of a
-monomial matrix.  An element is the tuple of its images of a base,
-points whose images determine it, so left multiplication by g is one
-gather of g's point table through that tuple, with no product.  An
-element's index is the position where the search first finds it, so
+base images (Seress, Permutation Group Algorithms, 2003, ch. 4): an
+element is the tuple of its images of the base vectors e_j among the
+points zeta^e e_j (monomial.point_action), so left multiplication by g
+is one gather of g's point table through that tuple, with no product.
+An element's index is the position where the search first finds it, so
 the identity is 0, and for each generator g the group keeps the table
-i -> index(g * x_i).  Elements are decoded from their base images only
-when first asked for.  Every group is made this way.
+i -> index(g * x_i).  Elements are decoded only when first asked for.
 
 The rest runs on indices and multiplies no element.  The search's
 spanning tree of the Cayley graph gives, for any element s, the table
@@ -24,25 +21,28 @@ Conjugation by a generator g is the table x g -> g x, so the conjugacy
 classes, normality tests and normal closures are orbits of index
 tables, and the commutator subgroup is the normal closure of the
 h^-1 (g h g^-1) for generators g and h.  g (x N) = g x N, so pushing the
-normal subgroup N through the tables labels every coset of a quotient.
-The powers of x are the cycle of the identity under right
-multiplication by x, which gives element orders.  Subgroup closures run
-Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
-Groups, 1991) on indices: a seed element s outside the group H generated
-so far adds whole right cosets, and H r s is the coset H r pushed
-through the table of s.  Every reported number is an invariant of the
-group, so none depends on how the elements are numbered.
+normal subgroup N through the tables labels the cosets in the order a
+search on G/N finds them: the labels are the quotient's tables, and its
+elements are the permutation matrices of its regular action.  The powers
+of x are the cycle of the identity under right multiplication by x,
+which gives element orders.  In the abelian G/G', x -> x^p is a
+homomorphism, filled in along the spanning tree, and the numbers of
+elements its iterates kill give the invariant factors.  Subgroup closures run Dimino's algorithm (Butler,
+Fundamental Algorithms for Permutation Groups, 1991) on indices: a seed
+element s outside the group H generated so far adds whole right cosets,
+and H r s is the coset H r pushed through the table of s.  Every
+reported number is an invariant of the group, so none depends on how
+the elements are numbered.
 
 Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
 same normal closure (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, ch. 4), so normal_subgroups closes one conjugacy
 class per rational class.  The quotient by {1} is G itself: the
 ell-core criterion and the abelianization of an abelian group use G and
-never build its regular representation.  A type (n, p) witness
-builds the cyclic group <y> once, as the map y^k -> k that both tests
-normality and reads off the conjugation exponents.  The intended scale
-is a few tens of thousands of elements (the wild image at m = 13 has
-53,248).
+build no quotient.  A type (n, p) witness builds the cyclic group <y>
+once, as the map y^k -> k that both tests normality and reads off the
+conjugation exponents.  The intended scale is a few tens of thousands
+of elements (the wild image at m = 13 has 53,248).
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
-from .numth import is_prime, mult_order
+from .monomial import MonomialMatrix, gatherer, point_action
+from .numth import factorize, is_prime, mult_order
+from .roots import ONE, RootOfUnity
 
 __all__ = [
-    "Perm",
     "FinGroup",
     "TypeNPWitness",
     "is_type_np",
@@ -70,65 +70,21 @@ __all__ = [
 DEFAULT_CLOSURE_BOUND = 100_000
 
 
-def gatherer(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The map seq -> tuple(seq[i] for i in idx), one itemgetter if it can."""
-    if len(idx) < 2:
-        # itemgetter with one index returns a bare item, not a tuple
-        return lambda seq: tuple(seq[i] for i in idx)
-    return itemgetter(*idx)
-
-
-@dataclass(frozen=True)
-class Perm:
-    """Permutation of {0..n-1} as a tuple of images."""
-
-    img: tuple[int, ...]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.img) != len(other.img):
-            raise ValueError("degree mismatch")
-        return Perm(gatherer(other.img)(self.img))
-
-    @staticmethod
-    def point_action(gens: Sequence["Perm"], bound: int
-                     ) -> tuple[tuple[int, ...], list, Callable]:
-        """The hook of FinGroup.generate: the base is every point, so a
-        permutation is its own tuple of base images."""
-        n = len(gens[0].img)
-        if any(len(g.img) != n for g in gens):
-            raise ValueError("degree mismatch")
-        return tuple(range(n)), [g.img for g in gens], Perm
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.img)
-        for i, j in enumerate(self.img):
-            inv[j] = i
-        return Perm(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(n)))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.img))
-
-    def __repr__(self) -> str:
-        return f"Perm{self.img}"
-
-
 class FinGroup:
     """A finite group given by its Cayley tables, numbered in search
     order; the elements are decoded on first use."""
 
-    def __init__(self, generators: Sequence, tables: Sequence,
-                 images: list, decode: Callable) -> None:
+    def __init__(self, tables: Sequence, images: Sequence | None = None,
+                 decode: Callable | None = None) -> None:
         """tables holds for each generator g the list i -> index(g x_i),
-        where x_i = decode(images[i]) and x_0 is the identity."""
-        self.generators = list(generators)
+        numbered in breadth-first search order, x_0 the identity.  x_i is
+        decode(images[i]); with no decode it is the permutation matrix of
+        the regular action j -> index(x_j x_i^-1), as for a quotient."""
         self.tables = list(tables)
-        self._images, self._decode = images, decode
         self._tree: list[tuple[list[int], int]] | None = None
+        if decode is None:
+            images, decode = range(self.order), self._regular
+        self._images, self._decode = images, decode
         self._conj: list[list[int]] | None = None
         self._orbits: list[set[int]] | None = None
         self._classes: list[frozenset] | None = None
@@ -143,16 +99,16 @@ class FinGroup:
         generator's table.  Errors past the bound, which must be
         positive.
 
-        The search runs on base images: the element type's point_action
-        hook gives the identity's base images, each generator as a
-        table of point images and the map back to elements, so g * x is
-        one gather of g's table through x and no element is multiplied.
+        The search runs on base images: monomial.point_action gives the
+        identity's base images, each generator as a table of point images
+        and the map back to matrices, so g * x is one gather of g's table
+        through x and no element is multiplied.
         """
         if not generators:
             raise ValueError("need at least one generator")
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-        start, phis, decode = generators[0].point_action(generators, bound)
+        start, phis, decode = point_action(generators, bound)
         imgs, pos = [start], {start: 0}
         tables = [[] for _ in phis]
         for x in imgs:  # imgs grows while the loop runs
@@ -166,7 +122,11 @@ class FinGroup:
                             f"group closure exceeded {bound} elements")
                     imgs.append(y)
                 table.append(j)
-        return cls(generators, tables, imgs, decode)
+        return cls(tables, imgs, decode)
+
+    @cached_property
+    def generators(self) -> list:
+        return [self.elements[t[0]] for t in self.tables]
 
     @cached_property
     def elements(self) -> list:
@@ -190,23 +150,35 @@ class FinGroup:
     def __contains__(self, x) -> bool:
         return x in self.index
 
-    def _right(self, s: int) -> list[int]:
-        """The table i -> index(x_i x_s), filled along the spanning tree
-        of generate's search: x = g y gives x x_s = g (y x_s)."""
+    def _spanning_tree(self) -> list[tuple[list[int], int]]:
+        """(t, i) for j = 1, 2, ...: x_j = g x_i, t the table of g."""
         if self._tree is None:
-            # replay generate's search, which numbered each element as it
-            # found it: x_j = g x_i, t the table of g, at the first step
-            # with t[i] = j; the queue holds the tables' own ints
+            # replay the search that numbered each element as it found
+            # it: x_j = g x_i at the first step with t[i] = j; the queue
+            # holds the tables' own ints
             self._tree, queue = [], [0]
             for i in queue:  # queue grows while the loop runs
                 for t in self.tables:
                     if t[i] == len(queue):
                         queue.append(t[i])
                         self._tree.append((t, i))
-        r = [s] * self.order
-        for j, (t, i) in enumerate(self._tree, 1):
-            r[j] = t[r[i]]
+        return self._tree
+
+    def _right(self, s: int) -> list[int]:
+        """The table i -> index(x_i x_s), filled along the spanning tree:
+        x = g y gives x x_s = g (y x_s)."""
+        r = [s]
+        append = r.append
+        for t, i in self._spanning_tree():  # x_j = g x_i, j = 1, 2, ...
+            append(t[r[i]])
         return r
+
+    def _regular(self, s: int) -> MonomialMatrix:
+        """x_s as the permutation matrix e_i -> e_j, x_j = x_i x_s^-1."""
+        perm = [0] * self.order
+        for i, j in enumerate(self._right(s)):
+            perm[j] = i
+        return MonomialMatrix.permutation(tuple(perm))
 
     def _powers(self, i: int) -> list[int]:
         """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
@@ -367,51 +339,74 @@ class FinGroup:
         return self._commutator
 
     def quotient(self, sub: frozenset) -> tuple["FinGroup", Callable]:
-        """Quotient by a normal subgroup, as permutations of the cosets.
+        """Quotient by a normal subgroup, and the projection map.
 
-        Returns the quotient group and the projection map element -> Perm.
+        Pushing N through the generators' tables labels the cosets in the
+        order a search on G/N finds them, so the labels of g x N are the
+        quotient's tables and nothing is generated.  Its elements are the
+        permutation matrices of its regular action, decoded on first use.
         """
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
-        tables = self.tables
         label = [-1] * self.order  # -1 until the coset is found
         cosets = [[self.index[x] for x in sub]]  # N is coset 0
         for i in cosets[0]:
             label[i] = 0
         for coset in cosets:  # cosets grows while the loop runs
-            for t in tables:
+            for t in self.tables:
                 if label[t[coset[0]]] < 0:
                     image = [t[i] for i in coset]  # g x N, a whole coset
                     for i in image:
                         label[i] = len(cosets)
                     cosets.append(image)
-        gen_perms = [Perm(tuple(label[t[c[0]]] for c in cosets))
-                     for t in tables]
-        q = FinGroup.generate(gen_perms, bound=max(2 * len(cosets), 16))
-        if q.order != self.order // len(sub):
+        if len(cosets) * len(sub) != self.order:
             raise AssertionError("quotient order mismatch")
-        # G/N acts regularly on the cosets, so an element of q is fixed by
-        # where it sends N
-        by_image = {x.img[0]: x for x in q.elements}
+        q = FinGroup([[label[t[c[0]]] for c in cosets] for t in self.tables])
 
-        def project(g) -> Perm:
-            return by_image[label[self.index[g]]]
+        def project(g) -> MonomialMatrix:
+            return q.elements[label[self.index[g]]]
 
         return q, project
 
+    def _power_table(self, e: int) -> list[int]:
+        """i -> index(x_i^e) in an abelian group, filled along the
+        spanning tree: x_j = g x_i gives x_j^e = g^e x_i^e."""
+        times = {}  # id of g's table -> the table of x -> g^e x = x g^e
+        for t in self.tables:
+            y = 0
+            for _ in range(e):
+                y = t[y]
+            times[id(t)] = self._right(y)
+        out = [0]
+        for t, i in self._spanning_tree():  # x_j = g x_i, j = 1, 2, ...
+            out.append(times[id(t)][out[i]])
+        return out
+
     def abelianization(self) -> list[int]:
-        """Invariant factors d1 | d2 | ... of G made abelian."""
+        """Invariant factors d1 | d2 | ... of G made abelian.
+
+        In A = G/G', x -> x^p is a homomorphism, and #{x : x^(p^k) = 1}
+        is p^(r_1 + ... + r_k), where r_k counts the invariant factors
+        that p^k divides."""
         comm = self.commutator_subgroup()
-        q = self if len(comm) == 1 else self.quotient(comm)[0]
-        factors = []
-        while q.order > 1:
-            # the last element of largest order, in index order
-            orders = [len(q._powers(i)) for i in range(q.order)]
-            i = max(range(q.order), key=lambda j: (orders[j], j))
-            factors.append(orders[i])
-            q, _ = q.quotient(q.subgroup_closure([q.elements[i]]))
-        factors.reverse()
-        return factors
+        a = self if len(comm) == 1 else self.quotient(comm)[0]
+        factors: list[int] = []  # the largest first
+        for p, top in factorize(a.order).items():
+            step, x = a._power_table(p), list(range(a.order))
+            killed, ranks = 1, []
+            while killed < p ** top:
+                x = [step[i] for i in x]
+                now, r = x.count(0), 0
+                while killed * p ** r < now:
+                    r += 1
+                if r == 0 or killed * p ** r != now:
+                    raise AssertionError("power counts of no abelian group")
+                killed = now
+                ranks.append(r)
+            factors += [1] * (ranks[0] - len(factors))
+            for i in range(ranks[0]):
+                factors[i] *= p ** sum(r > i for r in ranks)
+        return factors[::-1]
 
     def ell_core(self, ell: int) -> frozenset:
         """The largest normal ell-subgroup."""
@@ -558,47 +553,40 @@ def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
 
 
 def cyclic(n: int) -> FinGroup:
-    """Z/n as the rotation group of n points."""
+    """Z/n as the 1x1 matrix diag(zeta_n)."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    gen = Perm(tuple((i + 1) % n for i in range(n)))
-    return FinGroup.generate([gen])
+    return FinGroup.generate([MonomialMatrix.diagonal((RootOfUnity(1, n),))])
 
 
 def metacyclic(m: int, p: int) -> FinGroup:
     """Z/p semidirect Z/m, the action faithful of order exactly m.
 
-    Realized inside the affine group of the line over F_p: translations
-    plus multiplication by an element of order m.  Requires m | p - 1.
+    Induced from a faithful character of Z/p: the translation is
+    diag(zeta_p^(a^i)), a of order m mod p, and the m-cycle e_i -> e_(i-1)
+    conjugates it to its a-th power, as x -> a x does x -> x + 1 on F_p.
+    Requires m | p - 1.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"m = {m} must divide p - 1 = {p - 1}")
-    g = _primitive_root(p)
-    a = pow(g, (p - 1) // m, p)
-    trans = Perm(tuple((i + 1) % p for i in range(p)))
-    mult = Perm(tuple(a * i % p for i in range(p)))
+    root = next(g for g in range(1, p) if mult_order(g, p) == p - 1)
+    a = pow(root, (p - 1) // m, p)
+    trans = MonomialMatrix.diagonal(
+        tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))
+    mult = MonomialMatrix.permutation(tuple((i - 1) % m for i in range(m)))
     grp = FinGroup.generate([trans, mult])
     if grp.order != m * p:
         raise AssertionError("metacyclic construction has wrong order")
     return grp
 
 
-def _primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if mult_order(g, p) == p - 1:
-            return g
-    raise AssertionError(f"no primitive root modulo {p}")
-
-
 def direct_product(a: FinGroup, b: FinGroup) -> FinGroup:
-    """Direct product of two permutation groups, acting side by side."""
-    if not all(isinstance(x.generators[0], Perm) for x in (a, b)):
-        raise TypeError("direct_product expects permutation groups")
-    da, db = len(a.generators[0].img), len(b.generators[0].img)
-    idb = tuple(range(da, da + db))
-    ida = tuple(range(da))
-    gens = [Perm(g.img + idb) for g in a.generators]
-    gens += [Perm(ida + tuple(i + da for i in h.img)) for h in b.generators]
+    """Direct product of any two groups, as block-diagonal matrices."""
+    da, db = a.generators[0].dim, b.generators[0].dim
+    gens = [MonomialMatrix(g.perm + tuple(range(da, da + db)),
+                           g.diag + (ONE,) * db) for g in a.generators]
+    gens += [MonomialMatrix(tuple(range(da)) + tuple(da + j for j in h.perm),
+                            (ONE,) * da + h.diag) for h in b.generators]
     return FinGroup.generate(gens, bound=a.order * b.order)

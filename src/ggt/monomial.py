@@ -20,14 +20,22 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mod, mul
+from operator import add, itemgetter, mod, mul
 from typing import Callable, Sequence
 
 from .errors import ResourceBoundExceeded
-from .fingroup import gatherer
 from .roots import ONE, RootOfUnity
 
 __all__ = ["MonomialMatrix", "antidiagonal_pairing"]
+
+
+def gatherer(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map seq -> tuple(seq[i] for i in idx), one itemgetter if it can."""
+    if len(idx) == 1:
+        # itemgetter with one index returns a bare item, not a tuple
+        i, = idx
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx) if idx else lambda seq: ()
 
 
 def antidiagonal_pairing(dim: int) -> tuple[int, ...]:
@@ -126,43 +134,6 @@ class MonomialMatrix(tuple):
         return _make(g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n))),
                      n)
 
-    @staticmethod
-    def point_action(gens: Sequence["MonomialMatrix"], bound: int
-                     ) -> tuple[tuple[int, ...], list, Callable]:
-        """The hook of FinGroup.generate.
-
-        Over mu_N, N the lcm of the generators' moduli, a point (j, e)
-        is the vector zeta^e e_j, and M sends it to (perm[j], exps[j] + e),
-        as M * X does to the columns of X.  The points are the orbit of
-        the base {(j, 0)}, at most dim * |G| of them, numbered with the
-        base first; an orbit past dim * bound points exceeds the bound."""
-        dim = gens[0].dim
-        if any(g.dim != dim for g in gens):
-            raise ValueError("dimension mismatch")
-        n = lcm(*(g.n for g in gens))
-        acts = [(g.perm, tuple(e * (n // g.n) for e in g.exps))
-                for g in gens]
-        points = [(j, 0) for j in range(dim)]
-        index = {p: i for i, p in enumerate(points)}
-        phis = [[] for _ in gens]
-        for j, e in points:  # points grows while the loop runs
-            for (perm, exps), phi in zip(acts, phis):
-                q = (perm[j], (exps[j] + e) % n)
-                i = index.setdefault(q, len(points))
-                if i == len(points):
-                    if i >= dim * bound:
-                        raise ResourceBoundExceeded(
-                            f"group closure exceeded {bound} elements")
-                    points.append(q)
-                phi.append(i)
-        cols, powers = zip(*points)
-
-        def decode(x: tuple[int, ...]) -> "MonomialMatrix":
-            g = gatherer(x)
-            return _make(g(cols), g(powers), n)
-
-        return tuple(range(dim)), phis, decode
-
     def inverse(self) -> "MonomialMatrix":
         perm, exps, n = self
         pinv = [0] * len(perm)
@@ -238,3 +209,41 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def point_action(gens: Sequence[MonomialMatrix], bound: int
+                 ) -> tuple[tuple[int, ...], list, Callable]:
+    """The identity's base images, each generator as a table of point
+    images and the map from base images back to matrices.
+
+    Over mu_N, N the lcm of the generators' moduli, a point (j, e)
+    is the vector zeta^e e_j, and M sends it to (perm[j], exps[j] + e),
+    as M * X does to the columns of X.  The points are the orbit of
+    the base {(j, 0)}, at most dim * |G| of them, numbered with the
+    base first; an orbit past dim * bound points exceeds the bound."""
+    dim = gens[0].dim
+    if any(g.dim != dim for g in gens):
+        raise ValueError("dimension mismatch")
+    n = lcm(*(g.n for g in gens))
+    acts = [(g.perm, tuple(e * (n // g.n) for e in g.exps))
+            for g in gens]
+    points = [(j, 0) for j in range(dim)]
+    index = {p: i for i, p in enumerate(points)}
+    phis = [[] for _ in gens]
+    for j, e in points:  # points grows while the loop runs
+        for (perm, exps), phi in zip(acts, phis):
+            q = (perm[j], (exps[j] + e) % n)
+            i = index.setdefault(q, len(points))
+            if i == len(points):
+                if i >= dim * bound:
+                    raise ResourceBoundExceeded(
+                        f"group closure exceeded {bound} elements")
+                points.append(q)
+            phi.append(i)
+    cols, powers = zip(*points)
+
+    def decode(x: tuple[int, ...]) -> MonomialMatrix:
+        g = gatherer(x)
+        return _make(g(cols), g(powers), n)
+
+    return tuple(range(dim)), phis, decode

@@ -11,8 +11,9 @@ from math import gcd
 
 from ggt import primesearch
 from ggt.cli import main
-from ggt.fingroup import (FinGroup, Perm, cyclic, direct_product, is_type_np,
+from ggt.fingroup import (FinGroup, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
+from ggt.monomial import MonomialMatrix
 from ggt.numth import is_prime, mult_order
 from ggt.primesearch import (SearchRequest, find_prime_pair,
                              validate_certificate)
@@ -197,11 +198,13 @@ def test_criterion_8_almost_minuscule_table():
 
 
 def _sym3():
-    return FinGroup.generate([Perm((1, 0, 2)), Perm((1, 2, 0))])
+    return FinGroup.generate([MonomialMatrix.permutation((1, 0, 2)),
+                              MonomialMatrix.permutation((1, 2, 0))])
 
 
 def _alt4():
-    return FinGroup.generate([Perm((1, 2, 0, 3)), Perm((1, 0, 3, 2))])
+    return FinGroup.generate([MonomialMatrix.permutation((1, 2, 0, 3)),
+                              MonomialMatrix.permutation((1, 0, 3, 2))])
 
 
 def test_criterion_9_group_criteria():

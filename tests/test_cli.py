@@ -226,6 +226,19 @@ def test_group_analyze(capsys):
     assert code == 2
 
 
+def test_group_analyze_past_bound_exits_3(capsys):
+    # both orders are past the default bound of 100,000; the point orbit
+    # stops at dim * bound points, so neither run allocates much
+    for argv in (["group", "analyze", "--preset", "cyclic", "--m", "200000"],
+                 ["group", "analyze", "--preset", "metacyclic",
+                  "--m", "2", "--p", "100003"]):
+        code = main(argv)
+        assert code == 3, argv
+        assert capsys.readouterr() == (
+            "", "ggt: resource bound: group closure exceeded 100000 "
+                "elements\n"), argv
+
+
 def test_group_analyze_ell_needs_type_np(capsys):
     # --ell acts only with --type-np; alone it was echoed and ignored
     code = main(["group", "analyze", "--preset", "metacyclic",
@@ -297,6 +310,11 @@ CLI_GOLDEN = {
     "group analyze --preset cyclic --m 1000 --gamma-d 3": "7e350347c12f04ea",
     "group analyze --preset metacyclic --m 6 --p 1009 --type-np 6,1009 "
     "--ell 5": "7b50686a7f12ccfa",
+    # the one-element cycle: translations alone, or nothing at all
+    "group analyze --preset metacyclic --m 1 --p 7": "768780f216ea1896",
+    "group analyze --preset cyclic --m 1 --gamma-d 1": "fb83bbd62a81076a",
+    # Z/2 has no primitive root past 1; the results equal cyclic(2)'s
+    "group analyze --preset metacyclic --m 1 --p 2": "6d79b14cd94d1f3b",
     # as the exhaustive closure of the wild image produced them
     "wild so --m 3": "58427e662b1e6a77",
     "wild so --m 5": "ade6775249e2a16a",

@@ -7,22 +7,25 @@ from hypothesis import strategies as st
 
 from ggt import fingroup, monomial
 from ggt.errors import ResourceBoundExceeded
-from ggt.fingroup import (FinGroup, Perm, cyclic, direct_product, is_type_np,
+from ggt.fingroup import (FinGroup, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
 from ggt.monomial import MonomialMatrix
 from ggt.roots import RootOfUnity
 from ggt.weilparams import build_tame_parameter, parameter_image
 from ggt.wildtwo import build_so_wild, so_wild_report
 
+# permutations as permutation matrices, modulus 1: e_j -> e_img[j]
+_pm = MonomialMatrix.permutation
+
 
 def _sym(n):
-    swap = Perm((1, 0) + tuple(range(2, n)))
-    cyc = Perm(tuple(range(1, n)) + (0,))
+    swap = _pm((1, 0) + tuple(range(2, n)))
+    cyc = _pm(tuple(range(1, n)) + (0,))
     return FinGroup.generate([swap, cyc])
 
 
 def _alt4():
-    return FinGroup.generate([Perm((1, 2, 0, 3)), Perm((1, 0, 3, 2))])
+    return FinGroup.generate([_pm((1, 2, 0, 3)), _pm((1, 0, 3, 2))])
 
 
 def test_symmetric_group_basics():
@@ -35,7 +38,7 @@ def test_symmetric_group_basics():
         [1, 2, 2, 2, 3, 3]
     # <a><b> has 6 elements and is no group: Dimino must close the
     # cosets under a as well as b
-    a, b = Perm((1, 0, 2, 3)), Perm((0, 2, 3, 1))
+    a, b = _pm((1, 0, 2, 3)), _pm((0, 2, 3, 1))
     assert _sym(4).subgroup_closure([a, b]) == frozenset(_sym(4).elements)
 
 
@@ -64,7 +67,7 @@ def _counting_mul(monkeypatch, cls) -> list:
 
 
 def test_closure_bound_stops_before_the_next_coset():
-    a, b = Perm((1, 2, 3, 0)), Perm((0, 3, 2, 1))  # dihedral, order 8
+    a, b = _pm((1, 2, 3, 0)), _pm((0, 3, 2, 1))  # dihedral, order 8
     with pytest.raises(ResourceBoundExceeded):
         FinGroup.generate([a, b], bound=7)
     assert FinGroup.generate([a, b], bound=8).order == 8
@@ -85,21 +88,20 @@ def test_wild_sweep_product_count(monkeypatch):
 
 
 def test_generate_makes_no_products(monkeypatch):
-    perm_gens = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
+    perm_gens = [_pm((1, 2, 3, 4, 0)), _pm((1, 0, 2, 3, 4))]
     mono_gens = list(build_so_wild(5).group.generators)
-    perm_made = _counting_mul(monkeypatch, Perm)
-    mono_made = _counting_mul(monkeypatch, MonomialMatrix)
+    made = _counting_mul(monkeypatch, MonomialMatrix)
     s5 = FinGroup.generate(perm_gens)
     wild = FinGroup.generate(mono_gens)
     assert (s5.order, wild.order) == (120, 80)
-    assert perm_made == [] and mono_made == []
+    assert made == []
 
 
 def test_generate_rejects_mixed_degrees():
     with pytest.raises(ValueError):
-        FinGroup.generate([Perm((0, 2, 1)), Perm((1, 0))])
+        FinGroup.generate([_pm((0, 2, 1)), _pm((1, 0))])
     with pytest.raises(ValueError):
-        Perm((0, 2, 1)) * Perm((1, 0))
+        _pm((0, 2, 1)) * _pm((1, 0))
     with pytest.raises(ValueError):
         FinGroup.generate([MonomialMatrix.permutation((1, 0)),
                            MonomialMatrix.permutation((0, 2, 1))])
@@ -150,7 +152,7 @@ def test_normal_subgroups_skip_known_joins(monkeypatch):
     # index tables with no product
     groups = {(m, p): metacyclic(m, p) for p in (3, 5, 7, 11, 13, 17, 19)
               for m in range(2, p) if (p - 1) % m == 0}
-    made = _counting_mul(monkeypatch, Perm)
+    made = _counting_mul(monkeypatch, MonomialMatrix)
     for (m, p), g in groups.items():
         # normal subgroups: 1 and Z/p x| Z/k for each k dividing m
         assert [len(n) for n in g.normal_subgroups()] == \
@@ -182,6 +184,13 @@ def test_normal_subgroups_close_one_class_per_rational_class(monkeypatch):
     assert sorted(map(len, closed)) == [len(n) for n in g.normal_subgroups()]
 
 
+def test_cyclic_group_of_order_6000():
+    g = cyclic(6000)
+    assert [len(n) for n in g.normal_subgroups()] == \
+        [k for k in range(1, 6001) if 6000 % k == 0]
+    assert g.abelianization() == [6000]
+
+
 def test_metacyclic_rejects_non_divisor():
     with pytest.raises(ValueError):
         metacyclic(4, 7)
@@ -198,6 +207,17 @@ def test_direct_product_and_quotient():
         sub = s3.subgroup_closure(
             [next(x for x in s3.elements if s3.element_order(x) == 2)])
         s3.quotient(sub)  # order-2 subgroups of S3 are not normal
+
+
+def test_direct_product_of_a_wild_image():
+    # a factor of 3x3 matrices over mu_2 next to 1x1 ones over mu_2 or
+    # mu_6: A4 x C2 makes Z/3 and Z/2 one factor Z/6
+    w = build_so_wild(3).group
+    assert (w.order, w.abelianization()) == (12, [3])
+    g = direct_product(w, cyclic(2))
+    assert g.order == 24 and g.generators[0].dim == 4
+    assert g.abelianization() == [6]
+    assert direct_product(w, cyclic(6)).abelianization() == [3, 6]
 
 
 def test_ell_core():
@@ -291,6 +311,50 @@ def _battery():
     ]
 
 
+def _abelianization_by_quotients(g: FinGroup) -> list[int]:
+    # the reference: split off the cyclic group of an element of largest
+    # order, quotient by it and repeat, finding the factors largest first
+    comm = g.commutator_subgroup()
+    q = g if len(comm) == 1 else g.quotient(comm)[0]
+    factors = []
+    while q.order > 1:
+        orders = [len(q._powers(i)) for i in range(q.order)]
+        i = max(range(q.order), key=lambda j: (orders[j], j))
+        factors.append(orders[i])
+        q, _ = q.quotient(q.subgroup_closure([q.elements[i]]))
+    return factors[::-1]
+
+
+def test_abelianization_matches_quotient_loop():
+    groups = _battery() + [
+        direct_product(cyclic(2), cyclic(6)),
+        direct_product(cyclic(4), cyclic(4)),
+        direct_product(direct_product(cyclic(2), cyclic(4)), cyclic(8)),
+        direct_product(cyclic(4), metacyclic(6, 7)),
+        build_so_wild(5).group,
+    ]
+    for g in groups:
+        assert g.abelianization() == _abelianization_by_quotients(g), g.order
+
+
+def test_abelianization_right_tables_follow_the_primes(monkeypatch):
+    # one table for the conjugation by the generator, then one power map
+    # per prime divisor of n: no per-element table, no quotient
+    made = []
+    right = FinGroup._right
+
+    def counting(self, s):
+        made.append(s)
+        return right(self, s)
+
+    monkeypatch.setattr(FinGroup, "_right", counting)
+    for n, primes in ((12, 2), (1024, 1), (1000, 2), (1001, 3), (6000, 3)):
+        g = cyclic(n)
+        made.clear()
+        assert g.abelianization() == [n]
+        assert len(made) == 1 + primes, n
+
+
 def test_index_core_commutes_with_quotients():
     # the image of the depth-d core under any quotient map is the
     # depth-d core of the quotient
@@ -314,7 +378,7 @@ def test_quotient_by_ell_group_preserves_type():
 
 def test_fin_group_json(monkeypatch):
     g = metacyclic(6, 7)
-    made = _counting_mul(monkeypatch, Perm)
+    made = _counting_mul(monkeypatch, MonomialMatrix)
     data = g.to_json(d=6, type_np=(6, 7), ell=5)
     # the commutator seeds and the witness conjugates g y g^-1 are read
     # off the conjugation tables: past generate nothing multiplies
@@ -326,23 +390,24 @@ def test_fin_group_json(monkeypatch):
 
 
 def test_perm_basics():
-    a = Perm((1, 2, 0))
+    a = _pm((1, 2, 0))
     assert (a * a.inverse()).is_identity
-    assert Perm.identity(3).is_identity
-    assert a * Perm((0, 2, 1)) == Perm((1, 0, 2))
+    assert MonomialMatrix.identity(3).is_identity
+    assert a * _pm((0, 2, 1)) == _pm((1, 0, 2))
     # degree one, where a single-index gather returns a bare item
-    one = Perm((0,))
-    assert one * one == one and (one * one).img == (0,)
+    one = _pm((0,))
+    assert one * one == one and (one * one).perm == (0,)
+    assert a.n == 1 and (a * a).n == 1
     c1 = cyclic(1)
     assert c1.order == 1 and c1.abelianization() == []
     assert [len(n) for n in c1.normal_subgroups()] == [1]
 
 
-def _as_permutation(m: MonomialMatrix, big_n: int) -> Perm:
+def _as_permutation(m: MonomialMatrix, big_n: int) -> MonomialMatrix:
     # the embedding of mu_N wr S_dim into Sym(N * dim): point (j, a) goes
     # to (perm[j], a + e_j), with e_j the entry exponent over N
     scale = big_n // m.n
-    return Perm(tuple(m.perm[j] * big_n + (a + e * scale) % big_n
+    return _pm(tuple(m.perm[j] * big_n + (a + e * scale) % big_n
                       for j, e in enumerate(m.exps) for a in range(big_n)))
 
 
@@ -415,7 +480,7 @@ def small_group_gens(draw):
     k = draw(st.integers(1, 2))
     if draw(st.booleans()):
         d = draw(st.integers(1, 4))
-        return [Perm(tuple(draw(st.permutations(range(d)))))
+        return [_pm(tuple(draw(st.permutations(range(d)))))
                 for _ in range(k)]
     d = draw(st.integers(1, 3))
     dens = (1, 2) if d == 3 else (1, 2, 3)
@@ -456,6 +521,7 @@ def test_index_engine_matches_naive_definitions(gens, data):
             inv[h] * s * h in sub for h in els for s in sub)
     assert set(grp.normal_subgroups()) == normals
     assert grp.commutator_subgroup() == commutator
+    assert grp.abelianization() == _abelianization_by_quotients(grp)
     for n in normals:
         q, proj = grp.quotient(n)
         assert q.order == len(els) // len(n)
