@@ -33,7 +33,9 @@ print("type (6,7) directly?", is_type_np(h, 6, 7) is not None)
 print("type (6,7) under every 2-quotient?", is_type_npl(h, 6, 7, 2))
 
 # Depth cores commute with quotients; spot-check one instance.
+# Subgroups are sets of element indices, and proj maps an index of h to
+# an index of quo.
 quo, proj = h.quotient(h.ell_core(2))
-lhs = {proj(x) for x in h.index_core(6)}
+lhs = set(map(proj, h.index_core(6)))
 rhs = set(quo.index_core(6))
 print("core image under the 2-core quotient matches:", lhs == rhs)

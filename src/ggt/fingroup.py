@@ -14,7 +14,9 @@ An element's index is the position where the search first finds it, so
 the identity is 0, and for each generator g the group keeps the table
 i -> index(g * x_i).  Elements are decoded only when first asked for.
 
-The rest runs on indices and multiplies no element.  The search's
+The rest runs on indices and multiplies no element: a subgroup is a
+frozenset of indices, and a quotient's projection maps an index of G to
+an index of G/N, so reporting a group decodes no element.  The search's
 spanning tree of the Cayley graph gives, for any element s, the table
 i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
 Conjugation by a generator g is the table x g -> g x, so the conjugacy
@@ -27,12 +29,13 @@ elements are the permutation matrices of its regular action.  The powers
 of x are the cycle of the identity under right multiplication by x,
 which gives element orders.  In the abelian G/G', x -> x^p is a
 homomorphism, filled in along the spanning tree, and the numbers of
-elements its iterates kill give the invariant factors.  Subgroup closures run Dimino's algorithm (Butler,
-Fundamental Algorithms for Permutation Groups, 1991) on indices: a seed
-element s outside the group H generated so far adds whole right cosets,
-and H r s is the coset H r pushed through the table of s.  Every
-reported number is an invariant of the group, so none depends on how
-the elements are numbered.
+elements its iterates kill give the invariant factors.  Subgroup
+closures run Dimino's algorithm (Butler, Fundamental Algorithms for
+Permutation Groups, 1991) on indices: a seed element s outside the
+group H generated so far adds whole right cosets, and H r s is the
+coset H r pushed through the table of s.  Every reported number is an
+invariant of the group, so none depends on how the elements are
+numbered.
 
 Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
 same normal closure (Holt, Eick and O'Brien, Handbook of Computational
@@ -86,10 +89,9 @@ class FinGroup:
             images, decode = range(self.order), self._regular
         self._images, self._decode = images, decode
         self._conj: list[list[int]] | None = None
-        self._orbits: list[set[int]] | None = None
-        self._classes: list[frozenset] | None = None
-        self._normals: list[frozenset] | None = None
-        self._commutator: frozenset | None = None
+        self._classes: list[frozenset[int]] | None = None
+        self._normals: list[frozenset[int]] | None = None
+        self._commutator: frozenset[int] | None = None
         self._type_np: dict[tuple[int, int], TypeNPWitness | None] = {}
 
     @classmethod
@@ -216,35 +218,27 @@ class FinGroup:
                     stack.append(j)
         return idx
 
-    def _class_orbits(self) -> list[set[int]]:
+    def conjugacy_classes(self) -> list[frozenset[int]]:
         """The conjugacy classes as index sets, numbered by least index."""
-        if self._orbits is None:
+        if self._classes is None:
             unseen = set(range(self.order))
-            self._orbits = []
+            self._classes = []
             for i in range(self.order):
                 if i in unseen:
-                    orbit = self._conj_orbit({i})
+                    orbit = frozenset(self._conj_orbit({i}))
                     unseen -= orbit
-                    self._orbits.append(orbit)
-        return self._orbits
-
-    def conjugacy_classes(self) -> list[frozenset]:
-        if self._classes is None:
-            els = self.elements
-            self._classes = [frozenset(els[j] for j in orbit)
-                             for orbit in self._class_orbits()]
+                    self._classes.append(orbit)
         return self._classes
 
-    def subgroup_closure(self, seed: Iterable) -> frozenset:
-        """Subgroup generated by the seed elements (all must lie in self),
-        by Dimino's algorithm on indices.
+    def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
+        """Subgroup generated by the seed indices, by Dimino's algorithm.
 
         The seed is taken in index order, so few of its elements become
         generators."""
         member = [False] * self.order
         member[0] = True
         els, rights = [0], []
-        for s in sorted({self.index[x] for x in seed}):
+        for s in sorted(seed):
             if member[s]:
                 continue
             rights.append(self._right(s))
@@ -260,14 +254,13 @@ class FinGroup:
                             member[i] = True
                         els.extend(coset)
                         cosets.append(coset)
-        return frozenset(self.elements[i] for i in els)
+        return frozenset(els)
 
-    def normal_closure(self, seed: Iterable) -> frozenset:
-        """Smallest normal subgroup containing the seed."""
-        idx = self._conj_orbit({self.index[x] for x in seed})
-        return self.subgroup_closure(self.elements[i] for i in idx)
+    def normal_closure(self, seed: Iterable[int]) -> frozenset[int]:
+        """Smallest normal subgroup containing the seed indices."""
+        return self.subgroup_closure(self._conj_orbit(set(seed)))
 
-    def normal_subgroups(self) -> list[frozenset]:
+    def normal_subgroups(self) -> list[frozenset[int]]:
         """Every normal subgroup, via joins of conjugacy class closures.
 
         One class is closed per rational class: x is the least-index
@@ -276,21 +269,21 @@ class FinGroup:
         normal closure, are marked covered."""
         if self._normals is not None:
             return self._normals
-        orbits = self._class_orbits()
+        classes = self.conjugacy_classes()
         label = [0] * self.order
-        for c, orbit in enumerate(orbits):
+        for c, orbit in enumerate(classes):
             for i in orbit:
                 label[i] = c
-        covered = [False] * len(orbits)
-        found = {frozenset([self.identity])}
-        for c, orbit in enumerate(orbits):
+        covered = [False] * len(classes)
+        found = {frozenset([0])}
+        for c, orbit in enumerate(classes):
             if covered[c]:
                 continue
             powers = self._powers(min(orbit))
             for k, y in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
                     covered[label[y]] = True
-            found.add(self.subgroup_closure(self.elements[i] for i in orbit))
+            found.add(self.subgroup_closure(orbit))
         # Close the set under joins; every normal subgroup is a join of
         # class closures, so this reaches all of them.
         work = list(found)
@@ -308,38 +301,34 @@ class FinGroup:
                 if j not in found:
                     found.add(j)
                     work.append(j)
-        self._normals = sorted(
-            found, key=lambda n: (len(n), sorted(self.index[x] for x in n)))
+        self._normals = sorted(found, key=lambda n: (len(n), sorted(n)))
         return self._normals
 
-    def is_normal(self, sub: frozenset) -> bool:
-        return self._is_normal({self.index[x] for x in sub})
+    def is_normal(self, sub: Collection[int]) -> bool:
+        return all(c[i] in sub for c in self._conj_tables() for i in sub)
 
-    def _is_normal(self, idx: Collection[int]) -> bool:
-        return all(c[i] in idx for c in self._conj_tables() for i in idx)
-
-    def index_core(self, d: int) -> frozenset:
+    def index_core(self, d: int) -> frozenset[int]:
         """Intersection of all normal subgroups of index at most d."""
         if d < 1:
             raise ValueError("index bound must be positive")
-        core = frozenset(self.elements)
+        core = frozenset(range(self.order))
         for n in self.normal_subgroups():
             if self.order // len(n) <= d:
                 core &= n
         return core
 
-    def commutator_subgroup(self) -> frozenset:
+    def commutator_subgroup(self) -> frozenset[int]:
         """The normal closure N of the h^-1 (g h g^-1) over generators g
         and h: modulo N the generators commute, so N is G'."""
         if self._commutator is None:
             seeds = {t.index(c[t[0]])
                      for t in self.tables for c in self._conj_tables()}
-            self._commutator = self.normal_closure(
-                self.elements[i] for i in seeds)
+            self._commutator = self.normal_closure(seeds)
         return self._commutator
 
-    def quotient(self, sub: frozenset) -> tuple["FinGroup", Callable]:
-        """Quotient by a normal subgroup, and the projection map.
+    def quotient(self, sub: frozenset[int]) -> tuple["FinGroup", Callable]:
+        """Quotient by a normal subgroup, and the projection map from an
+        index of self to an index of the quotient.
 
         Pushing N through the generators' tables labels the cosets in the
         order a search on G/N finds them, so the labels of g x N are the
@@ -349,7 +338,7 @@ class FinGroup:
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         label = [-1] * self.order  # -1 until the coset is found
-        cosets = [[self.index[x] for x in sub]]  # N is coset 0
+        cosets = [list(sub)]  # N is coset 0
         for i in cosets[0]:
             label[i] = 0
         for coset in cosets:  # cosets grows while the loop runs
@@ -362,11 +351,7 @@ class FinGroup:
         if len(cosets) * len(sub) != self.order:
             raise AssertionError("quotient order mismatch")
         q = FinGroup([[label[t[c[0]]] for c in cosets] for t in self.tables])
-
-        def project(g) -> MonomialMatrix:
-            return q.elements[label[self.index[g]]]
-
-        return q, project
+        return q, label.__getitem__
 
     def _power_table(self, e: int) -> list[int]:
         """i -> index(x_i^e) in an abelian group, filled along the
@@ -408,7 +393,7 @@ class FinGroup:
                 factors[i] *= p ** sum(r > i for r in ranks)
         return factors[::-1]
 
-    def ell_core(self, ell: int) -> frozenset:
+    def ell_core(self, ell: int) -> frozenset[int]:
         """The largest normal ell-subgroup."""
         if not is_prime(ell):
             raise ValueError("ell must be prime")
@@ -518,11 +503,11 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
         if y is None:
             return []
         powers = _power_map(g, y)
-        return [powers] if g._is_normal(powers) else []
+        return [powers] if g.is_normal(powers) else []
     out = []
     for nsub in g.normal_subgroups():
         if len(nsub) == p:
-            y = min(g.index[x] for x in nsub if x != g.identity)
+            y = min(nsub - {0})
             out.append(_power_map(g, y))
     return out
 

@@ -18,7 +18,7 @@ default.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul
 from typing import Callable, Sequence
@@ -218,32 +218,37 @@ def point_action(gens: Sequence[MonomialMatrix], bound: int
 
     Over mu_N, N the lcm of the generators' moduli, a point (j, e)
     is the vector zeta^e e_j, and M sends it to (perm[j], exps[j] + e),
-    as M * X does to the columns of X.  The points are the orbit of
-    the base {(j, 0)}, at most dim * |G| of them, numbered with the
-    base first; an orbit past dim * bound points exceeds the bound."""
+    as M * X does to the columns of X.  The points are the orbits of
+    the base points (j, 0), walked one orbit at a time.  An orbit has at
+    most |G| points, so one past bound points exceeds the bound."""
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("dimension mismatch")
     n = lcm(*(g.n for g in gens))
     acts = [(g.perm, tuple(e * (n // g.n) for e in g.exps))
             for g in gens]
-    points = [(j, 0) for j in range(dim)]
-    index = {p: i for i, p in enumerate(points)}
+    points, index = [], {}
     phis = [[] for _ in gens]
-    for j, e in points:  # points grows while the loop runs
-        for (perm, exps), phi in zip(acts, phis):
-            q = (perm[j], (exps[j] + e) % n)
-            i = index.setdefault(q, len(points))
-            if i == len(points):
-                if i >= dim * bound:
-                    raise ResourceBoundExceeded(
-                        f"group closure exceeded {bound} elements")
-                points.append(q)
-            phi.append(i)
+    for base in range(dim):
+        if (base, 0) in index:
+            continue
+        start = index[base, 0] = len(points)
+        points.append((base, 0))
+        # the orbit of (base, 0) grows while the loop runs
+        for j, e in islice(points, start, None):
+            for (perm, exps), phi in zip(acts, phis):
+                q = (perm[j], (exps[j] + e) % n)
+                i = index.setdefault(q, len(points))
+                if i == len(points):
+                    if i - start >= bound:
+                        raise ResourceBoundExceeded(
+                            f"group closure exceeded {bound} elements")
+                    points.append(q)
+                phi.append(i)
     cols, powers = zip(*points)
 
     def decode(x: tuple[int, ...]) -> MonomialMatrix:
         g = gatherer(x)
         return _make(g(cols), g(powers), n)
 
-    return tuple(range(dim)), phis, decode
+    return tuple(index[j, 0] for j in range(dim)), phis, decode

@@ -109,6 +109,11 @@ def check_degree_forcing(p: int, ell: int, t: int, n: int) -> bool:
         raise ValueError("p and ell must differ")
     if not is_prime(p) or not is_prime(ell):
         raise ValueError("p and ell must be prime")
+    return _forces_degree(p, ell, t, n)
+
+
+def _forces_degree(p: int, ell: int, t: int, n: int) -> bool:
+    # check_degree_forcing for distinct primes p and ell, unchecked
     f = mult_order(ell, p)
     return all(f // gcd(f, 2 * i) % t == 0 for i in range(1, n + 1))
 
@@ -173,7 +178,7 @@ def find_prime_pair(req: SearchRequest,
                 f"no (p, q) with p, q < {ceiling} for {req}")
         if p <= req.d or p == req.ell or not is_prime(p):
             continue
-        if not check_degree_forcing(p, req.ell, req.t, req.n):
+        if not _forces_degree(p, req.ell, req.t, req.n):
             continue
         offsets = _order_offsets(p, step_q, two_n, cofactors, exponents)
         q = _scan_q(req, p, step_q * p, offsets, ceiling)

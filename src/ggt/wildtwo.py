@@ -417,7 +417,7 @@ def build_g2_jordan() -> G2JordanGroup:
     orders = [len(n) for n in grp.normal_subgroups()]
     if orders != [1, 8, 56, 168]:
         raise AssertionError(f"normal subgroup orders {orders}")
-    if not grp.is_normal(jordan):
+    if not grp.is_normal({grp.index[x] for x in jordan}):
         raise AssertionError("translation subgroup is not normal")
     if any(x * x != grp.identity for x in jordan):
         raise AssertionError("translation subgroup is not elementary abelian")

@@ -182,7 +182,7 @@ def test_criterion_7_prime_search_grid(monkeypatch):
         "40df301072cc7ef974685d864b9de84d8f473785ae8b796e0a09a8def6b65929"
     # deterministic work: the primality tests the search makes (testing
     # every q = 1 mod step would take 9,911)
-    assert calls == 3615
+    assert calls == 2081
     print(f"criterion 7: {cells} search cells validated independently")
 
 

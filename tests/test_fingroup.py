@@ -38,8 +38,9 @@ def test_symmetric_group_basics():
         [1, 2, 2, 2, 3, 3]
     # <a><b> has 6 elements and is no group: Dimino must close the
     # cosets under a as well as b
-    a, b = _pm((1, 0, 2, 3)), _pm((0, 2, 3, 1))
-    assert _sym(4).subgroup_closure([a, b]) == frozenset(_sym(4).elements)
+    s4 = _sym(4)
+    a, b = s4.index[_pm((1, 0, 2, 3))], s4.index[_pm((0, 2, 3, 1))]
+    assert s4.subgroup_closure([a, b]) == frozenset(range(24))
 
 
 def test_alternating_group():
@@ -114,11 +115,17 @@ def test_generate_point_bound():
     zeta = RootOfUnity(1, big)
     swap = MonomialMatrix((1, 0), (zeta, zeta.inverse()))
     assert FinGroup.generate([swap]).order == 2
-    # a cyclic group of order 10^6 has 10^6 points; the walk stops at
-    # dim * bound of them
+    # a cyclic group of order 10^6 has 10^6 points; the walk stops once
+    # one orbit passes bound of them
     rot = MonomialMatrix.diagonal((RootOfUnity(1, 10 ** 6),))
     with pytest.raises(ResourceBoundExceeded):
         FinGroup.generate([rot], bound=1000)
+    # -swap has order 2, one orbit of coordinates and two orbits of
+    # points, {e_0, -e_1} and {e_1, -e_0}: each orbit is at most |G|
+    neg_swap = MonomialMatrix((1, 0), (RootOfUnity(1, 2),) * 2)
+    assert FinGroup.generate([neg_swap], bound=2).order == 2
+    with pytest.raises(ResourceBoundExceeded):
+        FinGroup.generate([neg_swap], bound=1)
 
 
 def test_cyclic_group():
@@ -201,11 +208,13 @@ def test_direct_product_and_quotient():
     assert g.order == 18
     q, proj = g.quotient(g.commutator_subgroup())
     assert q.order == 6
-    assert proj(g.identity).is_identity
+    # the projection maps indices, the identity 0 to the identity 0
+    assert proj(0) == 0 and q.elements[proj(0)].is_identity
     with pytest.raises(ValueError):
         s3 = _sym(3)
         sub = s3.subgroup_closure(
-            [next(x for x in s3.elements if s3.element_order(x) == 2)])
+            [next(i for i, x in enumerate(s3.elements)
+                  if s3.element_order(x) == 2)])
         s3.quotient(sub)  # order-2 subgroups of S3 are not normal
 
 
@@ -321,7 +330,7 @@ def _abelianization_by_quotients(g: FinGroup) -> list[int]:
         orders = [len(q._powers(i)) for i in range(q.order)]
         i = max(range(q.order), key=lambda j: (orders[j], j))
         factors.append(orders[i])
-        q, _ = q.quotient(q.subgroup_closure([q.elements[i]]))
+        q, _ = q.quotient(q.subgroup_closure([i]))
     return factors[::-1]
 
 
@@ -496,7 +505,12 @@ def small_group_gens(draw):
 def test_index_engine_matches_naive_definitions(gens, data):
     e = gens[0] * gens[0].inverse()
     grp = FinGroup.generate(gens)
-    els = grp.elements
+    els, idx = grp.elements, grp.index
+
+    def decoded(sub):
+        # subgroups are index sets; the oracle speaks in elements
+        return frozenset(els[i] for i in sub)
+
     inv = {x: x.inverse() for x in els}
     classes = {frozenset(inv[h] * x * h for h in els) for x in els}
     normals = _naive_normal_subgroups(classes, e)
@@ -508,28 +522,29 @@ def test_index_engine_matches_naive_definitions(gens, data):
     # the tables gathered on base images equal those made by products
     assert grp.tables == [[els.index(g * x) for x in els] for g in gens]
     for seed, sub in zip(seeds, subs):
-        assert grp.subgroup_closure(seed) == sub
+        assert decoded(grp.subgroup_closure(idx[x] for x in seed)) == sub
     for x in els:
         k, y = 1, x
         while y != e:
             k, y = k + 1, y * x
         assert grp.element_order(x) == k
-    assert set(grp.conjugacy_classes()) == classes
+    assert set(map(decoded, grp.conjugacy_classes())) == classes
     assert sum(map(len, grp.conjugacy_classes())) == len(els)
     for sub in subs:
-        assert grp.is_normal(sub) == all(
+        assert grp.is_normal({idx[x] for x in sub}) == all(
             inv[h] * s * h in sub for h in els for s in sub)
-    assert set(grp.normal_subgroups()) == normals
-    assert grp.commutator_subgroup() == commutator
+    assert set(map(decoded, grp.normal_subgroups())) == normals
+    assert decoded(grp.commutator_subgroup()) == commutator
     assert grp.abelianization() == _abelianization_by_quotients(grp)
     for n in normals:
-        q, proj = grp.quotient(n)
+        q, proj = grp.quotient(frozenset(idx[x] for x in n))
+        image = {x: q.elements[proj(idx[x])] for x in els}
         assert q.order == len(els) // len(n)
-        assert {proj(x) for x in els} == set(q.elements)
-        assert frozenset(x for x in els if proj(x).is_identity) == n
+        assert set(image.values()) == set(q.elements)
+        assert frozenset(x for x in els if image[x].is_identity) == n
         for x in els:
             for y in els:
-                assert proj(x * y) == proj(x) * proj(y)
+                assert image[x * y] == image[x] * image[y]
 
 
 def test_is_type_np_is_cached(monkeypatch):
@@ -578,6 +593,15 @@ def test_elements_are_decoded_on_demand(monkeypatch):
     first = image.elements
     assert image.elements is first and len(made) == 258
     assert len(set(first)) == 258 and first[0].is_identity
+    # subgroups are index sets and projections map indices, so the full
+    # report, quotients included, decodes nothing either
+    groups = [metacyclic(6, 7), direct_product(cyclic(4), metacyclic(6, 7))]
+    made.clear()
+    assert groups[0].to_json(d=6, type_np=(6, 7), ell=5)["type_np"][
+        "up_to_ell_core"]
+    assert groups[1].to_json(d=6, type_np=(6, 7), ell=2)["type_np"][
+        "up_to_ell_core"]
+    assert made == []
 
 
 def test_results_do_not_depend_on_generator_order():

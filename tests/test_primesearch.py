@@ -187,7 +187,8 @@ def test_validator_uses_no_search_helper(monkeypatch):
 
     for name in ("is_prime", "factorize", "mult_order", "min_k_order_appears",
                  "_order_offsets", "_scan_q", "surrogate_moduli",
-                 "check_degree_forcing", "splits_in_small_cyclotomics"):
+                 "check_degree_forcing", "_forces_degree",
+                 "splits_in_small_cyclotomics"):
         monkeypatch.setattr(primesearch, name, refuse)
     # euler_phi as well, in case the module binds it
     monkeypatch.setattr(primesearch, "euler_phi", refuse, raising=False)

@@ -77,7 +77,7 @@ def _module_basis(w):
 def _exhaustive_so_wild_report(w):
     """The report computed from the closed group, element by element."""
     m, grp = w.m, w.group
-    comm = grp.commutator_subgroup()
+    comm = [grp.elements[i] for i in grp.commutator_subgroup()]
     elementary = all(x * x == grp.identity for x in comm
                      if x != grp.identity)
     det_trivial = all(g.det().is_one for g in grp.generators)
