@@ -126,11 +126,6 @@ class Cyc:
 
     __rmul__ = __mul__
 
-    def mul_root(self, k: int) -> "Cyc":
-        """Multiply by zeta^k: a cyclic shift."""
-        k %= self.n
-        return Cyc(self.n, self.vec[-k:] + self.vec[:-k] if k else self.vec)
-
     def conj(self) -> "Cyc":
         """Complex conjugation zeta -> zeta^{-1}."""
         return Cyc(self.n, (self.vec[0],) + self.vec[1:][::-1])

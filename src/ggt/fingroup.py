@@ -13,6 +13,12 @@ is one gather of g's point table through that tuple, with no product.
 An element's index is the position where the search first finds it, so
 the identity is 0, and for each generator g the group keeps the table
 i -> index(g * x_i).  Elements are decoded only when first asked for.
+metacyclic(m, p) and the tame images of ggt.weilparams are built from
+their presentation instead: the generators t, f are checked, on their
+exponents, to present Z/p semidirect Z/m, and the same search runs on
+the normal forms t^a f^b (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, ch. 8), with no point orbit and no
+base image, so their tables equal generate's.
 
 The rest runs on indices and multiplies no element: a subgroup is a
 frozenset of indices, and a quotient's projection maps an index of G to
@@ -56,7 +62,8 @@ from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
-from .monomial import MonomialMatrix, gatherer, point_action
+from .monomial import (MonomialMatrix, gatherer, point_action,
+                       power_product_decoder)
 from .numth import factorize, is_prime, mult_order
 from .roots import ONE, RootOfUnity
 
@@ -128,7 +135,9 @@ class FinGroup:
 
     @cached_property
     def generators(self) -> list:
-        return [self.elements[t[0]] for t in self.tables]
+        if self._images is None:  # decoded already
+            return [self.elements[t[0]] for t in self.tables]
+        return [self._decode(self._images[t[0]]) for t in self.tables]
 
     @cached_property
     def elements(self) -> list:
@@ -544,6 +553,76 @@ def cyclic(n: int) -> FinGroup:
     return FinGroup.generate([MonomialMatrix.diagonal((RootOfUnity(1, n),))])
 
 
+def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
+                      bound: int = DEFAULT_CLOSURE_BOUND) -> FinGroup:
+    """<t, f> as Z/p semidirect Z/m, with the tables and elements that
+    FinGroup.generate([t, f], bound) gives it.  Errors unless t and f
+    present such a group, or past the bound, which must be positive.
+
+    The proof reads only (perm, exps, n) and multiplies no element.  t is
+    diagonal of prime modulus p, so it has order p.  Conjugating a
+    diagonal matrix by a monomial one permutes its diagonal: f t f^-1
+    has entry exps[j] of t at perm[j], f's permutation, so f t f^-1 =
+    t^alpha is a check on exponents, and <t> is normal.  On a cycle c of
+    perm, f^|c| is the product of c's entries times the identity, so
+    with L the order of perm, f^L = 1 when each such product raised to
+    L / |c| is 1; and f^b moves a coordinate for 0 < b < L, so it is not
+    diagonal and not in <t>.  Hence <t> n <f> = 1, f has order m = L,
+    and G = <t><f> has the p*m elements t^a f^b.
+
+    The tables come from the breadth-first search that generate runs,
+    on the Cayley graph of the same generators in the same order, over
+    the keys a + p*b: t (t^a f^b) = t^(a+1) f^b and f (t^a f^b) =
+    t^(alpha a) f^(b+1).  So the indices, and every result read off
+    them, are generate's; the key a + p*b decodes to t^a f^b.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be positive, got {bound}")
+    tperm, texps, p = t
+    fperm, fexps, fn = f
+    if len(tperm) != len(fperm):
+        raise ValueError("dimension mismatch")
+    if any(i != j for j, i in enumerate(tperm)) or not is_prime(p):
+        raise ValueError("t is not diagonal of prime modulus")
+    nz = next(j for j, e in enumerate(texps) if e)  # p > 1, so t != 1
+    alpha = texps[fperm.index(nz)] * pow(texps[nz], -1, p) % p
+    if any(texps[j] != alpha * texps[i] % p for j, i in enumerate(fperm)):
+        raise ValueError("f t f^-1 is not a power of t")
+    cycles, seen = [], [False] * len(fperm)  # (length, exponent sum)
+    for j in range(len(fperm)):
+        length = total = 0
+        while not seen[j]:
+            seen[j] = True
+            length, total, j = length + 1, total + fexps[j], fperm[j]
+        if length:
+            cycles.append((length, total))
+    m = lcm(*(length for length, _ in cycles))
+    if any(total * (m // length) % fn for length, total in cycles):
+        raise ValueError("f^m is not 1, m the order of f's permutation")
+    if p * m > bound:
+        raise ResourceBoundExceeded(f"group closure exceeded {bound} elements")
+    times = [alpha * a % p for a in range(p)]  # t^a -> f t^a f^-1
+    pos = [-1] * (p * m)  # key -> index, -1 until found
+    keys, pos[0] = [0], 0
+    ttab, ftab = [], []
+    last = p * (m - 1)  # the keys of t^a f^(m-1) are last and up
+    for k in keys:  # keys grows while the loop runs
+        a = k % p
+        y = k + 1 if a + 1 < p else k + 1 - p  # t^(a+1) f^b
+        j = pos[y]
+        if j < 0:
+            j = pos[y] = len(keys)
+            keys.append(y)
+        ttab.append(j)
+        y = times[a] + (k - a + p if k < last else 0)  # t^(alpha a) f^(b+1)
+        j = pos[y]
+        if j < 0:
+            j = pos[y] = len(keys)
+            keys.append(y)
+        ftab.append(j)
+    return FinGroup([ttab, ftab], keys, power_product_decoder(t, f))
+
+
 def metacyclic(m: int, p: int) -> FinGroup:
     """Z/p semidirect Z/m, the action faithful of order exactly m.
 
@@ -561,7 +640,7 @@ def metacyclic(m: int, p: int) -> FinGroup:
     trans = MonomialMatrix.diagonal(
         tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))
     mult = MonomialMatrix.permutation(tuple((i - 1) % m for i in range(m)))
-    grp = FinGroup.generate([trans, mult])
+    grp = _split_metacyclic(trans, mult)
     if grp.order != m * p:
         raise AssertionError("metacyclic construction has wrong order")
     return grp

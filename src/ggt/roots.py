@@ -61,10 +61,6 @@ class RootOfUnity:
     def is_one(self) -> bool:
         return self.den == 1
 
-    @property
-    def is_minus_one(self) -> bool:
-        return self.den == 2
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.num * other.den + other.num * self.den,
                            self.den * other.den)
@@ -77,14 +73,6 @@ class RootOfUnity:
 
     def exponent(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def as_int(self) -> int:
-        """The value as an integer, defined only for +-1."""
-        if self.den == 1:
-            return 1
-        if self.den == 2:
-            return -1
-        raise ValueError(f"{self} is not rational")
 
     def sort_key(self) -> tuple[int, int]:
         return (self.den, self.num)

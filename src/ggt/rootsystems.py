@@ -155,9 +155,6 @@ class RootData:
     def cartan_array(self) -> np.ndarray:
         return np.array(self.cartan, dtype=np.int64)
 
-    def base_coords_array(self) -> np.ndarray:
-        return np.array(self.roots_in_base, dtype=np.int64)
-
 
 def _orbit(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Every row reached from the rows of start under the row-vector

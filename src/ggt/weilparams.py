@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import Cyc
-from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup, is_type_np
+from .fingroup import (DEFAULT_CLOSURE_BOUND, FinGroup, _split_metacyclic,
+                       is_type_np)
 from .monomial import MonomialMatrix
 from .numth import is_prime
 from .roots import ONE, FrobeniusOrbit, RootOfUnity, frobenius_orbit
@@ -166,13 +167,20 @@ def parameter_image(param: TameParameter,
     Only for a single orbit whose root has prime order p; the group is
     then metacyclic of order 2n*p: a normal Z/p with a cyclic group of
     order 2n acting faithfully on it.
+
+    It is built from its presentation (fingroup._split_metacyclic),
+    which proves from the two matrices that the group is <inertia> of
+    order p, normalised by Frobenius, times <Frobenius> of order ord(F),
+    meeting only in 1.  So its order p * ord(F) must be 2n*p; then the
+    type (2n, p) criterion, run on the index tables, must find the
+    normal Z/p with conjugation image of order 2n.
     """
     if param.s != 1:
         raise ValueError("image analysis wants a single orbit")
     p = param.taus[0].den
     if not is_prime(p):
         raise ValueError(f"root order {p} is not prime")
-    grp = FinGroup.generate([param.inertia, param.frobenius], bound=bound)
+    grp = _split_metacyclic(param.inertia, param.frobenius, bound)
     expected = 2 * param.n * p
     if grp.order != expected:
         raise AssertionError(

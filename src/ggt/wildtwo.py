@@ -71,10 +71,6 @@ class WildImageSO:
     def group(self) -> FinGroup:
         return FinGroup.generate(list(self.generators), bound=self.bound)
 
-    def eigenvalue_multiset(self) -> dict[int, int]:
-        # every sign generator has the same spectrum: two -1, rest +1
-        return {1: self.m - 2, -1: 2}
-
 
 def _sign_generator(m: int, j: int) -> MonomialMatrix:
     diag = tuple(MINUS_ONE if (i + j) % m in (0, 1) else ONE

@@ -227,11 +227,14 @@ def test_group_analyze(capsys):
 
 
 def test_group_analyze_past_bound_exits_3(capsys):
-    # both orders are past the default bound of 100,000; the point orbit
-    # stops at dim * bound points, so neither run allocates much
+    # every order is past the default bound of 100,000; the point orbit
+    # stops at bound points, and a metacyclic preset refuses from its
+    # order p * m before any table, so no run allocates much
     for argv in (["group", "analyze", "--preset", "cyclic", "--m", "200000"],
                  ["group", "analyze", "--preset", "metacyclic",
-                  "--m", "2", "--p", "100003"]):
+                  "--m", "2", "--p", "100003"],
+                 ["group", "analyze", "--preset", "metacyclic",
+                  "--m", "6", "--p", "1000003"]):
         code = main(argv)
         assert code == 3, argv
         assert capsys.readouterr() == (

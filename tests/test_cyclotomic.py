@@ -51,13 +51,6 @@ def test_conj_inverts_roots(n, k):
     assert Cyc.root(n, k).conj() == Cyc.root(n, -k)
 
 
-@given(st.integers(min_value=1, max_value=12).flatmap(
-    lambda n: st.tuples(_rand_cyc(n), st.integers(0, 24))))
-def test_mul_root_is_root_multiplication(pair):
-    a, k = pair
-    assert a.mul_root(k) == a * Cyc.root(a.n, k)
-
-
 def test_from_root_of_unity():
     r = RootOfUnity(1, 3)
     assert Cyc.from_root_of_unity(r, 6) == Cyc.root(6, 2)

@@ -9,7 +9,9 @@ from ggt import fingroup, monomial
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import (FinGroup, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
+from ggt.fingroup import _split_metacyclic
 from ggt.monomial import MonomialMatrix
+from ggt.numth import is_prime, mult_order
 from ggt.roots import RootOfUnity
 from ggt.weilparams import build_tame_parameter, parameter_image
 from ggt.wildtwo import build_so_wild, so_wild_report
@@ -620,3 +622,128 @@ def test_results_do_not_depend_on_generator_order():
             assert other.to_json(d, type_np, ell) == \
                 grp.to_json(d, type_np, ell), grp.order
         assert other.abelianization() == grp.abelianization()
+
+
+# -- groups built from their presentation, against the closure ------------
+
+def _tame_params():
+    # the 65 cells (q, p): q < 50 and 2 < p < 500 primes, ord_p(q) even
+    # and at most 8
+    return [build_tame_parameter(q, (RootOfUnity(1, p),),
+                                 mult_order(q, p) // 2)
+            for q in range(2, 50) if is_prime(q)
+            for p in range(3, 500) if is_prime(p) and p != q
+            and mult_order(q, p) % 2 == 0 and mult_order(q, p) <= 8]
+
+
+def _assert_same_as_closure(grp: FinGroup, gens) -> None:
+    closed = FinGroup.generate(gens)
+    assert grp.tables == closed.tables
+    assert grp.elements == closed.elements
+
+
+def test_presented_groups_match_the_closure():
+    params = _tame_params()
+    assert len(params) == 65
+    for param in params:
+        _assert_same_as_closure(parameter_image(param),
+                                [param.inertia, param.frobenius])
+    cases = [(m, p) for p in range(2, 20) if is_prime(p)
+             for m in range(1, p) if (p - 1) % m == 0]
+    assert len(cases) == 31
+    for m, p in cases:
+        g = metacyclic(m, p)
+        _assert_same_as_closure(g, g.generators)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([p for p in range(3, 200) if is_prime(p)])
+       .flatmap(lambda p: st.tuples(
+           st.sampled_from([m for m in range(1, p) if (p - 1) % m == 0]),
+           st.just(p))))
+def test_random_metacyclic_matches_the_closure(case):
+    m, p = case
+    g = metacyclic(m, p)
+    _assert_same_as_closure(g, g.generators)
+
+
+def test_split_metacyclic_refuses_other_pairs():
+    z7, z6 = RootOfUnity(1, 7), RootOfUnity(1, 6)
+    minus = RootOfUnity(1, 2)
+    swap = _pm((1, 0))
+    cases = [
+        # t is not diagonal
+        (MonomialMatrix((1, 0), (z7, z7)), swap),
+        # t's modulus 6 is not prime
+        (MonomialMatrix.diagonal((z6, z6.inverse())), swap),
+        # f t f^-1 = diag(z^2, z) is no power of t = diag(z, z^2)
+        (MonomialMatrix.diagonal((z7, z7 ** 2)), swap),
+        # f t f^-1 = t^-1, but f^2 = -1: the cycle's entries multiply
+        # to -1
+        (MonomialMatrix.diagonal((z7, z7.inverse())),
+         MonomialMatrix((1, 0), (minus, RootOfUnity(0, 1)))),
+        # dimensions differ
+        (MonomialMatrix.diagonal((z7,)), swap),
+    ]
+    for t, f in cases:
+        with pytest.raises(ValueError):
+            _split_metacyclic(t, f)
+    # the same pair with f^2 = 1 is the dihedral group of order 14
+    t = MonomialMatrix.diagonal((z7, z7.inverse()))
+    assert _split_metacyclic(t, swap).order == 14
+    with pytest.raises(ValueError):
+        _split_metacyclic(t, swap, bound=0)
+
+
+def test_split_metacyclic_bound():
+    # Z/7 x| Z/3 is refused from its order p * m, with generate's
+    # message, one element past the bound
+    t = MonomialMatrix.diagonal(tuple(RootOfUnity(pow(2, i, 7), 7)
+                                      for i in range(3)))
+    f = _pm((2, 0, 1))
+    assert _split_metacyclic(t, f, bound=21).order == 21
+    with pytest.raises(ResourceBoundExceeded,
+                       match="group closure exceeded 20 elements"):
+        _split_metacyclic(t, f, bound=20)
+
+
+def test_presented_groups_run_no_closure(monkeypatch):
+    params = _tame_params()
+    calls = []
+    generate, point_action = FinGroup.generate.__func__, fingroup.point_action
+
+    def counting_generate(cls, *args, **kwargs):
+        calls.append("generate")
+        return generate(cls, *args, **kwargs)
+
+    def counting_point_action(*args):
+        calls.append("point_action")
+        return point_action(*args)
+
+    monkeypatch.setattr(FinGroup, "generate", classmethod(counting_generate))
+    monkeypatch.setattr(fingroup, "point_action", counting_point_action)
+    monkeypatch.setattr(monomial, "point_action", counting_point_action)
+    for param in params:
+        parameter_image(param)
+    metacyclic(6, 7)
+    assert calls == []
+    cyclic(6)  # the counters do see a closure
+    assert calls == ["generate", "point_action"]
+
+
+def test_generators_decode_only_the_base_images(monkeypatch):
+    made = _counting_decodes(monkeypatch)
+    g = metacyclic(6, 1009)
+    assert made == []
+    # direct_product reads the three generators of its factors and
+    # closes the product; nothing else is decoded
+    prod = direct_product(cyclic(4), g)
+    assert len(made) == 3 and prod.order == 4 * 6 * 1009
+    made.clear()
+    gens = prod.generators
+    assert len(made) == 3 and [x.dim for x in gens] == [7, 7, 7]
+    # once the elements are decoded, the generators are read off them
+    c = cyclic(5)
+    elements = c.elements
+    made.clear()
+    assert c.generators[0] is elements[1] and made == []

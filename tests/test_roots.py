@@ -49,13 +49,6 @@ def test_inverse_cancels(r):
     assert (r * r.inverse()).is_one
 
 
-def test_as_int():
-    assert RootOfUnity(0, 1).as_int() == 1
-    assert RootOfUnity(1, 2).as_int() == -1
-    with pytest.raises(ValueError):
-        RootOfUnity(1, 3).as_int()
-
-
 def test_orbit_structure():
     orb = frobenius_orbit(RootOfUnity(1, 7), 3)
     assert [r.num for r in orb.elements] == [1, 3, 2, 6, 4, 5]

@@ -30,7 +30,7 @@ def test_cartan_matrices_well_formed():
         off = cartan - np.diag(np.diag(cartan))
         assert (off <= 0).all(), label
         # base coordinates reproduce the ambient roots exactly
-        base = data.base_coords_array()
+        base = np.array(data.roots_in_base, dtype=np.int64)
         simple = np.array(data.simple, dtype=np.int64)
         roots = np.array(data.roots, dtype=np.int64)
         assert (base @ simple == roots).all(), label

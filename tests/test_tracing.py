@@ -27,9 +27,12 @@ def test_tracer_installs_and_uninstalls():
         tracer.install(ggt)
         assert vars(ggt.FinGroup)["to_json"] is not methods["to_json"]
         report = ggt.metacyclic(6, 7).to_json(d=6, type_np=(6, 7), ell=5)
+        # metacyclic builds from its presentation; the product closes
+        product = ggt.direct_product(ggt.cyclic(4), ggt.metacyclic(6, 7))
     finally:
         tracer.uninstall()
     assert report["type_np"]["up_to_ell_core"] is True
+    assert product.order == 168
     assert {f"fingroup.{name}" for name in (
         "generate", "conjugacy_classes", "normal_subgroups",
         "commutator_subgroup", "abelianization", "quotient", "to_json",
