@@ -20,7 +20,9 @@ partitions of n+1 for type A; partitions of n with per-part doubling
 parts for D.  The exceptional types, E8 included, are tallied exactly by
 the parabolic coset tower in weylenum.  Sums of systems combine by
 pairwise lcm.  All per-type sets are cached for the session, so the
-expensive E7 and E8 tallies run once.
+expensive E7 and E8 tallies run once, and so is the walk over every
+multiset of types up to each rank bound with its order sets: a
+uniqueness scan is a subset filter over that cached table.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ _WEYL_ORDER = {
 }
 
 
-# every RootSystem parses its labels twice, and a uniqueness scan builds
-# thousands; only the 31 valid labels are ever cached
+# every RootSystem parses its labels twice, and a system table builds
+# hundreds; only the 31 valid labels are ever cached
 @lru_cache(maxsize=None)
 def _parse_label(label: str) -> tuple[str, int]:
     fam, rank = label[:1], label[1:]
@@ -380,51 +382,50 @@ def check_order_table() -> list[dict]:
     return rows
 
 
-def _all_systems(rank_bound: int):
-    """Every multiset of irreducible types with total rank <= rank_bound."""
-    labels = [(lab, _parse_label(lab)[1]) for lab in IRREDUCIBLE_LABELS]
+@lru_cache(maxsize=None)
+def _system_table(rank_bound: int
+                  ) -> tuple[tuple[RootSystem, frozenset[int]], ...]:
+    """Every multiset of irreducible types with total rank <= rank_bound,
+    each with the order set of its Weyl group, in walk order.
 
-    def rec(start: int, remaining: int):
-        yield ()
-        for k in range(start, len(labels)):
-            lab, r = labels[k]
-            if r <= remaining:
-                for rest in rec(k, remaining - r):
-                    yield (lab,) + rest
-
-    for combo in rec(0, rank_bound):
-        if combo:
-            yield RootSystem(tuple(sorted(combo)))
-
-
-def uniqueness_scan(rank_bound: int, required_orders) -> list[RootSystem]:
-    """All systems of rank <= rank_bound whose Weyl group realizes every
-    required element order, in the order of _all_systems.
-
-    The walk is _all_systems' recursion: a system's order set is its
-    prefix's set combined with one more factor's, and only hits become
-    RootSystems.  Only factors of rank <= rank_bound are asked for."""
-    if not 1 <= rank_bound <= 8:
-        raise ValueError("rank bound must be in 1..8")
-    required = set(required_orders)
-    if any(o < 1 for o in required):
-        raise ValueError("element orders must be positive")
+    The walk is incremental: a system's order set is its prefix's set
+    combined by pairwise lcm with one more factor's.  Only factors of
+    rank <= rank_bound are asked for, so E8 is tallied at bound 8 only."""
     labels = [(lab, r) for lab in IRREDUCIBLE_LABELS
               if (r := _parse_label(lab)[1]) <= rank_bound]
     parts = [weyl_element_orders(lab).orders for lab, _ in labels]
-    hits = []
+    table = []
 
     def rec(start: int, remaining: int, combo: tuple, orders: frozenset):
         for k in range(start, len(labels)):
             lab, r = labels[k]
             if r <= remaining:
                 grown = frozenset(lcm(a, b) for a in orders for b in parts[k])
-                if required <= grown:
-                    hits.append(RootSystem(tuple(sorted(combo + (lab,)))))
+                table.append((RootSystem(combo + (lab,)), grown))
                 rec(k, remaining - r, combo + (lab,), grown)
 
     rec(0, rank_bound, (), frozenset([1]))
-    return hits
+    return tuple(table)
+
+
+def _all_systems(rank_bound: int) -> list[RootSystem]:
+    """Every multiset of irreducible types with total rank <= rank_bound."""
+    return [rs for rs, _ in _system_table(rank_bound)]
+
+
+def uniqueness_scan(rank_bound: int, required_orders) -> list[RootSystem]:
+    """All systems of rank <= rank_bound whose Weyl group realizes every
+    required element order, in the order of _all_systems.
+
+    The walk over the systems and their order sets runs once per rank
+    bound (_system_table); a scan is a subset filter over that table."""
+    if not 1 <= rank_bound <= 8:
+        raise ValueError("rank bound must be in 1..8")
+    required = set(required_orders)
+    if any(o < 1 for o in required):
+        raise ValueError("element orders must be positive")
+    return [rs for rs, orders in _system_table(rank_bound)
+            if required <= orders]
 
 
 def _is_exceptional(rs: RootSystem) -> bool:
@@ -441,18 +442,16 @@ def audit_omission_policy(rank_bound: int = 7) -> dict:
     the derived row list and its disagreements with the reference rows of
     rank <= rank_bound; disagreements are reported, never patched.
     """
-    systems = sorted(_all_systems(rank_bound),
-                     key=lambda rs: (rs.rank, rs.label))
-    osets = {rs.label: weyl_element_orders(rs).orders
-             for rs in systems}
+    osets = dict(_system_table(rank_bound))
+    systems = sorted(osets, key=lambda rs: (rs.rank, rs.label))
     printed = []
     for rs in systems:
-        mine = osets[rs.label]
+        mine = osets[rs]
         omit = False
         for other in systems:
             if other.label == rs.label or other.rank > rs.rank:
                 continue
-            theirs = osets[other.label]
+            theirs = osets[other]
             if mine < theirs and not _is_exceptional(other):
                 omit = True
                 break

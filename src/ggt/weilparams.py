@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cyclotomic import Cyc
@@ -66,7 +67,8 @@ class TameParameter:
     def eigenvalues(self) -> tuple[RootOfUnity, ...]:
         return self.inertia.diag
 
-    def checks(self) -> dict:
+    @cached_property
+    def _checks(self) -> dict:
         t, f = self.inertia, self.frobenius
         tq = MonomialMatrix.diagonal(tuple(x ** self.q for x in t.diag))
         out = {
@@ -80,6 +82,14 @@ class TameParameter:
             out["g2"] = {"is_g2": g2.is_g2, "reason": g2.reason}
         else:
             out["g2"] = None
+        return out
+
+    def checks(self) -> dict:
+        """The self-checks, computed once per parameter; each call hands
+        out a fresh copy, so no caller can change the cached result."""
+        out = dict(self._checks)
+        if out["g2"] is not None:
+            out["g2"] = dict(out["g2"])
         return out
 
     def to_json(self) -> dict:

@@ -57,7 +57,8 @@ class WildImageSO:
     """Sign-monomial image for the odd orthogonal group of size m.
 
     generators are what the report reads: +-1 diagonal matrices and one
-    m-cycle.  group closes them under bound on first access; no report
+    m-cycle.  group closes them under bound on first access, and raises
+    ResourceBoundExceeded if the order 2^(m-1) * m exceeds it; no report
     needs it, so only callers that ask for elements pay for the closure.
     """
 
@@ -69,6 +70,10 @@ class WildImageSO:
 
     @cached_property
     def group(self) -> FinGroup:
+        expected = 2 ** (self.m - 1) * self.m
+        if expected > self.bound:
+            raise ResourceBoundExceeded(
+                f"group of order {expected} exceeds bound {self.bound}")
         return FinGroup.generate(list(self.generators), bound=self.bound)
 
 
@@ -83,17 +88,13 @@ def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
 
     Generated by one sign involution and the m-cycle; the other sign
     involutions are its cycle conjugates, which is checked here.  Order
-    2^(m-1) * m, which must fit under bound; so_wild_report computes it
-    from the sign vectors, and nothing is closed here.
+    2^(m-1) * m; so_wild_report computes it from the sign vectors, and
+    nothing is closed here, so bound only caps the lazy group.
     """
     if m % 2 == 0 or not 3 <= m <= 15:
         raise ValueError(f"m must be odd in [3, 15], got {m}")
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    expected = 2 ** (m - 1) * m
-    if expected > bound:
-        raise ResourceBoundExceeded(
-            f"group of order {expected} exceeds bound {bound}")
     signs = tuple(_sign_generator(m, j) for j in range(m))
     cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in range(m)))
     cyc_inv = cycle.inverse()

@@ -9,6 +9,8 @@ import hashlib
 import json
 from math import gcd
 
+import pytest
+
 from ggt import primesearch
 from ggt.cli import main
 from ggt.fingroup import (FinGroup, cyclic, direct_product, is_type_np,
@@ -29,6 +31,7 @@ PRIMES_Q = tuple(q for q in range(2, 50) if is_prime(q))
 PRIMES_P = tuple(p for p in range(3, 500) if is_prime(p))
 
 
+@pytest.mark.slow
 def test_criterion_1_order_table(capsys):
     check_order_table()  # hard-fails naming the first bad row
 
@@ -64,6 +67,7 @@ def main_json(capsys, argv):
     return capsys.readouterr().out
 
 
+@pytest.mark.slow
 def test_criterion_2_uniqueness_scans():
     for rank, required, expected in [
         (2, {6}, ["G2"]),

@@ -109,18 +109,18 @@ def test_wild_so_exit_codes(capsys):
     code, report = _report(capsys, ["wild", "so", "--m", "3"])
     assert code == 0
     assert report["results"]["order"] == 12
-    code, _ = _run(capsys, ["wild", "so", "--m", "15", "--bound", "500"])
-    assert code == 3
-    # 245,760 elements is past the default bound of 100,000
-    code, out = _run(capsys, ["wild", "so", "--m", "15"])
-    assert code == 3 and out == ""
+    # the report closes no group, so a bound below the order of 245,760
+    # caps nothing it computes
+    for argv in (["--bound", "500"], []):
+        code, report = _report(capsys, ["wild", "so", "--m", "15", *argv])
+        assert code == 0 and report["results"]["order"] == 245760
     code, _ = _run(capsys, ["wild", "so", "--m", "4"])
     assert code == 2
 
 
 def test_wild_so_fifteen_without_a_closure(capsys):
     # the order comes from the module of sign vectors, so 245,760
-    # elements cost nothing once the bound admits them
+    # elements cost nothing, whatever the bound
     start = time.perf_counter()
     code, report = _report(capsys, ["wild", "so", "--m", "15",
                                     "--bound", "245760"])
@@ -129,10 +129,10 @@ def test_wild_so_fifteen_without_a_closure(capsys):
     res = report["results"]
     assert res["order"] == 245760 and res["abelianization"] == [15]
     assert res["commutator"]["order"] == 2 ** 14
-    assert main(["wild", "so", "--m", "15"]) == 3
-    assert capsys.readouterr() == (
-        "", "ggt: resource bound: group of order 245760 exceeds bound "
-            "100000\n")
+    # the default bound of 100,000 caps only the lazy closure
+    code, report = _report(capsys, ["wild", "so", "--m", "15"])
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert report["results"]["order"] == 245760
 
 
 def _usage_error(capsys, argv):
@@ -179,6 +179,14 @@ def test_weyl_unique(capsys):
     code, _ = _run(capsys, ["weyl", "unique", "--rank", "4",
                             "--orders", "0"])
     assert code == 2
+    # no Weyl group of rank <= 8 has an element of prime order > 19
+    code = main(["weyl", "unique", "--rank", "4", "--orders", "1000000007"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["results"]["root_systems"] == []
+    assert report["checks"] == [{"name": "realized", "pass": False,
+                                 "witness": []}]
 
 
 def test_weyl_removed_sampling_flags():

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggt import rootsystems
 from ggt.errors import ResourceBoundExceeded
 from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              RootSystem,
-                             _all_systems, _exceptional_tally,
+                             _all_systems, _exceptional_tally, _system_table,
                              almost_minuscule_data,
                              audit_omission_policy,
                              cyclic_weight_permutation_check,
@@ -169,6 +170,7 @@ def test_exceptional_tallies_match_bfs():
         assert dict(_exceptional_tally(label)) == want, label
 
 
+@pytest.mark.slow
 def test_e8_tally_is_exact():
     # cached for the process: criterion 1 of the acceptance suite pays
     # for it when the whole suite runs
@@ -247,6 +249,7 @@ def test_order_set_maximal_is_divisibility_antichain(orders):
     assert all(any(m % o == 0 for m in maximal) for o in orders)
 
 
+@pytest.mark.slow
 def test_weyl_element_orders_modes():
     exact = weyl_element_orders("G2")
     assert exact.orders == {1, 2, 3, 6}
@@ -266,6 +269,7 @@ def test_enumerate_orders_rejects_wrong_group_order():
         enumerate_orders(data.cartan_array(), 24)
 
 
+@pytest.mark.slow
 def test_order_table_rows():
     rows = {r["root_system"]: r for r in order_table()}
     assert rows["G2"]["maximal"] == [6]
@@ -283,21 +287,63 @@ def test_order_table_rows():
 def test_uniqueness_scan_rank_four():
     hits = uniqueness_scan(4, {8, 12})
     assert [rs.label for rs in hits] == ["F4"]
+    # a subset filter: an order past every table entry is no work
+    assert uniqueness_scan(4, {10 ** 18}) == []
     with pytest.raises(ValueError):
         uniqueness_scan(4, {0, 8})
 
 
+def _multisets_up_to_rank(bound: int) -> list[tuple[str, ...]]:
+    # independent of the table's walk: every multiset by size, kept when
+    # its total rank fits, then in lexicographic order, which is the
+    # walk's order because the labels are sorted
+    ranks = {lab: int(lab[1:]) for lab in IRREDUCIBLE_LABELS}
+    small = [lab for lab in IRREDUCIBLE_LABELS if ranks[lab] <= bound]
+    return sorted(
+        combo for size in range(1, bound + 1)
+        for combo in itertools.combinations_with_replacement(small, size)
+        if sum(ranks[lab] for lab in combo) <= bound)
+
+
 def test_uniqueness_scan_matches_its_definition():
-    # the incremental walk against a RootSystem and a weyl_element_orders
-    # call per system
+    # the cached walk against an enumeration of the multisets and a
+    # weyl_element_orders call per system
+    oracle = _multisets_up_to_rank(6)
     for rank in range(1, 7):
-        systems = list(_all_systems(rank))
+        combos = [c for c in oracle if sum(int(x[1:]) for x in c) <= rank]
+        table = _system_table(rank)
+        assert [rs.components for rs, _ in table] == combos, rank
+        assert [rs.components for rs in _all_systems(rank)] == combos
+        systems = [RootSystem(c) for c in combos]
+        for rs, orders in table:
+            assert orders == weyl_element_orders(rs).orders, rs.label
         for required in ({1}, {2}, {6}, {4, 6}, {8, 12}, {9}, {10, 12},
                          {7}, {12, 30}):
             expected = [rs for rs in systems
                         if required <= weyl_element_orders(rs).orders]
             assert uniqueness_scan(rank, required) == expected, \
                 (rank, required)
+
+
+def test_uniqueness_scan_reads_the_cached_table(monkeypatch):
+    assert [rs.label for rs in uniqueness_scan(6, {9})] == ["E6"]
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(rootsystems, "lcm", counting(lcm))
+    monkeypatch.setattr(rootsystems, "weyl_element_orders",
+                        counting(weyl_element_orders))
+    assert [rs.label for rs in uniqueness_scan(6, {9})] == ["E6"]
+    assert calls == []
+    # a cold table does call both, so the counters are live
+    _system_table.cache_clear()
+    assert [rs.label for rs in uniqueness_scan(6, {9})] == ["E6"]
+    assert {"lcm", "weyl_element_orders"} <= set(calls)
 
 
 def test_omission_policy_small_rank():

@@ -39,6 +39,27 @@ def test_degree_six_tame_parameter():
     assert checks["det"] and checks["form"] and checks["conj_relation"]
 
 
+def test_tame_checks_run_once(monkeypatch):
+    from ggt import weilparams
+    calls = []
+
+    def counting(param):
+        calls.append(param)
+        return is_g2_parameter(param)
+
+    monkeypatch.setattr(weilparams, "is_g2_parameter", counting)
+    param = build_tame_parameter(7, [RootOfUnity(1, 43)], 3)
+    checks = param.checks()
+    data = param.to_json()
+    assert len(calls) == 1
+    assert data["checks"] == checks
+    # every caller gets its own copy of the cached result
+    checks["det"] = False
+    checks["g2"]["is_g2"] = None
+    assert param.checks() == data["checks"] != checks
+    assert param.checks() is not param.checks()
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         build_tame_parameter(6, [RootOfUnity(1, 3)], 1)  # q not prime

@@ -255,8 +255,17 @@ def test_so_wild_rejects_bad_m():
         build_so_wild(1)
     with pytest.raises(ValueError):
         build_so_wild(17)
+    # the bound caps only the lazy closure, never the build
     with pytest.raises(ResourceBoundExceeded):
-        build_so_wild(11, bound=500)
+        build_so_wild(11, bound=500).group
+
+
+def test_so_wild_bound_caps_the_lazy_group():
+    w = build_so_wild(15)
+    assert so_wild_report(w)["order"] == 245760
+    with pytest.raises(ResourceBoundExceeded,
+                       match=r"^group of order 245760 exceeds bound 100000$"):
+        w.group
 
 
 def test_so_wild_report_deterministic(so_wild):
