@@ -453,13 +453,16 @@ class TypeNPWitness:
     exponents: tuple[int, ...]
 
 
-def _element_of_order_p(g: FinGroup, p: int) -> int | None:
-    """The index of x^(ord x / p) for the first x, in index order, whose
-    order p divides."""
-    for i in range(g.order):
+def _element_of_order_p(g: FinGroup, p: int) -> list[int] | None:
+    """The powers [y, y^2, ..., y^p = 1], as indices, of y = x^(ord x / p)
+    for the first x, in index order, whose order p divides; y^k is
+    x^(k ord x / p), read off the powers of x.  The search starts past
+    the identity, whose order 1 no prime divides."""
+    for i in range(1, g.order):
         powers = g._powers(i)
         if len(powers) % p == 0:
-            return powers[len(powers) // p - 1]
+            step = len(powers) // p
+            return powers[step - 1::step]
     return None
 
 
@@ -508,21 +511,21 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
     if pp == p:
         # Order-p subgroups are Sylow, hence all conjugate: a normal one
         # must be the unique one, so a single probe settles it.
-        y = _element_of_order_p(g, p)
-        if y is None:
+        ys = _element_of_order_p(g, p)
+        if ys is None:
             return []
-        powers = _power_map(g, y)
+        powers = _power_map(ys)
         return [powers] if g.is_normal(powers) else []
     out = []
     for nsub in g.normal_subgroups():
         if len(nsub) == p:
-            y = min(nsub - {0})
-            out.append(_power_map(g, y))
+            out.append(_power_map(g._powers(min(nsub - {0}))))
     return out
 
 
-def _power_map(g: FinGroup, y: int) -> dict[int, int]:
-    return {z: k for k, z in enumerate(g._powers(y), 1)}
+def _power_map(powers: list[int]) -> dict[int, int]:
+    """{index(y^k): k} from the powers [y, y^2, ..., y^p = 1]."""
+    return {z: k for k, z in enumerate(powers, 1)}
 
 
 def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:

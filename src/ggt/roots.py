@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ResourceBoundExceeded
@@ -46,6 +47,15 @@ class RootOfUnity:
         g = math.gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def _reduced(cls, num: int, den: int) -> "RootOfUnity":
+        """num/den as given: the caller knows 0 <= num < den and
+        gcd(num, den) = 1, so the reduction in __init__ is skipped."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
@@ -103,9 +113,10 @@ class FrobeniusOrbit:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def selfdual(self) -> bool:
-        return self.elements[0].inverse() in self.elements
+        first = self.elements[0]
+        return -first.num % first.den in {r.num for r in self.elements}
 
     def to_json(self) -> dict:
         den = self.elements[0].den
@@ -144,7 +155,10 @@ def frobenius_orbit(tau: RootOfUnity, q: int,
     # Rotate so the smallest exponent leads; q-steps are preserved.
     i = exps.index(min(exps))
     exps = exps[i:] + exps[:i]
-    return FrobeniusOrbit(q=q, elements=tuple(RootOfUnity(e, n) for e in exps))
+    # every e is tau.num times a power of q: a unit mod n when tau is one,
+    # and tau is reduced
+    return FrobeniusOrbit(q=q, elements=tuple(RootOfUnity._reduced(e, n)
+                                              for e in exps))
 
 
 def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:

@@ -21,8 +21,12 @@ looked up, the group is closed by FinGroup.generate, and the model is
 checked to be a homomorphism on the group's left multiplication tables.
 
 All character arithmetic is exact: traces are integers, constituent
-values are integer vectors in Z[omega], omega a cube root of unity, and
-inner products must come out as exact nonnegative integers.
+values are integer coordinates (x, y) of x + y omega in Z[omega], omega a
+cube root of unity, and inner products must come out as exact
+nonnegative integers.  Characters are class functions, so the G2 sums run
+over the 8 conjugacy classes of the order-168 group, each weighted by its
+size, not over its 168 elements; one check at all 168 elements confirms
+that each constituent is constant on every class.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded
 from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup
 from .monomial import MonomialMatrix, _make
@@ -457,44 +460,46 @@ class Constituent:
 def _conjugation_terms(g2j: G2JordanGroup) -> dict:
     """For each g, one (sign, f) per coset representative r = (0, a, 0)
     with r^-1 g r = (v, 1, f) in the subgroup of pairs (v, 1, f), the
-    sign being (-1)^Tr(v)."""
-    reps = [((0, a, 0), _triple_inv((0, a, 0))) for a in range(1, 8)]
+    sign being (-1)^Tr(v).  In closed form: for g = (w, b, f),
+    r^-1 g r = (w / a, b a^(2^f) / a, f), so r counts when
+    b a^(2^f) = a, with v = w / a."""
     terms = {}
     for g in g2j.triples:
-        terms[g] = []
-        for r, ri in reps:
-            v, a, f = _triple_mul(ri, _triple_mul(g, r))
-            if a == 1:
-                terms[g].append((-1 if _F8_TRACE[v] else 1, f))
+        w, b, f = g
+        scale, frob = _F8_MUL[b], _F8_FROB[f]
+        terms[g] = [(-1 if _F8_TRACE[_F8_MUL[_F8_INV[a]][w]] else 1, f)
+                    for a in range(1, 8) if scale[frob[a]] == a]
     return terms
 
 
 def _induced_from_extension(terms: dict, k: int) -> dict:
     """Character induced from the degree-24 subgroup of pairs (v, 1, f),
     where the extension multiplies the trace sign by omega^(k f), omega a
-    cube root of unity; its values lie in Z[omega]."""
+    cube root of unity: the value at g as the coordinates (x, y) of
+    x + y omega in Z[omega]."""
     vals = {}
     for g, ts in terms.items():
         vec = [0, 0, 0]
         for sign, f in ts:
             vec[k * f % 3] += sign
-        vals[g] = Cyc(3, tuple(vec))
+        # omega^2 = -1 - omega
+        vals[g] = (vec[0] - vec[2], vec[1] - vec[2])
     return vals
 
 
-def _inner_product(avals: dict, bvals: dict) -> int:
-    # sum of a(g) conj(b(g)) as coefficients of 1, omega, omega^2
-    acc = [0, 0, 0]
-    for g, a in avals.items():
-        b = bvals[g].vec
-        for i, x in enumerate(a.vec):
-            if x:
-                for j, y in enumerate(b):
-                    acc[(i - j) % 3] += x * y
-    r = Cyc(3, tuple(acc)).rational_value()
-    if r is None or r % 168 != 0:
+def _inner_product(sizes: Sequence[int], avals: Sequence[tuple[int, int]],
+                   bvals: Sequence[tuple[int, int]]) -> int:
+    """sum |C| a(C) conj(b(C)) / 168 over the classes C, which must be an
+    exact integer; conj(x + y omega) = (x - y) - y omega."""
+    re = im = 0
+    for n, (a0, a1), (b0, b1) in zip(sizes, avals, bvals):
+        c0, c1 = b0 - b1, -b1
+        re += n * (a0 * c0 - a1 * c1)
+        im += n * (a0 * c1 + a1 * c0 - a1 * c1)
+    if im or re % 168:
+        r = None if im else re
         raise AssertionError(f"inner product {r} is not an integer multiple")
-    return r // 168
+    return re // 168
 
 
 def mackey_decompose(g2j: G2JordanGroup) -> list[Constituent]:
@@ -502,37 +507,53 @@ def mackey_decompose(g2j: G2JordanGroup) -> list[Constituent]:
 
     The three candidate constituents are induced from the three
     extensions of the trace character to the translations-plus-Galois
-    subgroup; the conjugation data they share is computed once.
-    Verifies, with exact integer inner products: each is irreducible and
-    occurs once in the 21-dimensional character, they are pairwise
-    orthogonal, and their pointwise sum is that character.  Anything but
-    three degree-7 faithful constituents with exactly one self-dual is a
-    hard failure.
+    subgroup; the conjugation data they share is computed once, at all
+    168 elements.  Each constituent must be a class function: its values
+    are constant on every conjugacy class of g2j.group.  Everything else
+    reads the 8 class representatives: exact integer inner products
+    sum |C| a(C) conj(b(C)) / 168 show each constituent irreducible,
+    occurring once in the 21-dimensional character and orthogonal to the
+    others, and the three sum to that character on every class.  Anything
+    but three degree-7 faithful constituents with exactly one self-dual
+    is a hard failure.
     """
+    grp = g2j.group
+    pos = {t: grp.index[x] for t, x in g2j.matrix.items()}
+    classes = grp.conjugacy_classes()
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    if sum(map(len, classes)) != len(class_of) or len(class_of) != 168:
+        raise AssertionError("conjugacy classes do not partition the group")
+    triple_at = {i: t for t, i in pos.items()}
+    # classes are numbered by least index, so reps[0] = 0, the identity
+    reps = [triple_at[min(c)] for c in classes]
+    inverse_class = [class_of[pos[_triple_inv(t)]] for t in reps]
+    sizes = [len(c) for c in classes]
+    big = [(g2j.trace(t), 0) for t in reps]
+
     terms = _conjugation_terms(g2j)
-    big = {g: Cyc.integer(3, g2j.trace(g)) for g in g2j.triples}
     out = []
     parts = []
     for k in range(3):
         vals = _induced_from_extension(terms, k)
-        if _inner_product(vals, vals) != 1:
+        at = [vals[t] for t in reps]
+        if any(at[class_of[pos[g]]] != v for g, v in vals.items()):
+            raise AssertionError(f"constituent {k} is not a class function")
+        if _inner_product(sizes, at, at) != 1:
             raise AssertionError(f"constituent {k} is not irreducible")
-        if _inner_product(big, vals) != 1:
+        if _inner_product(sizes, big, at) != 1:
             raise AssertionError(f"constituent {k} missing from induction")
-        deg = vals[(0, 1, 0)].rational_value()
-        kernel = [g for g in g2j.triples
-                  if vals[g] == Cyc.integer(3, deg)]
-        selfdual = all(vals[g] == vals[_triple_inv(g)]
-                       for g in g2j.triples)
-        parts.append(vals)
+        deg = at[0][0] if at[0][1] == 0 else None
+        kernel = [c for c, v in enumerate(at) if v == (deg, 0)]
+        selfdual = all(at[inverse_class[c]] == v for c, v in enumerate(at))
+        parts.append(at)
         out.append(Constituent(k=k, degree=deg, selfdual=selfdual,
-                               faithful=kernel == [(0, 1, 0)]))
+                               faithful=kernel == [0]))
     for i in range(3):
         for j in range(i + 1, 3):
-            if _inner_product(parts[i], parts[j]) != 0:
+            if _inner_product(sizes, parts[i], parts[j]) != 0:
                 raise AssertionError("constituents are not distinct")
-    for g in g2j.triples:
-        if parts[0][g] + parts[1][g] + parts[2][g] != big[g]:
+    for c, value in enumerate(big):
+        if tuple(map(sum, zip(*(p[c] for p in parts)))) != value:
             raise AssertionError("constituents do not sum to the induction")
     if [c.degree for c in out] != [7, 7, 7]:
         raise AssertionError("constituent degrees are off")

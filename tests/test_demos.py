@@ -1,8 +1,12 @@
 """Smoke test: the demos run to the end against the current API.
 
 weyl_orders.py is left out; it builds the full table, E8 included.
+wild_images.py and orbits_and_parameters.py print the G2 constituents
+and Frobenius orbits; their stdout is pinned by its sha256 digest, so
+any drift in those results fails here.
 """
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -10,14 +14,25 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
+STDOUT_SHA256 = {
+    "wild_images.py":
+        "2b73daf763af6392092815a0051d2296170a00413e0cb24e0cbbc95d42fccd3a",
+    "orbits_and_parameters.py":
+        "4a9414b7253e3205aa67c3bcf57885dce0d75c2eececc5ee58c7807f13ae6853",
+}
+
 
 @pytest.mark.parametrize("name", ["wild_images.py",
                                   "orbits_and_parameters.py",
                                   "group_criteria.py", "prime_pairs.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
-    out = capsys.readouterr().out.strip()
+    raw = capsys.readouterr().out
+    out = raw.strip()
     assert out
+    if name in STDOUT_SHA256:
+        assert (hashlib.sha256(raw.encode()).hexdigest()
+                == STDOUT_SHA256[name])
     if name == "group_criteria.py":
         # the depth-core spot check through the quotient's projection
         assert out.splitlines()[-1].endswith("True")

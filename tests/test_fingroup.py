@@ -571,6 +571,38 @@ def test_is_type_np_is_cached(monkeypatch):
         is_type_np(image, 6, 42)
 
 
+def test_is_type_np_right_tables(monkeypatch):
+    # on a fresh tame image: one table to walk the powers of the first
+    # element whose order 43 divides (the identity is skipped, and the
+    # power map of the order-43 element is read off that walk), then one
+    # conjugation table per generator
+    made = []
+    right = FinGroup._right
+
+    def counting(self, s):
+        made.append(s)
+        return right(self, s)
+
+    monkeypatch.setattr(FinGroup, "_right", counting)
+    param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
+    image = parameter_image(param)
+    assert made == [1, 1, 2]
+    made.clear()
+    assert is_type_np(image, 6, 43).exponents == (1, 7)
+    assert made == []
+
+
+def test_element_of_order_p_reads_powers_off_the_walk():
+    # y = x^(ord x / p) and its powers as the walk of y itself gives them
+    for g in _battery():
+        for p in (2, 3, 5, 7, 11):
+            ys = fingroup._element_of_order_p(g, p)
+            if g.order % p:
+                assert ys is None
+                continue
+            assert len(ys) == p and ys == g._powers(ys[0])
+
+
 def _counting_decodes(monkeypatch) -> list:
     made = []
     make = monomial._make

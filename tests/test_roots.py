@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ggt.errors import ResourceBoundExceeded
@@ -134,3 +134,25 @@ def test_orbit_json_round_trip():
     orb = frobenius_orbit(RootOfUnity(2, 9), 5)
     again = FrobeniusOrbit.from_json(orb.to_json())
     assert again == orb
+
+
+@given(st.integers(min_value=1, max_value=200),
+       st.integers(min_value=2, max_value=60), st.data())
+def test_orbit_elements_are_reduced_roots(den, q, data):
+    # the elements skip the reduction in RootOfUnity.__init__, and still
+    # compare, hash and serialize as reduced roots; selfdual read off the
+    # exponent set agrees with looking the inverse up among the elements
+    assume(math.gcd(q, den) == 1)
+    a = data.draw(st.sampled_from(
+        [a for a in range(den) if math.gcd(a, den) == 1]))
+    orbit = frobenius_orbit(RootOfUnity(a, den), q)
+    built = tuple(RootOfUnity(r.num, r.den) for r in orbit.elements)
+    assert orbit.elements == built
+    assert [(r.num, r.den) for r in orbit.elements] == [
+        (r.num, r.den) for r in built]
+    assert hash(orbit.elements) == hash(built)
+    assert orbit.selfdual == (orbit.elements[0].inverse() in built)
+    again = FrobeniusOrbit(q=q, elements=built)
+    assert again == orbit and hash(again) == hash(orbit)
+    assert again.to_json() == orbit.to_json()
+    assert FrobeniusOrbit.from_json(orbit.to_json()) == orbit

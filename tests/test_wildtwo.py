@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_fingroup import _counting_mul
 
 from ggt import wildtwo
+from ggt.cyclotomic import Cyc
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import FinGroup
 from ggt.monomial import MonomialMatrix
@@ -355,6 +356,119 @@ def test_mackey_rejects_a_corrupted_term(monkeypatch, g2_jordan):
     monkeypatch.setattr(wildtwo, "_conjugation_terms", corrupted)
     with pytest.raises(AssertionError):
         mackey_decompose(g2_jordan)
+
+
+def _elementwise_terms(g2j):
+    """The conjugation terms by multiplying out r^-1 g r for each of the
+    168 elements g and the 7 coset representatives r = (0, a, 0)."""
+    reps = [((0, a, 0), wildtwo._triple_inv((0, a, 0))) for a in range(1, 8)]
+    terms = {}
+    for g in g2j.triples:
+        terms[g] = []
+        for r, ri in reps:
+            v, a, f = wildtwo._triple_mul(ri, wildtwo._triple_mul(g, r))
+            if a == 1:
+                terms[g].append((-1 if wildtwo._F8_TRACE[v] else 1, f))
+    return terms
+
+
+def _elementwise_characters(g2j):
+    """The 21-dimensional character and the three constituents at all 168
+    elements, as Cyc values."""
+    terms = _elementwise_terms(g2j)
+    chars = [{g: Cyc.integer(3, g2j.trace(g)) for g in g2j.triples}]
+    for k in range(3):
+        vals = {}
+        for g, ts in terms.items():
+            vec = [0, 0, 0]
+            for sign, f in ts:
+                vec[k * f % 3] += sign
+            vals[g] = Cyc(3, tuple(vec))
+        chars.append(vals)
+    return chars
+
+
+def _elementwise_inner_product(avals, bvals):
+    total = sum((a * bvals[g].conj() for g, a in avals.items()),
+                Cyc.zero(3)).rational_value()
+    assert total is not None and total % 168 == 0
+    return total // 168
+
+
+def _elementwise_constituents(g2j):
+    """mackey_decompose's answer from sums over all 168 elements."""
+    big, *parts = _elementwise_characters(g2j)
+    out = []
+    for k, vals in enumerate(parts):
+        deg = vals[(0, 1, 0)].rational_value()
+        kernel = [g for g in g2j.triples if vals[g] == Cyc.integer(3, deg)]
+        selfdual = all(vals[g] == vals[wildtwo._triple_inv(g)]
+                       for g in g2j.triples)
+        out.append(wildtwo.Constituent(k=k, degree=deg, selfdual=selfdual,
+                                       faithful=kernel == [(0, 1, 0)]))
+    return out
+
+
+def test_class_sums_match_the_elementwise_sums(g2_jordan):
+    # the closed-form terms are the multiplied-out ones, and the class
+    # version gives the constituents and every inner product of the
+    # 168-element sums
+    terms = wildtwo._conjugation_terms(g2_jordan)
+    assert terms == _elementwise_terms(g2_jordan)
+    assert mackey_decompose(g2_jordan) == _elementwise_constituents(g2_jordan)
+
+    grp = g2_jordan.group
+    classes = grp.conjugacy_classes()
+    at = {grp.index[x]: t for t, x in g2_jordan.matrix.items()}
+    reps = [at[min(c)] for c in classes]
+    sizes = [len(c) for c in classes]
+    big, *parts = _elementwise_characters(g2_jordan)
+    by_class = [[(g2_jordan.trace(t), 0) for t in reps]]
+    for k in range(3):
+        vals = wildtwo._induced_from_extension(terms, k)
+        by_class.append([vals[t] for t in reps])
+        for t in reps:
+            x, y = vals[t]
+            assert Cyc(3, (x, y, 0)) == parts[k][t]
+    products = {}
+    for i, a in enumerate([big] + parts):
+        for j, b in enumerate(parts):
+            products[i, j] = _elementwise_inner_product(a, b)
+            assert products[i, j] == wildtwo._inner_product(
+                sizes, by_class[i], by_class[j + 1])
+    assert len(products) == 12
+    assert [products[0, j] for j in range(3)] == [1, 1, 1]
+    assert all(products[i + 1, j] == (i == j)
+               for i in range(3) for j in range(3))
+
+
+def test_mackey_rejects_merged_classes(monkeypatch, g2_jordan):
+    # the 7 nontrivial translations and the 24 elements of order 7 merged
+    # into one class: the constituents take -1 on one and 0 on the other,
+    # so they are no longer constant on the classes
+    classes = g2_jordan.group.conjugacy_classes()
+    merged = [classes[0], classes[1] | classes[2]] + classes[3:]
+    monkeypatch.setattr(g2_jordan.group, "conjugacy_classes",
+                        lambda: merged)
+    with pytest.raises(AssertionError, match="not a class function"):
+        mackey_decompose(g2_jordan)
+
+
+def test_g2_jordan_report_reads_traces_at_class_representatives(
+        monkeypatch):
+    g2j = build_g2_jordan()
+    read = []
+    trace_int = MonomialMatrix.trace_int
+
+    def counting(self):
+        read.append(self)
+        return trace_int(self)
+
+    monkeypatch.setattr(MonomialMatrix, "trace_int", counting)
+    g2_jordan_report(g2j)
+    assert len(read) == 8
+    assert ({g2j.group.index[x] for x in read}
+            == {min(c) for c in g2j.group.conjugacy_classes()})
 
 
 def test_g2_jordan_product_count(monkeypatch):
