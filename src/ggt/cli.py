@@ -112,7 +112,7 @@ def _cmd_param_real(args):
 
 
 def _cmd_wild_so(args):
-    w = build_so_wild(args.m, bound=args.bound)
+    w = build_so_wild(args.m)
     rep = so_wild_report(w)
     checks = [
         _check("order", rep["order_expected"], rep["order"]),
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = wild.add_subparsers(dest="kind", required=True)
     p = wsub.add_parser("so", help="sign-and-cycle group inside SO(m)")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, default=100_000)
     _add_common(p)
     p.set_defaults(handler=_cmd_wild_so)
     p = wsub.add_parser("g2", help="order-168 normalizer and its characters")

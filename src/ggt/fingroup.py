@@ -15,33 +15,36 @@ the identity is 0, and for each generator g the group keeps the table
 i -> index(g * x_i).  Elements are decoded only when first asked for.
 metacyclic(m, p) and the tame images of ggt.weilparams are built from
 their presentation instead: the generators t, f are checked, on their
-exponents, to present Z/p semidirect Z/m, and the same search runs on
-the normal forms t^a f^b (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, ch. 8), with no point orbit and no
-base image, so their tables equal generate's.
+exponents, to present Z/p semidirect Z/m, and x_(a + p b) is the normal
+form t^a f^b (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 8), so their tables are closed forms, with no search,
+no point orbit and no base image.
 
-The rest runs on indices and multiplies no element: a subgroup is a
-frozenset of indices, and a quotient's projection maps an index of G to
-an index of G/N, so reporting a group decodes no element.  The search's
-spanning tree of the Cayley graph gives, for any element s, the table
-i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
+Every constructor hands the group a spanning tree of its Cayley graph,
+the edge x_j = g x_i with i < j for each j > 0: the search records the
+step that found x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or,
+for a = 0, f f^(b-1).  The rest runs on indices and multiplies no
+element: a subgroup is a frozenset of indices, and a quotient's
+projection maps an index of G to an index of G/N, so reporting a group
+decodes no element.  The spanning tree gives, for any element s, the
+table i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
 Conjugation by a generator g is the table x g -> g x, so the conjugacy
-classes, normality tests and normal closures are orbits of index
-tables, and the commutator subgroup is the normal closure of the
-h^-1 (g h g^-1) for generators g and h.  g (x N) = g x N, so pushing the
-normal subgroup N through the tables labels the cosets in the order a
-search on G/N finds them: the labels are the quotient's tables, and its
-elements are the permutation matrices of its regular action.  The powers
-of x are the cycle of the identity under right multiplication by x,
-which gives element orders.  In the abelian G/G', x -> x^p is a
-homomorphism, filled in along the spanning tree, and the numbers of
-elements its iterates kill give the invariant factors.  Subgroup
-closures run Dimino's algorithm (Butler, Fundamental Algorithms for
-Permutation Groups, 1991) on indices: a seed element s outside the
-group H generated so far adds whole right cosets, and H r s is the
-coset H r pushed through the table of s.  Every reported number is an
-invariant of the group, so none depends on how the elements are
-numbered.
+classes, normality tests and normal closures are orbits of index tables,
+and the commutator subgroup is the normal closure of the h^-1 (g h g^-1)
+for generators g and h.  g (x N) = g x N, so pushing the normal subgroup
+N through the tables labels the cosets in the order a search on G/N
+finds them: the labels are the quotient's tables, the step that found
+each coset is its tree edge, and its elements are the permutation
+matrices of its regular action.  The powers of x are the cycle of the
+identity under right multiplication by x, which gives element orders.
+In the abelian G/G', x -> x^p is a homomorphism, filled in along the
+spanning tree, and the numbers of elements its iterates kill give the
+invariant factors.  Subgroup closures run Dimino's algorithm (Butler,
+Fundamental Algorithms for Permutation Groups, 1991) on indices: a seed
+element s outside the group H generated so far adds whole right cosets,
+and H r s is the coset H r pushed through the table of s.  Every
+reported number is an invariant of the group, so none depends on how the
+elements are numbered.
 
 Closures are not repeated.  x and x^k with gcd(k, ord x) = 1 have the
 same normal closure (Holt, Eick and O'Brien, Handbook of Computational
@@ -81,17 +84,20 @@ DEFAULT_CLOSURE_BOUND = 100_000
 
 
 class FinGroup:
-    """A finite group given by its Cayley tables, numbered in search
-    order; the elements are decoded on first use."""
+    """A finite group given by its Cayley tables and a spanning tree of
+    its Cayley graph; the elements are decoded on first use."""
 
-    def __init__(self, tables: Sequence, images: Sequence | None = None,
+    def __init__(self, tables: Sequence, tree: Sequence,
+                 images: Sequence | None = None,
                  decode: Callable | None = None) -> None:
         """tables holds for each generator g the list i -> index(g x_i),
-        numbered in breadth-first search order, x_0 the identity.  x_i is
-        decode(images[i]); with no decode it is the permutation matrix of
-        the regular action j -> index(x_j x_i^-1), as for a quotient."""
+        x_0 the identity.  tree holds, for j = 1, ..., order - 1, the edge
+        (t, i) with i < j and x_j = g x_i, t the table of g (one of
+        tables, not a copy).  x_i is decode(images[i]); with no decode it
+        is the permutation matrix of the regular action
+        j -> index(x_j x_i^-1), as for a quotient."""
         self.tables = list(tables)
-        self._tree: list[tuple[list[int], int]] | None = None
+        self._tree = tree
         if decode is None:
             images, decode = range(self.order), self._regular
         self._images, self._decode = images, decode
@@ -105,7 +111,8 @@ class FinGroup:
     def generate(cls, generators: Sequence,
                  bound: int = DEFAULT_CLOSURE_BOUND) -> "FinGroup":
         """Breadth-first closure by left multiplication, recording each
-        generator's table.  Errors past the bound, which must be
+        generator's table and, as the tree edge to each new element, the
+        step that found it.  Errors past the bound, which must be
         positive.
 
         The search runs on base images: monomial.point_action gives the
@@ -119,8 +126,9 @@ class FinGroup:
             raise ValueError(f"bound must be positive, got {bound}")
         start, phis, decode = point_action(generators, bound)
         imgs, pos = [start], {start: 0}
-        tables = [[] for _ in phis]
-        for x in imgs:  # imgs grows while the loop runs
+        tables, tree, found = [[] for _ in phis], [], [0]
+        # found holds the tables' own ints, so the tree adds no int objects
+        for i, x in zip(found, imgs):  # both grow while the loop runs
             gx = gatherer(x)
             for phi, table in zip(phis, tables):
                 y = gx(phi)
@@ -130,8 +138,10 @@ class FinGroup:
                         raise ResourceBoundExceeded(
                             f"group closure exceeded {bound} elements")
                     imgs.append(y)
+                    found.append(j)
+                    tree.append((table, i))
                 table.append(j)
-        return cls(tables, imgs, decode)
+        return cls(tables, tree, imgs, decode)
 
     @cached_property
     def generators(self) -> list:
@@ -161,26 +171,12 @@ class FinGroup:
     def __contains__(self, x) -> bool:
         return x in self.index
 
-    def _spanning_tree(self) -> list[tuple[list[int], int]]:
-        """(t, i) for j = 1, 2, ...: x_j = g x_i, t the table of g."""
-        if self._tree is None:
-            # replay the search that numbered each element as it found
-            # it: x_j = g x_i at the first step with t[i] = j; the queue
-            # holds the tables' own ints
-            self._tree, queue = [], [0]
-            for i in queue:  # queue grows while the loop runs
-                for t in self.tables:
-                    if t[i] == len(queue):
-                        queue.append(t[i])
-                        self._tree.append((t, i))
-        return self._tree
-
     def _right(self, s: int) -> list[int]:
         """The table i -> index(x_i x_s), filled along the spanning tree:
         x = g y gives x x_s = g (y x_s)."""
         r = [s]
         append = r.append
-        for t, i in self._spanning_tree():  # x_j = g x_i, j = 1, 2, ...
+        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
             append(t[r[i]])
         return r
 
@@ -341,25 +337,28 @@ class FinGroup:
 
         Pushing N through the generators' tables labels the cosets in the
         order a search on G/N finds them, so the labels of g x N are the
-        quotient's tables and nothing is generated.  Its elements are the
+        quotient's tables, the step g x N that found a coset is its tree
+        edge, and nothing is generated.  Its elements are the
         permutation matrices of its regular action, decoded on first use.
         """
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         label = [-1] * self.order  # -1 until the coset is found
-        cosets = [list(sub)]  # N is coset 0
+        cosets, edges = [list(sub)], []  # N is coset 0
         for i in cosets[0]:
             label[i] = 0
-        for coset in cosets:  # cosets grows while the loop runs
-            for t in self.tables:
+        for c, coset in enumerate(cosets):  # cosets grows in the loop
+            for k, t in enumerate(self.tables):
                 if label[t[coset[0]]] < 0:
                     image = [t[i] for i in coset]  # g x N, a whole coset
                     for i in image:
                         label[i] = len(cosets)
                     cosets.append(image)
+                    edges.append((k, c))
         if len(cosets) * len(sub) != self.order:
             raise AssertionError("quotient order mismatch")
-        q = FinGroup([[label[t[c[0]]] for c in cosets] for t in self.tables])
+        tables = [[label[t[c[0]]] for c in cosets] for t in self.tables]
+        q = FinGroup(tables, [(tables[k], c) for k, c in edges])
         return q, label.__getitem__
 
     def _power_table(self, e: int) -> list[int]:
@@ -372,7 +371,7 @@ class FinGroup:
                 y = t[y]
             times[id(t)] = self._right(y)
         out = [0]
-        for t, i in self._spanning_tree():  # x_j = g x_i, j = 1, 2, ...
+        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
             out.append(times[id(t)][out[i]])
         return out
 
@@ -558,9 +557,9 @@ def cyclic(n: int) -> FinGroup:
 
 def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
                       bound: int = DEFAULT_CLOSURE_BOUND) -> FinGroup:
-    """<t, f> as Z/p semidirect Z/m, with the tables and elements that
-    FinGroup.generate([t, f], bound) gives it.  Errors unless t and f
-    present such a group, or past the bound, which must be positive.
+    """<t, f> as Z/p semidirect Z/m, numbered by the normal form: x_k is
+    t^a f^b for k = a + p*b.  Errors unless t and f present such a
+    group, or past the bound, which must be positive.
 
     The proof reads only (perm, exps, n) and multiplies no element.  t is
     diagonal of prime modulus p, so it has order p.  Conjugating a
@@ -573,11 +572,12 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
     diagonal and not in <t>.  Hence <t> n <f> = 1, f has order m = L,
     and G = <t><f> has the p*m elements t^a f^b.
 
-    The tables come from the breadth-first search that generate runs,
-    on the Cayley graph of the same generators in the same order, over
-    the keys a + p*b: t (t^a f^b) = t^(a+1) f^b and f (t^a f^b) =
-    t^(alpha a) f^(b+1).  So the indices, and every result read off
-    them, are generate's; the key a + p*b decodes to t^a f^b.
+    The tables are closed forms on the keys a + p*b: t (t^a f^b) =
+    t^(a+1) f^b and f (t^a f^b) = t^(alpha a) f^(b+1), exponents mod p
+    and m.  The tree edge to t^a f^b is t from t^(a-1) f^b when a > 0,
+    else f from f^(b-1).  The numbering differs from generate's, but the
+    Cayley graph is the same, so every reported number, a group
+    invariant, is too; the key a + p*b decodes to t^a f^b.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
@@ -604,26 +604,14 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
         raise ValueError("f^m is not 1, m the order of f's permutation")
     if p * m > bound:
         raise ResourceBoundExceeded(f"group closure exceeded {bound} elements")
-    times = [alpha * a % p for a in range(p)]  # t^a -> f t^a f^-1
-    pos = [-1] * (p * m)  # key -> index, -1 until found
-    keys, pos[0] = [0], 0
-    ttab, ftab = [], []
-    last = p * (m - 1)  # the keys of t^a f^(m-1) are last and up
-    for k in keys:  # keys grows while the loop runs
-        a = k % p
-        y = k + 1 if a + 1 < p else k + 1 - p  # t^(a+1) f^b
-        j = pos[y]
-        if j < 0:
-            j = pos[y] = len(keys)
-            keys.append(y)
-        ttab.append(j)
-        y = times[a] + (k - a + p if k < last else 0)  # t^(alpha a) f^(b+1)
-        j = pos[y]
-        if j < 0:
-            j = pos[y] = len(keys)
-            keys.append(y)
-        ftab.append(j)
-    return FinGroup([ttab, ftab], keys, power_product_decoder(t, f))
+    # x_(a + p b) = t^a f^b: t x = t^(a+1) f^b, f x = t^(alpha a) f^(b+1);
+    # the tables and the tree share the ints of ks, one per element
+    ks = list(range(p * m))
+    ttab = [ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks]
+    ftab = [ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)] for k in ks]
+    tree = [(ttab, ks[k - 1]) if k % p else (ftab, ks[k - p]) for k in ks[1:]]
+    return FinGroup([ttab, ftab], tree, range(len(ks)),
+                    power_product_decoder(t, f))
 
 
 def metacyclic(m: int, p: int) -> FinGroup:

@@ -300,7 +300,18 @@ def _slow_order(a: int, p: int, bound: int = 10_000_000) -> int:
 
 
 def _slow_phi(n: int) -> int:
-    return sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
+    """Euler's phi by trial division: phi(n) = n prod (1 - 1/r) over the
+    primes r dividing n."""
+    out, k = n, 2
+    while k * k <= n:
+        if n % k == 0:
+            while n % k == 0:
+                n //= k
+            out -= out // k
+        k += 1
+    if n > 1:
+        out -= out // n
+    return out
 
 
 def validate_certificate(cert: SearchCertificate) -> dict:

@@ -408,14 +408,9 @@ def _system_table(rank_bound: int
     return tuple(table)
 
 
-def _all_systems(rank_bound: int) -> list[RootSystem]:
-    """Every multiset of irreducible types with total rank <= rank_bound."""
-    return [rs for rs, _ in _system_table(rank_bound)]
-
-
 def uniqueness_scan(rank_bound: int, required_orders) -> list[RootSystem]:
     """All systems of rank <= rank_bound whose Weyl group realizes every
-    required element order, in the order of _all_systems.
+    required element order, in walk order.
 
     The walk over the systems and their order sets runs once per rank
     bound (_system_table); a scan is a subset filter over that table."""

@@ -181,9 +181,10 @@ def parameter_image(param: TameParameter,
     It is built from its presentation (fingroup._split_metacyclic),
     which proves from the two matrices that the group is <inertia> of
     order p, normalised by Frobenius, times <Frobenius> of order ord(F),
-    meeting only in 1.  So its order p * ord(F) must be 2n*p; then the
-    type (2n, p) criterion, run on the index tables, must find the
-    normal Z/p with conjugation image of order 2n.
+    meeting only in 1, and numbers t^a F^b (t the inertia) as a + p*b.
+    So its order p * ord(F) must be 2n*p; then the type (2n, p)
+    criterion, run on the index tables, must find the normal Z/p with
+    conjugation image of order 2n.
     """
     if param.s != 1:
         raise ValueError("image analysis wants a single orbit")

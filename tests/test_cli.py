@@ -109,30 +109,23 @@ def test_wild_so_exit_codes(capsys):
     code, report = _report(capsys, ["wild", "so", "--m", "3"])
     assert code == 0
     assert report["results"]["order"] == 12
-    # the report closes no group, so a bound below the order of 245,760
-    # caps nothing it computes
-    for argv in (["--bound", "500"], []):
-        code, report = _report(capsys, ["wild", "so", "--m", "15", *argv])
-        assert code == 0 and report["results"]["order"] == 245760
+    code, report = _report(capsys, ["wild", "so", "--m", "15"])
+    assert code == 0 and report["results"]["order"] == 245760
     code, _ = _run(capsys, ["wild", "so", "--m", "4"])
     assert code == 2
 
 
 def test_wild_so_fifteen_without_a_closure(capsys):
     # the order comes from the module of sign vectors, so 245,760
-    # elements cost nothing, whatever the bound
+    # elements cost nothing, though the lazy closure's default bound is
+    # 100,000
     start = time.perf_counter()
-    code, report = _report(capsys, ["wild", "so", "--m", "15",
-                                    "--bound", "245760"])
+    code, report = _report(capsys, ["wild", "so", "--m", "15"])
     assert time.perf_counter() - start < 1
     assert code == 0 and all(c["pass"] for c in report["checks"])
     res = report["results"]
     assert res["order"] == 245760 and res["abelianization"] == [15]
     assert res["commutator"]["order"] == 2 ** 14
-    # the default bound of 100,000 caps only the lazy closure
-    code, report = _report(capsys, ["wild", "so", "--m", "15"])
-    assert code == 0 and all(c["pass"] for c in report["checks"])
-    assert report["results"]["order"] == 245760
 
 
 def _usage_error(capsys, argv):
@@ -144,10 +137,8 @@ def _usage_error(capsys, argv):
 
 
 def test_non_positive_bounds_exit_2(capsys):
-    # a bound no group fits under and a ceiling no prime lies below are
-    # bad input, not a resource bound that was hit
-    for bound in ("0", "-5"):
-        _usage_error(capsys, ["wild", "so", "--m", "3", "--bound", bound])
+    # a ceiling no prime lies below is bad input, not a resource bound
+    # that was hit
     for ceiling in ("1", "-1"):
         _usage_error(capsys, ["primes", "--n", "3", "--ell", "3", "--t", "3",
                               "--d", "5", "--ceiling", ceiling])
@@ -194,6 +185,12 @@ def test_weyl_removed_sampling_flags():
     assert main(["weyl", "orders", "--type", "E8", "--samples", "0"]) == 2
     assert main(["weyl", "table", "--seed", "7"]) == 2
     assert main(["weyl", "orders", "--type", "G2", "--mode", "exact"]) == 2
+
+
+def test_wild_so_removed_bound_flag():
+    # the report closes no group, so --bound capped nothing; it is a
+    # usage error now
+    assert main(["wild", "so", "--m", "15", "--bound", "500"]) == 2
 
 
 def test_minuscule(capsys):

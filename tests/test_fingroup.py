@@ -586,10 +586,29 @@ def test_is_type_np_right_tables(monkeypatch):
     monkeypatch.setattr(FinGroup, "_right", counting)
     param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
     image = parameter_image(param)
-    assert made == [1, 1, 2]
+    # x_1 = t, and f = x_43 in the normal-form numbering x_(a + 43 b)
+    assert made == [1, 1, 43]
     made.clear()
     assert is_type_np(image, 6, 43).exponents == (1, 7)
     assert made == []
+
+
+def test_every_constructor_hands_over_its_spanning_tree():
+    # tree edge (t, i) for x_j = g x_i: i < j, t is g's own table, and
+    # t[i] = j, for generate, the presented groups and a quotient
+    image = parameter_image(build_tame_parameter(7, (RootOfUnity(1, 43),), 3))
+    meta = metacyclic(6, 7)
+    groups = _battery() + [
+        image,
+        meta,
+        meta.quotient(meta.commutator_subgroup())[0],
+        direct_product(cyclic(4), metacyclic(6, 7)),
+    ]
+    for g in groups:
+        assert len(g._tree) == g.order - 1
+        for j, (t, i) in enumerate(g._tree, 1):
+            assert i < j and t[i] == j
+            assert any(t is table for table in g.tables)
 
 
 def test_element_of_order_p_reads_powers_off_the_walk():
@@ -669,9 +688,13 @@ def _tame_params():
 
 
 def _assert_same_as_closure(grp: FinGroup, gens) -> None:
+    # the same Cayley graph under pi(i) = closed.index[x_i]: the numbering
+    # differs (normal form against search order), the group does not
     closed = FinGroup.generate(gens)
-    assert grp.tables == closed.tables
-    assert grp.elements == closed.elements
+    pi = [closed.index[x] for x in grp.elements]
+    assert sorted(pi) == list(range(closed.order))
+    for ct, gt in zip(closed.tables, grp.tables, strict=True):
+        assert all(ct[pi[i]] == pi[j] for i, j in enumerate(gt))
 
 
 def test_presented_groups_match_the_closure():

@@ -196,6 +196,13 @@ def test_validator_uses_no_search_helper(monkeypatch):
         assert validate_certificate(cert)["all_ok"], cert.request
 
 
+def test_validator_phi_matches_the_gcd_count():
+    # the validator's trial-division phi against its definition
+    for n in range(1, 3000):
+        assert primesearch._slow_phi(n) == sum(
+            1 for x in range(1, n + 1) if gcd(x, n) == 1), n
+
+
 def _naive_order_is(a, p, m):
     x = 1
     for k in range(1, m + 1):

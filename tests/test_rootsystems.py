@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from ggt import rootsystems
 from ggt.errors import ResourceBoundExceeded
 from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
-                             RootSystem,
-                             _all_systems, _exceptional_tally, _system_table,
+                             RootSystem, _exceptional_tally, _system_table,
                              almost_minuscule_data,
                              audit_omission_policy,
                              cyclic_weight_permutation_check,
@@ -313,7 +312,6 @@ def test_uniqueness_scan_matches_its_definition():
         combos = [c for c in oracle if sum(int(x[1:]) for x in c) <= rank]
         table = _system_table(rank)
         assert [rs.components for rs, _ in table] == combos, rank
-        assert [rs.components for rs in _all_systems(rank)] == combos
         systems = [RootSystem(c) for c in combos]
         for rs, orders in table:
             assert orders == weyl_element_orders(rs).orders, rs.label
