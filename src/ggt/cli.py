@@ -2,8 +2,9 @@
 
 Every subcommand prints one report object: the echoed inputs, the module
 results, and a list of named checks.  Exit code 0 means every check
-passed, 1 means some check failed, 2 is a usage error, and 3 means a
-resource bound (enumeration cap or search ceiling) was hit.  Output is
+passed, 1 means some check failed (or an internal invariant did: one
+stderr line, no report), 2 is a usage error, and 3 means a resource
+bound (enumeration cap or search ceiling) was hit.  Output is
 JSON with sorted keys, so identical invocations are byte-identical;
 --format text renders the same report for reading.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ResourceBoundExceeded
 from .fingroup import cyclic, is_type_np, metacyclic
-from .numth import is_prime, mult_order
+from .numth import factorize, is_prime, mult_order
 from .roots import RootOfUnity, check_selfdual_orbit, frobenius_orbit
 from .rootsystems import (RootSystem, almost_minuscule_data,
                           cyclic_weight_permutation_check, order_table,
@@ -52,7 +53,14 @@ def _cmd_orbit(args):
     if not is_prime(args.q):
         raise ValueError(f"q = {args.q} is not prime")
     orbit = frobenius_orbit(tau, args.q)
-    checks = [_check("orbit_closed", True, f"size {orbit.size}")]
+    size, den = orbit.size, tau.den
+    # q^size fixes tau, and size is ord_den(q): no q^(size/r) with r a
+    # prime factor of size is 1.  Factoring size, never den, keeps this
+    # within the orbit bound's cost whatever den is.
+    closed = ((tau.num * pow(args.q, size, den) - tau.num) % den == 0
+              and all(pow(args.q, size // r, den) != 1 % den
+                      for r in factorize(size)))
+    checks = [_check("orbit_closed", closed, f"size {size}")]
     if tau.den > 2:
         checks.append(_check("selfdual_halfway", check_selfdual_orbit(orbit),
                              f"selfdual={orbit.selfdual}"))
@@ -103,7 +111,9 @@ def _cmd_param_real(args):
     vals = [Fraction(part) for part in args.a.split(",")]
     rp = real_parameter(vals)
     results = rp.to_json()
-    checks = [_check("nonzero_distinct", True)]
+    # read off the weights returned, not the ones asked for
+    distinct = len({abs(a) for a in rp.a}) == len(rp.a) == len(vals)
+    checks = [_check("nonzero_distinct", 0 not in rp.a and distinct)]
     if len(vals) == 3:
         g2 = is_g2_real(rp)
         results["g2_signs"] = g2
@@ -382,6 +392,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as err:
         print(f"ggt: {err}", file=sys.stderr)
         return 2
+    except AssertionError as err:
+        detail = " ".join(str(err).split()) or "assertion failed"
+        print(f"ggt: internal check failed: {detail}", file=sys.stderr)
+        return 1
 
     report = {
         "command": " ".join(sub),

@@ -23,9 +23,14 @@ one offset modulo step * p.  Walking the sorted offsets period by period
 meets the candidates in increasing order, so the first prime among them
 is the least q, and primality is tested only on those.
 
+The order f of ell modulo p is computed once for each candidate p that
+is prime: the forcing test reads it, and so does the certificate, whose
+k_min is the least f / gcd(f, 2i) over i = 1..n.
+
 Every certificate can be re-checked by validate_certificate, which
 recomputes all five conditions along deliberately separate code paths
-(trial division, naive order loops, direct group-order divisibility).
+(trial division, naive order loops, direct group-order divisibility by
+a walk of products).
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import ResourceBoundExceeded, SearchExhausted
-from .numth import (PrimePair, factorize, is_prime, min_k_order_appears,
-                    mult_order)
+from .numth import PrimePair, factorize, is_prime, mult_order
 
 __all__ = [
     "SearchRequest",
@@ -109,12 +113,11 @@ def check_degree_forcing(p: int, ell: int, t: int, n: int) -> bool:
         raise ValueError("p and ell must differ")
     if not is_prime(p) or not is_prime(ell):
         raise ValueError("p and ell must be prime")
-    return _forces_degree(p, ell, t, n)
+    return _forces_degree(mult_order(ell, p), t, n)
 
 
-def _forces_degree(p: int, ell: int, t: int, n: int) -> bool:
-    # check_degree_forcing for distinct primes p and ell, unchecked
-    f = mult_order(ell, p)
+def _forces_degree(f: int, t: int, n: int) -> bool:
+    # check_degree_forcing given f, the order of ell mod p
     return all(f // gcd(f, 2 * i) % t == 0 for i in range(1, n + 1))
 
 
@@ -178,12 +181,13 @@ def find_prime_pair(req: SearchRequest,
                 f"no (p, q) with p, q < {ceiling} for {req}")
         if p <= req.d or p == req.ell or not is_prime(p):
             continue
-        if not _forces_degree(p, req.ell, req.t, req.n):
+        f = mult_order(req.ell, p)
+        if not _forces_degree(f, req.t, req.n):
             continue
         offsets = _order_offsets(p, step_q, two_n, cofactors, exponents)
         q = _scan_q(req, p, step_q * p, offsets, ceiling)
         if q is not None:
-            return _certify(req, p, q, moduli)
+            return _certify(req, p, q, f, moduli)
 
 
 def _order_offsets(p: int, step: int, two_n: int, cofactors: list[int],
@@ -226,9 +230,11 @@ def _scan_q(req: SearchRequest, p: int, period: int, offsets: list[int],
         base += period
 
 
-def _certify(req: SearchRequest, p: int, q: int,
+def _certify(req: SearchRequest, p: int, q: int, f: int,
              moduli: list[int]) -> SearchCertificate:
-    f = mult_order(req.ell, p)
+    # f is the order of ell mod p; p divides ell^(2ik) - 1 iff f | 2ik iff
+    # f / gcd(f, 2i) divides k, so the least such k is the least quotient
+    quotients = {i: f // gcd(f, 2 * i) for i in range(1, req.n + 1)}
     checks = {
         "distinct_odd": {
             "ok": True,
@@ -240,8 +246,7 @@ def _certify(req: SearchRequest, p: int, q: int,
             "witness": {
                 "f": f,
                 "t": req.t,
-                "quotients": {i: f // gcd(f, 2 * i)
-                              for i in range(1, req.n + 1)},
+                "quotients": quotients,
             },
         },
         "splitting_surrogate": {
@@ -264,7 +269,7 @@ def _certify(req: SearchRequest, p: int, q: int,
     return SearchCertificate(
         request=req,
         pair=PrimePair(p=p, q=q, m=2 * req.n),
-        k_min=min_k_order_appears(req.ell, req.n, p),
+        k_min=min(quotients.values()),
         checks=checks,
         flags=flags,
     )
@@ -314,9 +319,43 @@ def _slow_phi(n: int) -> int:
     return out
 
 
+def _forcing_walk(ell: int, p: int, n: int,
+                  t: int) -> tuple[bool, int | None]:
+    """Whether every k <= f at which p divides |SO_{2n+1}(F_{ell^k})| is
+    a multiple of t, and the least such k; f is the order of ell mod p.
+
+    p divides ell^{k n^2} prod_{i <= n} (ell^{2ik} - 1) iff some
+    ell^{2ik} = 1 mod p; k > f repeats the pattern, everything having
+    period f.  ell^(2k) is one product past ell^(2k-2), and its powers
+    up to the n-th are walked by products, stopping at 1.
+    """
+    f = _slow_order(ell, p)
+    ell_sq = ell * ell % p
+    forcing_ok = True
+    first = None
+    ell_2k = 1
+    for k in range(1, f + 1):
+        ell_2k = ell_2k * ell_sq % p
+        x = 1
+        for _ in range(n):
+            x = x * ell_2k % p  # ell^(2ik)
+            if x == 1:
+                if first is None:
+                    first = k
+                if k % t != 0:
+                    forcing_ok = False
+                break
+    return forcing_ok, first
+
+
 def validate_certificate(cert: SearchCertificate) -> dict:
     """Recompute all five conditions from scratch; returns per-condition
-    verdicts plus "all_ok"."""
+    verdicts plus "all_ok".
+
+    The forcing condition is read off the group orders by a walk of
+    products (_forcing_walk): about f * n multiplications mod p at most,
+    f = ord_p(ell), and no modular powers.
+    """
     req = cert.request
     p, q, ell = cert.pair.p, cert.pair.q, req.ell
     out: dict = {}
@@ -326,21 +365,7 @@ def validate_certificate(cert: SearchCertificate) -> dict:
                            and len({p, q, ell}) == 3)
     out["p_exceeds_d"] = p > req.d
 
-    # degree forcing via the group orders themselves: p divides
-    # |SO_{2n+1}(F_{ell^k})| = ell^{k n^2} prod_i (ell^{2ik} - 1)
-    # iff some ell^{2ik} = 1 mod p; every such k <= f must be a multiple
-    # of t (k > f repeats the pattern since everything has period f).
-    f = _slow_order(ell, p)
-    forcing_ok = True
-    first_divisible = None
-    for k in range(1, f + 1):
-        divides = any(pow(ell, 2 * i * k, p) == 1
-                      for i in range(1, req.n + 1))
-        if divides:
-            if first_divisible is None:
-                first_divisible = k
-            if k % req.t != 0:
-                forcing_ok = False
+    forcing_ok, first_divisible = _forcing_walk(ell, p, req.n, req.t)
     out["degree_forcing"] = forcing_ok
     out["k_min_agrees"] = first_divisible == cert.k_min
 

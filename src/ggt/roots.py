@@ -6,6 +6,13 @@ nothing is ever floated.  The Frobenius orbit of tau under q is
 {tau, tau^q, tau^{q^2}, ...}; an orbit is self-dual when it contains
 tau^{-1}, and a self-dual orbit of a root other than +-1 always has even
 size 2n with the inverse sitting exactly n steps along.
+
+RootOfUnity is an immutable value with two slots, num and den.  The
+constructor reduces its input; code that already holds a reduced pair
+(an orbit, whose exponents are units times a unit) writes the slots
+directly through their descriptors, skipping both the reduction and
+the constructor call.  Equality and hashing go by (num, den), as for a
+tuple of the two, but a root never equals a tuple.
 """
 
 from __future__ import annotations
@@ -31,12 +38,10 @@ __all__ = [
 DEFAULT_ORBIT_BOUND = 100_000
 
 
-@dataclass(frozen=True, order=False)
 class RootOfUnity:
     """exp(2*pi*i * num/den) with 0 <= num < den and gcd(num, den) = 1."""
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
         if den == 0:
@@ -45,17 +50,25 @@ class RootOfUnity:
             num, den = -num, -den
         num %= den
         g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        _set_num(self, num // g)
+        _set_den(self, den // g)
 
-    @classmethod
-    def _reduced(cls, num: int, den: int) -> "RootOfUnity":
-        """num/den as given: the caller knows 0 <= num < den and
-        gcd(num, den) = 1, so the reduction in __init__ is skipped."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
-        return r
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootOfUnity:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __reduce__(self):
+        return (RootOfUnity, (self.num, self.den))
 
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
@@ -92,6 +105,11 @@ class RootOfUnity:
 
     def __repr__(self) -> str:
         return f"RootOfUnity({self.num}, {self.den})"
+
+
+# the slot writers, bound once: __setattr__ refuses every assignment
+_set_num = RootOfUnity.num.__set__
+_set_den = RootOfUnity.den.__set__
 
 
 ONE = RootOfUnity(0, 1)
@@ -141,24 +159,33 @@ def frobenius_orbit(tau: RootOfUnity, q: int,
 
     Errors once the orbit would exceed bound elements.
     """
-    n = tau.den
+    a, n = tau.num, tau.den
     if math.gcd(q, n) != 1:
         raise ValueError(f"q = {q} shares a factor with the order {n}")
-    exps = [tau.num]
-    e = tau.num * q % n
-    while e != tau.num:
-        if len(exps) >= bound:
-            raise ResourceBoundExceeded(
-                f"Frobenius orbit exceeded {bound} elements")
+    exps = [a]
+    e = a * q % n
+    for _ in range(bound - 1):
+        if e == a:
+            break
         exps.append(e)
         e = e * q % n
+    else:
+        if e != a:
+            raise ResourceBoundExceeded(
+                f"Frobenius orbit exceeded {bound} elements")
     # Rotate so the smallest exponent leads; q-steps are preserved.
     i = exps.index(min(exps))
     exps = exps[i:] + exps[:i]
     # every e is tau.num times a power of q: a unit mod n when tau is one,
-    # and tau is reduced
-    return FrobeniusOrbit(q=q, elements=tuple(RootOfUnity._reduced(e, n)
-                                              for e in exps))
+    # and tau is reduced, so the slots take e and n as they are
+    elements = []
+    new, set_num, set_den = object.__new__, _set_num, _set_den
+    for e in exps:
+        r = new(RootOfUnity)
+        set_num(r, e)
+        set_den(r, n)
+        elements.append(r)
+    return FrobeniusOrbit(q=q, elements=tuple(elements))
 
 
 def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:

@@ -2,10 +2,12 @@ import hashlib
 import json
 import time
 
+from ggt import cli
 from ggt.cli import main
 from ggt.primesearch import SearchCertificate, validate_certificate
 from ggt.roots import FrobeniusOrbit, RootOfUnity, frobenius_orbit
-from ggt.weilparams import TameParameter, build_tame_parameter
+from ggt.weilparams import (RealParameter, TameParameter,
+                            build_tame_parameter)
 
 
 def _run(capsys, argv):
@@ -96,6 +98,73 @@ def test_param_real(capsys):
     assert report["results"]["g2_signs"] is True
 
 
+def _checks(report):
+    return {c["name"]: c["pass"] for c in report["checks"]}
+
+
+def test_orbit_closed_fails_on_a_short_orbit(capsys, monkeypatch):
+    # drop the last element: q^5 does not fix 1/43, and 5 != ord_43(7)
+    def short(tau, q):
+        orbit = frobenius_orbit(tau, q)
+        return FrobeniusOrbit(q=q, elements=orbit.elements[:-1])
+
+    monkeypatch.setattr(cli, "frobenius_orbit", short)
+    code, report = _report(capsys, ["orbit", "--tau", "1/43", "--q", "7"])
+    assert code == 1
+    closed, = (c for c in report["checks"] if c["name"] == "orbit_closed")
+    assert closed == {"name": "orbit_closed", "pass": False,
+                      "witness": "size 5"}
+
+
+def test_orbit_closed_fails_on_a_doubled_orbit(capsys, monkeypatch):
+    # twice round the orbit: q^12 fixes 1/43, but so does q^6
+    def doubled(tau, q):
+        orbit = frobenius_orbit(tau, q)
+        return FrobeniusOrbit(q=q, elements=orbit.elements * 2)
+
+    monkeypatch.setattr(cli, "frobenius_orbit", doubled)
+    code, report = _report(capsys, ["orbit", "--tau", "1/43", "--q", "7"])
+    assert code == 1 and not _checks(report)["orbit_closed"]
+
+
+def test_orbit_closed_on_roots_of_order_at_most_two(capsys):
+    for tau in ("0/1", "1/2"):
+        code, report = _report(capsys, ["orbit", "--tau", tau, "--q", "7"])
+        assert code == 0 and _checks(report) == {"orbit_closed": True}
+
+
+def test_orbit_closed_never_factors_the_order(capsys):
+    # 7^19 - 1 = 2 * 3 * 419 * 4534166740403, the last a prime past what
+    # trial division settles, so ord_den(7) by factoring den would hit
+    # the bound; the orbit has 19 elements and is checked through 19
+    den = 7**19 - 1
+    code, report = _report(capsys, ["orbit", "--tau", f"1/{den}",
+                                    "--q", "7"])
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert report["results"]["size"] == 19
+
+
+def test_nonzero_distinct_reads_the_returned_weights(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "real_parameter",
+                        lambda vals: RealParameter((vals[0], vals[0])))
+    code, report = _report(capsys, ["param", "real", "--a", "1/2,1"])
+    assert code == 1
+    assert _checks(report) == {"nonzero_distinct": False}
+
+
+def test_internal_check_failure_exits_1_without_traceback(capsys,
+                                                          monkeypatch):
+    def broken(param):
+        raise AssertionError("image has order 1,\nnot 258")
+
+    monkeypatch.setattr(cli, "parameter_image", broken)
+    code = main(["param", "tame", "--q", "7", "--p", "43", "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "ggt: internal check failed: image has order 1, not 258\n"
+    assert "Traceback" not in err
+
+
 def test_primes_round_trip(capsys):
     code, report = _report(
         capsys, ["primes", "--n", "3", "--ell", "3", "--t", "3", "--d", "5"])
@@ -126,6 +195,14 @@ def test_wild_so_fifteen_without_a_closure(capsys):
     res = report["results"]
     assert res["order"] == 245760 and res["abelianization"] == [15]
     assert res["commutator"]["order"] == 2 ** 14
+
+
+def test_wild_so_hundred_and_one(capsys):
+    start = time.perf_counter()
+    code, report = _report(capsys, ["wild", "so", "--m", "101"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and all(c["pass"] for c in report["checks"])
+    assert report["results"]["abelianization"] == [101]
 
 
 def _usage_error(capsys, argv):

@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ggt import primesearch
@@ -185,13 +186,14 @@ def test_validator_uses_no_search_helper(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validator called a search-side helper")
 
-    for name in ("is_prime", "factorize", "mult_order", "min_k_order_appears",
+    for name in ("is_prime", "factorize", "mult_order",
                  "_order_offsets", "_scan_q", "surrogate_moduli",
                  "check_degree_forcing", "_forces_degree",
                  "splits_in_small_cyclotomics"):
         monkeypatch.setattr(primesearch, name, refuse)
-    # euler_phi as well, in case the module binds it
-    monkeypatch.setattr(primesearch, "euler_phi", refuse, raising=False)
+    # these as well, in case the module binds them
+    for name in ("euler_phi", "min_k_order_appears"):
+        monkeypatch.setattr(primesearch, name, refuse, raising=False)
     for cert in certs:
         assert validate_certificate(cert)["all_ok"], cert.request
 
@@ -265,3 +267,86 @@ def test_least_pair_against_brute_force():
             else:
                 got = find_prime_pair(req, ceiling=ceiling)
                 assert (got.pair.p, got.pair.q) == want, (req, ceiling)
+
+
+PRIME_GRID = tuple(itertools.product((1, 2, 3, 4), (2, 3, 5, 7),
+                                     (1, 2, 3, 4), (1, 5, 10)))
+
+
+def test_one_order_per_candidate_prime(monkeypatch):
+    # ord_p(ell) is computed once for each p of the progression 1 mod 2n
+    # that passes the cheap filters and is prime, and never again by the
+    # certificate
+    calls = []
+    search_order = primesearch.mult_order
+    certify = primesearch._certify
+    in_certify = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return search_order(a, n)
+
+    def watched(*args):
+        before = len(calls)
+        cert = certify(*args)
+        in_certify.append(len(calls) - before)
+        return cert
+
+    monkeypatch.setattr(primesearch, "mult_order", counted)
+    monkeypatch.setattr(primesearch, "_certify", watched)
+    for n, ell, t, d in PRIME_GRID:
+        start = len(calls)
+        cert = find_prime_pair(SearchRequest(n, ell, t, d))
+        candidates = [(ell, p) for p in range(2 * n + 1, cert.pair.p + 1,
+                                              2 * n)
+                      if p > d and p != ell and _trial_prime(p)]
+        assert calls[start:] == candidates, (n, ell, t, d)
+    assert in_certify == [0] * len(PRIME_GRID)
+    assert len(calls) == 767
+
+
+def _pow_forcing(ell, p, n, t):
+    # the validator's former formulation, kept as the oracle of the walk:
+    # about f * n modular powers ell^(2ik) mod p
+    f = next(k for k in range(1, p) if pow(ell, k, p) == 1)
+    forcing_ok, first = True, None
+    for k in range(1, f + 1):
+        if any(pow(ell, 2 * i * k, p) == 1 for i in range(1, n + 1)):
+            if first is None:
+                first = k
+            if k % t != 0:
+                forcing_ok = False
+    return forcing_ok, first
+
+
+def test_forcing_walk_matches_modular_powers_on_the_grid():
+    for n, ell, t, d in PRIME_GRID:
+        req = SearchRequest(n, ell, t, d)
+        cert = find_prime_pair(req)
+        p = cert.pair.p
+        want = _pow_forcing(ell, p, n, t)
+        assert primesearch._forcing_walk(ell, p, n, t) == want, req
+        assert want == (True, cert.k_min), req
+
+
+PRIMES_BELOW_400 = [x for x in range(2, 400) if _trial_prime(x)]
+
+
+@given(st.sampled_from(PRIMES_BELOW_400), st.sampled_from(PRIMES_BELOW_400),
+       st.integers(1, 6), st.integers(1, 8))
+@settings(max_examples=200)
+def test_forcing_walk_matches_modular_powers(ell, p, n, t):
+    assume(ell != p)
+    assert primesearch._forcing_walk(ell, p, n, t) == \
+        _pow_forcing(ell, p, n, t)
+
+
+def test_k_min_off_by_one_fails():
+    for args in PRIME_GRID:
+        cert = find_prime_pair(SearchRequest(*args))
+        assert validate_certificate(cert)["k_min_agrees"], args
+        for k_min in (cert.k_min - 1, cert.k_min + 1):
+            verdict = validate_certificate(
+                dataclasses.replace(cert, k_min=k_min))
+            assert not verdict["k_min_agrees"], (args, k_min)
+            assert not verdict["all_ok"], (args, k_min)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -156,3 +158,30 @@ def test_orbit_elements_are_reduced_roots(den, q, data):
     assert again == orbit and hash(again) == hash(orbit)
     assert again.to_json() == orbit.to_json()
     assert FrobeniusOrbit.from_json(orbit.to_json()) == orbit
+
+
+def test_root_is_an_immutable_value():
+    # the constructor and the orbit's slot writes give one value
+    slow = RootOfUnity(6, 14)
+    orbit = frobenius_orbit(RootOfUnity(1, 7), 3)
+    fast = orbit.elements[1]
+    assert slow == fast and hash(slow) == hash(fast) == hash((3, 7))
+    assert (slow.num, slow.den) == (fast.num, fast.den) == (3, 7)
+    # no assignment, deletion or new attribute
+    for attr in ("num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(slow, attr, 1)
+    with pytest.raises(AttributeError):
+        del slow.den
+    assert (slow.num, slow.den) == (3, 7)
+    # a root is not a tuple: it neither equals nor unpacks like one
+    assert slow != (3, 7) and (3, 7) != slow
+    assert not hasattr(slow, "__len__") and not hasattr(slow, "__iter__")
+    # pickling and copying rebuild an equal root
+    for back in (pickle.loads(pickle.dumps(slow)), copy.copy(slow),
+                 copy.deepcopy(fast)):
+        assert type(back) is RootOfUnity
+        assert back == slow and hash(back) == hash(slow)
+    assert pickle.loads(pickle.dumps(orbit)) == orbit
+    assert FrobeniusOrbit.from_json(orbit.to_json()).elements == \
+        orbit.elements

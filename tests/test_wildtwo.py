@@ -255,10 +255,18 @@ def test_so_wild_rejects_bad_m():
     with pytest.raises(ValueError):
         build_so_wild(1)
     with pytest.raises(ValueError):
-        build_so_wild(17)
+        build_so_wild(16)
     # the bound caps only the lazy closure, never the build
     with pytest.raises(ResourceBoundExceeded):
         build_so_wild(11, bound=500).group
+
+
+def test_so_wild_builds_past_fifteen():
+    # any odd m >= 3 builds; the report needs no closure
+    for m in (17, 21):
+        rep = so_wild_report(build_so_wild(m))
+        assert rep["order"] == 2 ** (m - 1) * m and rep["order_expected"]
+        assert rep["abelianization"] == [m] and rep["irreducible"]
 
 
 def test_so_wild_bound_caps_the_lazy_group():
