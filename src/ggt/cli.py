@@ -208,6 +208,21 @@ def _cmd_minuscule(args):
     return {"type": args.type}, results, checks
 
 
+def _normals_bracketed(g) -> bool:
+    """The conjugacy classes partition G, every reported normal subgroup
+    is a union of classes, and {1} and G are among them."""
+    classes, normals = g.conjugacy_classes(), g.normal_subgroups()
+    whole = frozenset(range(g.order))
+    label = {i: c for c, members in enumerate(classes) for i in members}
+    if sum(map(len, classes)) != g.order or label.keys() != whole:
+        return False
+    # n is a union of classes when the classes it meets add up to |n|
+    return ({frozenset([0]), whole} <= set(normals)
+            and all(n <= whole and len(n) == sum(
+                len(classes[c]) for c in {label[i] for i in n})
+                for n in normals))
+
+
 def _cmd_group_analyze(args):
     if args.ell is not None and not args.type_np:
         raise ValueError("--ell needs --type-np")
@@ -229,9 +244,7 @@ def _cmd_group_analyze(args):
         type_np = (int(parts[0]), int(parts[1]))
     results = g.to_json(d=args.gamma_d, type_np=type_np, ell=args.ell)
     results["preset"] = label
-    norders = results["normal_subgroup_orders"]
-    checks = [_check("normal_subgroups_bracketed",
-                     1 in norders and g.order in norders)]
+    checks = [_check("normal_subgroups_bracketed", _normals_bracketed(g))]
     if type_np is not None:
         checks.append(_check(f"type_np({args.type_np})",
                              results["type_np"]["found"]))

@@ -31,11 +31,15 @@ table i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
 Conjugation by a generator g is the table x g -> g x, so the conjugacy
 classes, normality tests and normal closures are orbits of index tables,
 and the commutator subgroup is the normal closure of the h^-1 (g h g^-1)
-for generators g and h.  g (x N) = g x N, so pushing the normal subgroup
-N through the tables labels the cosets in the order a search on G/N
-finds them: the labels are the quotient's tables, the step that found
-each coset is its tree edge, and its elements are the permutation
-matrices of its regular action.  The powers of x are the cycle of the
+for generators g and h.  A query that reads only a few entries of a right
+table (the powers of one element, one conjugate g y g^-1 = g (y g^-1) per
+generator g) fills them on demand, each by walking its tree path up to an
+entry already known, so it pays for what it reads and not for |G|.
+g (x N) = g x N, so pushing the normal subgroup N through the tables
+labels the cosets in the order a search on G/N finds them: the labels
+are the quotient's tables, the step that found each coset is its tree
+edge, and its elements are the permutation matrices of its regular
+action.  The powers of x are the cycle of the
 identity under right multiplication by x, which gives element orders.
 In the abelian G/G', x -> x^p is a homomorphism, filled in along the
 spanning tree, and the numbers of elements its iterates kill give the
@@ -52,8 +56,10 @@ Group Theory, 2005, ch. 4), so normal_subgroups closes one conjugacy
 class per rational class.  The quotient by {1} is G itself: the
 ell-core criterion and the abelianization of an abelian group use G and
 build no quotient.  A type (n, p) witness builds the cyclic group <y>
-once, as the map y^k -> k that both tests normality and reads off the
-conjugation exponents.  The intended scale is a few tens of thousands
+once, as the map y^k -> k, and reads one conjugate of y per generator
+through it: <y> is normal exactly when every generator conjugates y into
+<y>, and the same conjugates give the exponents, so on a fresh tame image
+no whole table is built.  The intended scale is a few tens of thousands
 of elements (the wild image at m = 13 has 53,248).
 """
 
@@ -61,7 +67,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
@@ -180,6 +188,31 @@ class FinGroup:
             append(t[r[i]])
         return r
 
+    def _right_at(self, s: int) -> Callable[[int], int]:
+        """A getter for i -> index(x_i x_s) that fills each entry on
+        first use: it walks the spanning-tree path of x_i up to an entry
+        already known, then back down, keeping every entry on the way."""
+        r: list[int | None] = [None] * self.order
+        r[0] = s
+        tree = self._tree
+
+        def at(i: int) -> int:
+            x = r[i]
+            if x is None:
+                t, j = tree[i - 1]  # x_i = g x_j: x_i x_s = g (x_j x_s)
+                x = r[j]
+                if x is None:  # up the tree to a known entry, then down
+                    path = []
+                    while x is None:
+                        path.append(j)
+                        j = tree[j - 1][1]
+                        x = r[j]
+                    for k in reversed(path):
+                        x = r[k] = tree[k - 1][0][x]
+                x = r[i] = t[x]
+            return x
+        return at
+
     def _regular(self, s: int) -> MonomialMatrix:
         """x_s as the permutation matrix e_i -> e_j, x_j = x_i x_s^-1."""
         perm = [0] * self.order
@@ -190,9 +223,9 @@ class FinGroup:
     def _powers(self, i: int) -> list[int]:
         """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
         the identity under right multiplication by x."""
-        r, out = self._right(i), [i]
+        at, out = self._right_at(i), [i]
         while out[-1]:
-            out.append(r[out[-1]])
+            out.append(at(out[-1]))
         return out
 
     def element_order(self, x) -> int:
@@ -209,6 +242,19 @@ class FinGroup:
                     c[i] = j
                 self._conj.append(c)
         return self._conj
+
+    def _conjugates(self, y: int) -> list[int]:
+        """[index(g y g^-1) for each generator g], read as t[y g^-1], t
+        g's table: g^-1 is the element just before the identity on the
+        cycle of 0 under t, and y g^-1 one entry of its lazy right
+        table, so no whole table is built."""
+        out = []
+        for t in self.tables:
+            inv, j = 0, t[0]
+            while j:
+                inv, j = j, t[j]
+            out.append(t[self._right_at(inv)(y)])
+        return out
 
     def _conj_orbit(self, idx: set[int]) -> set[int]:
         """Close a set of indices under conjugation, in place."""
@@ -472,6 +518,11 @@ def is_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     subgroup) sits inside the cyclic group (Z/p)*, and the criterion asks
     for its order to be exactly n.  Requires n >= 2.  The answer is
     cached on g per (n, p).
+
+    Each candidate <y> is tested on one conjugate g y g^-1 per generator
+    g, lazy right-table entries (FinGroup._conjugates): they give the
+    exponents k with g y g^-1 = y^k, and when p^2 does not divide |G|
+    they are also the normality test of the one candidate.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -488,8 +539,8 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     for powers in _order_p_normal_subgroups(g, p):
         # the exponents k with gen y gen^-1 = y^k, y the generator
         y = next(iter(powers))
-        exps = [powers.get(c[y]) for c in g._conj_tables()]
-        if None in exps:
+        exps = [powers.get(c) for c in g._conjugates(y)]
+        if None in exps:  # some generator moves y out of <y>: not normal
             continue
         # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
         # of their orders
@@ -500,8 +551,14 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
 
 
 def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
-    """The normal subgroups of order p, one power map {index(y^k): k}
-    (k = 1..p, the generator y first) per subgroup."""
+    """The candidate normal subgroups of order p, one power map
+    {index(y^k): k} (k = 1..p, the generator y first) per subgroup.
+
+    When p^2 does not divide |G| the one candidate <y> is returned
+    without a normality test: <y> is normal exactly when every generator
+    conjugates y into <y>, which _find_type_np reads off the same
+    conjugates it needs for the exponents (a None among them means not
+    normal), so the test runs once, on one conjugate per generator."""
     t = g.order
     pp = 1
     while t % p == 0:
@@ -511,10 +568,7 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
         # Order-p subgroups are Sylow, hence all conjugate: a normal one
         # must be the unique one, so a single probe settles it.
         ys = _element_of_order_p(g, p)
-        if ys is None:
-            return []
-        powers = _power_map(ys)
-        return [powers] if g.is_normal(powers) else []
+        return [] if ys is None else [_power_map(ys)]
     out = []
     for nsub in g.normal_subgroups():
         if len(nsub) == p:
@@ -575,9 +629,14 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
     The tables are closed forms on the keys a + p*b: t (t^a f^b) =
     t^(a+1) f^b and f (t^a f^b) = t^(alpha a) f^(b+1), exponents mod p
     and m.  The tree edge to t^a f^b is t from t^(a-1) f^b when a > 0,
-    else f from f^(b-1).  The numbering differs from generate's, but the
-    Cayley graph is the same, so every reported number, a group
-    invariant, is too; the key a + p*b decodes to t^a f^b.
+    else f from f^(b-1).  They are gathered one block of keys
+    p b, ..., p b + p - 1 at a time: t's block is the block rotated by
+    one, f's the next block read at alpha a mod p, and the tree holds the
+    f edge from the previous block's first key, then the t edges along
+    the block, so the tables and the tree share one int per key.  The
+    numbering differs from generate's, but the Cayley graph is the same,
+    so every reported number, a group invariant, is too; the key a + p*b
+    decodes to t^a f^b.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
@@ -604,12 +663,20 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
         raise ValueError("f^m is not 1, m the order of f's permutation")
     if p * m > bound:
         raise ResourceBoundExceeded(f"group closure exceeded {bound} elements")
-    # x_(a + p b) = t^a f^b: t x = t^(a+1) f^b, f x = t^(alpha a) f^(b+1);
-    # the tables and the tree share the ints of ks, one per element
+    # x_(a + p b) = t^a f^b: t x = t^(a+1) f^b, f x = t^(alpha a) f^(b+1).
+    # Block b holds the keys p b, ..., p b + p - 1; the tables and the tree
+    # are gathered from the blocks, so they share the ints of ks
     ks = list(range(p * m))
-    ttab = [ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks]
-    ftab = [ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)] for k in ks]
-    tree = [(ttab, ks[k - 1]) if k % p else (ftab, ks[k - p]) for k in ks[1:]]
+    blocks = [ks[base:base + p] for base in range(0, len(ks), p)]
+    rotate = itemgetter(*range(1, p), 0)
+    scale = itemgetter(*(alpha * a % p for a in range(p)))
+    ttab, ftab, tree = [], [], []
+    for b, block in enumerate(blocks):
+        ttab += rotate(block)
+        ftab += scale(blocks[(b + 1) % m])
+        if b:
+            tree.append((ftab, blocks[b - 1][0]))
+        tree += zip(repeat(ttab), block[:-1])
     return FinGroup([ttab, ftab], tree, range(len(ks)),
                     power_product_decoder(t, f))
 

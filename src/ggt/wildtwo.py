@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
 from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup
@@ -347,14 +348,14 @@ def _triple_inv(g: tuple[int, int, int]) -> tuple[int, int, int]:
 class G2JordanGroup:
     """Order-168 group with its 21-dimensional induced monomial model.
 
-    triples lists the abstract elements (v, a, phi); matrix maps each to
-    its sign-monomial matrix; group is the FinGroup that the matrices of
-    the three generators generate, which holds every matrix; jordan is
-    the translation subgroup of order 8.
+    triples lists the abstract elements (v, a, phi); matrix, a read-only
+    mapping, sends each to its sign-monomial matrix, the group's own
+    element; group is the FinGroup that the matrices of the three
+    generators generate; jordan is the translation subgroup of order 8.
     """
 
     triples: tuple[tuple[int, int, int], ...]
-    matrix: dict
+    matrix: Mapping
     group: FinGroup
     jordan: frozenset
 
@@ -382,15 +383,20 @@ def _induced_matrix(g: tuple[int, int, int]) -> MonomialMatrix:
     return _make(tuple(perm), tuple(exps), 2)
 
 
+@cache
 def build_g2_jordan() -> G2JordanGroup:
     """The full order-168 group and its induced 21-dimensional model.
 
-    Checks on the way out: the map to matrices is injective, the three
-    generator matrices generate a group of order 168 holding every
-    matrix, and on the group's left tables M(g) M(t) = M(g t) for each
-    generator g and each triple t, so the map is a homomorphism; the
-    translation subgroup is normal and elementary abelian, and the
-    normal subgroup orders are 1, 8, 56, 168.
+    Built once per process: every call returns the same group, which
+    callers share and must not change; its matrix mapping is read-only.
+    Checks on the way out, all run on the first call: the map to
+    matrices is injective, the three generator matrices generate a group
+    of order 168 holding every matrix, and on the group's left tables
+    M(g) M(t) = M(g t) for each generator g and each triple t, so the
+    map is a homomorphism; the translation subgroup is normal and
+    elementary abelian, and the normal subgroup orders are 1, 8, 56,
+    168.  Each triple is mapped to the group's own decoded element, so
+    one copy of each matrix is kept.
     """
     triples = tuple((v, a, f)
                     for v in range(8) for a in range(1, 8) for f in range(3))
@@ -407,6 +413,9 @@ def build_g2_jordan() -> G2JordanGroup:
     pos = {g: grp.index.get(x) for g, x in matrix.items()}
     if None in pos.values():
         raise AssertionError("an induced matrix lies outside the group")
+    # keep one copy of each matrix, the group's own element
+    els = grp.elements
+    matrix = MappingProxyType({g: els[i] for g, i in pos.items()})
     # table[i] = index(M(g) x_i): the generators generate, so these
     # checks make M a homomorphism
     for g, table in zip(gens, grp.tables):

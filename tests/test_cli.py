@@ -4,10 +4,12 @@ import time
 
 from ggt import cli
 from ggt.cli import main
+from ggt.fingroup import FinGroup
 from ggt.primesearch import SearchCertificate, validate_certificate
 from ggt.roots import FrobeniusOrbit, RootOfUnity, frobenius_orbit
 from ggt.weilparams import (RealParameter, TameParameter,
                             build_tame_parameter)
+from ggt.wildtwo import build_g2_jordan
 
 
 def _run(capsys, argv):
@@ -228,6 +230,18 @@ def test_wild_g2(capsys):
     assert len(report["results"]["constituents"]) == 3
 
 
+def test_wild_g2_cold_and_warm_print_the_same(capsys):
+    # the first call in a process builds the G2 group, the second reuses
+    # it; the two reports are byte-identical
+    build_g2_jordan.cache_clear()
+    try:
+        cold = _run(capsys, ["wild", "g2"])
+        warm = _run(capsys, ["wild", "g2"])
+    finally:
+        build_g2_jordan.cache_clear()
+    assert cold[0] == 0 and cold == warm
+
+
 def test_weyl_orders_deterministic_output(capsys):
     code, first = _run(capsys, ["weyl", "orders", "--type", "B3"])
     assert code == 0
@@ -306,6 +320,60 @@ def test_group_analyze(capsys):
     code, _ = _run(capsys, ["group", "analyze", "--preset", "cyclic",
                             "--m", "0"])
     assert code == 2
+
+
+def _bracketed(capsys, argv):
+    code, report = _report(capsys, argv)
+    return code, {c["name"]: c["pass"] for c in report["checks"]}
+
+
+def test_normal_subgroups_bracketed_fails_on_a_non_normal_subgroup(
+        capsys, monkeypatch):
+    # <f>, of order 6 in Z/7 x| Z/6, is not a union of classes: its
+    # conjugates by t are the other complements
+    argv = ["group", "analyze", "--preset", "metacyclic", "--m", "6",
+            "--p", "7"]
+    code, checks = _bracketed(capsys, argv)
+    assert code == 0 and checks == {"normal_subgroups_bracketed": True}
+    normals = FinGroup.normal_subgroups
+
+    def with_a_complement(self):
+        f = self.tables[1][0]
+        return normals(self) + [self.subgroup_closure([f])]
+
+    monkeypatch.setattr(FinGroup, "normal_subgroups", with_a_complement)
+    code, checks = _bracketed(capsys, argv)
+    assert code == 1 and checks == {"normal_subgroups_bracketed": False}
+
+
+def test_normal_subgroups_bracketed_needs_a_class_partition(capsys,
+                                                          monkeypatch):
+    # a class listed twice: the class sizes overshoot |G|, while the
+    # normal subgroups, closed from the same classes, stay right
+    classes = FinGroup.conjugacy_classes
+
+    def with_a_repeat(self):
+        return classes(self) + classes(self)[-1:]
+
+    monkeypatch.setattr(FinGroup, "conjugacy_classes", with_a_repeat)
+    code, checks = _bracketed(capsys, ["group", "analyze", "--preset",
+                                       "metacyclic", "--m", "6", "--p", "7"])
+    assert code == 1 and checks == {"normal_subgroups_bracketed": False}
+
+
+def test_normal_subgroups_bracketed_needs_both_ends(capsys, monkeypatch):
+    # every subgroup of Z/12 is normal, so only a missing {1} or G fails
+    argv = ["group", "analyze", "--preset", "cyclic", "--m", "12"]
+    normals = FinGroup.normal_subgroups
+    for drop in (0, -1):
+        def without_one_end(self, drop=drop):
+            out = list(normals(self))
+            del out[drop]
+            return out
+
+        monkeypatch.setattr(FinGroup, "normal_subgroups", without_one_end)
+        code, checks = _bracketed(capsys, argv)
+        assert code == 1 and checks == {"normal_subgroups_bracketed": False}
 
 
 def test_group_analyze_past_bound_exits_3(capsys):

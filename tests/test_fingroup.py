@@ -1,5 +1,6 @@
 from collections import Counter
 from math import lcm
+from operator import is_, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from ggt.monomial import MonomialMatrix
 from ggt.numth import is_prime, mult_order
 from ggt.roots import RootOfUnity
 from ggt.weilparams import build_tame_parameter, parameter_image
-from ggt.wildtwo import build_so_wild, so_wild_report
+from ggt.wildtwo import build_g2_jordan, build_so_wild, so_wild_report
 
 # permutations as permutation matrices, modulus 1: e_j -> e_img[j]
 _pm = MonomialMatrix.permutation
@@ -572,10 +573,11 @@ def test_is_type_np_is_cached(monkeypatch):
 
 
 def test_is_type_np_right_tables(monkeypatch):
-    # on a fresh tame image: one table to walk the powers of the first
-    # element whose order 43 divides (the identity is skipped, and the
-    # power map of the order-43 element is read off that walk), then one
-    # conjugation table per generator
+    # on a fresh tame image no whole right table is built: the powers of
+    # the first element whose order 43 divides (the identity is skipped)
+    # are walked through a lazy right table, and the one conjugate per
+    # generator that the exponents and the normality test read is a
+    # single lazy entry
     made = []
     right = FinGroup._right
 
@@ -586,11 +588,93 @@ def test_is_type_np_right_tables(monkeypatch):
     monkeypatch.setattr(FinGroup, "_right", counting)
     param = build_tame_parameter(7, (RootOfUnity(1, 43),), 3)
     image = parameter_image(param)
-    # x_1 = t, and f = x_43 in the normal-form numbering x_(a + 43 b)
-    assert made == [1, 1, 43]
+    assert made == []
     made.clear()
     assert is_type_np(image, 6, 43).exponents == (1, 7)
     assert made == []
+
+
+def _lazy_oracle_groups():
+    return _battery() + [
+        metacyclic(18, 19),
+        direct_product(cyclic(4), metacyclic(6, 7)),
+        build_g2_jordan().group,
+    ]
+
+
+def test_lazy_right_entries_and_conjugates_match_the_whole_tables():
+    # a fresh getter read from the last index down walks the longest
+    # tree paths first; the conjugates are the columns of _conj_tables
+    for g in _lazy_oracle_groups():
+        conj = g._conj_tables()
+        for s in range(g.order):
+            at = g._right_at(s)
+            assert [at(i) for i in reversed(range(g.order))] == \
+                g._right(s)[::-1]
+            assert g._conjugates(s) == [c[s] for c in conj]
+
+
+def test_one_probe_normality_agrees_with_is_normal():
+    # <y> is normal exactly when each generator conjugates y into <y>:
+    # checked for every y of prime order p, the probe of the Sylow case
+    # included; S3 at 2 and A4 at 3 have a Sylow subgroup of order p
+    # that is not normal
+    seen = set()
+    for g in _lazy_oracle_groups():
+        for p in (2, 3, 5, 7):
+            for y in range(1, g.order):
+                powers = g._powers(y)
+                if len(powers) != p:
+                    continue
+                pmap = fingroup._power_map(powers)
+                probe = None not in [pmap.get(c) for c in g._conjugates(y)]
+                assert probe == g.is_normal(pmap)
+                seen.add((g.order, p, probe))
+    assert {(6, 2, False), (12, 3, False), (6, 3, True)} <= seen
+    assert is_type_np(_sym(3), 2, 2) is None
+    assert is_type_np(_alt4(), 2, 3) is None
+    assert is_type_np(_sym(3), 2, 3) is not None
+
+
+def _comprehension_tables(p, m, alpha):
+    """_split_metacyclic's tables and tree as three comprehensions over
+    the keys k = a + p b, the way it once built them."""
+    ks = list(range(p * m))
+    ttab = [ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks]
+    ftab = [ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)] for k in ks]
+    tree = [(ttab, ks[k - 1]) if k % p else (ftab, ks[k - p]) for k in ks[1:]]
+    return ttab, ftab, tree
+
+
+def _edge_tables(tree, ttab, ftab):
+    """For each tree edge, 0 if it uses ttab, 1 if ftab, else None."""
+    return [0 if t is ttab else 1 if t is ftab else None for t, _ in tree]
+
+
+def test_sliced_tables_match_the_comprehensions():
+    # metacyclic's pair t, f, split past the default bound for p = 409;
+    # f t f^-1 = t^a, a = root^((p - 1) / m)
+    for p in (3, 7, 19, 43, 409):
+        root = next(r for r in range(1, p) if mult_order(r, p) == p - 1)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            a = pow(root, (p - 1) // m, p)
+            t = MonomialMatrix.diagonal(
+                tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))
+            f = MonomialMatrix.permutation(
+                tuple((i - 1) % m for i in range(m)))
+            grp = _split_metacyclic(t, f, bound=p * m)
+            ttab, ftab = grp.tables
+            old_t, old_f, old_tree = _comprehension_tables(p, m, a)
+            assert (ttab, ftab) == (old_t, old_f), (p, m)
+            parents = list(map(itemgetter(1), grp._tree))
+            assert parents == list(map(itemgetter(1), old_tree)), (p, m)
+            assert _edge_tables(grp._tree, ttab, ftab) == \
+                _edge_tables(old_tree, old_t, old_f), (p, m)
+            # one int object per element, shared by tables and tree
+            own = {k: k for k in ttab}
+            assert len(own) == p * m
+            assert all(map(is_, map(own.__getitem__, ftab), ftab))
+            assert all(map(is_, map(own.__getitem__, parents), parents))
 
 
 def test_every_constructor_hands_over_its_spanning_tree():

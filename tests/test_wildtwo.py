@@ -308,10 +308,34 @@ def test_mackey_constituent_identity(g2_jordan):
     assert len(selfdual) == 1 and selfdual[0].k == 0
 
 
+@pytest.fixture
+def uncached_g2():
+    """Clear the G2 group cache before and after, so the test builds it
+    afresh and leaves no group of its own behind."""
+    build_g2_jordan.cache_clear()
+    yield
+    build_g2_jordan.cache_clear()
+
+
 def test_jordan_determinism():
+    # the shared group and a fresh, uncached build give the same report
     a = g2_jordan_report(build_g2_jordan())
-    b = g2_jordan_report(build_g2_jordan())
+    b = g2_jordan_report(build_g2_jordan.__wrapped__())
     assert a == b
+
+
+def test_g2_jordan_is_built_once():
+    assert build_g2_jordan() is build_g2_jordan()
+
+
+def test_g2_jordan_is_read_only_with_one_copy_of_each_matrix(g2_jordan):
+    with pytest.raises(TypeError):
+        g2_jordan.matrix[(0, 1, 0)] = g2_jordan.matrix[(1, 1, 0)]
+    assert len(g2_jordan.matrix) == 168
+    els = g2_jordan.group.elements
+    assert all(x is els[g2_jordan.group.index[x]]
+               for x in g2_jordan.matrix.values())
+    assert all(x is els[g2_jordan.group.index[x]] for x in g2_jordan.jordan)
 
 
 def test_f8_tables_match_definitions():
@@ -334,7 +358,8 @@ def test_f8_tables_match_definitions():
     ({(5, 3, 2): "flip"}, "outside the group"),
     ({(5, 3, 2): (6, 3, 2), (6, 3, 2): (5, 3, 2)}, "not a homomorphism"),
 ])
-def test_g2_jordan_rejects_a_corrupted_model(monkeypatch, changes, message):
+def test_g2_jordan_rejects_a_corrupted_model(monkeypatch, uncached_g2,
+                                            changes, message):
     # a generator with one sign flipped generates past order 168; another
     # matrix flipped lies outside the group; two matrices swapped stay
     # inside it but break the group law
@@ -479,7 +504,7 @@ def test_g2_jordan_report_reads_traces_at_class_representatives(
             == {min(c) for c in g2j.group.conjugacy_classes()})
 
 
-def test_g2_jordan_product_count(monkeypatch):
+def test_g2_jordan_product_count(monkeypatch, uncached_g2):
     # generate, the homomorphism check and normal_subgroups run on index
     # tables; what is left is build_g2_jordan squaring the 8 translations
     made = _counting_mul(monkeypatch, MonomialMatrix)
