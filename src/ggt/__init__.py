@@ -2,7 +2,11 @@
 Galois constructions: roots of unity and their Frobenius orbits, monomial
 matrix images of local parameters, admissible prime pairs, wild 2-adic
 image groups, Weyl element orders through rank 8, and finite group
-criteria of type (n, p)."""
+criteria of type (n, p).
+
+Importing ggt loads every module but cli and weylenum.  weylenum, the
+matrix engine, is the one module that imports numpy; rootsystems loads it
+with the first Weyl matrix it computes, so importing ggt loads no numpy."""
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded, SearchExhausted
@@ -29,6 +33,9 @@ from .weilparams import (CharPolyShape, G2Check, RealParameter, TameParameter,
 from .wildtwo import (Constituent, G2JordanGroup, WildImageSO,
                       build_g2_jordan, build_so_wild, g2_jordan_report,
                       mackey_decompose, so_wild_report)
+
+# the one source of the version: pyproject.toml and the cli read it here
+__version__ = "0.1.0"
 
 __all__ = [
     "Cyc", "ResourceBoundExceeded", "SearchExhausted",

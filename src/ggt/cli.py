@@ -7,6 +7,11 @@ stderr line, no report), 2 is a usage error, and 3 means a resource
 bound (enumeration cap or search ceiling) was hit.  Output is
 JSON with sorted keys, so identical invocations are byte-identical;
 --format text renders the same report for reading.
+
+Start-up pays only for what a command uses: the version string is the
+package's own __version__ (no package-metadata scan), and numpy is
+loaded only by the commands that compute a Weyl matrix (weyl orders,
+weyl table, weyl unique, minuscule), with the first one.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import __version__ as VERSION
 from .errors import ResourceBoundExceeded
 from .fingroup import cyclic, is_type_np, metacyclic
 from .numth import factorize, is_prime, mult_order
@@ -29,12 +35,6 @@ from .weilparams import (build_tame_parameter, char_poly_shape,
                          parameter_image, real_parameter)
 from .wildtwo import build_g2_jordan, build_so_wild, g2_jordan_report, \
     so_wild_report
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("ggt")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "unknown"
 
 
 def _check(name: str, ok: bool, witness=None) -> dict:
@@ -195,16 +195,31 @@ def _cmd_weyl_unique(args):
     return {"rank": args.rank, "orders": args.orders}, results, checks
 
 
+# the almost-minuscule dimension by family and rank, in closed form: the
+# adjoint dimension for the simply laced types, short roots plus short
+# simple roots otherwise
+_ALMOST_MINUSCULE_DIM = {
+    "A": lambda n: n * (n + 2),
+    "B": lambda n: 2 * n + 1,
+    "C": lambda n: 2 * n * n - n - 1,
+    "D": lambda n: n * (2 * n - 1),
+    "E": lambda n: {6: 78, 7: 133, 8: 248}[n],
+    "F": lambda n: 26,
+    "G": lambda n: 7,
+}
+
+
 def _cmd_minuscule(args):
     rs = RootSystem.parse(args.type)
     dim, zero_mult = almost_minuscule_data(rs)
     results = {"root_system": rs.label, "dim": dim, "zero_mult": zero_mult}
-    checks = [_check("dim_consistent", dim == (dim - zero_mult) + zero_mult)]
-    label = rs.components[0]
+    label = rs.components[0]  # canonical: almost_minuscule_data checked
+    expected = _ALMOST_MINUSCULE_DIM[label[0]](int(label[1:]))
+    checks = [_check("dim_consistent", dim == expected)]
     if label.startswith("B") or label == "G2":
         checks.append(_check(
             "full_cycle_witness",
-            cyclic_weight_permutation_check(rs, dim), f"dim {dim}"))
+            cyclic_weight_permutation_check(rs, expected), f"dim {expected}"))
     return {"type": args.type}, results, checks
 
 

@@ -75,7 +75,7 @@ from typing import Callable, Collection, Iterable, Sequence
 from .errors import ResourceBoundExceeded
 from .monomial import (MonomialMatrix, gatherer, point_action,
                        power_product_decoder)
-from .numth import factorize, is_prime, mult_order
+from .numth import _order_dividing, factorize, is_prime
 from .roots import ONE, RootOfUnity
 
 __all__ = [
@@ -543,8 +543,8 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
         if None in exps:  # some generator moves y out of <y>: not normal
             continue
         # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
-        # of their orders
-        image = lcm(*(mult_order(a, p) for a in exps))
+        # of their orders (is_type_np has checked that p is prime)
+        image = lcm(*(_order_dividing(a, p, p - 1) for a in exps))
         if image == n:
             return TypeNPWitness(p=p, image_order=image, exponents=tuple(exps))
     return None
@@ -693,7 +693,8 @@ def metacyclic(m: int, p: int) -> FinGroup:
         raise ValueError("p must be prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"m = {m} must divide p - 1 = {p - 1}")
-    root = next(g for g in range(1, p) if mult_order(g, p) == p - 1)
+    root = next(g for g in range(1, p)
+                if _order_dividing(g, p, p - 1) == p - 1)
     a = pow(root, (p - 1) // m, p)
     trans = MonomialMatrix.diagonal(
         tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))

@@ -125,8 +125,13 @@ def mult_order(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    # The order divides phi(n); strip prime factors while the power stays 1.
-    e = euler_phi(n)
+    return _order_dividing(a, n, euler_phi(n))
+
+
+def _order_dividing(a: int, n: int, e: int) -> int:
+    """Order of the unit a modulo n, given a multiple e of it (so
+    a^e = 1 mod n): p - 1 for a prime modulus p, which then needs no
+    factoring.  Strips prime factors of e while the power stays 1."""
     for p in factorize(e):
         while e % p == 0 and pow(a, e // p, n) == 1:
             e //= p
@@ -202,7 +207,8 @@ class PrimePair:
             raise ValueError(f"q = {self.q} is not an odd prime")
         if self.p == self.q:
             raise ValueError("p and q must be distinct")
-        if mult_order(self.q, self.p) != self.m:
+        # p is prime, and q a prime other than p
+        if _order_dividing(self.q, self.p, self.p - 1) != self.m:
             raise ValueError(
                 f"order of {self.q} mod {self.p} is not {self.m}"
             )

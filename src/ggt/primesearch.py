@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import ResourceBoundExceeded, SearchExhausted
-from .numth import PrimePair, factorize, is_prime, mult_order
+from .numth import PrimePair, _order_dividing, factorize, is_prime
 
 __all__ = [
     "SearchRequest",
@@ -113,7 +113,7 @@ def check_degree_forcing(p: int, ell: int, t: int, n: int) -> bool:
         raise ValueError("p and ell must differ")
     if not is_prime(p) or not is_prime(ell):
         raise ValueError("p and ell must be prime")
-    return _forces_degree(mult_order(ell, p), t, n)
+    return _forces_degree(_order_dividing(ell, p, p - 1), t, n)
 
 
 def _forces_degree(f: int, t: int, n: int) -> bool:
@@ -181,7 +181,7 @@ def find_prime_pair(req: SearchRequest,
                 f"no (p, q) with p, q < {ceiling} for {req}")
         if p <= req.d or p == req.ell or not is_prime(p):
             continue
-        f = mult_order(req.ell, p)
+        f = _order_dividing(req.ell, p, p - 1)  # p prime, ell not p
         if not _forces_degree(f, req.t, req.n):
             continue
         offsets = _order_offsets(p, step_q, two_n, cofactors, exponents)

@@ -8,6 +8,12 @@ coordinates, by closing the unit vectors under the integer reflections
 s_j(b) = b - (b . C[:, j]) e_j; each must come out positive or negative,
 and the standard-coordinate roots are the integer products b @ simple.
 
+Every matrix is computed by weylenum, which this module imports only
+inside the functions that need one (root_data, the exceptional tallies
+and the weight-cycle witnesses, each cached), so importing it loads no
+numpy; the classical order sets and the system table are integer and
+set arithmetic.
+
 Weights live in the coordinates of weylenum: row vectors over the
 fundamental weights, on which s_i is I - e_i C[i, :].  The nonzero
 weights of a minuscule or quasi-minuscule representation are the W-orbit
@@ -29,14 +35,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, lcm
 
-import numpy as np
-
 from .errors import ResourceBoundExceeded
-from .weylenum import (enumerate_orders, reflection_matrices,
-                       weyl_group_elements)
 
 __all__ = [
     "IRREDUCIBLE_LABELS",
@@ -154,56 +156,36 @@ class RootData:
         fam, n = _parse_label(self.label)
         return _WEYL_ORDER[fam](n)
 
-    def cartan_array(self) -> np.ndarray:
-        return np.array(self.cartan, dtype=np.int64)
+    def cartan_array(self):
+        """The Cartan matrix as an int64 numpy array."""
+        from .weylenum import integer_matrix
+        return integer_matrix(self.cartan)
 
 
-def _orbit(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Every row reached from the rows of start under the row-vector
-    action of the stacked matrices, in breadth-first order."""
-    width = start.shape[1]
-    seen = dict.fromkeys(map(tuple, start.tolist()))
-    frontier = start
-    while len(frontier):
-        images = (frontier @ mats).reshape(-1, width).tolist()
-        new = [p for p in dict.fromkeys(map(tuple, images)) if p not in seen]
-        seen.update(dict.fromkeys(new))
-        frontier = np.array(new, dtype=np.int64).reshape(-1, width)
-    return np.array(list(seen), dtype=np.int64)
+def _norm(v) -> int:
+    return sum(x * x for x in v)
 
 
 @lru_cache(maxsize=None)
 def root_data(label: str) -> RootData:
     """Full root data for one irreducible type, exactly."""
+    from .weylenum import root_closure
     fam, n = _parse_label(label)
-    simple = np.array(_SIMPLE_BUILDERS[fam](n), dtype=np.int64)
-    gram = simple @ simple.T
-    simple_norms = np.diag(gram)
-    cartan = 2 * gram // simple_norms  # C[i, j] = <alpha_i, alpha_j^vee>
-    # on simple-root coordinates s_j(b) = b - (b . C[:, j]) e_j: the
-    # transposed simple reflections of the dual root system
-    refl = reflection_matrices(cartan.T).transpose(0, 2, 1)
-    base = _orbit(np.eye(n, dtype=np.int64), refl)
+    simple = tuple(map(tuple, _SIMPLE_BUILDERS[fam](n)))
+    cartan, base, roots = root_closure(simple)
     if len(base) != _ROOT_COUNT[fam](n):
         raise AssertionError(
             f"{label}: found {len(base)} roots, "
             f"expected {_ROOT_COUNT[fam](n)}")
-    if not ((base >= 0).all(axis=1) | (base <= 0).all(axis=1)).all():
+    if not all(min(b) >= 0 or max(b) <= 0 for b in base):
         raise AssertionError(f"{label}: a root is neither positive "
                              "nor negative")
-
-    roots = base @ simple
-    order = np.lexsort(roots.T[::-1])  # ascending as tuples
-    roots, base = roots[order], base[order]
-    norms = (roots * roots).sum(axis=1)
-    min_norm = norms.min()
+    norms = [_norm(r) for r in roots]
+    min_norm = min(norms)
     return RootData(
-        label=label, rank=n, simple=tuple(map(tuple, simple.tolist())),
-        roots=tuple(map(tuple, roots.tolist())),
-        cartan=tuple(map(tuple, cartan.tolist())),
-        roots_in_base=tuple(map(tuple, base.tolist())),
-        short_root_count=int((norms == min_norm).sum()),
-        short_simple_count=int((simple_norms == min_norm).sum()),
+        label=label, rank=n, simple=simple, roots=roots, cartan=cartan,
+        roots_in_base=base, short_root_count=norms.count(min_norm),
+        short_simple_count=[_norm(s) for s in simple].count(min_norm),
     )
 
 
@@ -295,8 +277,9 @@ def _signed_orders(n: int, even_negatives: bool) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def _exceptional_tally(label: str) -> tuple[tuple[int, int], ...]:
     """Sorted (order, element count) pairs of an exceptional Weyl group."""
+    from .weylenum import enumerate_orders
     data = root_data(label)
-    return tuple(sorted(enumerate_orders(data.cartan_array(),
+    return tuple(sorted(enumerate_orders(data.cartan,
                                          data.weyl_order).items()))
 
 
@@ -481,18 +464,6 @@ def almost_minuscule_data(rs: RootSystem | str) -> tuple[int, int]:
     return data.short_root_count + zero_mult, zero_mult
 
 
-def _cycles_orbit(omega: np.ndarray, size: int, elems: np.ndarray) -> bool:
-    """Whether some matrix of the stack moves omega through all `size`
-    points of its W-orbit before returning, that is, permutes the orbit
-    in one full cycle: w^k omega != omega for k = 1..size-1."""
-    point = np.broadcast_to(omega, (len(elems), len(omega)))
-    cycling = np.ones(len(elems), dtype=bool)
-    for _ in range(size - 1):
-        point = np.einsum("ki,kij->kj", point, elems)
-        cycling &= (point != omega).any(axis=1)
-    return bool(cycling.any())
-
-
 # the exhaustive scans hold the whole group in memory: W(B6) is the
 # largest group they take
 _SCAN_BOUND = 46_080
@@ -529,25 +500,23 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
         raise ValueError(
             f"unsupported weight system ({rs.label}, dim={dim})")
 
-    data = root_data(label)
-    cartan = data.cartan_array()
-    refl = reflection_matrices(cartan)
-    omega = np.eye(n, dtype=np.int64)[k - 1]
-    size = len(_orbit(omega[None], refl))
-    if size != dim - dim % 2:  # odd dimensions add one zero weight
-        raise AssertionError(f"omega_{k} has {size} conjugates in "
-                             f"dimension {dim}")
-    if standard_b:
-        coxeter = reduce(np.matmul, refl)
-        if not _cycles_orbit(omega, size, coxeter[None]):
-            raise AssertionError("the Coxeter element witness failed")
-        return True
-    if data.weyl_order > _SCAN_BOUND:
+    order = weyl_order(rs)
+    if not standard_b and order > _SCAN_BOUND:
         raise ResourceBoundExceeded(
-            f"scanning {data.weyl_order} elements of W({label}) exceeds "
-            f"the bound {_SCAN_BOUND}")
-    return _cycles_orbit(omega, size,
-                         weyl_group_elements(cartan, data.weyl_order))
+            f"scanning {order} elements of W({label}) exceeds the bound "
+            f"{_SCAN_BOUND}")
+    # odd dimensions add one zero weight
+    return _weight_cycle(label, k, dim - dim % 2, standard_b)
+
+
+@lru_cache(maxsize=None)
+def _weight_cycle(label: str, k: int, size: int, coxeter: bool) -> bool:
+    """The matrix half of cyclic_weight_permutation_check, run once per
+    weight system."""
+    from .weylenum import weight_orbit_cycles
+    data = root_data(label)
+    return weight_orbit_cycles(data.cartan, k, size,
+                               None if coxeter else data.weyl_order)
 
 
 def even_dimension_controls() -> dict[str, bool]:

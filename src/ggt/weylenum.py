@@ -1,4 +1,11 @@
-"""Exact element-order tallies of finite reflection groups.
+"""The integer matrix engine: root closures, weight orbits and exact
+element-order tallies of finite reflection groups.
+
+This is the one module of ggt that imports numpy.  rootsystems imports
+it inside the functions that compute a matrix, so a process that never
+builds a Weyl element never loads numpy.  Every entry point takes its
+Cartan matrix (or simple roots) as any integer array-like, nested tuples
+included.
 
 One engine serves every Cartan matrix, including the block Cartan matrix
 of a reducible system: a tower of parabolic subgroups (Humphreys,
@@ -37,13 +44,17 @@ highest-coroot coefficients, at most 6), so the arithmetic is exact.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 
 from .errors import ResourceBoundExceeded
 
 __all__ = [
+    "integer_matrix",
     "reflection_matrices",
+    "root_closure",
+    "weight_orbit_cycles",
     "weyl_group_elements",
     "enumerate_orders",
 ]
@@ -51,14 +62,93 @@ __all__ = [
 _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
 
 
-def reflection_matrices(cartan: np.ndarray) -> np.ndarray:
+def integer_matrix(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
+
+
+def _tuples(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, mat.tolist()))
+
+
+def reflection_matrices(cartan) -> np.ndarray:
     """Simple reflections on row vectors of fundamental-weight
     coordinates, stacked (n, n, n): the i-th is I - e_i C[i, :]."""
+    cartan = integer_matrix(cartan)
     n = len(cartan)
     out = np.broadcast_to(np.eye(n, dtype=np.int64), (n, n, n)).copy()
     for i in range(n):
         out[i, i, :] -= cartan[i]
     return out
+
+
+def _orbit(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Every row reached from the rows of start under the row-vector
+    action of the stacked matrices, in breadth-first order."""
+    width = start.shape[1]
+    seen = dict.fromkeys(map(tuple, start.tolist()))
+    frontier = start
+    while len(frontier):
+        images = (frontier @ mats).reshape(-1, width).tolist()
+        new = [p for p in dict.fromkeys(map(tuple, images)) if p not in seen]
+        seen.update(dict.fromkeys(new))
+        frontier = np.array(new, dtype=np.int64).reshape(-1, width)
+    return np.array(list(seen), dtype=np.int64)
+
+
+def root_closure(simple) -> tuple[tuple, tuple, tuple]:
+    """(Cartan matrix, roots in simple-root coordinates, the same roots
+    in standard coordinates) of integer simple roots, given as the rows
+    of simple in standard coordinates; the roots are in ascending order
+    of their standard-coordinate tuples, all as nested int tuples.
+
+    The roots are the closure of the unit vectors under the simple
+    reflections on simple-root coordinates, s_j(b) = b - (b . C[:, j])
+    e_j: the transposed simple reflections of the dual root system.
+    """
+    simple = integer_matrix(simple)
+    gram = simple @ simple.T
+    cartan = 2 * gram // np.diag(gram)  # C[i, j] = <alpha_i, alpha_j^vee>
+    refl = reflection_matrices(cartan.T).transpose(0, 2, 1)
+    base = _orbit(np.eye(len(simple), dtype=np.int64), refl)
+    roots = base @ simple
+    order = np.lexsort(roots.T[::-1])  # ascending as tuples
+    return _tuples(cartan), _tuples(base[order]), _tuples(roots[order])
+
+
+def _cycles_orbit(omega: np.ndarray, size: int, elems: np.ndarray) -> bool:
+    """Whether some matrix of the stack moves omega through all `size`
+    points of its W-orbit before returning, that is, permutes the orbit
+    in one full cycle: w^k omega != omega for k = 1..size-1."""
+    point = np.broadcast_to(omega, (len(elems), len(omega)))
+    cycling = np.ones(len(elems), dtype=bool)
+    for _ in range(size - 1):
+        point = np.einsum("ki,kij->kj", point, elems)
+        cycling &= (point != omega).any(axis=1)
+    return bool(cycling.any())
+
+
+def weight_orbit_cycles(cartan, k: int, size: int,
+                        expected_order: int | None) -> bool:
+    """Whether some element of the reflection group of the Cartan matrix
+    permutes the W-orbit of omega_k, which must have `size` points, in
+    one full cycle.
+
+    With expected_order None the one element tried is the Coxeter
+    element s_1 ... s_n, and it must cycle; otherwise the whole group,
+    of that order, is scanned.
+    """
+    refl = reflection_matrices(cartan)
+    omega = np.eye(len(refl), dtype=np.int64)[k - 1]
+    found = len(_orbit(omega[None], refl))
+    if found != size:
+        raise AssertionError(f"omega_{k} has {found} conjugates, "
+                             f"expected {size}")
+    if expected_order is None:
+        if not _cycles_orbit(omega, size, reduce(np.matmul, refl)[None]):
+            raise AssertionError("the Coxeter element witness failed")
+        return True
+    return _cycles_orbit(omega, size,
+                         weyl_group_elements(cartan, expected_order))
 
 
 def _transversal(refl: np.ndarray, k: int, limit: int) -> np.ndarray:
@@ -96,7 +186,7 @@ def _products(transversals, n: int) -> np.ndarray:
     return elems
 
 
-def _tower(cartan: np.ndarray, expected_order: int) -> list[np.ndarray]:
+def _tower(cartan, expected_order: int) -> list[np.ndarray]:
     """The transversals X_1..X_n; their sizes must multiply to the
     expected group order."""
     refl = reflection_matrices(cartan)
@@ -110,7 +200,7 @@ def _tower(cartan: np.ndarray, expected_order: int) -> list[np.ndarray]:
     return transversals
 
 
-def weyl_group_elements(cartan: np.ndarray, expected_order: int) -> np.ndarray:
+def weyl_group_elements(cartan, expected_order: int) -> np.ndarray:
     """The whole group as an int8 stack of matrices on fundamental-weight
     row vectors; only sane for small groups."""
     return _products(_tower(cartan, expected_order), len(cartan))
@@ -180,7 +270,7 @@ def _order(mat: np.ndarray) -> int:
     raise AssertionError("element order out of expected range")
 
 
-def enumerate_orders(cartan: np.ndarray, expected_order: int,
+def enumerate_orders(cartan, expected_order: int,
                      bound: int = 20_000_000) -> Counter:
     """Order tally {order: element count} of the reflection group of the
     Cartan matrix, whose order must come out as expected_order.

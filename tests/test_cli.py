@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import time
 
-from ggt import cli
+from ggt import cli, rootsystems
 from ggt.cli import main
 from ggt.fingroup import FinGroup
 from ggt.primesearch import SearchCertificate, validate_certificate
+from ggt.rootsystems import IRREDUCIBLE_LABELS
 from ggt.roots import FrobeniusOrbit, RootOfUnity, frobenius_orbit
 from ggt.weilparams import (RealParameter, TameParameter,
                             build_tame_parameter)
@@ -291,6 +293,30 @@ def test_minuscule(capsys):
                                  "zero_mult": 1}
     assert {c["name"] for c in report["checks"]} == \
         {"dim_consistent", "full_cycle_witness"}
+
+
+def test_minuscule_dim_checked_against_the_closed_form(capsys,
+                                                      monkeypatch):
+    # dim is read off the root data; a miscounted short root fails the
+    # check against the family's closed form, and the report still prints
+    real = rootsystems.root_data
+
+    def miscounted(label):
+        data = real(label)
+        return dataclasses.replace(
+            data, short_root_count=data.short_root_count + 2)
+
+    for label in IRREDUCIBLE_LABELS:
+        code, report = _report(capsys, ["minuscule", "--type", label])
+        assert code == 0, label
+    for label in ("A3", "B3", "G2", "C4", "E6"):
+        monkeypatch.setattr(rootsystems, "root_data", miscounted)
+        code, report = _report(capsys, ["minuscule", "--type", label])
+        monkeypatch.undo()
+        assert code == 1, label
+        verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+        assert verdicts.pop("dim_consistent") is False, label
+        assert all(verdicts.values()), label
 
 
 def test_non_canonical_root_system_labels_exit_2(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ggt import numth
 from ggt.errors import ResourceBoundExceeded
 from ggt.numth import (TRIAL_DIVISION_LIMIT, PrimePair, cyclotomic_poly,
                        cyclotomic_value, euler_phi, factorize, is_prime,
@@ -136,6 +137,14 @@ def test_mult_order_matches_naive(n, a):
             mult_order(a, n)
     else:
         assert mult_order(a, n) == _naive_order(a, n)
+
+
+def test_order_from_a_known_multiple():
+    # the order modulo a prime from the multiple p - 1, no factoring of p
+    for p in filter(is_prime, range(2, 200)):
+        for a in range(1, p):
+            assert numth._order_dividing(a, p, p - 1) == \
+                _naive_order(a, p), (a, p)
 
 
 def test_mult_order_rejects_tiny_modulus():

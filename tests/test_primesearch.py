@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ggt import primesearch
+from ggt import numth, primesearch
 from ggt.errors import SearchExhausted
 from ggt.numth import PrimePair, factorize
 from ggt.primesearch import (SearchCertificate, SearchRequest,
@@ -186,13 +186,13 @@ def test_validator_uses_no_search_helper(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("validator called a search-side helper")
 
-    for name in ("is_prime", "factorize", "mult_order",
+    for name in ("is_prime", "factorize", "_order_dividing",
                  "_order_offsets", "_scan_q", "surrogate_moduli",
                  "check_degree_forcing", "_forces_degree",
                  "splits_in_small_cyclotomics"):
         monkeypatch.setattr(primesearch, name, refuse)
     # these as well, in case the module binds them
-    for name in ("euler_phi", "min_k_order_appears"):
+    for name in ("mult_order", "euler_phi", "min_k_order_appears"):
         monkeypatch.setattr(primesearch, name, refuse, raising=False)
     for cert in certs:
         assert validate_certificate(cert)["all_ok"], cert.request
@@ -275,16 +275,17 @@ PRIME_GRID = tuple(itertools.product((1, 2, 3, 4), (2, 3, 5, 7),
 
 def test_one_order_per_candidate_prime(monkeypatch):
     # ord_p(ell) is computed once for each p of the progression 1 mod 2n
-    # that passes the cheap filters and is prime, and never again by the
-    # certificate
+    # that passes the cheap filters and is prime, from the multiple p - 1,
+    # and never again by the certificate
     calls = []
-    search_order = primesearch.mult_order
+    search_order = primesearch._order_dividing
     certify = primesearch._certify
     in_certify = []
 
-    def counted(a, n):
+    def counted(a, n, e):
+        assert e == n - 1
         calls.append((a, n))
-        return search_order(a, n)
+        return search_order(a, n, e)
 
     def watched(*args):
         before = len(calls)
@@ -292,7 +293,7 @@ def test_one_order_per_candidate_prime(monkeypatch):
         in_certify.append(len(calls) - before)
         return cert
 
-    monkeypatch.setattr(primesearch, "mult_order", counted)
+    monkeypatch.setattr(primesearch, "_order_dividing", counted)
     monkeypatch.setattr(primesearch, "_certify", watched)
     for n, ell, t, d in PRIME_GRID:
         start = len(calls)
@@ -303,6 +304,27 @@ def test_one_order_per_candidate_prime(monkeypatch):
         assert calls[start:] == candidates, (n, ell, t, d)
     assert in_certify == [0] * len(PRIME_GRID)
     assert len(calls) == 767
+
+
+def test_orders_modulo_a_found_prime_factor_only_p_minus_1(monkeypatch):
+    # every order modulo a prime p the search has proved prime is found
+    # from the multiple p - 1, so p itself is never factored: one
+    # factorization of 2n per cell, one of p - 1 per candidate prime (767)
+    # and one per certified pair (192); mult_order would add a
+    # factorization of p to each of the last two
+    calls = []
+    factorize = numth.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(numth, "factorize", counted)
+    monkeypatch.setattr(primesearch, "factorize", counted)
+    for args in PRIME_GRID:
+        cert = find_prime_pair(SearchRequest(*args))
+        assert cert.pair.p - 1 in calls and cert.pair.p not in calls
+    assert len(calls) == 192 + 767 + 192
 
 
 def _pow_forcing(ell, p, n, t):
