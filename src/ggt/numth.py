@@ -187,7 +187,8 @@ def min_k_order_appears(ell: int, n: int, p: int) -> int:
         raise ValueError("ell must be prime")
     if p == ell:
         raise ValueError("p and ell must be distinct")
-    f = mult_order(ell, p)
+    # p is prime, and ell a prime other than p
+    f = _order_dividing(ell, p, p - 1)
     # p | ell^{2ki} - 1  iff  f | 2ki  iff  (f / gcd(f, 2i)) | k.
     return min(f // math.gcd(f, 2 * i) for i in range(1, n + 1))
 

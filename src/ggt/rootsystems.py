@@ -156,11 +156,6 @@ class RootData:
         fam, n = _parse_label(self.label)
         return _WEYL_ORDER[fam](n)
 
-    def cartan_array(self):
-        """The Cartan matrix as an int64 numpy array."""
-        from .weylenum import integer_matrix
-        return integer_matrix(self.cartan)
-
 
 def _norm(v) -> int:
     return sum(x * x for x in v)
@@ -515,8 +510,8 @@ def _weight_cycle(label: str, k: int, size: int, coxeter: bool) -> bool:
     weight system."""
     from .weylenum import weight_orbit_cycles
     data = root_data(label)
-    return weight_orbit_cycles(data.cartan, k, size,
-                               None if coxeter else data.weyl_order)
+    return weight_orbit_cycles(data.cartan, k, size, data.weyl_order,
+                               coxeter)
 
 
 def even_dimension_controls() -> dict[str, bool]:

@@ -51,7 +51,6 @@ import numpy as np
 from .errors import ResourceBoundExceeded
 
 __all__ = [
-    "integer_matrix",
     "reflection_matrices",
     "root_closure",
     "weight_orbit_cycles",
@@ -62,10 +61,6 @@ __all__ = [
 _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
 
 
-def integer_matrix(rows) -> np.ndarray:
-    return np.array(rows, dtype=np.int64)
-
-
 def _tuples(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, mat.tolist()))
 
@@ -73,7 +68,7 @@ def _tuples(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def reflection_matrices(cartan) -> np.ndarray:
     """Simple reflections on row vectors of fundamental-weight
     coordinates, stacked (n, n, n): the i-th is I - e_i C[i, :]."""
-    cartan = integer_matrix(cartan)
+    cartan = np.asarray(cartan, dtype=np.int64)
     n = len(cartan)
     out = np.broadcast_to(np.eye(n, dtype=np.int64), (n, n, n)).copy()
     for i in range(n):
@@ -105,7 +100,7 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
     reflections on simple-root coordinates, s_j(b) = b - (b . C[:, j])
     e_j: the transposed simple reflections of the dual root system.
     """
-    simple = integer_matrix(simple)
+    simple = np.asarray(simple, dtype=np.int64)
     gram = simple @ simple.T
     cartan = 2 * gram // np.diag(gram)  # C[i, j] = <alpha_i, alpha_j^vee>
     refl = reflection_matrices(cartan.T).transpose(0, 2, 1)
@@ -127,15 +122,14 @@ def _cycles_orbit(omega: np.ndarray, size: int, elems: np.ndarray) -> bool:
     return bool(cycling.any())
 
 
-def weight_orbit_cycles(cartan, k: int, size: int,
-                        expected_order: int | None) -> bool:
-    """Whether some element of the reflection group of the Cartan matrix
-    permutes the W-orbit of omega_k, which must have `size` points, in
-    one full cycle.
+def weight_orbit_cycles(cartan, k: int, size: int, order: int,
+                        coxeter: bool) -> bool:
+    """Whether some element of the reflection group of the Cartan matrix,
+    of the given order, permutes the W-orbit of omega_k, which must have
+    `size` points, in one full cycle.
 
-    With expected_order None the one element tried is the Coxeter
-    element s_1 ... s_n, and it must cycle; otherwise the whole group,
-    of that order, is scanned.
+    With coxeter the one element tried is the Coxeter element
+    s_1 ... s_n, and it must cycle; otherwise the whole group is scanned.
     """
     refl = reflection_matrices(cartan)
     omega = np.eye(len(refl), dtype=np.int64)[k - 1]
@@ -143,12 +137,11 @@ def weight_orbit_cycles(cartan, k: int, size: int,
     if found != size:
         raise AssertionError(f"omega_{k} has {found} conjugates, "
                              f"expected {size}")
-    if expected_order is None:
+    if coxeter:
         if not _cycles_orbit(omega, size, reduce(np.matmul, refl)[None]):
             raise AssertionError("the Coxeter element witness failed")
         return True
-    return _cycles_orbit(omega, size,
-                         weyl_group_elements(cartan, expected_order))
+    return _cycles_orbit(omega, size, weyl_group_elements(cartan, order))
 
 
 def _transversal(refl: np.ndarray, k: int, limit: int) -> np.ndarray:

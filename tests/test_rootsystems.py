@@ -25,7 +25,7 @@ from ggt.weylenum import (enumerate_orders, reflection_matrices,
 def test_cartan_matrices_well_formed():
     for label in IRREDUCIBLE_LABELS:
         data = root_data(label)
-        cartan = data.cartan_array()
+        cartan = np.array(data.cartan)
         assert (np.diag(cartan) == 2).all(), label
         off = cartan - np.diag(np.diag(cartan))
         assert (off <= 0).all(), label
@@ -65,7 +65,7 @@ def test_root_data_matches_golden_digests():
 def test_reflection_matrices_are_reflections():
     for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
         data = root_data(label)
-        refl = reflection_matrices(data.cartan_array())
+        refl = reflection_matrices(data.cartan)
         for mat in refl:
             assert round(np.linalg.det(mat)) == -1
             assert (mat @ mat == np.eye(data.rank, dtype=np.int64)).all()
@@ -140,7 +140,7 @@ def test_enumeration_agrees_with_partition_formulas():
     assert len(labels) == 6 + 5 + 4 + 3
     for label in labels:
         data = root_data(label)
-        enumerated = enumerate_orders(data.cartan_array(), data.weyl_order)
+        enumerated = enumerate_orders(data.cartan, data.weyl_order)
         assert sum(enumerated.values()) == data.weyl_order
         assert frozenset(enumerated) == weyl_element_orders(label).orders, \
             label
@@ -182,7 +182,7 @@ def test_tower_work_counter():
     # E8 tallies 5 cosets of W(E7); the bound trips before any is tallied
     data = root_data("E8")
     with pytest.raises(ResourceBoundExceeded, match="14515200 matrices"):
-        enumerate_orders(data.cartan_array(), data.weyl_order,
+        enumerate_orders(data.cartan, data.weyl_order,
                          bound=5 * 2_903_040 - 1)
 
 
@@ -191,7 +191,7 @@ def test_weyl_group_elements_peak_memory():
     # into the int8 stack, so the peak stays near the 1.66 MB result
     # (float64 copies of the whole stack took it to 26.8 MB)
     data = root_data("B6")
-    cartan = data.cartan_array()
+    cartan = data.cartan
     tracemalloc.start()
     try:
         elems = weyl_group_elements(cartan, data.weyl_order)
@@ -207,8 +207,8 @@ def test_composite_orders_via_block_cartan():
     # direct enumeration of the A2+B2 Weyl group, order 6 * 8 = 48
     a2, b2 = root_data("A2"), root_data("B2")
     cartan = np.zeros((4, 4), dtype=np.int64)
-    cartan[:2, :2] = a2.cartan_array()
-    cartan[2:, 2:] = b2.cartan_array()
+    cartan[:2, :2] = a2.cartan
+    cartan[2:, 2:] = b2.cartan
     direct = enumerate_orders(cartan, 48)
     assert sum(direct.values()) == 48
     assert frozenset(direct) == weyl_element_orders("A2+B2").orders
@@ -263,9 +263,9 @@ def test_weyl_element_orders_modes():
 def test_enumerate_orders_rejects_wrong_group_order():
     data = root_data("G2")
     with pytest.raises(AssertionError):
-        enumerate_orders(data.cartan_array(), 13)
+        enumerate_orders(data.cartan, 13)
     with pytest.raises(AssertionError):
-        enumerate_orders(data.cartan_array(), 24)
+        enumerate_orders(data.cartan, 24)
 
 
 @pytest.mark.slow

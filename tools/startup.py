@@ -1,10 +1,10 @@
 """Start-up cost of each README `ggt` command, one fresh interpreter per run.
 
-    python3 tools/startup.py [--runs 5]
+    python3 tools/startup.py
 
 Run it from the root of a ggt checkout: the library is imported from
 ./src.  Every command (the README's sub-second ones, `weyl table` left
-out) runs --runs times through ggt.cli.main, pinned to one CPU, one
+out) runs RUNS times through ggt.cli.main, pinned to one CPU, one
 process at a time.  Prints one Markdown table row per command: median
 wall time from start to exit, the median peak RSS of the process, and
 whether the command loaded numpy.
@@ -12,7 +12,6 @@ whether the command loaded numpy.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import statistics
@@ -21,6 +20,7 @@ import sys
 import time
 from pathlib import Path
 
+RUNS = 5
 PROBE = ("import sys, ggt.cli; code = ggt.cli.main(sys.argv[1:]); "
          "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
 
@@ -48,17 +48,14 @@ def run_once(root: Path, command: str) -> tuple[float, float, bool]:
     return wall, usage.ru_maxrss / 1024, err.split()[-1] == "True"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=5)
-    args = ap.parse_args(argv)
+def main() -> int:
     root = Path.cwd()
     cpus = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, cpus[:1])
     print("| command | wall (ms) | peak RSS (MB) | numpy |")
     print("| --- | --- | --- | --- |")
     for command in readme_commands(root):
-        runs = [run_once(root, command) for _ in range(args.runs)]
+        runs = [run_once(root, command) for _ in range(RUNS)]
         wall = statistics.median(r[0] for r in runs) * 1e3
         rss = statistics.median(r[1] for r in runs)
         numpy = "yes" if runs[0][2] else "no"
