@@ -290,8 +290,6 @@ def _cmd_eigs_g2check(args):
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--json", action="store_const", const="json",
-                     dest="format", help="same as --format json")
     sub.add_argument("--out", metavar="FILE", default=None,
                      help="also write the report to FILE")
 

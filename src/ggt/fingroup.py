@@ -609,11 +609,10 @@ def cyclic(n: int) -> FinGroup:
     return FinGroup.generate([MonomialMatrix.diagonal((RootOfUnity(1, n),))])
 
 
-def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
-                      bound: int = DEFAULT_CLOSURE_BOUND) -> FinGroup:
+def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix) -> FinGroup:
     """<t, f> as Z/p semidirect Z/m, numbered by the normal form: x_k is
     t^a f^b for k = a + p*b.  Errors unless t and f present such a
-    group, or past the bound, which must be positive.
+    group, or past DEFAULT_CLOSURE_BOUND elements.
 
     The proof reads only (perm, exps, n) and multiplies no element.  t is
     diagonal of prime modulus p, so it has order p.  Conjugating a
@@ -638,8 +637,6 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
     so every reported number, a group invariant, is too; the key a + p*b
     decodes to t^a f^b.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
     tperm, texps, p = t
     fperm, fexps, fn = f
     if len(tperm) != len(fperm):
@@ -661,8 +658,9 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix,
     m = lcm(*(length for length, _ in cycles))
     if any(total * (m // length) % fn for length, total in cycles):
         raise ValueError("f^m is not 1, m the order of f's permutation")
-    if p * m > bound:
-        raise ResourceBoundExceeded(f"group closure exceeded {bound} elements")
+    if p * m > DEFAULT_CLOSURE_BOUND:
+        raise ResourceBoundExceeded(
+            f"group closure exceeded {DEFAULT_CLOSURE_BOUND} elements")
     # x_(a + p b) = t^a f^b: t x = t^(a+1) f^b, f x = t^(alpha a) f^(b+1).
     # Block b holds the keys p b, ..., p b + p - 1; the tables and the tree
     # are gathered from the blocks, so they share the ints of ks

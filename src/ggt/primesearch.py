@@ -291,7 +291,10 @@ def _slow_is_prime(n: int) -> bool:
     return True
 
 
-def _slow_order(a: int, p: int, bound: int = 10_000_000) -> int:
+_ORDER_LOOP_BOUND = 10_000_000  # the steps one _slow_order loop may take
+
+
+def _slow_order(a: int, p: int) -> int:
     x = a % p
     if x == 0:
         raise ValueError("a divisible by p")
@@ -299,7 +302,7 @@ def _slow_order(a: int, p: int, bound: int = 10_000_000) -> int:
     while x != 1:
         x = x * a % p
         k += 1
-        if k > bound:
+        if k > _ORDER_LOOP_BOUND:
             raise ResourceBoundExceeded("order loop exceeded bound")
     return k
 

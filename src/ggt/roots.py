@@ -153,18 +153,17 @@ class FrobeniusOrbit:
         return cls(q=data["q"], elements=els)
 
 
-def frobenius_orbit(tau: RootOfUnity, q: int,
-                    bound: int = DEFAULT_ORBIT_BOUND) -> FrobeniusOrbit:
+def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
     """Orbit {tau, tau^q, tau^{q^2}, ...}; q must be coprime to the order.
 
-    Errors once the orbit would exceed bound elements.
+    Errors once the orbit would exceed DEFAULT_ORBIT_BOUND elements.
     """
     a, n = tau.num, tau.den
     if math.gcd(q, n) != 1:
         raise ValueError(f"q = {q} shares a factor with the order {n}")
     exps = [a]
     e = a * q % n
-    for _ in range(bound - 1):
+    for _ in range(DEFAULT_ORBIT_BOUND - 1):
         if e == a:
             break
         exps.append(e)
@@ -172,7 +171,7 @@ def frobenius_orbit(tau: RootOfUnity, q: int,
     else:
         if e != a:
             raise ResourceBoundExceeded(
-                f"Frobenius orbit exceeded {bound} elements")
+                f"Frobenius orbit exceeded {DEFAULT_ORBIT_BOUND} elements")
     # Rotate so the smallest exponent leads; q-steps are preserved.
     i = exps.index(min(exps))
     exps = exps[i:] + exps[:i]

@@ -21,8 +21,8 @@ from functools import cached_property
 from math import lcm
 
 from .cyclotomic import Cyc
-from .fingroup import (DEFAULT_CLOSURE_BOUND, FinGroup, _split_metacyclic,
-                       is_type_np)
+from .errors import ResourceBoundExceeded
+from .fingroup import FinGroup, _split_metacyclic, is_type_np
 from .monomial import MonomialMatrix
 from .numth import is_prime
 from .roots import ONE, FrobeniusOrbit, RootOfUnity, frobenius_orbit
@@ -42,6 +42,11 @@ __all__ = [
     "real_parameter",
     "is_g2_real",
 ]
+
+# The largest least common order of eigenvalues that palindrome_split
+# takes.  Its ring Z[x]/(x^n - 1) has vectors of length n, and a composite
+# n sets up an n-row power table: 840 takes 0.3 s and 990 0.9 s.
+_MODULUS_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,7 @@ def build_tame_parameter(q: int, taus, n: int) -> TameParameter:
     return param
 
 
-def parameter_image(param: TameParameter,
-                    bound: int = DEFAULT_CLOSURE_BOUND) -> FinGroup:
+def parameter_image(param: TameParameter) -> FinGroup:
     """The monomial matrix group generated by inertia and Frobenius.
 
     Only for a single orbit whose root has prime order p; the group is
@@ -191,7 +195,7 @@ def parameter_image(param: TameParameter,
     p = param.taus[0].den
     if not is_prime(p):
         raise ValueError(f"root order {p} is not prime")
-    grp = _split_metacyclic(param.inertia, param.frobenius, bound)
+    grp = _split_metacyclic(param.inertia, param.frobenius)
     expected = 2 * param.n * p
     if grp.order != expected:
         raise AssertionError(
@@ -307,7 +311,8 @@ def palindrome_split(eigs) -> tuple[bool, tuple[Cyc, ...]]:
 
     The eigenvalue multiset must contain 1 and be closed under inversion.
     Returns (palindromic?, quotient coefficients low to high), exact in
-    the cyclotomic ring of the least common order.
+    the cyclotomic ring of the least common order, which must not exceed
+    _MODULUS_BOUND.
     """
     eigs = list(eigs)
     if ONE not in eigs:
@@ -319,6 +324,9 @@ def palindrome_split(eigs) -> tuple[bool, tuple[Cyc, ...]]:
         if counts.get(e.inverse(), 0) != c:
             raise ValueError("eigenvalues are not closed under inversion")
     n = lcm(*[e.den for e in eigs], 1)
+    if n > _MODULUS_BOUND:
+        raise ResourceBoundExceeded(
+            f"cyclotomic modulus {n} exceeds the bound {_MODULUS_BOUND}")
     one = Cyc.integer(n, 1)
     # char poly, low degree first
     poly = [one]

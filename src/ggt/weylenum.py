@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
+# cap on the matrices whose order enumerate_orders computes (E8 needs
+# 5 * 2,903,040)
+_TALLY_BOUND = 20_000_000
 
 
 def _tuples(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -202,25 +205,13 @@ def weyl_group_elements(cartan, expected_order: int) -> np.ndarray:
 def _suborbits(points: np.ndarray, refl: np.ndarray) -> list[tuple[int, int]]:
     """(first index, size) of each orbit of the given reflections on the
     rows of points, which must be permuted by them."""
-    index = {tuple(p): i for i, p in enumerate(points)}
-    seen = [False] * len(points)
-    out = []
+    index = {p: i for i, p in enumerate(map(tuple, points.tolist()))}
+    seen, out = set(), []
     for start in range(len(points)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier, size = [start], 1
-        while frontier:
-            new = []
-            for i in frontier:
-                for r in refl:
-                    j = index[tuple(points[i] @ r)]
-                    if not seen[j]:
-                        seen[j] = True
-                        new.append(j)
-            size += len(new)
-            frontier = new
-        out.append((start, size))
+        if start not in seen:
+            orbit = _orbit(points[start:start + 1], refl).tolist()
+            seen.update(index[p] for p in map(tuple, orbit))
+            out.append((start, len(orbit)))
     return out
 
 
@@ -263,13 +254,12 @@ def _order(mat: np.ndarray) -> int:
     raise AssertionError("element order out of expected range")
 
 
-def enumerate_orders(cartan, expected_order: int,
-                     bound: int = 20_000_000) -> Counter:
+def enumerate_orders(cartan, expected_order: int) -> Counter:
     """Order tally {order: element count} of the reflection group of the
     Cartan matrix, whose order must come out as expected_order.
 
-    bound caps the matrices whose order is computed (5 * 2,903,040 for
-    E8); a larger tower raises ResourceBoundExceeded before that work.
+    A tower with more than _TALLY_BOUND matrices to compute orders of
+    raises ResourceBoundExceeded before that work.
     """
     n = len(cartan)
     transversals = _tower(cartan, expected_order)
@@ -278,9 +268,9 @@ def enumerate_orders(cartan, expected_order: int,
     if sum(size for _, size in orbits) != len(top):
         raise AssertionError("suborbits do not partition the top orbit")
     work = len(orbits) * expected_order // len(top)
-    if work > bound:
+    if work > _TALLY_BOUND:
         raise ResourceBoundExceeded(
-            f"{work} matrices to tally exceed the bound {bound}")
+            f"{work} matrices to tally exceed the bound {_TALLY_BOUND}")
 
     prefix = transversals[-2] if n >= 2 else np.eye(n)[None]
     tail = _products(transversals[:-2], n).reshape(-1, n).astype(np.float64)

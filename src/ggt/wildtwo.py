@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
-from .fingroup import DEFAULT_CLOSURE_BOUND, FinGroup
+from .fingroup import FinGroup
 from .monomial import MonomialMatrix, _make
 from .roots import MINUS_ONE, ONE
 from .weilparams import g2_admissible_eigenvalues
@@ -61,24 +61,19 @@ class WildImageSO:
     """Sign-monomial image for the odd orthogonal group of size m.
 
     generators are what the report reads: +-1 diagonal matrices and one
-    m-cycle.  group closes them under bound on first access, and raises
-    ResourceBoundExceeded if the order 2^(m-1) * m exceeds it; no report
-    needs it, so only callers that ask for elements pay for the closure.
+    m-cycle.  Nothing closes them; FinGroup.generate does for a caller
+    that wants the elements.
     """
 
     m: int
     sign_gens: tuple[MonomialMatrix, ...]
     cycle: MonomialMatrix
     generators: tuple[MonomialMatrix, ...]
-    bound: int = DEFAULT_CLOSURE_BOUND
 
-    @cached_property
-    def group(self) -> FinGroup:
-        expected = 2 ** (self.m - 1) * self.m
-        if expected > self.bound:
-            raise ResourceBoundExceeded(
-                f"group of order {expected} exceeds bound {self.bound}")
-        return FinGroup.generate(list(self.generators), bound=self.bound)
+
+# The largest m that build_so_wild takes.  Build plus report grow as m^2:
+# m = 1001 takes about 1 s and 63 MB, and m = 2001 about 4 s and 216 MB.
+_SO_M_BOUND = 1001
 
 
 def _sign_generator(m: int, j: int) -> MonomialMatrix:
@@ -87,19 +82,19 @@ def _sign_generator(m: int, j: int) -> MonomialMatrix:
     return MonomialMatrix.diagonal(diag)
 
 
-def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
-    """The monomial image for any odd m >= 3.
+def build_so_wild(m: int) -> WildImageSO:
+    """The monomial image for any odd m from 3 to _SO_M_BOUND.
 
     Generated by one sign involution and the m-cycle; the other sign
     involutions are its cycle conjugates, which is checked here.  Order
     2^(m-1) * m; so_wild_report computes it from the sign vectors, and
-    nothing is closed here, so bound only caps the lazy group.  Building
-    takes m^2 work (m = 101 takes milliseconds).
+    nothing is closed here.  Building takes m^2 work (m = 101 takes
+    milliseconds); an m past _SO_M_BOUND is refused before any of it.
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"m must be odd and at least 3, got {m}")
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+    if m > _SO_M_BOUND:
+        raise ResourceBoundExceeded(f"m = {m} exceeds the bound {_SO_M_BOUND}")
     signs = tuple(_sign_generator(m, j) for j in range(m))
     cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in range(m)))
     cyc_inv = cycle.inverse()
@@ -107,7 +102,7 @@ def build_so_wild(m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> WildImageSO:
         if cycle * signs[j] * cyc_inv != signs[(j + 1) % m]:
             raise AssertionError("cycle does not shift the sign generators")
     return WildImageSO(m=m, sign_gens=signs, cycle=cycle,
-                       generators=(signs[0], cycle), bound=bound)
+                       generators=(signs[0], cycle))
 
 
 def _character_tuples(m: int) -> list[tuple[int, ...]]:

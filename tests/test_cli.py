@@ -209,6 +209,38 @@ def test_wild_so_hundred_and_one(capsys):
     assert report["results"]["abelianization"] == [101]
 
 
+def _resource_bound(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1, argv
+    assert code == 3, argv
+    assert capsys.readouterr() == ("", f"ggt: resource bound: {message}\n")
+
+
+def test_wild_so_past_the_m_bound_exits_3(capsys):
+    # build plus report grow as m^2; m = 20001 would need about 20 GB
+    _resource_bound(capsys, ["wild", "so", "--m", "20001"],
+                    "m = 20001 exceeds the bound 1001")
+
+
+def test_eigs_past_the_modulus_bound_exits_3(capsys):
+    # the least common order is 1000003 * 1000033, and a ring element
+    # would be a vector of that length
+    _resource_bound(
+        capsys, ["eigs", "g2check", "--eigs", "0,1/1000003,-1/1000003,"
+                 "1/1000033,-1/1000033,2/1000003,-2/1000003"],
+        "cyclotomic modulus 1000036000099 exceeds the bound 1000")
+
+
+def test_primes_past_the_ceiling_exits_3(capsys):
+    # the least pair for this request is (19, 601)
+    _resource_bound(
+        capsys, ["primes", "--n", "3", "--ell", "3", "--t", "3", "--d", "5",
+                 "--ceiling", "50"],
+        "no (p, q) with p, q < 50 for SearchRequest(n=3, ell=3, t=3, d=5, "
+        "conductor_bound=100)")
+
+
 def _usage_error(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -460,6 +492,8 @@ def test_usage_errors(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["orbit", "--tau", "nonsense", "--q", "5"]) == 2
+    # JSON is the default format, and --json, its alias, is gone
+    assert main(["orbit", "--tau", "1/3", "--q", "5", "--json"]) == 2
 
 
 # sha256 prefixes of the reports (version dropped, keys sorted): the

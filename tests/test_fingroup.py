@@ -21,6 +21,10 @@ from ggt.wildtwo import build_g2_jordan, build_so_wild, so_wild_report
 _pm = MonomialMatrix.permutation
 
 
+def _so_wild_group(m):
+    return FinGroup.generate(list(build_so_wild(m).generators))
+
+
 def _sym(n):
     swap = _pm((1, 0) + tuple(range(2, n)))
     cyc = _pm(tuple(range(1, n)) + (0,))
@@ -93,7 +97,7 @@ def test_wild_sweep_product_count(monkeypatch):
 
 def test_generate_makes_no_products(monkeypatch):
     perm_gens = [_pm((1, 2, 3, 4, 0)), _pm((1, 0, 2, 3, 4))]
-    mono_gens = list(build_so_wild(5).group.generators)
+    mono_gens = list(build_so_wild(5).generators)
     made = _counting_mul(monkeypatch, MonomialMatrix)
     s5 = FinGroup.generate(perm_gens)
     wild = FinGroup.generate(mono_gens)
@@ -224,7 +228,7 @@ def test_direct_product_and_quotient():
 def test_direct_product_of_a_wild_image():
     # a factor of 3x3 matrices over mu_2 next to 1x1 ones over mu_2 or
     # mu_6: A4 x C2 makes Z/3 and Z/2 one factor Z/6
-    w = build_so_wild(3).group
+    w = _so_wild_group(3)
     assert (w.order, w.abelianization()) == (12, [3])
     g = direct_product(w, cyclic(2))
     assert g.order == 24 and g.generators[0].dim == 4
@@ -343,7 +347,7 @@ def test_abelianization_matches_quotient_loop():
         direct_product(cyclic(4), cyclic(4)),
         direct_product(direct_product(cyclic(2), cyclic(4)), cyclic(8)),
         direct_product(cyclic(4), metacyclic(6, 7)),
-        build_so_wild(5).group,
+        _so_wild_group(5),
     ]
     for g in groups:
         assert g.abelianization() == _abelianization_by_quotients(g), g.order
@@ -457,8 +461,7 @@ def test_monomial_group_matches_permutation_embedding(gens):
 
 
 def test_wild_group_matches_permutation_embedding():
-    w = build_so_wild(5)
-    _compare_with_embedding(list(w.group.generators))
+    _compare_with_embedding(list(build_so_wild(5).generators))
 
 
 # -- the index-space engine against definitions made of products ----------
@@ -651,9 +654,10 @@ def _edge_tables(tree, ttab, ftab):
     return [0 if t is ttab else 1 if t is ftab else None for t, _ in tree]
 
 
-def test_sliced_tables_match_the_comprehensions():
+def test_sliced_tables_match_the_comprehensions(monkeypatch):
     # metacyclic's pair t, f, split past the default bound for p = 409;
     # f t f^-1 = t^a, a = root^((p - 1) / m)
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 409 * 408)
     for p in (3, 7, 19, 43, 409):
         root = next(r for r in range(1, p) if mult_order(r, p) == p - 1)
         for m in (m for m in range(1, p) if (p - 1) % m == 0):
@@ -662,7 +666,7 @@ def test_sliced_tables_match_the_comprehensions():
                 tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))
             f = MonomialMatrix.permutation(
                 tuple((i - 1) % m for i in range(m)))
-            grp = _split_metacyclic(t, f, bound=p * m)
+            grp = _split_metacyclic(t, f)
             ttab, ftab = grp.tables
             old_t, old_f, old_tree = _comprehension_tables(p, m, a)
             assert (ttab, ftab) == (old_t, old_f), (p, m)
@@ -748,7 +752,7 @@ def test_results_do_not_depend_on_generator_order():
         (metacyclic(6, 7), (6, 7), 5),
         (direct_product(cyclic(4), metacyclic(6, 7)), (6, 7), 2),
         (_sym(4), (2, 3), 2),
-        (build_so_wild(5).group, (5, 2), 5),
+        (_so_wild_group(5), (5, 2), 5),
     ]
     for grp, type_np, ell in cases:
         other = FinGroup.generate(grp.generators[::-1])
@@ -830,20 +834,20 @@ def test_split_metacyclic_refuses_other_pairs():
     # the same pair with f^2 = 1 is the dihedral group of order 14
     t = MonomialMatrix.diagonal((z7, z7.inverse()))
     assert _split_metacyclic(t, swap).order == 14
-    with pytest.raises(ValueError):
-        _split_metacyclic(t, swap, bound=0)
 
 
-def test_split_metacyclic_bound():
+def test_split_metacyclic_bound(monkeypatch):
     # Z/7 x| Z/3 is refused from its order p * m, with generate's
     # message, one element past the bound
     t = MonomialMatrix.diagonal(tuple(RootOfUnity(pow(2, i, 7), 7)
                                       for i in range(3)))
     f = _pm((2, 0, 1))
-    assert _split_metacyclic(t, f, bound=21).order == 21
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 21)
+    assert _split_metacyclic(t, f).order == 21
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 20)
     with pytest.raises(ResourceBoundExceeded,
                        match="group closure exceeded 20 elements"):
-        _split_metacyclic(t, f, bound=20)
+        _split_metacyclic(t, f)
 
 
 def test_presented_groups_run_no_closure(monkeypatch):

@@ -76,14 +76,18 @@ def test_orbit_rejects_shared_factor():
         frobenius_orbit(RootOfUnity(1, 6), 3)
 
 
-def test_orbit_bound():
+def test_orbit_bound(monkeypatch):
     # 7 has order 500000003 mod 10^9 + 7: stopped at the bound
-    with pytest.raises(ResourceBoundExceeded):
-        frobenius_orbit(RootOfUnity(1, 1_000_000_007), 7, bound=1000)
+    monkeypatch.setattr("ggt.roots.DEFAULT_ORBIT_BOUND", 1000)
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^Frobenius orbit exceeded 1000 elements$"):
+        frobenius_orbit(RootOfUnity(1, 1_000_000_007), 7)
     # an orbit exactly at the bound is still built
-    assert frobenius_orbit(RootOfUnity(1, 7), 3, bound=6).size == 6
+    monkeypatch.setattr("ggt.roots.DEFAULT_ORBIT_BOUND", 6)
+    assert frobenius_orbit(RootOfUnity(1, 7), 3).size == 6
+    monkeypatch.setattr("ggt.roots.DEFAULT_ORBIT_BOUND", 5)
     with pytest.raises(ResourceBoundExceeded):
-        frobenius_orbit(RootOfUnity(1, 7), 3, bound=5)
+        frobenius_orbit(RootOfUnity(1, 7), 3)
 
 
 def test_orbit_of_one_is_trivial():

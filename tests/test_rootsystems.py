@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggt import rootsystems
+from ggt import rootsystems, weylenum
 from ggt.errors import ResourceBoundExceeded
 from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              RootSystem, _exceptional_tally, _system_table,
@@ -178,12 +178,12 @@ def test_e8_tally_is_exact():
     assert tally == E8_TALLY
 
 
-def test_tower_work_counter():
+def test_tower_work_counter(monkeypatch):
     # E8 tallies 5 cosets of W(E7); the bound trips before any is tallied
     data = root_data("E8")
+    monkeypatch.setattr(weylenum, "_TALLY_BOUND", 5 * 2_903_040 - 1)
     with pytest.raises(ResourceBoundExceeded, match="14515200 matrices"):
-        enumerate_orders(data.cartan, data.weyl_order,
-                         bound=5 * 2_903_040 - 1)
+        enumerate_orders(data.cartan, data.weyl_order)
 
 
 def test_weyl_group_elements_peak_memory():

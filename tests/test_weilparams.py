@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggt import fingroup, weilparams
 from ggt.cyclotomic import Cyc
+from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import is_type_np
 from ggt.roots import MINUS_ONE, ONE, RootOfUnity
 from ggt.weilparams import (RealParameter, TameParameter,
@@ -87,6 +89,18 @@ def test_parameter_image_order():
     assert image.order == 258  # 2 * 3 * 43
     w = is_type_np(image, 6, 43)
     assert w is not None and w.image_order == 6
+
+
+def test_parameter_image_bound(monkeypatch):
+    # the image of order 258 is refused from its presentation, one
+    # element past the closure bound
+    param = build_tame_parameter(7, [RootOfUnity(1, 43)], 3)
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 258)
+    assert parameter_image(param).order == 258
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 257)
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^group closure exceeded 257 elements$"):
+        parameter_image(param)
 
 
 def test_g2_condition_single_orbit():
@@ -189,6 +203,19 @@ def test_palindrome_split_requires_self_dual_multiset():
         palindrome_split((z, z.inverse()))  # no eigenvalue 1
     with pytest.raises(ValueError):
         palindrome_split((ONE, z, z))  # not closed under inversion
+
+
+def test_palindrome_split_modulus_bound(monkeypatch):
+    # the least common order of the eigenvalues is refused past the bound
+    assert weilparams._MODULUS_BOUND == 1000
+    z = RootOfUnity(1, 5)
+    eigs = (ONE, z, z.inverse())
+    monkeypatch.setattr(weilparams, "_MODULUS_BOUND", 5)
+    assert palindrome_split(eigs)[0]
+    monkeypatch.setattr(weilparams, "_MODULUS_BOUND", 4)
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^cyclotomic modulus 5 exceeds the bound 4$"):
+        palindrome_split(eigs)
 
 
 def _float_palindrome(eigs) -> bool:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -16,9 +15,15 @@ from ggt.wildtwo import (WildImageSO, build_g2_jordan, build_so_wild,
                          g2_jordan_report, mackey_decompose, so_wild_report)
 
 
+def _closed(w):
+    # the whole group, as the report never builds it; a single -1 and an
+    # m-cycle generate all 2^m m signed cyclic permutation matrices
+    return FinGroup.generate(list(w.generators), bound=2 ** w.m * w.m)
+
+
 def test_so_wild_smallest(so_wild):
     w = so_wild(3)
-    assert w.group.order == 12
+    assert _closed(w).order == 12
     rep = so_wild_report(w)
     assert rep["order_expected"]
     assert rep["abelianization"] == [3]
@@ -32,30 +37,20 @@ def test_so_wild_smallest(so_wild):
 
 def _signed_cycle_group(m, minus=(0,), cycle=None):
     # -1 at the positions in minus, and an m-cycle, by default the one
-    # build_so_wild uses; a single -1 generates all 2^m m signed cyclic
-    # permutation matrices of size m, which bounds the closure
+    # build_so_wild uses
     flip = MonomialMatrix.diagonal(tuple(MINUS_ONE if j in minus else ONE
                                          for j in range(m)))
     cycle = MonomialMatrix.permutation(
         cycle or tuple((k - 1) % m for k in range(m)))
     return WildImageSO(m=m, sign_gens=(flip,), cycle=cycle,
-                       generators=(flip, cycle), bound=2 ** m * m)
+                       generators=(flip, cycle))
 
 
 def test_so_wild_det_decided_on_generators():
     # a single -1 has det -1, and the report must see it
     w = _signed_cycle_group(3)
-    assert w.group.order == 24
+    assert _closed(w).order == 24
     assert so_wild_report(w)["det_trivial"] is False
-
-
-def test_so_wild_group_closes_on_first_access_under_the_bound():
-    w = build_so_wild(5, bound=80)
-    assert "group" not in w.__dict__
-    assert w.group.order == 80 and w.group is w.group
-    # the full signed 3 x 3 group has order 24, past a bound of 12
-    with pytest.raises(ResourceBoundExceeded):
-        replace(_signed_cycle_group(3), bound=12).group
 
 
 def _gray_code_square_sum(m, basis):
@@ -77,7 +72,7 @@ def _module_basis(w):
 
 def _exhaustive_so_wild_report(w):
     """The report computed from the closed group, element by element."""
-    m, grp = w.m, w.group
+    m, grp = w.m, _closed(w)
     comm = [grp.elements[i] for i in grp.commutator_subgroup()]
     elementary = all(x * x == grp.identity for x in comm
                      if x != grp.identity)
@@ -156,7 +151,7 @@ def test_random_sign_groups_match_the_closed_group(data):
     w = _signed_cycle_group(m, tuple(minus), tuple(cycle))
     rep = so_wild_report(w)
     assert rep == _exhaustive_so_wild_report(w)
-    assert 2 ** len(_module_basis(w)) * m == w.group.order == rep["order"]
+    assert 2 ** len(_module_basis(w)) * m == rep["order"]
 
 
 def test_so_wild_report_does_no_group_work(monkeypatch):
@@ -180,7 +175,6 @@ def test_so_wild_report_does_no_group_work(monkeypatch):
         assert rep["commutator"]["order"] == 2 ** (m - 1)
         # the report multiplies no element, and nothing closes the group
         assert made == []
-        assert "group" not in w.__dict__
     assert closures == []
 
 
@@ -224,7 +218,7 @@ def test_trace_square_sum_closed_form():
         assert sum(comb(m, w) * (m - 2 * w) ** 2
                    for w in range(0, m + 1, 2)) == m * 2 ** (m - 1)
     for m in range(3, 16, 2):
-        basis = _module_basis(build_so_wild(m, bound=2 ** (m - 1) * m))
+        basis = _module_basis(build_so_wild(m))
         assert len(basis) == m - 1
         assert (wildtwo._trace_square_sum(m, basis)
                 == _gray_code_square_sum(m, basis) == m * 2 ** (m - 1))
@@ -256,9 +250,24 @@ def test_so_wild_rejects_bad_m():
         build_so_wild(1)
     with pytest.raises(ValueError):
         build_so_wild(16)
-    # the bound caps only the lazy closure, never the build
-    with pytest.raises(ResourceBoundExceeded):
-        build_so_wild(11, bound=500).group
+
+
+def test_so_wild_m_bound_refuses_before_building(monkeypatch):
+    assert wildtwo._SO_M_BOUND == 1001
+    monkeypatch.setattr(wildtwo, "_SO_M_BOUND", 5)
+    assert so_wild_report(build_so_wild(5))["order"] == 80
+
+    # an m past the bound makes no sign generator; an even one is still
+    # bad input
+    def refuse(m, j):
+        raise AssertionError("built a sign generator")
+
+    monkeypatch.setattr(wildtwo, "_sign_generator", refuse)
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^m = 7 exceeds the bound 5$"):
+        build_so_wild(7)
+    with pytest.raises(ValueError):
+        build_so_wild(20000)
 
 
 def test_so_wild_builds_past_fifteen():
@@ -267,14 +276,6 @@ def test_so_wild_builds_past_fifteen():
         rep = so_wild_report(build_so_wild(m))
         assert rep["order"] == 2 ** (m - 1) * m and rep["order_expected"]
         assert rep["abelianization"] == [m] and rep["irreducible"]
-
-
-def test_so_wild_bound_caps_the_lazy_group():
-    w = build_so_wild(15)
-    assert so_wild_report(w)["order"] == 245760
-    with pytest.raises(ResourceBoundExceeded,
-                       match=r"^group of order 245760 exceeds bound 100000$"):
-        w.group
 
 
 def test_so_wild_report_deterministic(so_wild):
