@@ -5,8 +5,9 @@ image groups, Weyl element orders through rank 8, and finite group
 criteria of type (n, p).
 
 Importing ggt loads every module but cli and weylenum.  weylenum, the
-matrix engine, is the one module that imports numpy; rootsystems loads it
-with the first Weyl matrix it computes, so importing ggt loads no numpy."""
+Weyl group engine, is the one module that imports numpy, and only for
+the E7 and E8 tallies; rootsystems loads weylenum with the first Weyl
+group element it needs, so importing ggt loads no numpy."""
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded, SearchExhausted

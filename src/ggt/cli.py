@@ -10,8 +10,8 @@ JSON with sorted keys, so identical invocations are byte-identical;
 
 Start-up pays only for what a command uses: the version string is the
 package's own __version__ (no package-metadata scan), and numpy is
-loaded only by the commands that compute a Weyl matrix (weyl orders,
-weyl table, weyl unique, minuscule), with the first one.
+loaded only by the commands that tally E7 or E8 (weyl table, and weyl
+orders or weyl unique on a system with such a factor).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__ as VERSION
+from . import primesearch
 from .errors import ResourceBoundExceeded
 from .fingroup import cyclic, is_type_np, metacyclic
 from .numth import factorize, is_prime, mult_order
@@ -68,12 +69,11 @@ def _cmd_orbit(args):
 
 
 def _cmd_primes(args):
-    from .primesearch import (SearchRequest, find_prime_pair,
-                              validate_certificate)
-    req = SearchRequest(n=args.n, ell=args.ell, t=args.t, d=args.d,
-                        conductor_bound=args.conductor_bound)
-    cert = find_prime_pair(req, ceiling=args.ceiling)
-    val = validate_certificate(cert)
+    req = primesearch.SearchRequest(n=args.n, ell=args.ell, t=args.t,
+                                    d=args.d,
+                                    conductor_bound=args.conductor_bound)
+    cert = primesearch.find_prime_pair(req, ceiling=args.ceiling)
+    val = primesearch.validate_certificate(cert)
     checks = [_check(k, v if isinstance(v, bool) else v.get("ok", False))
               for k, v in val.items() if k != "all_ok"]
     checks.append(_check("order_recomputed",
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--conductor-bound", type=int, default=100)
-    p.add_argument("--ceiling", type=int, default=1_000_000)
+    p.add_argument("--ceiling", type=int,
+                   default=primesearch.DEFAULT_CEILING)
     _add_common(p)
     p.set_defaults(handler=_cmd_primes)
 

@@ -29,12 +29,16 @@ class _CtxData:
         self.deg = len(poly) - 1
         self.prime = is_prime(n)
         if not self.prime:
-            # x^k mod Phi_n for k < n, each a vector of length deg.
-            table = []
-            for k in range(n):
-                vec = [0] * max(k + 1, self.deg)
-                vec[k] = 1
-                table.append(tuple(_reduce_by(vec, poly)))
+            # x^k mod Phi_n for k < n, each a vector of length deg: past
+            # x^(deg-1), x times the row before, with the top coefficient
+            # c folded down as c * (x^deg - Phi_n)
+            deg = self.deg
+            table = [tuple(int(i == k) for i in range(deg))
+                     for k in range(min(n, deg))]
+            for _ in range(deg, n):
+                c = table[-1][-1]
+                table.append(tuple(a - c * b for a, b in
+                                   zip((0,) + table[-1][:-1], poly)))
             self.powtable = table
 
     def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -54,18 +58,6 @@ class _CtxData:
 @lru_cache(maxsize=None)
 def _Ctx(n: int) -> _CtxData:
     return _CtxData(n)
-
-
-def _reduce_by(vec: list[int], poly: tuple[int, ...]) -> list[int]:
-    # Remainder of vec modulo the monic integer polynomial poly.
-    deg = len(poly) - 1
-    vec = list(vec) + [0] * max(0, deg - len(vec))
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            for j in range(deg + 1):
-                vec[i - deg + j] -= c * poly[j]
-    return vec[:deg]
 
 
 @dataclass(frozen=True)

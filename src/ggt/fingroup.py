@@ -117,11 +117,12 @@ class FinGroup:
 
     @classmethod
     def generate(cls, generators: Sequence,
-                 bound: int = DEFAULT_CLOSURE_BOUND) -> "FinGroup":
+                 bound: int | None = None) -> "FinGroup":
         """Breadth-first closure by left multiplication, recording each
         generator's table and, as the tree edge to each new element, the
         step that found it.  Errors past the bound, which must be
-        positive.
+        positive; without one, past DEFAULT_CLOSURE_BOUND as it reads at
+        the call.
 
         The search runs on base images: monomial.point_action gives the
         identity's base images, each generator as a table of point images
@@ -130,6 +131,8 @@ class FinGroup:
         """
         if not generators:
             raise ValueError("need at least one generator")
+        if bound is None:
+            bound = DEFAULT_CLOSURE_BOUND
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
         start, phis, decode = point_action(generators, bound)

@@ -8,17 +8,19 @@ coordinates, by closing the unit vectors under the integer reflections
 s_j(b) = b - (b . C[:, j]) e_j; each must come out positive or negative,
 and the standard-coordinate roots are the integer products b @ simple.
 
-Every matrix is computed by weylenum, which this module imports only
-inside the functions that need one (root_data, the exceptional tallies
-and the weight-cycle witnesses, each cached), so importing it loads no
-numpy; the classical order sets and the system table are integer and
-set arithmetic.
+Every Weyl group element is built by weylenum, which this module
+imports only inside the functions that need one (root_data, the
+exceptional tallies and the weight-cycle witnesses, each cached); the
+classical order sets and the system table are integer and set
+arithmetic.  weylenum works on int tuples, and imports numpy only for
+the tallies past its crossover (E7 and E8), so no other command loads
+it.
 
 Weights live in the coordinates of weylenum: row vectors over the
-fundamental weights, on which s_i is I - e_i C[i, :].  The nonzero
-weights of a minuscule or quasi-minuscule representation are the W-orbit
-of one fundamental weight, and every Weyl-group element used here comes
-from the coset tower of weylenum.
+fundamental weights, on which s_i(lambda) = lambda - lambda[i] C[i, :].
+The nonzero weights of a minuscule or quasi-minuscule representation are
+the W-orbit of one fundamental weight, and every Weyl-group element used
+here comes from the coset tower of weylenum.
 
 Order sets for the classical families come from cycle-type formulas:
 partitions of n+1 for type A; partitions of n with per-part doubling
@@ -459,8 +461,8 @@ def almost_minuscule_data(rs: RootSystem | str) -> tuple[int, int]:
     return data.short_root_count + zero_mult, zero_mult
 
 
-# the exhaustive scans hold the whole group in memory: W(B6) is the
-# largest group they take
+# the exhaustive scans walk the whole group, one element at a time:
+# W(B6) is the largest group they take
 _SCAN_BOUND = 46_080
 
 
@@ -506,7 +508,7 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _weight_cycle(label: str, k: int, size: int, coxeter: bool) -> bool:
-    """The matrix half of cyclic_weight_permutation_check, run once per
+    """The group half of cyclic_weight_permutation_check, run once per
     weight system."""
     from .weylenum import weight_orbit_cycles
     data = root_data(label)

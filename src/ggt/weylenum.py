@@ -1,26 +1,26 @@
-"""The integer matrix engine: root closures, weight orbits and exact
-element-order tallies of finite reflection groups.
+"""The Weyl group engine: root closures, weight orbits, full-cycle
+witnesses and exact element-order tallies of finite reflection groups.
 
-This is the one module of ggt that imports numpy.  rootsystems imports
-it inside the functions that compute a matrix, so a process that never
-builds a Weyl element never loads numpy.  Every entry point takes its
-Cartan matrix (or simple roots) as any integer array-like, nested tuples
-included.
+Everything is int tuples except the matrix kernel of the largest
+tallies, the one place that imports numpy, inside its functions.  Every
+entry point takes its Cartan matrix (or simple roots) as any integer
+array-like, nested tuples included.
 
 One engine serves every Cartan matrix, including the block Cartan matrix
 of a reducible system: a tower of parabolic subgroups (Humphreys,
 *Reflection Groups and Coxeter Groups*, 1.10-1.12; Geck-Pfeiffer,
 *Characters of Finite Coxeter Groups*, ch. 2).
 
-Elements are integer matrices acting on row vectors of fundamental-weight
-coordinates.  There s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i,
-and alpha_i has coordinates C[i, :], so s_i is I - e_i C[i, :] and the
-matrix of a product uv is M(v) M(u).
+Weights are row vectors of fundamental-weight coordinates.  There
+s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i, and alpha_i has
+coordinates C[i, :], so s_i(lambda) = lambda - lambda[i] C[i, :].  An
+element w is stored as its matrix on these row vectors: the tuple of
+the images w(omega_1), ..., w(omega_n), so s_i w reflects every row.
 
 Within W_k = <s_1, ..., s_k> the stabilizer of omega_k is W_{k-1}, the
 parabolic generated by the simple reflections fixing it (Humphreys 1.12),
 so W_k = X_k W_{k-1}, where the transversal X_k holds one element per
-point of the orbit W_k omega_k (that point is row k of its matrix).  A
+point of the orbit W_k omega_k (that point is row k of the element).  A
 breadth-first walk of the orbit yields X_k, and the group is the product
 of the transversals, with no group element hashed or deduplicated.
 
@@ -30,67 +30,86 @@ elements have equal orders, so
     tally(W_n) = sum over W_{n-1}-orbits O on W_n omega_n of
                  |O| * tally(x_O W_{n-1}).
 
-E8 needs 5 cosets of W(E7), 2,903,040 matrices each; E7 needs 4 cosets
-of W(E6) and E6 needs 3 cosets of W(D5).  Each coset is processed in
-chunks x_O t W_{n-2}, one per t in X_{n-1}, so only W_{n-2} is kept in
+E8 needs 5 cosets of W(E7), 2,903,040 elements each; E7 needs 4 cosets
+of W(E6) and E6 needs 3 cosets of W(D5).  Each coset is walked as
+x_O t W_{n-2}, one block per t in X_{n-1}, so only W_{n-2} is kept in
 memory.
 
-Orders come from the power traces tr(w), ..., tr(w^n): see _trace_keys.
-Products run in float64 so batched BLAS is used; every entry is an
-integer far below 2^53 (entries of group elements are bounded by the
-highest-coroot coefficients, at most 6), so the arithmetic is exact.
+Two kernels tally a coset.  The permutation kernel acts on a set of
+weights that spans Q^n: the orbits of the fundamental weights, smallest
+first, until an exact rank test passes.  An element fixing a spanning
+set is the identity, so W acts faithfully there, and the order of an
+element is the lcm of its cycle lengths.  The matrix kernel multiplies
+float64 matrices in batches and reads orders off power traces
+(_trace_keys); it runs once the work passes _MATRIX_WORK, where its
+per-element speed repays numpy's import.  Every entry is an integer far
+below 2^53 (entries of group elements are bounded by the highest-coroot
+coefficients, at most 6), so the float arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-
-import numpy as np
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .errors import ResourceBoundExceeded
 
 __all__ = [
-    "reflection_matrices",
     "root_closure",
     "weight_orbit_cycles",
-    "weyl_group_elements",
     "enumerate_orders",
 ]
 
 _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
-# cap on the matrices whose order enumerate_orders computes (E8 needs
+# cap on the elements whose order enumerate_orders computes (E8 needs
 # 5 * 2,903,040)
 _TALLY_BOUND = 20_000_000
+# tallies with more work than this run the matrix kernel.  On one CPU
+# of a 2-vCPU Xeon the permutation kernel took 2.3 us per element for E6
+# (5,760 elements, 13 ms) and 3.0 us for E7 (207,360, 0.63 s), the
+# matrix kernel 0.6-0.7 us (4 ms and 0.13 s) plus 33 ms for numpy's
+# import: they break even at 14,000-20,000 elements
+_MATRIX_WORK = 20_000
 
 
-def _tuples(mat: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, mat.tolist()))
+def _ints(matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(a) for a in row) for row in matrix)
 
 
-def reflection_matrices(cartan) -> np.ndarray:
-    """Simple reflections on row vectors of fundamental-weight
-    coordinates, stacked (n, n, n): the i-th is I - e_i C[i, :]."""
-    cartan = np.asarray(cartan, dtype=np.int64)
-    n = len(cartan)
-    out = np.broadcast_to(np.eye(n, dtype=np.int64), (n, n, n)).copy()
-    for i in range(n):
-        out[i, i, :] -= cartan[i]
-    return out
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
 
 
-def _orbit(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Every row reached from the rows of start under the row-vector
-    action of the stacked matrices, in breadth-first order."""
-    width = start.shape[1]
-    seen = dict.fromkeys(map(tuple, start.tolist()))
-    frontier = start
-    while len(frontier):
-        images = (frontier @ mats).reshape(-1, width).tolist()
-        new = [p for p in dict.fromkeys(map(tuple, images)) if p not in seen]
-        seen.update(dict.fromkeys(new))
-        frontier = np.array(new, dtype=np.int64).reshape(-1, width)
-    return np.array(list(seen), dtype=np.int64)
+def _reflect(point: tuple, i: int, root: tuple) -> tuple:
+    """s_i on a weight: point - point[i] * root, root being C[i, :]."""
+    c = point[i]
+    return tuple(a - c * b for a, b in zip(point, root)) if c else point
+
+
+def _reflections(cartan, k: int) -> list:
+    """s_1, ..., s_k as maps on weights."""
+    return [lambda p, i=i, root=cartan[i]: _reflect(p, i, root)
+            for i in range(k)]
+
+
+def _orbit(starts, moves, limit: int | None = None) -> list | None:
+    """Every point reached from starts under the maps in moves, in
+    breadth-first order; None once a walk reaches limit points."""
+    seen = dict.fromkeys(starts)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for p in frontier:
+            for move in moves:
+                q = move(p)
+                if q not in seen:
+                    seen[q] = None
+                    new.append(q)
+        if limit is not None and len(seen) >= limit:
+            return None
+        frontier = new
+    return list(seen)
 
 
 def root_closure(simple) -> tuple[tuple, tuple, tuple]:
@@ -103,26 +122,140 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
     reflections on simple-root coordinates, s_j(b) = b - (b . C[:, j])
     e_j: the transposed simple reflections of the dual root system.
     """
-    simple = np.asarray(simple, dtype=np.int64)
-    gram = simple @ simple.T
-    cartan = 2 * gram // np.diag(gram)  # C[i, j] = <alpha_i, alpha_j^vee>
-    refl = reflection_matrices(cartan.T).transpose(0, 2, 1)
-    base = _orbit(np.eye(len(simple), dtype=np.int64), refl)
-    roots = base @ simple
-    order = np.lexsort(roots.T[::-1])  # ascending as tuples
-    return _tuples(cartan), _tuples(base[order]), _tuples(roots[order])
+    simple = _ints(simple)
+    n = len(simple)
+    gram = [[sum(map(mul, a, b)) for b in simple] for a in simple]
+    # C[i, j] = <alpha_i, alpha_j^vee>
+    cartan = tuple(tuple(2 * gram[i][j] // gram[j][j] for j in range(n))
+                   for i in range(n))
+
+    def coreflection(j):
+        column = [row[j] for row in cartan]
+
+        def move(b):
+            c = sum(map(mul, b, column))
+            return b[:j] + (b[j] - c,) + b[j + 1:] if c else b
+        return move
+
+    base = _orbit(_identity(n), [coreflection(j) for j in range(n)])
+    pairs = sorted(
+        (tuple(sum(map(mul, b, col)) for col in zip(*simple)), b)
+        for b in base)
+    return (cartan, tuple(b for _, b in pairs),
+            tuple(root for root, _ in pairs))
 
 
-def _cycles_orbit(omega: np.ndarray, size: int, elems: np.ndarray) -> bool:
-    """Whether some matrix of the stack moves omega through all `size`
-    points of its W-orbit before returning, that is, permutes the orbit
-    in one full cycle: w^k omega != omega for k = 1..size-1."""
-    point = np.broadcast_to(omega, (len(elems), len(omega)))
-    cycling = np.ones(len(elems), dtype=bool)
-    for _ in range(size - 1):
-        point = np.einsum("ki,kij->kj", point, elems)
-        cycling &= (point != omega).any(axis=1)
-    return bool(cycling.any())
+def _transversal(cartan, k: int, limit: int) -> list:
+    """X_k: one element of W_k per point of the orbit W_k omega_k, each
+    reached as s_i x from the point it was first found from."""
+    eye = _identity(len(cartan))
+    reps = {eye[k - 1]: eye}
+    frontier = [eye]
+    while frontier:
+        new = []
+        for x in frontier:
+            for i in range(k):
+                point = _reflect(x[k - 1], i, cartan[i])
+                if point not in reps:
+                    y = tuple(_reflect(row, i, cartan[i]) for row in x)
+                    reps[point] = y
+                    new.append(y)
+        if len(reps) > limit:
+            raise AssertionError(
+                f"orbit of omega_{k} passed {limit} points")
+        frontier = new
+    return list(reps.values())
+
+
+def _tower(cartan, expected_order: int) -> list[list]:
+    """The transversals X_1..X_n; their sizes must multiply to the
+    expected group order."""
+    transversals, size = [], 1
+    for k in range(1, len(cartan) + 1):
+        transversals.append(_transversal(cartan, k, expected_order // size))
+        size *= len(transversals[-1])
+    if size != expected_order:
+        raise AssertionError(
+            f"tower has {size} elements, expected {expected_order}")
+    return transversals
+
+
+def _rank(vectors) -> int:
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    basis = []  # (pivot, row): each row is zero at the earlier pivots
+    for v in vectors:
+        for pivot, row in basis:
+            if v[pivot]:
+                a, b = row[pivot], v[pivot]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = gcd(*v)
+            basis.append((pivot, [x // g for x in v]))
+    return len(basis)
+
+
+def _spanning_points(cartan) -> list:
+    """Orbits of fundamental weights under W, smallest first (then by
+    index), until they span Q^n.  A walk stops once it is no smaller
+    than the least orbit of the round."""
+    n = len(cartan)
+    moves = _reflections(cartan, n)
+    left, points = list(_identity(n)), []
+    while _rank(points) < n:
+        least = None
+        for omega in left:
+            least = _orbit([omega], moves,
+                           least and len(least)) or least
+        left.remove(least[0])
+        points += least
+    return points
+
+
+def _perm_levels(transversals, points):
+    """The map from an element to its permutation of points, X_{n-1} as
+    permutations, and a getter per element u of W_{n-2} = X_{n-2} ...
+    X_1: getter(h) is h u."""
+    index = {p: i for i, p in enumerate(points)}
+
+    def permutation(rows):  # the image of p is p @ rows
+        columns = list(zip(*rows))
+        return tuple(index[tuple(sum(map(mul, p, col)) for col in columns)]
+                     for p in points)
+
+    identity = tuple(range(len(points)))
+    elems = [identity]
+    for xs in transversals[:-2]:
+        getters = [itemgetter(*e) for e in elems]
+        elems = [g(x) for x in map(permutation, xs) for g in getters]
+    prefix = list(map(permutation, transversals[-2])) \
+        if len(transversals) >= 2 else [identity]
+    return permutation, prefix, [itemgetter(*e) for e in elems]
+
+
+def _coset(heads, prefix, tail):
+    """Every h t u, for h in heads, t in prefix and u in W_{n-2} (given
+    by its getters), one at a time as a permutation tuple."""
+    for h in heads:
+        for t in prefix:
+            ht = itemgetter(*t)(h)
+            for getter in tail:
+                yield getter(ht)
+
+
+def _perm_order(perm) -> int:
+    """lcm of the cycle lengths."""
+    seen = [False] * len(perm)
+    lengths = set()
+    for start in range(len(perm)):
+        if not seen[start]:
+            j, length = perm[start], 1
+            while j != start:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            lengths.add(length)
+    return lcm(*lengths)
 
 
 def weight_orbit_cycles(cartan, k: int, size: int, order: int,
@@ -132,46 +265,68 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     `size` points, in one full cycle.
 
     With coxeter the one element tried is the Coxeter element
-    s_1 ... s_n, and it must cycle; otherwise the whole group is scanned.
+    s_1 ... s_n, and it must cycle; otherwise the whole group is
+    scanned, one element at a time.
     """
-    refl = reflection_matrices(cartan)
-    omega = np.eye(len(refl), dtype=np.int64)[k - 1]
-    found = len(_orbit(omega[None], refl))
-    if found != size:
-        raise AssertionError(f"omega_{k} has {found} conjugates, "
+    cartan = _ints(cartan)
+    moves = _reflections(cartan, len(cartan))
+    omega = _identity(len(cartan))[k - 1]
+    points = _orbit([omega], moves)
+    if len(points) != size:
+        raise AssertionError(f"omega_{k} has {len(points)} conjugates, "
                              f"expected {size}")
     if coxeter:
-        if not _cycles_orbit(omega, size, reduce(np.matmul, refl)[None]):
-            raise AssertionError("the Coxeter element witness failed")
+        point = omega
+        for _ in range(size - 1):
+            for move in moves:
+                point = move(point)
+            if point == omega:
+                raise AssertionError("the Coxeter element witness failed")
         return True
-    return _cycles_orbit(omega, size, weyl_group_elements(cartan, order))
+    transversals = _tower(cartan, order)
+    permutation, prefix, tail = _perm_levels(transversals, points)
+    for w in _coset(map(permutation, transversals[-1]), prefix, tail):
+        j, length = w[0], 1  # points[0] is omega
+        while j:
+            j = w[j]
+            length += 1
+        if length == size:
+            return True
+    return False
 
 
-def _transversal(refl: np.ndarray, k: int, limit: int) -> np.ndarray:
-    """X_k: one element of W_k per point of the orbit W_k omega_k, each
-    reached as s_i x from the point it was first found from."""
-    eye = np.eye(len(refl), dtype=np.int64)
-    reps = {tuple(eye[k - 1]): eye}
-    frontier = [eye]
-    while frontier:
-        new = []
-        for x in frontier:
-            for r in refl[:k]:
-                y = x @ r
-                point = tuple(y[k - 1])
-                if point not in reps:
-                    reps[point] = y
-                    new.append(y)
-        if len(reps) > limit:
-            raise AssertionError(
-                f"orbit of omega_{k} passed {limit} points")
-        frontier = new
-    return np.array(list(reps.values()))
+def _suborbits(points, cartan) -> list[tuple[int, int]]:
+    """(first index, size) of each orbit of s_1, ..., s_{n-1} on points,
+    which they must permute."""
+    index = {p: i for i, p in enumerate(points)}
+    moves = _reflections(cartan, len(cartan) - 1)
+    seen, out = set(), []
+    for start, p in enumerate(points):
+        if start not in seen:
+            orbit = _orbit([p], moves)
+            seen.update(index[q] for q in orbit)
+            out.append((start, len(orbit)))
+    return out
 
 
-def _products(transversals, n: int) -> np.ndarray:
+def _perm_tally(cartan, transversals, orbits) -> Counter:
+    """The tally of the cosets x_O W_{n-1}, each element acting on
+    weights that span Q^n."""
+    permutation, prefix, tail = _perm_levels(transversals,
+                                             _spanning_points(cartan))
+    tally: Counter = Counter()
+    for start, size in orbits:
+        head = permutation(transversals[-1][start])
+        for order, count in Counter(map(_perm_order, _coset(
+                [head], prefix, tail))).items():
+            tally[order] += size * count
+    return tally
+
+
+def _products(transversals, n: int):
     """Every element of X_k ... X_1 as an int8 stack, one GEMM per x,
     each written straight into its block of the stack."""
+    import numpy as np
     elems = np.eye(n, dtype=np.int8)[None]
     for xs in transversals:
         flat = elems.reshape(-1, n).astype(np.float64)
@@ -182,40 +337,7 @@ def _products(transversals, n: int) -> np.ndarray:
     return elems
 
 
-def _tower(cartan, expected_order: int) -> list[np.ndarray]:
-    """The transversals X_1..X_n; their sizes must multiply to the
-    expected group order."""
-    refl = reflection_matrices(cartan)
-    transversals, size = [], 1
-    for k in range(1, len(cartan) + 1):
-        transversals.append(_transversal(refl, k, expected_order // size))
-        size *= len(transversals[-1])
-    if size != expected_order:
-        raise AssertionError(
-            f"tower has {size} elements, expected {expected_order}")
-    return transversals
-
-
-def weyl_group_elements(cartan, expected_order: int) -> np.ndarray:
-    """The whole group as an int8 stack of matrices on fundamental-weight
-    row vectors; only sane for small groups."""
-    return _products(_tower(cartan, expected_order), len(cartan))
-
-
-def _suborbits(points: np.ndarray, refl: np.ndarray) -> list[tuple[int, int]]:
-    """(first index, size) of each orbit of the given reflections on the
-    rows of points, which must be permuted by them."""
-    index = {p: i for i, p in enumerate(map(tuple, points.tolist()))}
-    seen, out = set(), []
-    for start in range(len(points)):
-        if start not in seen:
-            orbit = _orbit(points[start:start + 1], refl).tolist()
-            seen.update(index[p] for p in map(tuple, orbit))
-            out.append((start, len(orbit)))
-    return out
-
-
-def _trace_keys(w: np.ndarray) -> np.ndarray:
+def _trace_keys(w):
     """One int64 per matrix that fixes its characteristic polynomial.
 
     A matrix of finite order has roots of unity as eigenvalues, so
@@ -227,6 +349,7 @@ def _trace_keys(w: np.ndarray) -> np.ndarray:
     as the sum of w^a * (w^b)^T with a + b = j, so only the powers up to
     ceil(n/2) are multiplied out (three batched products for n = 8).
     """
+    import numpy as np
     n = w.shape[1]
     half = (n + 1) // 2
     powers = [w]
@@ -243,7 +366,8 @@ def _trace_keys(w: np.ndarray) -> np.ndarray:
     return key
 
 
-def _order(mat: np.ndarray) -> int:
+def _order(mat) -> int:
+    import numpy as np
     mat = np.rint(mat).astype(np.int64)
     eye = np.eye(len(mat), dtype=np.int64)
     power = mat
@@ -254,26 +378,15 @@ def _order(mat: np.ndarray) -> int:
     raise AssertionError("element order out of expected range")
 
 
-def enumerate_orders(cartan, expected_order: int) -> Counter:
-    """Order tally {order: element count} of the reflection group of the
-    Cartan matrix, whose order must come out as expected_order.
-
-    A tower with more than _TALLY_BOUND matrices to compute orders of
-    raises ResourceBoundExceeded before that work.
-    """
-    n = len(cartan)
-    transversals = _tower(cartan, expected_order)
-    top = transversals[-1]
-    orbits = _suborbits(top[:, n - 1, :], reflection_matrices(cartan)[:n - 1])
-    if sum(size for _, size in orbits) != len(top):
-        raise AssertionError("suborbits do not partition the top orbit")
-    work = len(orbits) * expected_order // len(top)
-    if work > _TALLY_BOUND:
-        raise ResourceBoundExceeded(
-            f"{work} matrices to tally exceed the bound {_TALLY_BOUND}")
-
-    prefix = transversals[-2] if n >= 2 else np.eye(n)[None]
-    tail = _products(transversals[:-2], n).reshape(-1, n).astype(np.float64)
+def _matrix_tally(transversals, orbits) -> Counter:
+    """The tally of the cosets x_O W_{n-1}, in float64 chunks
+    x_O t W_{n-2} keyed by their power traces."""
+    import numpy as np
+    n = len(transversals)
+    mats = [np.array(xs, dtype=np.int64) for xs in transversals]
+    top = mats[-1]
+    prefix = mats[-2] if n >= 2 else np.eye(n)[None]
+    tail = _products(mats[:-2], n).reshape(-1, n).astype(np.float64)
     cache: dict[int, int] = {}
     tally: Counter = Counter()
     for start, size in orbits:
@@ -287,3 +400,28 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
                     cache[key] = _order(chunk[i])
                 tally[cache[key]] += size * count
     return tally
+
+
+def enumerate_orders(cartan, expected_order: int) -> Counter:
+    """Order tally {order: element count} of the reflection group of the
+    Cartan matrix, whose order must come out as expected_order.
+
+    A tower with more than _TALLY_BOUND elements to compute orders of
+    raises ResourceBoundExceeded before that work; one with more than
+    _MATRIX_WORK runs the matrix kernel, any other the permutation
+    kernel.
+    """
+    cartan = _ints(cartan)
+    n = len(cartan)
+    transversals = _tower(cartan, expected_order)
+    top = transversals[-1]
+    orbits = _suborbits([x[n - 1] for x in top], cartan)
+    if sum(size for _, size in orbits) != len(top):
+        raise AssertionError("suborbits do not partition the top orbit")
+    work = len(orbits) * expected_order // len(top)
+    if work > _TALLY_BOUND:
+        raise ResourceBoundExceeded(
+            f"{work} matrices to tally exceed the bound {_TALLY_BOUND}")
+    if work > _MATRIX_WORK:
+        return _matrix_tally(transversals, orbits)
+    return _perm_tally(cartan, transversals, orbits)

@@ -3,7 +3,7 @@ import hashlib
 import json
 import time
 
-from ggt import cli, rootsystems
+from ggt import cli, primesearch, rootsystems
 from ggt.cli import main
 from ggt.fingroup import FinGroup
 from ggt.primesearch import SearchCertificate, validate_certificate
@@ -239,6 +239,13 @@ def test_primes_past_the_ceiling_exits_3(capsys):
                  "--ceiling", "50"],
         "no (p, q) with p, q < 50 for SearchRequest(n=3, ell=3, t=3, d=5, "
         "conductor_bound=100)")
+
+
+def test_primes_ceiling_defaults_to_the_search_constant(monkeypatch):
+    monkeypatch.setattr(primesearch, "DEFAULT_CEILING", 50)
+    args = cli.build_parser().parse_args(
+        ["primes", "--n", "3", "--ell", "3", "--t", "3", "--d", "5"])
+    assert args.ceiling == 50
 
 
 def _usage_error(capsys, argv):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ggt.cyclotomic import Cyc
+from ggt.cyclotomic import Cyc, _Ctx
+from ggt.numth import cyclotomic_poly
 from ggt.roots import RootOfUnity
 
 
@@ -66,3 +67,25 @@ def test_mixed_moduli_rejected():
 def test_vector_length_checked():
     with pytest.raises(ValueError):
         Cyc(3, (1, 0))
+
+
+def _reduce_by(vec: list[int], poly: tuple[int, ...]) -> list[int]:
+    # remainder of vec modulo the monic integer polynomial poly, by long
+    # division from the top coefficient down
+    deg = len(poly) - 1
+    vec = list(vec) + [0] * max(0, deg - len(vec))
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            for j in range(deg + 1):
+                vec[i - deg + j] -= c * poly[j]
+    return vec[:deg]
+
+
+@pytest.mark.parametrize("n", [4, 12, 30, 60, 210, 990])
+def test_power_table_rows_are_the_reduced_powers(n):
+    # each row x^k mod Phi_n, built from the row before, against the
+    # division of x^k itself
+    poly = cyclotomic_poly(n)
+    want = [tuple(_reduce_by([0] * k + [1], poly)) for k in range(n)]
+    assert _Ctx(n).powtable == want

@@ -850,6 +850,15 @@ def test_split_metacyclic_bound(monkeypatch):
         _split_metacyclic(t, f)
 
 
+def test_default_closure_bound_is_read_at_the_call(monkeypatch):
+    # the one constant caps the searched and the presented groups alike
+    monkeypatch.setattr(fingroup, "DEFAULT_CLOSURE_BOUND", 5)
+    for build in (lambda: cyclic(12), lambda: metacyclic(2, 7)):
+        with pytest.raises(ResourceBoundExceeded,
+                           match="group closure exceeded 5 elements"):
+            build()
+
+
 def test_presented_groups_run_no_closure(monkeypatch):
     params = _tame_params()
     calls = []

@@ -18,8 +18,8 @@ from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
-from ggt.weylenum import (enumerate_orders, reflection_matrices,
-                          weyl_group_elements)
+from ggt.weylenum import (_coset, _identity, _perm_levels, _reflections,
+                          _tower, enumerate_orders, weight_orbit_cycles)
 
 
 def test_cartan_matrices_well_formed():
@@ -62,11 +62,12 @@ def test_root_data_matches_golden_digests():
         assert digest == ROOT_DATA_GOLDEN[field.name], field.name
 
 
-def test_reflection_matrices_are_reflections():
+def test_simple_reflections_are_reflections():
+    # s_i as the matrix of images s_i(omega_1), ..., s_i(omega_n)
     for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
         data = root_data(label)
-        refl = reflection_matrices(data.cartan)
-        for mat in refl:
+        for move in _reflections(data.cartan, data.rank):
+            mat = np.array([move(omega) for omega in _identity(data.rank)])
             assert round(np.linalg.det(mat)) == -1
             assert (mat @ mat == np.eye(data.rank, dtype=np.int64)).all()
 
@@ -186,30 +187,65 @@ def test_tower_work_counter(monkeypatch):
         enumerate_orders(data.cartan, data.weyl_order)
 
 
-def test_weyl_group_elements_peak_memory():
-    # the largest scanned group: each block of products goes straight
-    # into the int8 stack, so the peak stays near the 1.66 MB result
-    # (float64 copies of the whole stack took it to 26.8 MB)
+def test_weight_cycle_scan_peak_memory():
+    # the largest scanned group, W(B6) on its 64 spin weights: the scan
+    # walks x t W(A4) one element at a time, so the peak stays far below
+    # the whole group's 46,080 permutations (about 26 MB as tuples)
     data = root_data("B6")
-    cartan = data.cartan
     tracemalloc.start()
     try:
-        elems = weyl_group_elements(cartan, data.weyl_order)
+        found = weight_orbit_cycles(data.cartan, 6, 64, data.weyl_order,
+                                    False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elems.shape == (46_080, 6, 6) and elems.dtype == np.int8
-    assert len(np.unique(elems.reshape(len(elems), -1), axis=0)) == 46_080
-    assert peak <= 4_000_000
+    assert not found
+    assert peak <= 1_000_000
+    # the walk meets every element once, each a distinct permutation
+    transversals = _tower(data.cartan, data.weyl_order)
+    points = [x[5] for x in transversals[-1]]  # the spin weights
+    permutation, prefix, tail = _perm_levels(transversals, points)
+    walk = list(_coset(map(permutation, transversals[-1]), prefix, tail))
+    assert len(walk) == len(set(walk)) == 46_080
+
+
+def _block_cartan(*labels):
+    blocks = [root_data(label).cartan for label in labels]
+    n = sum(map(len, blocks))
+    cartan = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            cartan[start + i][start:start + len(row)] = row
+        start += len(block)
+    return cartan
+
+
+def test_permutation_and_matrix_kernels_agree(monkeypatch):
+    # each kernel is the other's reference, on every irreducible type of
+    # rank <= 6 and on a reducible system
+    cases = [(root_data(label).cartan, root_data(label).weyl_order)
+             for label in IRREDUCIBLE_LABELS if root_data(label).rank <= 6]
+    cases.append((_block_cartan("B2", "G2"), 8 * 12))
+    for cartan, order in cases:
+        monkeypatch.setattr(weylenum, "_MATRIX_WORK", 0)
+        by_matrix = enumerate_orders(cartan, order)
+        monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
+        by_permutation = enumerate_orders(cartan, order)
+        assert by_permutation == by_matrix, cartan
+        assert sum(by_permutation.values()) == order
+
+
+def test_permutation_kernel_reproduces_the_e7_tally(monkeypatch):
+    data = root_data("E7")
+    monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
+    assert dict(enumerate_orders(data.cartan, data.weyl_order)) == \
+        BFS_TALLIES["E7"]
 
 
 def test_composite_orders_via_block_cartan():
     # direct enumeration of the A2+B2 Weyl group, order 6 * 8 = 48
-    a2, b2 = root_data("A2"), root_data("B2")
-    cartan = np.zeros((4, 4), dtype=np.int64)
-    cartan[:2, :2] = a2.cartan
-    cartan[2:, 2:] = b2.cartan
-    direct = enumerate_orders(cartan, 48)
+    direct = enumerate_orders(_block_cartan("A2", "B2"), 48)
     assert sum(direct.values()) == 48
     assert frozenset(direct) == weyl_element_orders("A2+B2").orders
     assert weyl_order("A2+B2") == 48
