@@ -39,7 +39,7 @@ class _CtxData:
                 c = table[-1][-1]
                 table.append(tuple(a - c * b for a, b in
                                    zip((0,) + table[-1][:-1], poly)))
-            self.powtable = table
+            self.powtable = tuple(table)
 
     def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if self.prime:

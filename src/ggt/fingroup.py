@@ -109,9 +109,10 @@ class FinGroup:
         if decode is None:
             images, decode = range(self.order), self._regular
         self._images, self._decode = images, decode
-        self._conj: list[list[int]] | None = None
-        self._classes: list[frozenset[int]] | None = None
-        self._normals: list[frozenset[int]] | None = None
+        # cached results are tuples: a caller cannot change them
+        self._conj: tuple[tuple[int, ...], ...] | None = None
+        self._classes: tuple[frozenset[int], ...] | None = None
+        self._normals: tuple[frozenset[int], ...] | None = None
         self._commutator: frozenset[int] | None = None
         self._type_np: dict[tuple[int, int], TypeNPWitness | None] = {}
 
@@ -234,16 +235,17 @@ class FinGroup:
     def element_order(self, x) -> int:
         return len(self._powers(self.index[x]))
 
-    def _conj_tables(self) -> list[list[int]]:
+    def _conj_tables(self) -> tuple[tuple[int, ...], ...]:
         """For each generator g, the table i -> index(g x_i g^-1)."""
         if self._conj is None:
-            self._conj = []
+            conj = []
             for t in self.tables:
                 # g (x g) g^-1 = g x
                 c = [0] * self.order
                 for i, j in zip(self._right(t[0]), t):
                     c[i] = j
-                self._conj.append(c)
+                conj.append(tuple(c))
+            self._conj = tuple(conj)
         return self._conj
 
     def _conjugates(self, y: int) -> list[int]:
@@ -272,16 +274,17 @@ class FinGroup:
                     stack.append(j)
         return idx
 
-    def conjugacy_classes(self) -> list[frozenset[int]]:
+    def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
         """The conjugacy classes as index sets, numbered by least index."""
         if self._classes is None:
             unseen = set(range(self.order))
-            self._classes = []
+            classes = []
             for i in range(self.order):
                 if i in unseen:
                     orbit = frozenset(self._conj_orbit({i}))
                     unseen -= orbit
-                    self._classes.append(orbit)
+                    classes.append(orbit)
+            self._classes = tuple(classes)
         return self._classes
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
@@ -314,7 +317,7 @@ class FinGroup:
         """Smallest normal subgroup containing the seed indices."""
         return self.subgroup_closure(self._conj_orbit(set(seed)))
 
-    def normal_subgroups(self) -> list[frozenset[int]]:
+    def normal_subgroups(self) -> tuple[frozenset[int], ...]:
         """Every normal subgroup, via joins of conjugacy class closures.
 
         One class is closed per rational class: x is the least-index
@@ -355,7 +358,8 @@ class FinGroup:
                 if j not in found:
                     found.add(j)
                     work.append(j)
-        self._normals = sorted(found, key=lambda n: (len(n), sorted(n)))
+        self._normals = tuple(sorted(found,
+                                     key=lambda n: (len(n), sorted(n))))
         return self._normals
 
     def is_normal(self, sub: Collection[int]) -> bool:

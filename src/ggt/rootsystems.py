@@ -12,9 +12,9 @@ Every Weyl group element is built by weylenum, which this module
 imports only inside the functions that need one (root_data, the
 exceptional tallies and the weight-cycle witnesses, each cached); the
 classical order sets and the system table are integer and set
-arithmetic.  weylenum works on int tuples, and imports numpy only for
-the tallies past its crossover (E7 and E8), so no other command loads
-it.
+arithmetic.  weylenum works on int tuples and bytes permutations, and
+imports numpy only for the tallies past its crossover (E7 and E8), so
+no other command loads it.
 
 Weights live in the coordinates of weylenum: row vectors over the
 fundamental weights, on which s_i(lambda) = lambda - lambda[i] C[i, :].

@@ -1,10 +1,10 @@
 """The Weyl group engine: root closures, weight orbits, full-cycle
 witnesses and exact element-order tallies of finite reflection groups.
 
-Everything is int tuples except the matrix kernel of the largest
-tallies, the one place that imports numpy, inside its functions.  Every
-entry point takes its Cartan matrix (or simple roots) as any integer
-array-like, nested tuples included.
+Weights and matrices are int tuples and permutations are bytes; numpy
+is imported only by the matrix kernel of the largest tallies, inside its
+functions.  Every entry point takes its Cartan matrix (or simple roots)
+as any integer array-like, nested tuples included.
 
 One engine serves every Cartan matrix, including the block Cartan matrix
 of a reducible system: a tower of parabolic subgroups (Humphreys,
@@ -13,15 +13,17 @@ of a reducible system: a tower of parabolic subgroups (Humphreys,
 
 Weights are row vectors of fundamental-weight coordinates.  There
 s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i, and alpha_i has
-coordinates C[i, :], so s_i(lambda) = lambda - lambda[i] C[i, :].  An
-element w is stored as its matrix on these row vectors: the tuple of
-the images w(omega_1), ..., w(omega_n), so s_i w reflects every row.
+coordinates C[i, :], so s_i(lambda) = lambda - lambda[i] C[i, :].  As a
+matrix, an element w is the tuple of the images w(omega_1), ...,
+w(omega_n), so s_i w reflects every row.
 
 Within W_k = <s_1, ..., s_k> the stabilizer of omega_k is W_{k-1}, the
 parabolic generated by the simple reflections fixing it (Humphreys 1.12),
 so W_k = X_k W_{k-1}, where the transversal X_k holds one element per
-point of the orbit W_k omega_k (that point is row k of the element).  A
-breadth-first walk of the orbit yields X_k, and the group is the product
+point of the orbit W_k omega_k.  A breadth-first walk of the orbit
+records, for each new point, the point it was reached from and the
+reflection s_i that reached it; the same steps applied to the identity
+build X_k as matrices or as permutations, and the group is the product
 of the transversals, with no group element hashed or deduplicated.
 
 W_{n-1} permutes the cosets x W_{n-1} by conjugation, and conjugate
@@ -30,16 +32,22 @@ elements have equal orders, so
     tally(W_n) = sum over W_{n-1}-orbits O on W_n omega_n of
                  |O| * tally(x_O W_{n-1}).
 
-E8 needs 5 cosets of W(E7), 2,903,040 elements each; E7 needs 4 cosets
-of W(E6) and E6 needs 3 cosets of W(D5).  Each coset is walked as
-x_O t W_{n-2}, one block per t in X_{n-1}, so only W_{n-2} is kept in
-memory.
+The orbit {omega_n}, with x = 1, gives the coset W_{n-1} itself, whose
+tally is that of the leading (n-1)x(n-1) block of the Cartan matrix, by
+recursion; only the other cosets are walked.  E8 walks 4 of its 5 cosets
+of W(E7), 2,903,040 elements each, E7 3 of its 4 cosets of W(E6), and
+E6 2 of its 3 cosets of W(D5).  Each coset is walked as x_O t W_{n-2},
+one block per t in X_{n-1}, so only W_{n-2} is kept in memory.  Every
+level checks that its tally sums to its group order.
 
-Two kernels tally a coset.  The permutation kernel acts on a set of
-weights that spans Q^n: the orbits of the fundamental weights, smallest
-first, until an exact rank test passes.  An element fixing a spanning
-set is the identity, so W acts faithfully there, and the order of an
-element is the lcm of its cycle lengths.  The matrix kernel multiplies
+Two kernels tally the walked cosets of a level.  The permutation kernel
+acts on a set of weights that spans Q^n: the orbits of the fundamental
+weights, smallest first, until an exact rank test passes.  An element
+fixing a spanning set is the identity, so W acts faithfully there.  A
+permutation of m <= 256 points is 256 bytes, fixing m..255, so
+bytes.translate composes two of them, and the order of w is the number
+of compositions with w that bring the identity back; E8's 240 roots
+would be the largest spanning set.  The matrix kernel multiplies
 float64 matrices in batches and reads orders off power traces
 (_trace_keys); it runs once the work passes _MATRIX_WORK, where its
 per-element speed repays numpy's import.  Every entry is an integer far
@@ -50,8 +58,9 @@ coefficients, at most 6), so the float arithmetic is exact.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd, lcm
-from operator import itemgetter, mul
+from itertools import repeat
+from math import gcd
+from operator import mul
 
 from .errors import ResourceBoundExceeded
 
@@ -62,15 +71,17 @@ __all__ = [
 ]
 
 _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
-# cap on the elements whose order enumerate_orders computes (E8 needs
-# 5 * 2,903,040)
+# cap on the elements whose order one level of enumerate_orders computes
+# (E8 walks 4 * 2,903,040)
 _TALLY_BOUND = 20_000_000
-# tallies with more work than this run the matrix kernel.  On one CPU
-# of a 2-vCPU Xeon the permutation kernel took 2.3 us per element for E6
-# (5,760 elements, 13 ms) and 3.0 us for E7 (207,360, 0.63 s), the
-# matrix kernel 0.6-0.7 us (4 ms and 0.13 s) plus 33 ms for numpy's
-# import: they break even at 14,000-20,000 elements
+# a level that walks more than this runs the matrix kernel.  On one CPU
+# of a 2-vCPU Xeon, E7's walk (155,520 elements) took 0.13 s as
+# permutations and 0.09 s as matrices, plus 35-40 ms for numpy's import:
+# they break even near 140,000 elements, so any bound from E6's 3,840 up
+# to there gives E6 and every smaller level permutations, E7 and E8
+# matrices
 _MATRIX_WORK = 20_000
+_IDENTITY = bytes(range(256))  # the identity permutation
 
 
 def _ints(matrix) -> tuple[tuple[int, ...], ...]:
@@ -145,39 +156,46 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
             tuple(root for root, _ in pairs))
 
 
-def _transversal(cartan, k: int, limit: int) -> list:
-    """X_k: one element of W_k per point of the orbit W_k omega_k, each
-    reached as s_i x from the point it was first found from."""
-    eye = _identity(len(cartan))
-    reps = {eye[k - 1]: eye}
-    frontier = [eye]
-    while frontier:
-        new = []
-        for x in frontier:
-            for i in range(k):
-                point = _reflect(x[k - 1], i, cartan[i])
-                if point not in reps:
-                    y = tuple(_reflect(row, i, cartan[i]) for row in x)
-                    reps[point] = y
-                    new.append(y)
-        if len(reps) > limit:
+def _transversal(cartan, k: int, limit: int) -> tuple[list, list]:
+    """The orbit W_k omega_k in breadth-first order, and the walk that
+    found it: steps[j - 1] = (a, i) when point j is first reached as s_i
+    of point a.  Along the walk x_0 = 1 and x_j = s_i x_a, so x_j omega_k
+    is point j: these x_j are X_k."""
+    start = _identity(len(cartan))[k - 1]
+    points, steps, index = [start], [], {start: 0}
+    for a, p in enumerate(points):  # points grows while the loop runs
+        for i in range(k):
+            q = _reflect(p, i, cartan[i])
+            if q not in index:
+                index[q] = len(points)
+                points.append(q)
+                steps.append((a, i))
+        if len(points) > limit:
             raise AssertionError(
                 f"orbit of omega_{k} passed {limit} points")
-        frontier = new
-    return list(reps.values())
+    return points, steps
 
 
-def _tower(cartan, expected_order: int) -> list[list]:
-    """The transversals X_1..X_n; their sizes must multiply to the
-    expected group order."""
-    transversals, size = [], 1
+def _walk(steps, start, act) -> list:
+    """X_k in any representation: x_0 = start, and x_j = act(x_a, i)
+    applies s_i to x_a, for (a, i) = steps[j - 1]."""
+    out = [start]
+    for a, i in steps:
+        out.append(act(out[a], i))
+    return out
+
+
+def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
+    """The orbits and walks of X_1..X_n; the orbit sizes must multiply to
+    the expected group order."""
+    tower, size = [], 1
     for k in range(1, len(cartan) + 1):
-        transversals.append(_transversal(cartan, k, expected_order // size))
-        size *= len(transversals[-1])
+        tower.append(_transversal(cartan, k, expected_order // size))
+        size *= len(tower[-1][0])
     if size != expected_order:
         raise AssertionError(
             f"tower has {size} elements, expected {expected_order}")
-    return transversals
+    return tower
 
 
 def _rank(vectors) -> int:
@@ -212,50 +230,32 @@ def _spanning_points(cartan) -> list:
     return points
 
 
-def _perm_levels(transversals, points):
-    """The map from an element to its permutation of points, X_{n-1} as
-    permutations, and a getter per element u of W_{n-2} = X_{n-2} ...
-    X_1: getter(h) is h u."""
-    index = {p: i for i, p in enumerate(points)}
-
-    def permutation(rows):  # the image of p is p @ rows
-        columns = list(zip(*rows))
-        return tuple(index[tuple(sum(map(mul, p, col)) for col in columns)]
-                     for p in points)
-
-    identity = tuple(range(len(points)))
-    elems = [identity]
-    for xs in transversals[:-2]:
-        getters = [itemgetter(*e) for e in elems]
-        elems = [g(x) for x in map(permutation, xs) for g in getters]
-    prefix = list(map(permutation, transversals[-2])) \
-        if len(transversals) >= 2 else [identity]
-    return permutation, prefix, [itemgetter(*e) for e in elems]
+def _perm_levels(cartan, tower, points) -> tuple[list, list, list]:
+    """X_n and X_{n-1} as permutations of points, and the elements of
+    W_{n-2} = X_{n-2} ... X_1, each composed from the simple reflections'
+    permutations along the walks."""
+    if len(points) > 256:
+        raise AssertionError(f"a bytes permutation moves at most 256 "
+                             f"points, not {len(points)}")
+    index = {p: j for j, p in enumerate(points)}
+    pad = _IDENTITY[len(points):]
+    moves = [bytes(index[_reflect(p, i, root)] for p in points) + pad
+             for i, root in enumerate(cartan)]
+    levels = [_walk(steps, _IDENTITY, lambda x, i: x.translate(moves[i]))
+              for _, steps in tower]
+    tail = [_IDENTITY]
+    for xs in levels[:-2]:
+        tail = [u.translate(x) for x in xs for u in tail]  # x u
+    prefix = levels[-2] if len(levels) >= 2 else [_IDENTITY]
+    return levels[-1], prefix, tail
 
 
 def _coset(heads, prefix, tail):
-    """Every h t u, for h in heads, t in prefix and u in W_{n-2} (given
-    by its getters), one at a time as a permutation tuple."""
+    """Every h t u, for h in heads, t in prefix and u in tail, one at a
+    time as a permutation."""
     for h in heads:
         for t in prefix:
-            ht = itemgetter(*t)(h)
-            for getter in tail:
-                yield getter(ht)
-
-
-def _perm_order(perm) -> int:
-    """lcm of the cycle lengths."""
-    seen = [False] * len(perm)
-    lengths = set()
-    for start in range(len(perm)):
-        if not seen[start]:
-            j, length = perm[start], 1
-            while j != start:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            lengths.add(length)
-    return lcm(*lengths)
+            yield from map(bytes.translate, tail, repeat(t.translate(h)))
 
 
 def weight_orbit_cycles(cartan, k: int, size: int, order: int,
@@ -283,9 +283,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
             if point == omega:
                 raise AssertionError("the Coxeter element witness failed")
         return True
-    transversals = _tower(cartan, order)
-    permutation, prefix, tail = _perm_levels(transversals, points)
-    for w in _coset(map(permutation, transversals[-1]), prefix, tail):
+    for w in _coset(*_perm_levels(cartan, _tower(cartan, order), points)):
         j, length = w[0], 1  # points[0] is omega
         while j:
             j = w[j]
@@ -309,16 +307,23 @@ def _suborbits(points, cartan) -> list[tuple[int, int]]:
     return out
 
 
-def _perm_tally(cartan, transversals, orbits) -> Counter:
+def _perm_tally(cartan, tower, orbits) -> Counter:
     """The tally of the cosets x_O W_{n-1}, each element acting on
-    weights that span Q^n."""
-    permutation, prefix, tail = _perm_levels(transversals,
-                                             _spanning_points(cartan))
+    weights that span Q^n; its order is the count of compositions with
+    itself that reach the identity, taken on the m points alone."""
+    points = _spanning_points(cartan)
+    heads, prefix, tail = _perm_levels(cartan, tower, points)
+    one = _IDENTITY[:len(points)]
     tally: Counter = Counter()
     for start, size in orbits:
-        head = permutation(transversals[-1][start])
-        for order, count in Counter(map(_perm_order, _coset(
-                [head], prefix, tail))).items():
+        orders = []
+        for w in _coset([heads[start]], prefix, tail):
+            power, order = one.translate(w), 1
+            while power != one:
+                power = power.translate(w)
+                order += 1
+            orders.append(order)
+        for order, count in Counter(orders).items():
             tally[order] += size * count
     return tally
 
@@ -378,12 +383,15 @@ def _order(mat) -> int:
     raise AssertionError("element order out of expected range")
 
 
-def _matrix_tally(transversals, orbits) -> Counter:
+def _matrix_tally(cartan, tower, orbits) -> Counter:
     """The tally of the cosets x_O W_{n-1}, in float64 chunks
     x_O t W_{n-2} keyed by their power traces."""
     import numpy as np
-    n = len(transversals)
-    mats = [np.array(xs, dtype=np.int64) for xs in transversals]
+    n = len(cartan)
+    eye = _identity(n)
+    mats = [np.array(_walk(steps, eye, lambda x, i: tuple(
+        _reflect(row, i, cartan[i]) for row in x)), dtype=np.int64)
+        for _, steps in tower]
     top = mats[-1]
     prefix = mats[-2] if n >= 2 else np.eye(n)[None]
     tail = _products(mats[:-2], n).reshape(-1, n).astype(np.float64)
@@ -404,24 +412,36 @@ def _matrix_tally(transversals, orbits) -> Counter:
 
 def enumerate_orders(cartan, expected_order: int) -> Counter:
     """Order tally {order: element count} of the reflection group of the
-    Cartan matrix, whose order must come out as expected_order.
+    Cartan matrix, whose order must come out as expected_order, and which
+    the tally must sum to.
 
-    A tower with more than _TALLY_BOUND elements to compute orders of
-    raises ResourceBoundExceeded before that work; one with more than
+    The base coset W_{n-1} is tallied by recursion on the leading
+    (n-1)x(n-1) block, and only the other cosets are walked.  A level
+    that would walk more than _TALLY_BOUND elements raises
+    ResourceBoundExceeded before any work; one that walks more than
     _MATRIX_WORK runs the matrix kernel, any other the permutation
     kernel.
     """
     cartan = _ints(cartan)
     n = len(cartan)
-    transversals = _tower(cartan, expected_order)
-    top = transversals[-1]
-    orbits = _suborbits([x[n - 1] for x in top], cartan)
-    if sum(size for _, size in orbits) != len(top):
+    tower = _tower(cartan, expected_order)
+    points = tower[-1][0]
+    orbits = _suborbits(points, cartan)
+    if sum(size for _, size in orbits) != len(points):
         raise AssertionError("suborbits do not partition the top orbit")
-    work = len(orbits) * expected_order // len(top)
+    # orbits[0] is {omega_n}, fixed by W_{n-1}, with x = 1: the coset
+    # W_{n-1} itself
+    parabolic = expected_order // len(points)
+    work = (len(orbits) - 1) * parabolic
     if work > _TALLY_BOUND:
         raise ResourceBoundExceeded(
-            f"{work} matrices to tally exceed the bound {_TALLY_BOUND}")
-    if work > _MATRIX_WORK:
-        return _matrix_tally(transversals, orbits)
-    return _perm_tally(cartan, transversals, orbits)
+            f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
+    tally = enumerate_orders([row[:-1] for row in cartan[:-1]],
+                             parabolic) if n > 1 else Counter({1: 1})
+    kernel = _matrix_tally if work > _MATRIX_WORK else _perm_tally
+    tally.update(kernel(cartan, tower, orbits[1:]))
+    if sum(tally.values()) != expected_order:
+        raise AssertionError(f"rank {n} tally sums to "
+                             f"{sum(tally.values())}, expected "
+                             f"{expected_order}")
+    return tally

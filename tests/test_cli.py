@@ -404,7 +404,7 @@ def test_normal_subgroups_bracketed_fails_on_a_non_normal_subgroup(
 
     def with_a_complement(self):
         f = self.tables[1][0]
-        return normals(self) + [self.subgroup_closure([f])]
+        return normals(self) + (self.subgroup_closure([f]),)
 
     monkeypatch.setattr(FinGroup, "normal_subgroups", with_a_complement)
     code, checks = _bracketed(capsys, argv)

@@ -87,5 +87,7 @@ def test_power_table_rows_are_the_reduced_powers(n):
     # each row x^k mod Phi_n, built from the row before, against the
     # division of x^k itself
     poly = cyclotomic_poly(n)
-    want = [tuple(_reduce_by([0] * k + [1], poly)) for k in range(n)]
+    want = tuple(tuple(_reduce_by([0] * k + [1], poly)) for k in range(n))
     assert _Ctx(n).powtable == want
+    with pytest.raises(TypeError):  # shared by every Cyc of modulus n
+        _Ctx(n).powtable[1] = want[0]

@@ -1,9 +1,9 @@
 """Smoke test: the demos run to the end against the current API.
 
-weyl_orders.py is left out; it builds the full table, E8 included.
 wild_images.py and orbits_and_parameters.py print the G2 constituents
-and Frobenius orbits; their stdout is pinned by its sha256 digest, so
-any drift in those results fails here.
+and Frobenius orbits, and weyl_orders.py the order table and the weight
+cycle scans; their stdout is pinned by its sha256 digest, so any drift in
+those results fails here.  weyl_orders.py tallies W(E8), so it is slow.
 """
 
 import hashlib
@@ -19,12 +19,16 @@ STDOUT_SHA256 = {
         "2b73daf763af6392092815a0051d2296170a00413e0cb24e0cbbc95d42fccd3a",
     "orbits_and_parameters.py":
         "4a9414b7253e3205aa67c3bcf57885dce0d75c2eececc5ee58c7807f13ae6853",
+    "weyl_orders.py":
+        "6cd57fecc1d4006bdb6b7923e9da6455d30790b39309be6df50a2479ef33832d",
 }
 
 
 @pytest.mark.parametrize("name", ["wild_images.py",
                                   "orbits_and_parameters.py",
-                                  "group_criteria.py", "prime_pairs.py"])
+                                  "group_criteria.py", "prime_pairs.py",
+                                  pytest.param("weyl_orders.py",
+                                               marks=pytest.mark.slow)])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     raw = capsys.readouterr().out

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+from collections import Counter
 from math import lcm
 
 import numpy as np
@@ -179,18 +180,88 @@ def test_e8_tally_is_exact():
     assert tally == E8_TALLY
 
 
+def _record_calls(monkeypatch):
+    """Route every enumerate_orders call, the recursive ones included,
+    through a wrapper.  Returns the Cartan matrices of the calls in
+    order, as lists, and a stack whose top is the rank of the running
+    call."""
+    real, calls, stack = weylenum.enumerate_orders, [], []
+
+    def recording(cartan, order):
+        calls.append([list(row) for row in cartan])
+        stack.append(len(cartan))
+        try:
+            return real(cartan, order)
+        finally:
+            stack.pop()
+    monkeypatch.setattr(weylenum, "enumerate_orders", recording)
+    return calls, stack
+
+
 def test_tower_work_counter(monkeypatch):
-    # E8 tallies 5 cosets of W(E7); the bound trips before any is tallied
+    # E8 walks 4 cosets of W(E7) and takes the fifth, W(E7) itself, from
+    # E7's tally; the bound trips before any recursion or walk
     data = root_data("E8")
-    monkeypatch.setattr(weylenum, "_TALLY_BOUND", 5 * 2_903_040 - 1)
-    with pytest.raises(ResourceBoundExceeded, match="14515200 matrices"):
+    calls, _ = _record_calls(monkeypatch)
+    for name in ("_perm_tally", "_matrix_tally"):
+        monkeypatch.setattr(weylenum, name,
+                            lambda *args: pytest.fail("a coset was walked"))
+    monkeypatch.setattr(weylenum, "_TALLY_BOUND", 4 * 2_903_040 - 1)
+    with pytest.raises(ResourceBoundExceeded, match="11612160 elements"):
+        weylenum.enumerate_orders(data.cartan, data.weyl_order)
+    assert len(calls) == 1
+
+
+def test_each_level_walks_only_its_other_cosets(monkeypatch):
+    # E7 keys 3 cosets of W(E6) in 27 chunks each (4 cosets, 108 chunks,
+    # before the base coset came from E6's tally); E6 walks 2 cosets of
+    # W(D5) as permutations (3 cosets, 5,760 elements, before)
+    calls, stack = _record_calls(monkeypatch)
+    chunks, walked = Counter(), Counter()
+    real_keys, real_coset = weylenum._trace_keys, weylenum._coset
+
+    def keys(w):
+        chunks[stack[-1]] += 1
+        return real_keys(w)
+
+    def coset(*levels):
+        for w in real_coset(*levels):
+            walked[stack[-1]] += 1
+            yield w
+    monkeypatch.setattr(weylenum, "_trace_keys", keys)
+    monkeypatch.setattr(weylenum, "_coset", coset)
+    data = root_data("E7")
+    assert dict(weylenum.enumerate_orders(data.cartan, data.weyl_order)) \
+        == BFS_TALLIES["E7"]
+    assert [len(cartan) for cartan in calls] == [7, 6, 5, 4, 3, 2, 1]
+    assert dict(chunks) == {7: 81}
+    assert walked[7] == 0 and walked[6] == 3_840
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_mass_formula_at_every_level(monkeypatch, rank):
+    # F4 recurses through B3, A2 and A1; one extra element of order 2 in
+    # the walked cosets of any level fails that level's mass formula,
+    # which the tower-size check cannot see
+    real = weylenum._perm_tally
+
+    def corrupt(cartan, tower, orbits):
+        tally = real(cartan, tower, orbits)
+        if len(cartan) == rank:
+            tally[2] += 1
+        return tally
+    monkeypatch.setattr(weylenum, "_perm_tally", corrupt)
+    data = root_data("F4")
+    size = (2, 6, 48, 1152)[rank - 1]
+    with pytest.raises(AssertionError, match=f"rank {rank} tally sums to "
+                       f"{size + 1}, expected {size}"):
         enumerate_orders(data.cartan, data.weyl_order)
 
 
 def test_weight_cycle_scan_peak_memory():
     # the largest scanned group, W(B6) on its 64 spin weights: the scan
     # walks x t W(A4) one element at a time, so the peak stays far below
-    # the whole group's 46,080 permutations (about 26 MB as tuples)
+    # the whole group's 46,080 permutations (about 13 MB as bytes)
     data = root_data("B6")
     tracemalloc.start()
     try:
@@ -202,11 +273,22 @@ def test_weight_cycle_scan_peak_memory():
     assert not found
     assert peak <= 1_000_000
     # the walk meets every element once, each a distinct permutation
-    transversals = _tower(data.cartan, data.weyl_order)
-    points = [x[5] for x in transversals[-1]]  # the spin weights
-    permutation, prefix, tail = _perm_levels(transversals, points)
-    walk = list(_coset(map(permutation, transversals[-1]), prefix, tail))
+    tower = _tower(data.cartan, data.weyl_order)
+    points = tower[-1][0]  # the spin weights
+    # points 64..255 of a bytes permutation are fixed
+    walk = [w[:64] for w in _coset(*_perm_levels(data.cartan, tower,
+                                                 points))]
     assert len(walk) == len(set(walk)) == 46_080
+
+
+def test_permutations_hold_at_most_256_points():
+    # E8's 240 roots are the largest spanning set; one point more fails
+    # before any permutation is built
+    a1 = ((2,),)
+    tower = _tower(a1, 2)
+    with pytest.raises(AssertionError, match="at most 256 points, not 257"):
+        _perm_levels(a1, tower, [(j,) for j in range(257)])
+    assert len(weylenum._spanning_points(root_data("E8").cartan)) == 240
 
 
 def _block_cartan(*labels):
@@ -221,6 +303,15 @@ def _block_cartan(*labels):
     return cartan
 
 
+def _both_kernels(monkeypatch, cartan, order):
+    """The tallies with every level on the matrix kernel, then with every
+    level on the permutation kernel."""
+    monkeypatch.setattr(weylenum, "_MATRIX_WORK", 0)
+    by_matrix = weylenum.enumerate_orders(cartan, order)
+    monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
+    return by_matrix, weylenum.enumerate_orders(cartan, order)
+
+
 def test_permutation_and_matrix_kernels_agree(monkeypatch):
     # each kernel is the other's reference, on every irreducible type of
     # rank <= 6 and on a reducible system
@@ -228,12 +319,29 @@ def test_permutation_and_matrix_kernels_agree(monkeypatch):
              for label in IRREDUCIBLE_LABELS if root_data(label).rank <= 6]
     cases.append((_block_cartan("B2", "G2"), 8 * 12))
     for cartan, order in cases:
-        monkeypatch.setattr(weylenum, "_MATRIX_WORK", 0)
-        by_matrix = enumerate_orders(cartan, order)
-        monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
-        by_permutation = enumerate_orders(cartan, order)
+        by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
         assert by_permutation == by_matrix, cartan
         assert sum(by_permutation.values()) == order
+
+
+def test_recursion_through_reducible_leading_blocks(monkeypatch):
+    # D4 with its branch node numbered last leads with A1+A1+A1, B2+G2
+    # with B2+A1 and G2+B2 with G2+A1
+    d4_last = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1],
+               [-1, -1, -1, 2]]
+    cases = [
+        (d4_last, 192, "D4", _block_cartan("A1", "A1", "A1")),
+        (_block_cartan("B2", "G2"), 96, "B2+G2", _block_cartan("B2", "A1")),
+        (_block_cartan("G2", "B2"), 96, "B2+G2", _block_cartan("G2", "A1")),
+    ]
+    calls, _ = _record_calls(monkeypatch)
+    for cartan, order, label, lead in cases:
+        calls.clear()
+        by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
+        assert calls[1] == lead, label
+        assert by_permutation == by_matrix, label
+        assert sum(by_matrix.values()) == order
+        assert frozenset(by_matrix) == weyl_element_orders(label).orders
 
 
 def test_permutation_kernel_reproduces_the_e7_tally(monkeypatch):

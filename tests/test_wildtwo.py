@@ -339,6 +339,22 @@ def test_g2_jordan_is_read_only_with_one_copy_of_each_matrix(g2_jordan):
     assert all(x is els[g2_jordan.group.index[x]] for x in g2_jordan.jordan)
 
 
+def test_cached_results_of_the_shared_group_cannot_be_changed(g2_jordan):
+    # every report in the process reads the one shared group; a caller
+    # that tries to change what it has cached changes no later report
+    grp = g2_jordan.group
+    before = g2_jordan_report(g2_jordan)
+    conj = grp._conj_tables()
+    for cached in (grp.conjugacy_classes(), grp.normal_subgroups(), conj,
+                   conj[0]):
+        assert isinstance(cached, tuple)
+        with pytest.raises(TypeError):
+            cached[0] = cached[-1]
+        with pytest.raises(AttributeError):
+            cached.append(cached[-1])
+    assert g2_jordan_report(build_g2_jordan()) == before
+
+
 def test_f8_tables_match_definitions():
     for a in range(8):
         assert wildtwo._F8_MUL[a] == tuple(wildtwo._f8_mul(a, b)
@@ -481,7 +497,7 @@ def test_mackey_rejects_merged_classes(monkeypatch, g2_jordan):
     # into one class: the constituents take -1 on one and 0 on the other,
     # so they are no longer constant on the classes
     classes = g2_jordan.group.conjugacy_classes()
-    merged = [classes[0], classes[1] | classes[2]] + classes[3:]
+    merged = (classes[0], classes[1] | classes[2]) + classes[3:]
     monkeypatch.setattr(g2_jordan.group, "conjugacy_classes",
                         lambda: merged)
     with pytest.raises(AssertionError, match="not a class function"):
