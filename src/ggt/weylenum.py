@@ -26,40 +26,43 @@ reflection s_i that reached it; the same steps applied to the identity
 build X_k as matrices or as permutations, and the group is the product
 of the transversals, with no group element hashed or deduplicated.
 
-W_{n-1} permutes the cosets x W_{n-1} by conjugation, and conjugate
+W_{k-1} permutes the cosets x W_{k-1} by conjugation, and conjugate
 elements have equal orders, so
 
-    tally(W_n) = sum over W_{n-1}-orbits O on W_n omega_n of
-                 |O| * tally(x_O W_{n-1}).
+    tally(W_k) = sum over W_{k-1}-orbits O on W_k omega_k of
+                 |O| * tally(x_O W_{k-1}).
 
-The orbit {omega_n}, with x = 1, gives the coset W_{n-1} itself, whose
-tally is that of the leading (n-1)x(n-1) block of the Cartan matrix, by
-recursion; only the other cosets are walked.  E8 walks 4 of its 5 cosets
-of W(E7), 2,903,040 elements each, E7 3 of its 4 cosets of W(E6), and
-E6 2 of its 3 cosets of W(D5).  Each coset is walked as x_O t W_{n-2},
-one block per t in X_{n-1}, so only W_{n-2} is kept in memory.  Every
-level checks that its tally sums to its group order.
+The orbit {omega_k}, with x = 1, gives the coset W_{k-1} itself, whose
+tally is the one level k - 1 left; only the other cosets are walked.
+One tower X_1..X_n serves every level: W_k is the reflection group of
+the leading k x k block of the Cartan matrix, and on the first k
+coordinates the orbit W_k omega_k has the same breadth-first walk.  So
+the levels k = 1..n run in one loop, each adding its walked cosets to
+one running tally and checking that it sums to |W_k|.  E8 walks 4 of
+its 5 cosets of W(E7), 2,903,040 elements each, E7 3 of its 4 cosets
+of W(E6), and E6 2 of its 3 cosets of W(D5).  Each coset is walked as
+x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is kept in
+memory.
 
 Two kernels tally the walked cosets of a level.  The permutation kernel
-acts on a set of weights that spans Q^n: the orbits of the fundamental
-weights, smallest first, until an exact rank test passes.  An element
-fixing a spanning set is the identity, so W acts faithfully there.  A
-permutation of m <= 256 points is 256 bytes, fixing m..255, so
+acts on the roots, the orbit of the simple roots C[i, :], which span
+Q^n since the Cartan matrix is nonsingular; an element fixing a spanning
+set is the identity, so W acts faithfully on the roots (Humphreys 1.2).
+A permutation of m <= 256 points is 256 bytes, fixing m..255, so
 bytes.translate composes two of them, and the order of w is the number
-of compositions with w that bring the identity back; E8's 240 roots
-would be the largest spanning set.  The matrix kernel multiplies
-float64 matrices in batches and reads orders off power traces
-(_trace_keys); it runs once the work passes _MATRIX_WORK, where its
-per-element speed repays numpy's import.  Every entry is an integer far
-below 2^53 (entries of group elements are bounded by the highest-coroot
-coefficients, at most 6), so the float arithmetic is exact.
+of compositions with w that bring the identity back; E8's 240 roots are
+the largest set.  The matrix kernel multiplies float64 matrices in
+batches and reads orders off power traces (_trace_keys); it runs once
+the work passes _MATRIX_WORK, where its per-element speed repays
+numpy's import.  Every entry is an integer far below 2^53 (entries of
+group elements are bounded by the highest-coroot coefficients, at most
+6), so the float arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from math import gcd
 from operator import mul
 
 from .errors import ResourceBoundExceeded
@@ -75,11 +78,12 @@ _MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
 # (E8 walks 4 * 2,903,040)
 _TALLY_BOUND = 20_000_000
 # a level that walks more than this runs the matrix kernel.  On one CPU
-# of a 2-vCPU Xeon, E7's walk (155,520 elements) took 0.13 s as
-# permutations and 0.09 s as matrices, plus 35-40 ms for numpy's import:
-# they break even near 140,000 elements, so any bound from E6's 3,840 up
-# to there gives E6 and every smaller level permutations, E7 and E8
-# matrices
+# of a 2-vCPU Xeon, E7's top level (155,520 elements) took 0.17 s as
+# permutations of its 126 roots and 0.085 s as matrices, plus 36-46 ms
+# for numpy's import: they break even near 65,000 elements.  Any bound
+# from D7's top level (15,120) up to B7's (35,280) gives E6 and every
+# level below rank 7 permutations, E7, E8 and the classical rank 7 and
+# 8 top levels past it matrices
 _MATRIX_WORK = 20_000
 _IDENTITY = bytes(range(256))  # the identity permutation
 
@@ -104,9 +108,9 @@ def _reflections(cartan, k: int) -> list:
             for i in range(k)]
 
 
-def _orbit(starts, moves, limit: int | None = None) -> list | None:
+def _orbit(starts, moves) -> list:
     """Every point reached from starts under the maps in moves, in
-    breadth-first order; None once a walk reaches limit points."""
+    breadth-first order."""
     seen = dict.fromkeys(starts)
     frontier = list(seen)
     while frontier:
@@ -117,8 +121,6 @@ def _orbit(starts, moves, limit: int | None = None) -> list | None:
                 if q not in seen:
                     seen[q] = None
                     new.append(q)
-        if limit is not None and len(seen) >= limit:
-            return None
         frontier = new
     return list(seen)
 
@@ -198,36 +200,10 @@ def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
     return tower
 
 
-def _rank(vectors) -> int:
-    """Rank over Q of integer vectors, by fraction-free elimination."""
-    basis = []  # (pivot, row): each row is zero at the earlier pivots
-    for v in vectors:
-        for pivot, row in basis:
-            if v[pivot]:
-                a, b = row[pivot], v[pivot]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            g = gcd(*v)
-            basis.append((pivot, [x // g for x in v]))
-    return len(basis)
-
-
-def _spanning_points(cartan) -> list:
-    """Orbits of fundamental weights under W, smallest first (then by
-    index), until they span Q^n.  A walk stops once it is no smaller
-    than the least orbit of the round."""
-    n = len(cartan)
-    moves = _reflections(cartan, n)
-    left, points = list(_identity(n)), []
-    while _rank(points) < n:
-        least = None
-        for omega in left:
-            least = _orbit([omega], moves,
-                           least and len(least)) or least
-        left.remove(least[0])
-        points += least
-    return points
+def _roots(cartan) -> list:
+    """The roots, as weights: the orbit of the simple roots
+    alpha_i = C[i, :] under s_1, ..., s_n."""
+    return _orbit(cartan, _reflections(cartan, len(cartan)))
 
 
 def _perm_levels(cartan, tower, points) -> tuple[list, list, list]:
@@ -308,10 +284,10 @@ def _suborbits(points, cartan) -> list[tuple[int, int]]:
 
 
 def _perm_tally(cartan, tower, orbits) -> Counter:
-    """The tally of the cosets x_O W_{n-1}, each element acting on
-    weights that span Q^n; its order is the count of compositions with
-    itself that reach the identity, taken on the m points alone."""
-    points = _spanning_points(cartan)
+    """The tally of the cosets x_O W_{n-1}, each element acting on the
+    roots; its order is the count of compositions with itself that reach
+    the identity, taken on the m roots alone."""
+    points = _roots(cartan)
     heads, prefix, tail = _perm_levels(cartan, tower, points)
     one = _IDENTITY[:len(points)]
     tally: Counter = Counter()
@@ -415,33 +391,39 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
     Cartan matrix, whose order must come out as expected_order, and which
     the tally must sum to.
 
-    The base coset W_{n-1} is tallied by recursion on the leading
-    (n-1)x(n-1) block, and only the other cosets are walked.  A level
-    that would walk more than _TALLY_BOUND elements raises
-    ResourceBoundExceeded before any work; one that walks more than
-    _MATRIX_WORK runs the matrix kernel, any other the permutation
-    kernel.
+    One tower serves every level k = 1..n: level k is the leading k x k
+    block of the Cartan matrix with the walks X_1..X_k, and adds the
+    cosets x_O W_{k-1} other than W_{k-1} itself to the tally of W_{k-1}
+    that the level below left, then checks that the tally sums to |W_k|.
+    If any level would walk more than _TALLY_BOUND elements,
+    ResourceBoundExceeded is raised before any level is walked; a level
+    that walks more than _MATRIX_WORK runs the matrix kernel, any other
+    the permutation kernel.
     """
     cartan = _ints(cartan)
-    n = len(cartan)
     tower = _tower(cartan, expected_order)
-    points = tower[-1][0]
-    orbits = _suborbits(points, cartan)
-    if sum(size for _, size in orbits) != len(points):
-        raise AssertionError("suborbits do not partition the top orbit")
-    # orbits[0] is {omega_n}, fixed by W_{n-1}, with x = 1: the coset
-    # W_{n-1} itself
-    parabolic = expected_order // len(points)
-    work = (len(orbits) - 1) * parabolic
-    if work > _TALLY_BOUND:
-        raise ResourceBoundExceeded(
-            f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
-    tally = enumerate_orders([row[:-1] for row in cartan[:-1]],
-                             parabolic) if n > 1 else Counter({1: 1})
-    kernel = _matrix_tally if work > _MATRIX_WORK else _perm_tally
-    tally.update(kernel(cartan, tower, orbits[1:]))
-    if sum(tally.values()) != expected_order:
-        raise AssertionError(f"rank {n} tally sums to "
-                             f"{sum(tally.values())}, expected "
-                             f"{expected_order}")
+    levels, size = [], 1
+    for k in range(1, len(cartan) + 1):
+        block = tuple(row[:k] for row in cartan[:k])
+        # the first k coordinates: s_1..s_k commute with the projection,
+        # which is one-to-one on W_k omega_k
+        points = [p[:k] for p in tower[k - 1][0]]
+        orbits = _suborbits(points, block)
+        if sum(m for _, m in orbits) != len(points):
+            raise AssertionError("suborbits do not partition the top orbit")
+        # orbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the coset
+        # W_{k-1} itself, tallied by the level below
+        work = (len(orbits) - 1) * size
+        if work > _TALLY_BOUND:
+            raise ResourceBoundExceeded(
+                f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
+        size *= len(points)
+        levels.append((block, orbits[1:], work, size))
+    tally = Counter({1: 1})
+    for k, (block, orbits, work, size) in enumerate(levels, 1):
+        kernel = _matrix_tally if work > _MATRIX_WORK else _perm_tally
+        tally.update(kernel(block, tower[:k], orbits))
+        if sum(tally.values()) != size:
+            raise AssertionError(f"rank {k} tally sums to "
+                                 f"{sum(tally.values())}, expected {size}")
     return tally

@@ -180,43 +180,65 @@ def test_e8_tally_is_exact():
     assert tally == E8_TALLY
 
 
-def _record_calls(monkeypatch):
-    """Route every enumerate_orders call, the recursive ones included,
-    through a wrapper.  Returns the Cartan matrices of the calls in
-    order, as lists, and a stack whose top is the rank of the running
-    call."""
-    real, calls, stack = weylenum.enumerate_orders, [], []
+def _record_levels(monkeypatch):
+    """Route both kernels through wrappers.  Returns the Cartan blocks the
+    kernel calls receive, in order, as lists, and a stack whose top is
+    the rank of the running kernel call."""
+    blocks, stack = [], []
+    for name in ("_perm_tally", "_matrix_tally"):
+        def recording(cartan, tower, orbits, real=getattr(weylenum, name)):
+            blocks.append([list(row) for row in cartan])
+            stack.append(len(cartan))
+            try:
+                return real(cartan, tower, orbits)
+            finally:
+                stack.pop()
+        monkeypatch.setattr(weylenum, name, recording)
+    return blocks, stack
 
-    def recording(cartan, order):
-        calls.append([list(row) for row in cartan])
-        stack.append(len(cartan))
-        try:
-            return real(cartan, order)
-        finally:
-            stack.pop()
-    monkeypatch.setattr(weylenum, "enumerate_orders", recording)
-    return calls, stack
+
+def _count_transversals(monkeypatch):
+    """The k of every _transversal call, in order."""
+    calls, real = [], weylenum._transversal
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(weylenum, "_transversal", counting)
+    return calls
 
 
 def test_tower_work_counter(monkeypatch):
     # E8 walks 4 cosets of W(E7) and takes the fifth, W(E7) itself, from
-    # E7's tally; the bound trips before any recursion or walk
+    # level 7's tally; the bound trips after the one tower walk, before
+    # any level runs a kernel
     data = root_data("E8")
-    calls, _ = _record_calls(monkeypatch)
+    transversals = _count_transversals(monkeypatch)
     for name in ("_perm_tally", "_matrix_tally"):
         monkeypatch.setattr(weylenum, name,
                             lambda *args: pytest.fail("a coset was walked"))
     monkeypatch.setattr(weylenum, "_TALLY_BOUND", 4 * 2_903_040 - 1)
     with pytest.raises(ResourceBoundExceeded, match="11612160 elements"):
         weylenum.enumerate_orders(data.cartan, data.weyl_order)
-    assert len(calls) == 1
+    assert transversals == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("label", ["F4", "E6", "E7"])
+def test_tower_is_walked_once(monkeypatch, label):
+    # one _transversal walk per rank; a tally that recursed on the
+    # leading blocks walked their towers again (10, 21 and 28 walks)
+    data = root_data(label)
+    transversals = _count_transversals(monkeypatch)
+    assert dict(enumerate_orders(data.cartan, data.weyl_order)) \
+        == BFS_TALLIES[label]
+    assert transversals == list(range(1, data.rank + 1))
 
 
 def test_each_level_walks_only_its_other_cosets(monkeypatch):
     # E7 keys 3 cosets of W(E6) in 27 chunks each (4 cosets, 108 chunks,
-    # before the base coset came from E6's tally); E6 walks 2 cosets of
-    # W(D5) as permutations (3 cosets, 5,760 elements, before)
-    calls, stack = _record_calls(monkeypatch)
+    # when the base coset was walked too); E6 walks 2 cosets of W(D5) as
+    # permutations (3 cosets, 5,760 elements, when it was walked too)
+    blocks, stack = _record_levels(monkeypatch)
     chunks, walked = Counter(), Counter()
     real_keys, real_coset = weylenum._trace_keys, weylenum._coset
 
@@ -233,14 +255,15 @@ def test_each_level_walks_only_its_other_cosets(monkeypatch):
     data = root_data("E7")
     assert dict(weylenum.enumerate_orders(data.cartan, data.weyl_order)) \
         == BFS_TALLIES["E7"]
-    assert [len(cartan) for cartan in calls] == [7, 6, 5, 4, 3, 2, 1]
+    assert blocks == [[list(row[:k]) for row in data.cartan[:k]]
+                      for k in range(1, 8)]
     assert dict(chunks) == {7: 81}
     assert walked[7] == 0 and walked[6] == 3_840
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_mass_formula_at_every_level(monkeypatch, rank):
-    # F4 recurses through B3, A2 and A1; one extra element of order 2 in
+    # F4's levels are A1, A2, B3 and F4; one extra element of order 2 in
     # the walked cosets of any level fails that level's mass formula,
     # which the tower-size check cannot see
     real = weylenum._perm_tally
@@ -288,7 +311,21 @@ def test_permutations_hold_at_most_256_points():
     tower = _tower(a1, 2)
     with pytest.raises(AssertionError, match="at most 256 points, not 257"):
         _perm_levels(a1, tower, [(j,) for j in range(257)])
-    assert len(weylenum._spanning_points(root_data("E8").cartan)) == 240
+    assert len(weylenum._roots(root_data("E8").cartan)) == 240
+
+
+def test_roots_are_the_root_closure():
+    # the permutation kernel's points against root_data's closure on
+    # simple-root coordinates: root b is b . C as a weight
+    for label in IRREDUCIBLE_LABELS:
+        data = root_data(label)
+        fam, n = rootsystems._parse_label(label)
+        roots = weylenum._roots(data.cartan)
+        assert len(roots) == len(set(roots)) \
+            == rootsystems._ROOT_COUNT[fam](n), label
+        assert set(roots) == {
+            tuple(int(x) for x in np.array(b) @ np.array(data.cartan))
+            for b in data.roots_in_base}, label
 
 
 def _block_cartan(*labels):
@@ -324,9 +361,9 @@ def test_permutation_and_matrix_kernels_agree(monkeypatch):
         assert sum(by_permutation.values()) == order
 
 
-def test_recursion_through_reducible_leading_blocks(monkeypatch):
+def test_levels_through_reducible_leading_blocks(monkeypatch):
     # D4 with its branch node numbered last leads with A1+A1+A1, B2+G2
-    # with B2+A1 and G2+B2 with G2+A1
+    # with B2+A1 and G2+B2 with G2+A1: the level below the top
     d4_last = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1],
                [-1, -1, -1, 2]]
     cases = [
@@ -334,11 +371,11 @@ def test_recursion_through_reducible_leading_blocks(monkeypatch):
         (_block_cartan("B2", "G2"), 96, "B2+G2", _block_cartan("B2", "A1")),
         (_block_cartan("G2", "B2"), 96, "B2+G2", _block_cartan("G2", "A1")),
     ]
-    calls, _ = _record_calls(monkeypatch)
+    blocks, _ = _record_levels(monkeypatch)
     for cartan, order, label, lead in cases:
-        calls.clear()
+        blocks.clear()
         by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
-        assert calls[1] == lead, label
+        assert blocks[2] == blocks[6] == lead, label
         assert by_permutation == by_matrix, label
         assert sum(by_matrix.values()) == order
         assert frozenset(by_matrix) == weyl_element_orders(label).orders
