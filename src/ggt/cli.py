@@ -299,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ggt",
         description="finite-image toolkit: parameters, prime pairs, "
                     "Weyl element orders, group criteria")
-    cmds = top.add_subparsers(dest="command", required=True)
+    # each group of subcommands names its prog: argparse would otherwise
+    # format the parent's usage line to find it
+    cmds = top.add_subparsers(prog="ggt", dest="command", required=True)
 
     p = cmds.add_parser("orbit", help="Frobenius orbit of a root of unity")
     p.add_argument("--tau", required=True, metavar="NUM/DEN")
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_primes)
 
     param = cmds.add_parser("param", help="local parameter construction")
-    psub = param.add_subparsers(dest="kind", required=True)
+    psub = param.add_subparsers(prog="ggt param", dest="kind", required=True)
     p = psub.add_parser("tame", help="tame parameter from (q, p, n)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_param_real)
 
     wild = cmds.add_parser("wild", help="wild 2-adic image groups")
-    wsub = wild.add_subparsers(dest="kind", required=True)
+    wsub = wild.add_subparsers(prog="ggt wild", dest="kind", required=True)
     p = wsub.add_parser("so", help="sign-and-cycle group inside SO(m)")
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_wild_g2)
 
     weyl = cmds.add_parser("weyl", help="Weyl element order computations")
-    wsub = weyl.add_subparsers(dest="kind", required=True)
+    wsub = weyl.add_subparsers(prog="ggt weyl", dest="kind", required=True)
     p = wsub.add_parser("orders", help="order set of one root system")
     p.add_argument("--type", required=True, metavar="A4+G2")
     _add_common(p)
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_minuscule)
 
     group = cmds.add_parser("group", help="finite group criteria")
-    gsub = group.add_subparsers(dest="kind", required=True)
+    gsub = group.add_subparsers(prog="ggt group", dest="kind", required=True)
     p = gsub.add_parser("analyze", help="orders, cores, type detection")
     p.add_argument("--preset", choices=("metacyclic", "cyclic"),
                    required=True)
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_group_analyze)
 
     eigs = cmds.add_parser("eigs", help="eigenvalue multiset tests")
-    esub = eigs.add_subparsers(dest="kind", required=True)
+    esub = eigs.add_subparsers(prog="ggt eigs", dest="kind", required=True)
     p = esub.add_parser("g2check",
                         help="admissibility and palindromic shape")
     p.add_argument("--eigs", required=True,

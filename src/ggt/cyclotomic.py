@@ -9,10 +9,10 @@ form modulo the N-th cyclotomic polynomial, so coincidences like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .numth import cyclotomic_poly, is_prime
+from .record import Record
 from .roots import RootOfUnity
 
 __all__ = ["Cyc"]
@@ -60,15 +60,15 @@ def _Ctx(n: int) -> _CtxData:
     return _CtxData(n)
 
 
-@dataclass(frozen=True)
-class Cyc:
+class Cyc(Record):
     """An element of Z[zeta_N]; vec[k] is the coefficient of zeta^k."""
 
     n: int
     vec: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vec) != self.n:
+    def __init__(self, n: int, vec: tuple[int, ...]) -> None:
+        vars(self).update(n=n, vec=vec)
+        if len(vec) != n:
             raise ValueError("vector length must equal the modulus")
 
     @classmethod

@@ -65,7 +65,6 @@ of elements (the wild image at m = 13 has 53,248).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
@@ -76,6 +75,7 @@ from .errors import ResourceBoundExceeded
 from .monomial import (MonomialMatrix, gatherer, point_action,
                        power_product_decoder)
 from .numth import _order_dividing, factorize, is_prime
+from .record import Record
 from .roots import ONE, RootOfUnity
 
 __all__ = [
@@ -496,13 +496,16 @@ def _is_prime_power(m: int, p: int) -> bool:
     return m == 1
 
 
-@dataclass(frozen=True)
-class TypeNPWitness:
+class TypeNPWitness(Record):
     """A normal subgroup of order p on which conjugation acts with order n."""
 
     p: int
     image_order: int
     exponents: tuple[int, ...]
+
+    def __init__(self, p: int, image_order: int,
+                 exponents: tuple[int, ...]) -> None:
+        vars(self).update(p=p, image_order=image_order, exponents=exponents)
 
 
 def _element_of_order_p(g: FinGroup, p: int) -> list[int] | None:

@@ -19,10 +19,10 @@ rather than give an unproven answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ResourceBoundExceeded
+from .record import Record
 
 __all__ = [
     "is_prime",
@@ -193,23 +193,23 @@ def min_k_order_appears(ell: int, n: int, p: int) -> int:
     return min(f // math.gcd(f, 2 * i) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(Record):
     """Pair of odd primes p, q with q of multiplicative order m modulo p."""
 
     p: int
     q: int
     m: int
 
-    def __post_init__(self) -> None:
-        if not (is_prime(self.p) and self.p > 2):
-            raise ValueError(f"p = {self.p} is not an odd prime")
-        if not (is_prime(self.q) and self.q > 2):
-            raise ValueError(f"q = {self.q} is not an odd prime")
-        if self.p == self.q:
+    def __init__(self, p: int, q: int, m: int) -> None:
+        vars(self).update(p=p, q=q, m=m)
+        if not (is_prime(p) and p > 2):
+            raise ValueError(f"p = {p} is not an odd prime")
+        if not (is_prime(q) and q > 2):
+            raise ValueError(f"q = {q} is not an odd prime")
+        if p == q:
             raise ValueError("p and q must be distinct")
         # p is prime, and q a prime other than p
-        if _order_dividing(self.q, self.p, self.p - 1) != self.m:
+        if _order_dividing(q, p, p - 1) != m:
             raise ValueError(
-                f"order of {self.q} mod {self.p} is not {self.m}"
+                f"order of {q} mod {p} is not {m}"
             )

@@ -35,11 +35,11 @@ a walk of products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import ResourceBoundExceeded, SearchExhausted
 from .numth import PrimePair, _order_dividing, factorize, is_prime
+from .record import Record
 
 __all__ = [
     "SearchRequest",
@@ -54,20 +54,22 @@ __all__ = [
 DEFAULT_CEILING = 1_000_000
 
 
-@dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(Record):
     n: int
     ell: int
     t: int
     d: int
-    conductor_bound: int = 100
+    conductor_bound: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be positive, got {self.n}")
-        if not is_prime(self.ell):
-            raise ValueError(f"ell = {self.ell} is not prime")
-        if self.t < 1 or self.d < 1 or self.conductor_bound < 1:
+    def __init__(self, n: int, ell: int, t: int, d: int,
+                 conductor_bound: int = 100) -> None:
+        vars(self).update(n=n, ell=ell, t=t, d=d,
+                          conductor_bound=conductor_bound)
+        if n < 1:
+            raise ValueError(f"rank must be positive, got {n}")
+        if not is_prime(ell):
+            raise ValueError(f"ell = {ell} is not prime")
+        if t < 1 or d < 1 or conductor_bound < 1:
             raise ValueError("t, d and conductor_bound must be positive")
 
     def to_json(self) -> dict:
@@ -80,13 +82,17 @@ class SearchRequest:
                    conductor_bound=data["conductor_bound"])
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(Record):
     request: SearchRequest
     pair: PrimePair
     k_min: int
     checks: dict
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...]
+
+    def __init__(self, request: SearchRequest, pair: PrimePair, k_min: int,
+                 checks: dict, flags: tuple[str, ...] = ()) -> None:
+        vars(self).update(request=request, pair=pair, k_min=k_min,
+                          checks=checks, flags=flags)
 
     def to_json(self) -> dict:
         return {"request": self.request.to_json(),

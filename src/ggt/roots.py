@@ -18,12 +18,12 @@ tuple of the two, but a root never equals a tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .errors import ResourceBoundExceeded
 from .numth import factorize, is_prime, mult_order
+from .record import Record
 
 __all__ = [
     "RootOfUnity",
@@ -116,8 +116,7 @@ ONE = RootOfUnity(0, 1)
 MINUS_ONE = RootOfUnity(1, 2)
 
 
-@dataclass(frozen=True)
-class FrobeniusOrbit:
+class FrobeniusOrbit(Record):
     """Orbit of a root of unity under exponent multiplication by q.
 
     elements[i+1] = elements[i]^q cyclically; the listing starts at the
@@ -126,6 +125,9 @@ class FrobeniusOrbit:
 
     q: int
     elements: tuple[RootOfUnity, ...]
+
+    def __init__(self, q: int, elements: tuple[RootOfUnity, ...]) -> None:
+        vars(self).update(q=q, elements=elements)
 
     @property
     def size(self) -> int:

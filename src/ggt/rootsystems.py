@@ -36,11 +36,11 @@ uniqueness scan is a subset filter over that cached table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import ResourceBoundExceeded
+from .record import Record
 
 __all__ = [
     "IRREDUCIBLE_LABELS",
@@ -140,8 +140,7 @@ def _parse_label(label: str) -> tuple[str, int]:
     raise ValueError(f"unknown irreducible type {label!r}")
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Record):
     """One irreducible system: exact integer root and lattice data."""
 
     label: str
@@ -152,6 +151,18 @@ class RootData:
     roots_in_base: tuple[tuple[int, ...], ...]
     short_root_count: int
     short_simple_count: int
+
+    def __init__(self, label: str, rank: int,
+                 simple: tuple[tuple[int, ...], ...],
+                 roots: tuple[tuple[int, ...], ...],
+                 cartan: tuple[tuple[int, ...], ...],
+                 roots_in_base: tuple[tuple[int, ...], ...],
+                 short_root_count: int, short_simple_count: int) -> None:
+        vars(self).update(label=label, rank=rank, simple=simple,
+                          roots=roots, cartan=cartan,
+                          roots_in_base=roots_in_base,
+                          short_root_count=short_root_count,
+                          short_simple_count=short_simple_count)
 
     @property
     def weyl_order(self) -> int:
@@ -186,16 +197,16 @@ def root_data(label: str) -> RootData:
     )
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """A multiset of irreducible types, rank at most 8."""
 
     components: tuple[str, ...]
 
-    def __post_init__(self):
-        for c in self.components:
+    def __init__(self, components: tuple[str, ...]) -> None:
+        vars(self).update(components=components)
+        for c in components:
             _parse_label(c)
-        if list(self.components) != sorted(self.components):
+        if list(components) != sorted(components):
             raise ValueError("components must be sorted")
         if self.rank > 8:
             raise ValueError(f"total rank {self.rank} exceeds 8")
@@ -229,12 +240,14 @@ def weyl_order(rs: RootSystem | str) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class OrderSet:
+class OrderSet(Record):
     """Element orders of a finite group with the divisibility maxima."""
 
     orders: frozenset[int]
     mode: str
+
+    def __init__(self, orders: frozenset[int], mode: str) -> None:
+        vars(self).update(orders=orders, mode=mode)
 
     @property
     def maximal(self) -> frozenset[int]:

@@ -15,7 +15,6 @@ landing in G2: three inverse pairs multiplying to 1 around a fixed vector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -25,6 +24,7 @@ from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup, _split_metacyclic, is_type_np
 from .monomial import MonomialMatrix
 from .numth import is_prime
+from .record import Record
 from .roots import ONE, FrobeniusOrbit, RootOfUnity, frobenius_orbit
 
 __all__ = [
@@ -49,8 +49,7 @@ __all__ = [
 _MODULUS_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class TameParameter:
+class TameParameter(Record):
     """Inertia and Frobenius images for a tame orthogonal parameter."""
 
     q: int
@@ -60,6 +59,14 @@ class TameParameter:
     inertia: MonomialMatrix
     frobenius: MonomialMatrix
     pairing: tuple[int, ...]
+
+    def __init__(self, q: int, taus: tuple[RootOfUnity, ...],
+                 orbits: tuple[FrobeniusOrbit, ...], n: int,
+                 inertia: MonomialMatrix, frobenius: MonomialMatrix,
+                 pairing: tuple[int, ...]) -> None:
+        vars(self).update(q=q, taus=taus, orbits=orbits, n=n,
+                          inertia=inertia, frobenius=frobenius,
+                          pairing=pairing)
 
     @property
     def dim(self) -> int:
@@ -205,10 +212,12 @@ def parameter_image(param: TameParameter) -> FinGroup:
     return grp
 
 
-@dataclass(frozen=True)
-class G2Check:
+class G2Check(Record):
     is_g2: bool
     reason: str
+
+    def __init__(self, is_g2: bool, reason: str) -> None:
+        vars(self).update(is_g2=is_g2, reason=reason)
 
     def __bool__(self) -> bool:
         return self.is_g2
@@ -287,12 +296,14 @@ def satake_lift_g2(lams) -> tuple[RootOfUnity, ...]:
     return tuple(sorted(out, key=lambda r: r.sort_key()))
 
 
-@dataclass(frozen=True)
-class CharPolyShape:
+class CharPolyShape(Record):
     """(x-1) * palindromic split of a characteristic polynomial."""
 
     passes: bool
     coeffs: tuple[Cyc, ...]
+
+    def __init__(self, passes: bool, coeffs: tuple[Cyc, ...]) -> None:
+        vars(self).update(passes=passes, coeffs=coeffs)
 
     @property
     def abc(self) -> tuple[Cyc, Cyc, Cyc]:
@@ -358,12 +369,14 @@ def char_poly_shape(eigs) -> CharPolyShape:
     return CharPolyShape(passes=ok, coeffs=g)
 
 
-@dataclass(frozen=True)
-class RealParameter:
+class RealParameter(Record):
     """Archimedean analogue: nonzero half-integer-free weights a_i, the
     infinitesimal character being (a_1..a_n, -a_1..-a_n, 0)."""
 
     a: tuple[Fraction, ...]
+
+    def __init__(self, a: tuple[Fraction, ...]) -> None:
+        vars(self).update(a=a)
 
     def infinitesimal_character(self) -> tuple[Fraction, ...]:
         return self.a + tuple(-x for x in self.a) + (Fraction(0),)

@@ -286,10 +286,13 @@ def _suborbits(points, cartan) -> list[tuple[int, int]]:
 def _perm_tally(cartan, tower, orbits) -> Counter:
     """The tally of the cosets x_O W_{n-1}, each element acting on the
     roots; its order is the count of compositions with itself that reach
-    the identity, taken on the m roots alone."""
+    the identity, taken on the simple roots alone."""
     points = _roots(cartan)
     heads, prefix, tail = _perm_levels(cartan, tower, points)
-    one = _IDENTITY[:len(points)]
+    # _roots lists the n simple roots first, and they span Q^n: w^k is
+    # the identity exactly when it fixes them, so the loop composes n
+    # bytes, not one per root
+    one = _IDENTITY[:len(cartan)]
     tally: Counter = Counter()
     for start, size in orbits:
         orders = []

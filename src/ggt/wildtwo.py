@@ -32,7 +32,6 @@ that each constituent is constant on every class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from types import MappingProxyType
@@ -41,6 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup
 from .monomial import MonomialMatrix, _make
+from .record import Record
 from .roots import MINUS_ONE, ONE
 from .weilparams import g2_admissible_eigenvalues
 
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WildImageSO:
+class WildImageSO(Record):
     """Sign-monomial image for the odd orthogonal group of size m.
 
     generators are what the report reads: +-1 diagonal matrices and one
@@ -69,6 +68,12 @@ class WildImageSO:
     sign_gens: tuple[MonomialMatrix, ...]
     cycle: MonomialMatrix
     generators: tuple[MonomialMatrix, ...]
+
+    def __init__(self, m: int, sign_gens: tuple[MonomialMatrix, ...],
+                 cycle: MonomialMatrix,
+                 generators: tuple[MonomialMatrix, ...]) -> None:
+        vars(self).update(m=m, sign_gens=sign_gens, cycle=cycle,
+                          generators=generators)
 
 
 # The largest m that build_so_wild takes.  Build plus report grow as m^2:
@@ -339,8 +344,7 @@ def _triple_inv(g: tuple[int, int, int]) -> tuple[int, int, int]:
     return (frob[_F8_MUL[ai][v]], frob[ai], fi)
 
 
-@dataclass(frozen=True)
-class G2JordanGroup:
+class G2JordanGroup(Record):
     """Order-168 group with its 21-dimensional induced monomial model.
 
     triples lists the abstract elements (v, a, phi); matrix, a read-only
@@ -353,6 +357,12 @@ class G2JordanGroup:
     matrix: Mapping
     group: FinGroup
     jordan: frozenset
+
+    def __init__(self, triples: tuple[tuple[int, int, int], ...],
+                 matrix: Mapping, group: FinGroup,
+                 jordan: frozenset) -> None:
+        vars(self).update(triples=triples, matrix=matrix, group=group,
+                          jordan=jordan)
 
     def trace(self, g: tuple[int, int, int]) -> int:
         return self.matrix[g].trace_int()
@@ -450,12 +460,16 @@ def character_stabilizer_order(g2j: G2JordanGroup) -> int:
     return stab
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Record):
     k: int
     degree: int
     selfdual: bool
     faithful: bool
+
+    def __init__(self, k: int, degree: int, selfdual: bool,
+                 faithful: bool) -> None:
+        vars(self).update(k=k, degree=degree, selfdual=selfdual,
+                          faithful=faithful)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "selfdual": self.selfdual,

@@ -26,7 +26,7 @@ def _callables():
             + [getattr(weylenum, name) for name in weylenum.__all__]
             + [_split_metacyclic, _slow_order])
     for obj in objs:
-        if inspect.isclass(obj):  # the methods, __init__ of a dataclass too
+        if inspect.isclass(obj):  # the methods, a record's __init__ too
             for key, val in vars(obj).items():
                 val = getattr(val, "__func__", val)
                 if callable(val):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -56,11 +55,12 @@ ROOT_DATA_GOLDEN = {
 
 def test_root_data_matches_golden_digests():
     assert len(IRREDUCIBLE_LABELS) == 31
-    for field in dataclasses.fields(RootData):
-        values = [getattr(root_data(label), field.name)
+    assert RootData._fields == tuple(ROOT_DATA_GOLDEN)
+    for name in RootData._fields:
+        values = [getattr(root_data(label), name)
                   for label in IRREDUCIBLE_LABELS]
         digest = hashlib.sha256(repr(values).encode()).hexdigest()[:16]
-        assert digest == ROOT_DATA_GOLDEN[field.name], field.name
+        assert digest == ROOT_DATA_GOLDEN[name], name
 
 
 def test_simple_reflections_are_reflections():
@@ -326,6 +326,15 @@ def test_roots_are_the_root_closure():
         assert set(roots) == {
             tuple(int(x) for x in np.array(b) @ np.array(data.cartan))
             for b in data.roots_in_base}, label
+
+
+def test_roots_list_the_simple_roots_first():
+    # the permutation kernel's order loop composes only these points:
+    # alpha_i is the Cartan row C[i, :] as a weight, and the n of them
+    # span Q^n, so an element that fixes them is the identity
+    for label in IRREDUCIBLE_LABELS:
+        cartan = root_data(label).cartan
+        assert tuple(weylenum._roots(cartan)[:len(cartan)]) == cartan, label
 
 
 def _block_cartan(*labels):

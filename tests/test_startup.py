@@ -19,7 +19,9 @@ import ggt.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(ggt.__file__).resolve().parents[1]
-WATCHED = ("numpy", "ggt.weylenum", "importlib.metadata")
+# modules a command must load only when it needs them; dataclasses never,
+# since ggt's records are plain classes that generate no code at import
+WATCHED = ("numpy", "ggt.weylenum", "importlib.metadata", "dataclasses")
 
 
 def _readme_commands() -> list[str]:

@@ -7,7 +7,9 @@ Run it from the root of a ggt checkout: the library is imported from
 out) runs RUNS times through ggt.cli.main, pinned to one CPU, one
 process at a time.  Prints one Markdown table row per command: median
 wall time from start to exit, the median peak RSS of the process, and
-whether the command loaded numpy.
+whether the command loaded numpy.  The first row is a bare
+`import ggt.cli` that runs no command, the share of each row that is
+start-up alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import time
 from pathlib import Path
 
 RUNS = 5
-PROBE = ("import sys, ggt.cli; code = ggt.cli.main(sys.argv[1:]); "
+# with no arguments the probe imports ggt.cli and runs nothing
+PROBE = ("import sys, ggt.cli; "
+         "code = ggt.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
          "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
 
 
@@ -54,12 +58,13 @@ def main() -> int:
     os.sched_setaffinity(0, cpus[:1])
     print("| command | wall (ms) | peak RSS (MB) | numpy |")
     print("| --- | --- | --- | --- |")
-    for command in readme_commands(root):
+    for command in ["", *readme_commands(root)]:
         runs = [run_once(root, command) for _ in range(RUNS)]
         wall = statistics.median(r[0] for r in runs) * 1e3
         rss = statistics.median(r[1] for r in runs)
         numpy = "yes" if runs[0][2] else "no"
-        print(f"| `{command}` | {wall:.0f} | {rss:.1f} | {numpy} |")
+        label = f"`{command}`" if command else "`import ggt.cli` alone"
+        print(f"| {label} | {wall:.0f} | {rss:.1f} | {numpy} |")
     return 0
 
 
