@@ -183,6 +183,9 @@ class FinGroup:
     def __contains__(self, x) -> bool:
         return x in self.index
 
+    def __repr__(self) -> str:
+        return f"FinGroup(order={self.order}, generators={len(self.tables)})"
+
     def _right(self, s: int) -> list[int]:
         """The table i -> index(x_i x_s), filled along the spanning tree:
         x = g y gives x x_s = g (y x_s)."""

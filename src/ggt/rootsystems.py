@@ -12,9 +12,10 @@ Every Weyl group element is built by weylenum, which this module
 imports only inside the functions that need one (root_data, the
 exceptional tallies and the weight-cycle witnesses, each cached); the
 classical order sets and the system table are integer and set
-arithmetic.  weylenum works on int tuples and bytes permutations, and
-imports numpy only for the tallies past its crossover (E7 and E8), so
-no other command loads it.
+arithmetic.  weylenum enumerates every Weyl group as bytes permutations
+of its roots; past its crossover (the E7 and E8 tallies) it reads
+float64 matrices off those permutations, and only there imports numpy,
+so no other command loads it.
 
 Weights live in the coordinates of weylenum: row vectors over the
 fundamental weights, on which s_i(lambda) = lambda - lambda[i] C[i, :].
@@ -84,7 +85,7 @@ def _e_simple(rank):
 
 
 _SIMPLE_BUILDERS = {
-    "A": lambda n: _a_simple(n),
+    "A": _a_simple,
     "B": lambda n: _bcd_simple(
         n, lambda m: [0] * (m - 1) + [1]),
     "C": lambda n: _bcd_simple(
@@ -94,7 +95,7 @@ _SIMPLE_BUILDERS = {
     "G": lambda n: [[1, -1, 0], [-2, 1, 1]],
     "F": lambda n: [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2],
                     [1, -1, -1, -1]],
-    "E": lambda n: _e_simple(n),
+    "E": _e_simple,
 }
 
 _RANK_RANGE = {"A": (1, 8), "B": (2, 8), "C": (3, 8), "D": (4, 8),

@@ -1,8 +1,8 @@
 """The Weyl group engine: root closures, weight orbits, full-cycle
 witnesses and exact element-order tallies of finite reflection groups.
 
-Weights and matrices are int tuples and permutations are bytes; numpy
-is imported only by the matrix kernel of the largest tallies, inside its
+Weights and roots are int tuples and permutations are bytes; numpy is
+imported only by the matrix kernel of the largest tallies, inside its
 functions.  Every entry point takes its Cartan matrix (or simple roots)
 as any integer array-like, nested tuples included.
 
@@ -13,9 +13,11 @@ of a reducible system: a tower of parabolic subgroups (Humphreys,
 
 Weights are row vectors of fundamental-weight coordinates.  There
 s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i, and alpha_i has
-coordinates C[i, :], so s_i(lambda) = lambda - lambda[i] C[i, :].  As a
-matrix, an element w is the tuple of the images w(omega_1), ...,
-w(omega_n), so s_i w reflects every row.
+coordinates C[i, :], so s_i(lambda) = lambda - lambda[i] C[i, :].
+Roots are row vectors of simple-root coordinates, where
+<alpha_i, alpha_j^vee> = C[i, j] gives s_j(b) = b - (b . C[:, j]) e_j;
+the roots are the closure of the simple roots, the unit vectors, under
+these maps (_roots).
 
 Within W_k = <s_1, ..., s_k> the stabilizer of omega_k is W_{k-1}, the
 parabolic generated by the simple reflections fixing it (Humphreys 1.12),
@@ -23,8 +25,8 @@ so W_k = X_k W_{k-1}, where the transversal X_k holds one element per
 point of the orbit W_k omega_k.  A breadth-first walk of the orbit
 records, for each new point, the point it was reached from and the
 reflection s_i that reached it; the same steps applied to the identity
-build X_k as matrices or as permutations, and the group is the product
-of the transversals, with no group element hashed or deduplicated.
+build X_k as permutations, and the group is the product of the
+transversals, with no group element hashed or deduplicated.
 
 W_{k-1} permutes the cosets x W_{k-1} by conjugation, and conjugate
 elements have equal orders, so
@@ -44,19 +46,20 @@ of W(E6), and E6 2 of its 3 cosets of W(D5).  Each coset is walked as
 x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is kept in
 memory.
 
-Two kernels tally the walked cosets of a level.  The permutation kernel
-acts on the roots, the orbit of the simple roots C[i, :], which span
-Q^n since the Cartan matrix is nonsingular; an element fixing a spanning
-set is the identity, so W acts faithfully on the roots (Humphreys 1.2).
-A permutation of m <= 256 points is 256 bytes, fixing m..255, so
-bytes.translate composes two of them, and the order of w is the number
-of compositions with w that bring the identity back; E8's 240 roots are
-the largest set.  The matrix kernel multiplies float64 matrices in
-batches and reads orders off power traces (_trace_keys); it runs once
-the work passes _MATRIX_WORK, where its per-element speed repays
-numpy's import.  Every entry is an integer far below 2^53 (entries of
-group elements are bounded by the highest-coroot coefficients, at most
-6), so the float arithmetic is exact.
+The tallies build the tower one way, as permutations of the roots,
+which span Q^n; an element fixing a spanning set is the identity, so W
+acts faithfully on them (Humphreys 1.2).  A permutation of m <= 256
+points is 256 bytes, fixing m..255, so bytes.translate composes two of
+them (E8 has 240 roots), and the order of w is the number of
+compositions with w that bring the identity back (_perm_order).  The
+permutation kernel takes each walked element's order so.  Past
+_MATRIX_WORK elements, where its per-element speed repays numpy's
+import, the matrix kernel reads row i of w's matrix in the simple-root
+basis, the root w(alpha_i), off w[i]; it multiplies float64 matrices in
+batches, keys them by power traces (_trace_keys) and takes one
+_perm_order per new key.  Each entry of an element's matrix is a root
+coefficient, at most 6 (E8's highest root is 2, 3, 4, 6, 5, 4, 3, 2), so
+every product and trace is an integer far below 2^53, exact in float64.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ __all__ = [
     "enumerate_orders",
 ]
 
-_MAX_ELEMENT_ORDER = 64  # far above any reflection group of rank <= 8
 # cap on the elements whose order one level of enumerate_orders computes
 # (E8 walks 4 * 2,903,040)
 _TALLY_BOUND = 20_000_000
@@ -108,6 +110,15 @@ def _reflections(cartan, k: int) -> list:
             for i in range(k)]
 
 
+def _coreflections(cartan) -> list:
+    """s_1, ..., s_n as maps on roots: b - (b . C[:, j]) e_j."""
+    def coreflect(b, j, column):
+        c = sum(map(mul, b, column))
+        return b[:j] + (b[j] - c,) + b[j + 1:] if c else b
+    return [lambda b, j=j, column=column: coreflect(b, j, column)
+            for j, column in enumerate(zip(*cartan))]
+
+
 def _orbit(starts, moves) -> list:
     """Every point reached from starts under the maps in moves, in
     breadth-first order."""
@@ -132,8 +143,7 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
     of their standard-coordinate tuples, all as nested int tuples.
 
     The roots are the closure of the unit vectors under the simple
-    reflections on simple-root coordinates, s_j(b) = b - (b . C[:, j])
-    e_j: the transposed simple reflections of the dual root system.
+    reflections on simple-root coordinates (_roots).
     """
     simple = _ints(simple)
     n = len(simple)
@@ -141,19 +151,9 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
     # C[i, j] = <alpha_i, alpha_j^vee>
     cartan = tuple(tuple(2 * gram[i][j] // gram[j][j] for j in range(n))
                    for i in range(n))
-
-    def coreflection(j):
-        column = [row[j] for row in cartan]
-
-        def move(b):
-            c = sum(map(mul, b, column))
-            return b[:j] + (b[j] - c,) + b[j + 1:] if c else b
-        return move
-
-    base = _orbit(_identity(n), [coreflection(j) for j in range(n)])
     pairs = sorted(
         (tuple(sum(map(mul, b, col)) for col in zip(*simple)), b)
-        for b in base)
+        for b in _roots(cartan))
     return (cartan, tuple(b for _, b in pairs),
             tuple(root for root, _ in pairs))
 
@@ -178,15 +178,6 @@ def _transversal(cartan, k: int, limit: int) -> tuple[list, list]:
     return points, steps
 
 
-def _walk(steps, start, act) -> list:
-    """X_k in any representation: x_0 = start, and x_j = act(x_a, i)
-    applies s_i to x_a, for (a, i) = steps[j - 1]."""
-    out = [start]
-    for a, i in steps:
-        out.append(act(out[a], i))
-    return out
-
-
 def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
     """The orbits and walks of X_1..X_n; the orbit sizes must multiply to
     the expected group order."""
@@ -201,24 +192,28 @@ def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
 
 
 def _roots(cartan) -> list:
-    """The roots, as weights: the orbit of the simple roots
-    alpha_i = C[i, :] under s_1, ..., s_n."""
-    return _orbit(cartan, _reflections(cartan, len(cartan)))
+    """The roots in simple-root coordinates, the simple roots (the unit
+    vectors) first: their orbit under s_1, ..., s_n."""
+    return _orbit(_identity(len(cartan)), _coreflections(cartan))
 
 
-def _perm_levels(cartan, tower, points) -> tuple[list, list, list]:
+def _perm_levels(moves, tower, points) -> tuple[list, list, list]:
     """X_n and X_{n-1} as permutations of points, and the elements of
-    W_{n-2} = X_{n-2} ... X_1, each composed from the simple reflections'
-    permutations along the walks."""
+    W_{n-2} = X_{n-2} ... X_1, each composed from the permutations of
+    points that the simple reflections, the maps in moves, make along
+    the walks."""
     if len(points) > 256:
         raise AssertionError(f"a bytes permutation moves at most 256 "
                              f"points, not {len(points)}")
     index = {p: j for j, p in enumerate(points)}
     pad = _IDENTITY[len(points):]
-    moves = [bytes(index[_reflect(p, i, root)] for p in points) + pad
-             for i, root in enumerate(cartan)]
-    levels = [_walk(steps, _IDENTITY, lambda x, i: x.translate(moves[i]))
-              for _, steps in tower]
+    moves = [bytes(index[move(p)] for p in points) + pad for move in moves]
+    levels = []
+    for _, steps in tower:  # x_0 = 1 and x_j = s_i x_a, (a, i) = steps[j - 1]
+        xs = [_IDENTITY]
+        for a, i in steps:
+            xs.append(xs[a].translate(moves[i]))
+        levels.append(xs)
     tail = [_IDENTITY]
     for xs in levels[:-2]:
         tail = [u.translate(x) for x in xs for u in tail]  # x u
@@ -259,7 +254,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
             if point == omega:
                 raise AssertionError("the Coxeter element witness failed")
         return True
-    for w in _coset(*_perm_levels(cartan, _tower(cartan, order), points)):
+    for w in _coset(*_perm_levels(moves, _tower(cartan, order), points)):
         j, length = w[0], 1  # points[0] is omega
         while j:
             j = w[j]
@@ -283,42 +278,32 @@ def _suborbits(points, cartan) -> list[tuple[int, int]]:
     return out
 
 
+def _perm_order(w: bytes, one: bytes) -> int:
+    """The order of the root permutation w: the count of compositions
+    with itself that bring back one, the n simple roots' indices.  They
+    span Q^n, so w^k is the identity exactly when it fixes them, and the
+    loop composes n bytes, not one per root."""
+    power, order = one.translate(w), 1
+    while power != one:
+        power = power.translate(w)
+        order += 1
+    return order
+
+
 def _perm_tally(cartan, tower, orbits) -> Counter:
-    """The tally of the cosets x_O W_{n-1}, each element acting on the
-    roots; its order is the count of compositions with itself that reach
-    the identity, taken on the simple roots alone."""
+    """The tally of the cosets x_O W_{n-1}, each element a permutation
+    of the roots."""
     points = _roots(cartan)
-    heads, prefix, tail = _perm_levels(cartan, tower, points)
-    # _roots lists the n simple roots first, and they span Q^n: w^k is
-    # the identity exactly when it fixes them, so the loop composes n
-    # bytes, not one per root
+    heads, prefix, tail = _perm_levels(_coreflections(cartan), tower,
+                                       points)
     one = _IDENTITY[:len(cartan)]
     tally: Counter = Counter()
     for start, size in orbits:
-        orders = []
-        for w in _coset([heads[start]], prefix, tail):
-            power, order = one.translate(w), 1
-            while power != one:
-                power = power.translate(w)
-                order += 1
-            orders.append(order)
-        for order, count in Counter(orders).items():
+        coset = _coset([heads[start]], prefix, tail)
+        for order, count in Counter(
+                map(_perm_order, coset, repeat(one))).items():
             tally[order] += size * count
     return tally
-
-
-def _products(transversals, n: int):
-    """Every element of X_k ... X_1 as an int8 stack, one GEMM per x,
-    each written straight into its block of the stack."""
-    import numpy as np
-    elems = np.eye(n, dtype=np.int8)[None]
-    for xs in transversals:
-        flat = elems.reshape(-1, n).astype(np.float64)
-        elems = np.empty((len(xs), len(flat), n), dtype=np.int8)
-        for x, block in zip(xs, elems):
-            block[...] = flat @ x
-        elems = elems.reshape(-1, n, n)
-    return elems
 
 
 def _trace_keys(w):
@@ -350,30 +335,23 @@ def _trace_keys(w):
     return key
 
 
-def _order(mat) -> int:
-    import numpy as np
-    mat = np.rint(mat).astype(np.int64)
-    eye = np.eye(len(mat), dtype=np.int64)
-    power = mat
-    for k in range(1, _MAX_ELEMENT_ORDER + 1):
-        if (power == eye).all():
-            return k
-        power = power @ mat
-    raise AssertionError("element order out of expected range")
-
-
 def _matrix_tally(cartan, tower, orbits) -> Counter:
     """The tally of the cosets x_O W_{n-1}, in float64 chunks
-    x_O t W_{n-2} keyed by their power traces."""
+    x_O t W_{n-2} keyed by their power traces; the order of a new key is
+    taken on its first element's root permutation."""
     import numpy as np
     n = len(cartan)
-    eye = _identity(n)
-    mats = [np.array(_walk(steps, eye, lambda x, i: tuple(
-        _reflect(row, i, cartan[i]) for row in x)), dtype=np.int64)
-        for _, steps in tower]
-    top = mats[-1]
-    prefix = mats[-2] if n >= 2 else np.eye(n)[None]
-    tail = _products(mats[:-2], n).reshape(-1, n).astype(np.float64)
+    points = _roots(cartan)
+    index = {p: j for j, p in enumerate(points)}
+    pad, one = _IDENTITY[len(points):], _IDENTITY[:n]
+    basis = np.array(points, dtype=np.float64)
+    levels = _perm_levels(_coreflections(cartan), tower, points)
+    # row i of w's matrix is the root w(alpha_i), and points[i] is alpha_i
+    top, prefix, tail = [basis[np.frombuffer(
+        b"".join(w[:n] for w in ws), dtype=np.uint8).reshape(-1, n)]
+        for ws in levels]
+    del levels
+    tail = tail.reshape(-1, n)
     cache: dict[int, int] = {}
     tally: Counter = Counter()
     for start, size in orbits:
@@ -384,7 +362,9 @@ def _matrix_tally(cartan, tower, orbits) -> Counter:
             for key, i, count in zip(keys.tolist(), first.tolist(),
                                      counts.tolist()):
                 if key not in cache:
-                    cache[key] = _order(chunk[i])
+                    images = np.rint(basis @ chunk[i]).astype(np.int64)
+                    w = bytes(index[b] for b in map(tuple, images.tolist()))
+                    cache[key] = _perm_order(w + pad, one)
                 tally[cache[key]] += size * count
     return tally
 

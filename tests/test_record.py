@@ -121,6 +121,14 @@ def test_repr_of_a_prime_pair():
     assert repr(RootSystem(("G2",))) == "RootSystem(components=('G2',))"
 
 
+def test_repr_of_the_shared_g2_group_holds_no_address():
+    # the same in every process: the FinGroup field prints its order and
+    # generator count, not an object address
+    text = repr(build_g2_jordan())
+    assert " at 0x" not in text
+    assert ", group=FinGroup(order=168, generators=3), jordan=" in text
+
+
 def test_cyc_compares_and_hashes_by_its_value_in_the_ring():
     # 1 + 2z = z - z^2 in Z[zeta_3]
     a, b = Cyc(3, (1, 2, 0)), Cyc(3, (0, 1, -1))

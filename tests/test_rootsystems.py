@@ -136,7 +136,8 @@ def test_type_d_orders_match_even_signed_permutations():
 
 
 def test_enumeration_agrees_with_partition_formulas():
-    # the matrix engine and the combinatorial route are independent
+    # the permutation kernel (every level here walks at most
+    # _MATRIX_WORK elements) and the combinatorial route are independent
     labels = [lab for lab in IRREDUCIBLE_LABELS
               if lab[0] in "ABCD" and root_data(lab).rank <= 6]
     assert len(labels) == 6 + 5 + 4 + 3
@@ -299,8 +300,8 @@ def test_weight_cycle_scan_peak_memory():
     tower = _tower(data.cartan, data.weyl_order)
     points = tower[-1][0]  # the spin weights
     # points 64..255 of a bytes permutation are fixed
-    walk = [w[:64] for w in _coset(*_perm_levels(data.cartan, tower,
-                                                 points))]
+    moves = _reflections(data.cartan, data.rank)
+    walk = [w[:64] for w in _coset(*_perm_levels(moves, tower, points))]
     assert len(walk) == len(set(walk)) == 46_080
 
 
@@ -310,31 +311,54 @@ def test_permutations_hold_at_most_256_points():
     a1 = ((2,),)
     tower = _tower(a1, 2)
     with pytest.raises(AssertionError, match="at most 256 points, not 257"):
-        _perm_levels(a1, tower, [(j,) for j in range(257)])
+        _perm_levels(_reflections(a1, 1), tower, [(j,) for j in range(257)])
     assert len(weylenum._roots(root_data("E8").cartan)) == 240
 
 
 def test_roots_are_the_root_closure():
-    # the permutation kernel's points against root_data's closure on
-    # simple-root coordinates: root b is b . C as a weight
+    # the roots in simple-root coordinates against the orbit of the
+    # simple roots alpha_i = C[i, :] as weights under s_1, ..., s_n, the
+    # closure the permutation kernel once ran: root b is b . C as a weight
     for label in IRREDUCIBLE_LABELS:
         data = root_data(label)
         fam, n = rootsystems._parse_label(label)
         roots = weylenum._roots(data.cartan)
         assert len(roots) == len(set(roots)) \
             == rootsystems._ROOT_COUNT[fam](n), label
-        assert set(roots) == {
+        weights = weylenum._orbit(data.cartan, _reflections(data.cartan, n))
+        assert set(weights) == {
             tuple(int(x) for x in np.array(b) @ np.array(data.cartan))
-            for b in data.roots_in_base}, label
+            for b in roots}, label
 
 
 def test_roots_list_the_simple_roots_first():
-    # the permutation kernel's order loop composes only these points:
-    # alpha_i is the Cartan row C[i, :] as a weight, and the n of them
-    # span Q^n, so an element that fixes them is the identity
+    # both kernels read alpha_i as point i: the order loop composes only
+    # these n points, which span Q^n, and row i of an element's matrix
+    # is the root it sends alpha_i to
     for label in IRREDUCIBLE_LABELS:
         cartan = root_data(label).cartan
-        assert tuple(weylenum._roots(cartan)[:len(cartan)]) == cartan, label
+        assert tuple(weylenum._roots(cartan)[:len(cartan)]) \
+            == _identity(len(cartan)), label
+
+
+def test_matrices_read_off_the_root_permutations():
+    # on every element of W(E6) that the top level's coset walk yields,
+    # the matrix gathered from w(alpha_1), ..., w(alpha_6) moves every
+    # root where w does: b @ M is the root w(b)
+    data = root_data("E6")
+    roots = weylenum._roots(data.cartan)
+    basis = np.array(roots, dtype=np.float64)
+    heads, prefix, tail = _perm_levels(
+        weylenum._coreflections(data.cartan),
+        _tower(data.cartan, data.weyl_order), roots)
+    seen = 0
+    for h in heads:
+        perms = np.frombuffer(b"".join(_coset([h], prefix, tail)),
+                              dtype=np.uint8).reshape(-1, 256)[:, :72]
+        mats = basis[perms[:, :6]]
+        assert (np.rint(basis @ mats) == basis[perms]).all()
+        seen += len(perms)
+    assert seen == data.weyl_order == 51_840
 
 
 def _block_cartan(*labels):
