@@ -19,47 +19,54 @@ Roots are row vectors of simple-root coordinates, where
 the roots are the closure of the simple roots, the unit vectors, under
 these maps (_roots).
 
+Every orbit is found by one breadth-first walk, _orbit, which keeps
+each map's table on the points it finds: tables[i][a] is the index of
+the image of point a under map i (the Schreier-vector walk; Seress,
+*Permutation Group Algorithms*, ch. 4).  The roots, the weight orbits,
+the tower and its suborbits are all read off such tables, so no map is
+applied to a point twice.
+
 Within W_k = <s_1, ..., s_k> the stabilizer of omega_k is W_{k-1}, the
 parabolic generated by the simple reflections fixing it (Humphreys 1.12),
 so W_k = X_k W_{k-1}, where the transversal X_k holds one element per
-point of the orbit W_k omega_k.  A breadth-first walk of the orbit
-records, for each new point, the point it was reached from and the
-reflection s_i that reached it; the same steps applied to the identity
-build X_k as permutations, and the group is the product of the
-transversals, with no group element hashed or deduplicated.
+point of the orbit W_k omega_k.  The walk first reaches point j as s_i
+of an earlier point a, and x_0 = 1, x_j = s_i x_a sends omega_k to
+point j: these steps, applied to the identity as permutations, build
+X_k, and the group is the product of the transversals, with no group
+element hashed or deduplicated.
 
 W_{k-1} permutes the cosets x W_{k-1} by conjugation, and conjugate
 elements have equal orders, so
 
     tally(W_k) = sum over W_{k-1}-orbits O on W_k omega_k of
-                 |O| * tally(x_O W_{k-1}).
+                 |O| * tally(x_O W_{k-1}),
 
-The orbit {omega_k}, with x = 1, gives the coset W_{k-1} itself, whose
-tally is the one level k - 1 left; only the other cosets are walked.
-One tower X_1..X_n serves every level: W_k is the reflection group of
-the leading k x k block of the Cartan matrix, and on the first k
-coordinates the orbit W_k omega_k has the same breadth-first walk.  So
-the levels k = 1..n run in one loop, each adding its walked cosets to
-one running tally and checking that it sums to |W_k|.  E8 walks 4 of
-its 5 cosets of W(E7), 2,903,040 elements each, E7 3 of its 4 cosets
-of W(E6), and E6 2 of its 3 cosets of W(D5).  Each coset is walked as
-x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is kept in
-memory.
+where the orbits O are those of the tables of s_1, ..., s_{k-1}
+(_suborbits).  The orbit {omega_k}, with x = 1, gives the coset W_{k-1}
+itself, whose tally is the one level k - 1 left; only the other cosets
+are walked.  One tower X_1..X_n serves every level, and every level
+acts on all the roots of W, so one set of root permutations serves
+them all: the levels k = 1..n run in one loop, each adding its walked
+cosets to one running tally and checking that it sums to |W_k|.  E8
+walks 4 of its 5 cosets of W(E7), 2,903,040 elements each, E7 3 of its
+4 cosets of W(E6), and E6 2 of its 3 cosets of W(D5).  Each coset is
+walked as x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is
+kept in memory.
 
-The tallies build the tower one way, as permutations of the roots,
-which span Q^n; an element fixing a spanning set is the identity, so W
-acts faithfully on them (Humphreys 1.2).  A permutation of m <= 256
-points is 256 bytes, fixing m..255, so bytes.translate composes two of
-them (E8 has 240 roots), and the order of w is the number of
-compositions with w that bring the identity back (_perm_order).  The
-permutation kernel takes each walked element's order so.  Past
-_MATRIX_WORK elements, where its per-element speed repays numpy's
-import, the matrix kernel reads row i of w's matrix in the simple-root
-basis, the root w(alpha_i), off w[i]; it multiplies float64 matrices in
-batches, keys them by power traces (_trace_keys) and takes one
-_perm_order per new key.  Each entry of an element's matrix is a root
-coefficient, at most 6 (E8's highest root is 2, 3, 4, 6, 5, 4, 3, 2), so
-every product and trace is an integer far below 2^53, exact in float64.
+The roots span Q^n; an element fixing a spanning set is the identity,
+so W, and each W_k in it, acts faithfully on them (Humphreys 1.2).  A
+permutation of m <= 256 points is 256 bytes, fixing m..255, so
+bytes.translate composes two of them (E8 has 240 roots), and the order
+of w is the number of compositions with w that bring the identity back
+(_perm_order).  The permutation kernel takes each walked element's
+order so.  Past _MATRIX_WORK elements, where its per-element speed
+repays numpy's import, the matrix kernel reads row i of w's n x n
+matrix in the simple-root basis, the root w(alpha_i), off w[i]; it
+multiplies float64 matrices in batches, keys them by power traces
+(_trace_keys) and takes one _perm_order per new key.  Each entry of an
+element's matrix is a root coefficient, at most 6 (E8's highest root is
+2, 3, 4, 6, 5, 4, 3, 2), so every product and trace is an integer far
+below 2^53, exact in float64.
 """
 
 from __future__ import annotations
@@ -98,16 +105,13 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
 
 
-def _reflect(point: tuple, i: int, root: tuple) -> tuple:
-    """s_i on a weight: point - point[i] * root, root being C[i, :]."""
-    c = point[i]
-    return tuple(a - c * b for a, b in zip(point, root)) if c else point
-
-
-def _reflections(cartan, k: int) -> list:
-    """s_1, ..., s_k as maps on weights."""
-    return [lambda p, i=i, root=cartan[i]: _reflect(p, i, root)
-            for i in range(k)]
+def _reflections(cartan) -> list:
+    """s_1, ..., s_n as maps on weights: p - p[i] C[i, :]."""
+    def reflect(p, i, root):
+        c = p[i]
+        return tuple(a - c * b for a, b in zip(p, root)) if c else p
+    return [lambda p, i=i, root=root: reflect(p, i, root)
+            for i, root in enumerate(cartan)]
 
 
 def _coreflections(cartan) -> list:
@@ -119,21 +123,24 @@ def _coreflections(cartan) -> list:
             for j, column in enumerate(zip(*cartan))]
 
 
-def _orbit(starts, moves) -> list:
+def _orbit(starts, moves, limit=None) -> tuple[list, list[list[int]]]:
     """Every point reached from starts under the maps in moves, in
-    breadth-first order."""
-    seen = dict.fromkeys(starts)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for p in frontier:
-            for move in moves:
-                q = move(p)
-                if q not in seen:
-                    seen[q] = None
-                    new.append(q)
-        frontier = new
-    return list(seen)
+    breadth-first order, and each map's table on them: tables[i][a] is
+    the index of moves[i](points[a]).  More than limit points raise
+    AssertionError."""
+    points = list(dict.fromkeys(starts))
+    index = {p: a for a, p in enumerate(points)}
+    tables = [[] for _ in moves]
+    for p in points:  # points grows while the loop runs
+        for move, table in zip(moves, tables):
+            q = move(p)
+            if q not in index:
+                index[q] = len(points)
+                points.append(q)
+            table.append(index[q])
+        if limit is not None and len(points) > limit:
+            raise AssertionError(f"orbit passed {limit} points")
+    return points, tables
 
 
 def root_closure(simple) -> tuple[tuple, tuple, tuple]:
@@ -153,37 +160,17 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
                    for i in range(n))
     pairs = sorted(
         (tuple(sum(map(mul, b, col)) for col in zip(*simple)), b)
-        for b in _roots(cartan))
+        for b in _roots(cartan)[0])
     return (cartan, tuple(b for _, b in pairs),
             tuple(root for root, _ in pairs))
 
 
-def _transversal(cartan, k: int, limit: int) -> tuple[list, list]:
-    """The orbit W_k omega_k in breadth-first order, and the walk that
-    found it: steps[j - 1] = (a, i) when point j is first reached as s_i
-    of point a.  Along the walk x_0 = 1 and x_j = s_i x_a, so x_j omega_k
-    is point j: these x_j are X_k."""
-    start = _identity(len(cartan))[k - 1]
-    points, steps, index = [start], [], {start: 0}
-    for a, p in enumerate(points):  # points grows while the loop runs
-        for i in range(k):
-            q = _reflect(p, i, cartan[i])
-            if q not in index:
-                index[q] = len(points)
-                points.append(q)
-                steps.append((a, i))
-        if len(points) > limit:
-            raise AssertionError(
-                f"orbit of omega_{k} passed {limit} points")
-    return points, steps
-
-
-def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
-    """The orbits and walks of X_1..X_n; the orbit sizes must multiply to
-    the expected group order."""
-    tower, size = [], 1
-    for k in range(1, len(cartan) + 1):
-        tower.append(_transversal(cartan, k, expected_order // size))
+def _tower(cartan, expected_order: int) -> list[list[list[int]]]:
+    """For k = 1..n, the tables of s_1, ..., s_k on W_k omega_k; the
+    orbit sizes must multiply to the expected group order."""
+    moves, tower, size = _reflections(cartan), [], 1
+    for k, omega in enumerate(_identity(len(cartan)), 1):
+        tower.append(_orbit([omega], moves[:k], expected_order // size)[1])
         size *= len(tower[-1][0])
     if size != expected_order:
         raise AssertionError(
@@ -191,34 +178,41 @@ def _tower(cartan, expected_order: int) -> list[tuple[list, list]]:
     return tower
 
 
-def _roots(cartan) -> list:
+def _roots(cartan) -> tuple[list, list[list[int]]]:
     """The roots in simple-root coordinates, the simple roots (the unit
-    vectors) first: their orbit under s_1, ..., s_n."""
+    vectors) first: their orbit under s_1, ..., s_n, with the tables of
+    s_1, ..., s_n on them."""
     return _orbit(_identity(len(cartan)), _coreflections(cartan))
 
 
-def _perm_levels(moves, tower, points) -> tuple[list, list, list]:
-    """X_n and X_{n-1} as permutations of points, and the elements of
-    W_{n-2} = X_{n-2} ... X_1, each composed from the permutations of
-    points that the simple reflections, the maps in moves, make along
-    the walks."""
-    if len(points) > 256:
+def _perm_levels(moves, tower) -> list[list[bytes]]:
+    """[{1}, X_1, ..., X_n] as permutations of the points that moves, the
+    tables of s_1, ..., s_n, act on.  Point j of W_k omega_k is first
+    reached from the first (a, i), in order, with tables[i][a] == j, and
+    x_0 = 1, x_j = s_i x_a."""
+    if len(moves[0]) > 256:
         raise AssertionError(f"a bytes permutation moves at most 256 "
-                             f"points, not {len(points)}")
-    index = {p: j for j, p in enumerate(points)}
-    pad = _IDENTITY[len(points):]
-    moves = [bytes(index[move(p)] for p in points) + pad for move in moves]
-    levels = []
-    for _, steps in tower:  # x_0 = 1 and x_j = s_i x_a, (a, i) = steps[j - 1]
+                             f"points, not {len(moves[0])}")
+    pad = _IDENTITY[len(moves[0]):]
+    moves = [bytes(table) + pad for table in moves]
+    levels = [[_IDENTITY]]
+    for tables in tower:
         xs = [_IDENTITY]
-        for a, i in steps:
-            xs.append(xs[a].translate(moves[i]))
+        for a, x in enumerate(xs):  # xs grows while the loop runs
+            for table, move in zip(tables, moves):
+                if table[a] == len(xs):
+                    xs.append(x.translate(move))
         levels.append(xs)
-    tail = [_IDENTITY]
-    for xs in levels[:-2]:
-        tail = [u.translate(x) for x in xs for u in tail]  # x u
-    prefix = levels[-2] if len(levels) >= 2 else [_IDENTITY]
-    return levels[-1], prefix, tail
+    return levels
+
+
+def _product(levels) -> list[bytes]:
+    """Every element x_m ... x_1 of the product of the levels X_1..X_m,
+    as permutations."""
+    out = [_IDENTITY]
+    for xs in levels:
+        out = [u.translate(x) for x in xs for u in out]  # x u
+    return out
 
 
 def _coset(heads, prefix, tail):
@@ -240,22 +234,22 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     scanned, one element at a time.
     """
     cartan = _ints(cartan)
-    moves = _reflections(cartan, len(cartan))
     omega = _identity(len(cartan))[k - 1]
-    points = _orbit([omega], moves)
+    points, moves = _orbit([omega], _reflections(cartan))
     if len(points) != size:
         raise AssertionError(f"omega_{k} has {len(points)} conjugates, "
                              f"expected {size}")
     if coxeter:
-        point = omega
+        j = 0  # points[0] is omega
         for _ in range(size - 1):
-            for move in moves:
-                point = move(point)
-            if point == omega:
+            for table in moves:
+                j = table[j]
+            if not j:
                 raise AssertionError("the Coxeter element witness failed")
         return True
-    for w in _coset(*_perm_levels(moves, _tower(cartan, order), points)):
-        j, length = w[0], 1  # points[0] is omega
+    levels = _perm_levels(moves, _tower(cartan, order))
+    for w in _coset(levels[-1], levels[-2], _product(levels[:-2])):
+        j, length = w[0], 1
         while j:
             j = w[j]
             length += 1
@@ -264,16 +258,15 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     return False
 
 
-def _suborbits(points, cartan) -> list[tuple[int, int]]:
-    """(first index, size) of each orbit of s_1, ..., s_{n-1} on points,
-    which they must permute."""
-    index = {p: i for i, p in enumerate(points)}
-    moves = _reflections(cartan, len(cartan) - 1)
+def _suborbits(tables) -> list[tuple[int, int]]:
+    """(first index, size) of each orbit of s_1, ..., s_{k-1} on the
+    points of tables, the tables of s_1, ..., s_k."""
+    moves = [table.__getitem__ for table in tables[:-1]]
     seen, out = set(), []
-    for start, p in enumerate(points):
+    for start in range(len(tables[-1])):
         if start not in seen:
-            orbit = _orbit([p], moves)
-            seen.update(index[q] for q in orbit)
+            orbit = _orbit([start], moves)[0]
+            seen.update(orbit)
             out.append((start, len(orbit)))
     return out
 
@@ -290,13 +283,11 @@ def _perm_order(w: bytes, one: bytes) -> int:
     return order
 
 
-def _perm_tally(cartan, tower, orbits) -> Counter:
-    """The tally of the cosets x_O W_{n-1}, each element a permutation
-    of the roots."""
-    points = _roots(cartan)
-    heads, prefix, tail = _perm_levels(_coreflections(cartan), tower,
-                                       points)
-    one = _IDENTITY[:len(cartan)]
+def _perm_tally(roots, heads, prefix, tail, orbits) -> Counter:
+    """The tally of the cosets x_O W_{k-1} = x_O X_{k-1} W_{k-2}, x_O in
+    heads, prefix being X_{k-1} and tail W_{k-2}, each element a
+    permutation of the roots."""
+    one = _IDENTITY[:len(roots[0])]
     tally: Counter = Counter()
     for start, size in orbits:
         coset = _coset([heads[start]], prefix, tail)
@@ -335,22 +326,20 @@ def _trace_keys(w):
     return key
 
 
-def _matrix_tally(cartan, tower, orbits) -> Counter:
-    """The tally of the cosets x_O W_{n-1}, in float64 chunks
-    x_O t W_{n-2} keyed by their power traces; the order of a new key is
-    taken on its first element's root permutation."""
+def _matrix_tally(roots, heads, prefix, tail, orbits) -> Counter:
+    """The tally of the cosets x_O W_{k-1}, as _perm_tally takes them, in
+    float64 chunks x_O t W_{k-2} of n x n matrices keyed by their power
+    traces; the order of a new key is taken on its first element's root
+    permutation."""
     import numpy as np
-    n = len(cartan)
-    points = _roots(cartan)
-    index = {p: j for j, p in enumerate(points)}
-    pad, one = _IDENTITY[len(points):], _IDENTITY[:n]
-    basis = np.array(points, dtype=np.float64)
-    levels = _perm_levels(_coreflections(cartan), tower, points)
-    # row i of w's matrix is the root w(alpha_i), and points[i] is alpha_i
+    n = len(roots[0])
+    index = {p: j for j, p in enumerate(roots)}
+    pad, one = _IDENTITY[len(roots):], _IDENTITY[:n]
+    basis = np.array(roots, dtype=np.float64)
+    # row i of w's matrix is the root w(alpha_i), and roots[i] is alpha_i
     top, prefix, tail = [basis[np.frombuffer(
         b"".join(w[:n] for w in ws), dtype=np.uint8).reshape(-1, n)]
-        for ws in levels]
-    del levels
+        for ws in (heads, prefix, tail)]
     tail = tail.reshape(-1, n)
     cache: dict[int, int] = {}
     tally: Counter = Counter()
@@ -374,38 +363,34 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
     Cartan matrix, whose order must come out as expected_order, and which
     the tally must sum to.
 
-    One tower serves every level k = 1..n: level k is the leading k x k
-    block of the Cartan matrix with the walks X_1..X_k, and adds the
-    cosets x_O W_{k-1} other than W_{k-1} itself to the tally of W_{k-1}
-    that the level below left, then checks that the tally sums to |W_k|.
-    If any level would walk more than _TALLY_BOUND elements,
-    ResourceBoundExceeded is raised before any level is walked; a level
-    that walks more than _MATRIX_WORK runs the matrix kernel, any other
-    the permutation kernel.
+    One tower and one set of root permutations serve every level
+    k = 1..n: level k adds the cosets x_O W_{k-1} other than W_{k-1}
+    itself to the tally of W_{k-1} that the level below left, then checks
+    that the tally sums to |W_k|.  If any level would walk more than
+    _TALLY_BOUND elements, ResourceBoundExceeded is raised before any
+    level is walked; a level that walks more than _MATRIX_WORK runs the
+    matrix kernel, any other the permutation kernel.
     """
     cartan = _ints(cartan)
     tower = _tower(cartan, expected_order)
-    levels, size = [], 1
-    for k in range(1, len(cartan) + 1):
-        block = tuple(row[:k] for row in cartan[:k])
-        # the first k coordinates: s_1..s_k commute with the projection,
-        # which is one-to-one on W_k omega_k
-        points = [p[:k] for p in tower[k - 1][0]]
-        orbits = _suborbits(points, block)
-        if sum(m for _, m in orbits) != len(points):
-            raise AssertionError("suborbits do not partition the top orbit")
+    plan, size = [], 1
+    for tables in tower:
         # orbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the coset
         # W_{k-1} itself, tallied by the level below
+        orbits = _suborbits(tables)
         work = (len(orbits) - 1) * size
         if work > _TALLY_BOUND:
             raise ResourceBoundExceeded(
                 f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
-        size *= len(points)
-        levels.append((block, orbits[1:], work, size))
+        size *= len(tables[0])
+        plan.append((orbits[1:], work, size))
+    roots, moves = _roots(cartan)
+    levels = _perm_levels(moves, tower)
     tally = Counter({1: 1})
-    for k, (block, orbits, work, size) in enumerate(levels, 1):
+    for k, (orbits, work, size) in enumerate(plan, 1):
         kernel = _matrix_tally if work > _MATRIX_WORK else _perm_tally
-        tally.update(kernel(block, tower[:k], orbits))
+        tally.update(kernel(roots, levels[k], levels[k - 1],
+                            _product(levels[:k - 1]), orbits))
         if sum(tally.values()) != size:
             raise AssertionError(f"rank {k} tally sums to "
                                  f"{sum(tally.values())}, expected {size}")

@@ -367,6 +367,10 @@ class G2JordanGroup(Record):
     def trace(self, g: tuple[int, int, int]) -> int:
         return self.matrix[g].trace_int()
 
+    def __reduce__(self):
+        # copies and unpickled records are the group the process shares
+        return (build_g2_jordan, ())
+
 
 def _coset_index(a: int, f: int) -> int:
     return (a - 1) * 3 + f

@@ -18,8 +18,9 @@ from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
-from ggt.weylenum import (_coset, _identity, _perm_levels, _reflections,
-                          _tower, enumerate_orders, weight_orbit_cycles)
+from ggt.weylenum import (_coset, _identity, _orbit, _perm_levels, _product,
+                          _reflections, _suborbits, _tower, enumerate_orders,
+                          weight_orbit_cycles)
 
 
 def test_cartan_matrices_well_formed():
@@ -67,7 +68,7 @@ def test_simple_reflections_are_reflections():
     # s_i as the matrix of images s_i(omega_1), ..., s_i(omega_n)
     for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
         data = root_data(label)
-        for move in _reflections(data.cartan, data.rank):
+        for move in _reflections(data.cartan):
             mat = np.array([move(omega) for omega in _identity(data.rank)])
             assert round(np.linalg.det(mat)) == -1
             assert (mat @ mat == np.eye(data.rank, dtype=np.int64)).all()
@@ -182,64 +183,68 @@ def test_e8_tally_is_exact():
 
 
 def _record_levels(monkeypatch):
-    """Route both kernels through wrappers.  Returns the Cartan blocks the
-    kernel calls receive, in order, as lists, and a stack whose top is
-    the rank of the running kernel call."""
-    blocks, stack = [], []
+    """Route both kernels through wrappers.  Returns the tallies the
+    kernel calls return, in call order, which is level order, and a stack
+    whose top is the call number (the level) of the running kernel
+    call."""
+    tallies, stack = [], []
     for name in ("_perm_tally", "_matrix_tally"):
-        def recording(cartan, tower, orbits, real=getattr(weylenum, name)):
-            blocks.append([list(row) for row in cartan])
-            stack.append(len(cartan))
+        def recording(*args, real=getattr(weylenum, name)):
+            stack.append(len(tallies) + 1)
             try:
-                return real(cartan, tower, orbits)
+                tallies.append(real(*args))
+                return tallies[-1]
             finally:
                 stack.pop()
         monkeypatch.setattr(weylenum, name, recording)
-    return blocks, stack
+    return tallies, stack
 
 
-def _count_transversals(monkeypatch):
-    """The k of every _transversal call, in order."""
-    calls, real = [], weylenum._transversal
-
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
-    monkeypatch.setattr(weylenum, "_transversal", counting)
+def _count_calls(monkeypatch, *names):
+    """The number of calls of each named weylenum function."""
+    calls = Counter()
+    for name in names:
+        def counting(*args, name=name, real=getattr(weylenum, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(weylenum, name, counting)
     return calls
+
+
+_ONE_WALK = ("_tower", "_roots", "_perm_levels")
 
 
 def test_tower_work_counter(monkeypatch):
     # E8 walks 4 cosets of W(E7) and takes the fifth, W(E7) itself, from
     # level 7's tally; the bound trips after the one tower walk, before
-    # any level runs a kernel
+    # the roots are closed or any level runs a kernel
     data = root_data("E8")
-    transversals = _count_transversals(monkeypatch)
+    calls = _count_calls(monkeypatch, *_ONE_WALK)
     for name in ("_perm_tally", "_matrix_tally"):
         monkeypatch.setattr(weylenum, name,
                             lambda *args: pytest.fail("a coset was walked"))
     monkeypatch.setattr(weylenum, "_TALLY_BOUND", 4 * 2_903_040 - 1)
     with pytest.raises(ResourceBoundExceeded, match="11612160 elements"):
         weylenum.enumerate_orders(data.cartan, data.weyl_order)
-    assert transversals == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert calls == Counter(_tower=1)
 
 
 @pytest.mark.parametrize("label", ["F4", "E6", "E7"])
 def test_tower_is_walked_once(monkeypatch, label):
-    # one _transversal walk per rank; a tally that recursed on the
-    # leading blocks walked their towers again (10, 21 and 28 walks)
+    # one tower walk, one root closure and one set of root permutations
+    # per tally, not one per level
     data = root_data(label)
-    transversals = _count_transversals(monkeypatch)
+    calls = _count_calls(monkeypatch, *_ONE_WALK)
     assert dict(enumerate_orders(data.cartan, data.weyl_order)) \
         == BFS_TALLIES[label]
-    assert transversals == list(range(1, data.rank + 1))
+    assert calls == Counter(dict.fromkeys(_ONE_WALK, 1))
 
 
 def test_each_level_walks_only_its_other_cosets(monkeypatch):
     # E7 keys 3 cosets of W(E6) in 27 chunks each (4 cosets, 108 chunks,
     # when the base coset was walked too); E6 walks 2 cosets of W(D5) as
     # permutations (3 cosets, 5,760 elements, when it was walked too)
-    blocks, stack = _record_levels(monkeypatch)
+    tallies, stack = _record_levels(monkeypatch)
     chunks, walked = Counter(), Counter()
     real_keys, real_coset = weylenum._trace_keys, weylenum._coset
 
@@ -256,8 +261,10 @@ def test_each_level_walks_only_its_other_cosets(monkeypatch):
     data = root_data("E7")
     assert dict(weylenum.enumerate_orders(data.cartan, data.weyl_order)) \
         == BFS_TALLIES["E7"]
-    assert blocks == [[list(row[:k]) for row in data.cartan[:k]]
-                      for k in range(1, 8)]
+    # the leading blocks A1, 2A1, A2+A1, A4, D5, E6 and E7, in order
+    assert list(itertools.accumulate(
+        (sum(t.values()) for t in tallies), initial=1))[1:] \
+        == [2, 4, 12, 120, 1920, 51_840, 2_903_040]
     assert dict(chunks) == {7: 81}
     assert walked[7] == 0 and walked[6] == 3_840
 
@@ -267,11 +274,12 @@ def test_mass_formula_at_every_level(monkeypatch, rank):
     # F4's levels are A1, A2, B3 and F4; one extra element of order 2 in
     # the walked cosets of any level fails that level's mass formula,
     # which the tower-size check cannot see
-    real = weylenum._perm_tally
+    real, calls = weylenum._perm_tally, []
 
-    def corrupt(cartan, tower, orbits):
-        tally = real(cartan, tower, orbits)
-        if len(cartan) == rank:
+    def corrupt(*args):
+        tally = real(*args)
+        calls.append(tally)
+        if len(calls) == rank:
             tally[2] += 1
         return tally
     monkeypatch.setattr(weylenum, "_perm_tally", corrupt)
@@ -298,10 +306,11 @@ def test_weight_cycle_scan_peak_memory():
     assert peak <= 1_000_000
     # the walk meets every element once, each a distinct permutation
     tower = _tower(data.cartan, data.weyl_order)
-    points = tower[-1][0]  # the spin weights
-    # points 64..255 of a bytes permutation are fixed
-    moves = _reflections(data.cartan, data.rank)
-    walk = [w[:64] for w in _coset(*_perm_levels(moves, tower, points))]
+    # the top level's tables act on the spin weights; points 64..255 of a
+    # bytes permutation are fixed
+    levels = _perm_levels(tower[-1], tower)
+    walk = [w[:64] for w in _coset(levels[-1], levels[-2],
+                                   _product(levels[:-2]))]
     assert len(walk) == len(set(walk)) == 46_080
 
 
@@ -311,8 +320,8 @@ def test_permutations_hold_at_most_256_points():
     a1 = ((2,),)
     tower = _tower(a1, 2)
     with pytest.raises(AssertionError, match="at most 256 points, not 257"):
-        _perm_levels(_reflections(a1, 1), tower, [(j,) for j in range(257)])
-    assert len(weylenum._roots(root_data("E8").cartan)) == 240
+        _perm_levels([list(range(257))], tower)
+    assert len(weylenum._roots(root_data("E8").cartan)[0]) == 240
 
 
 def test_roots_are_the_root_closure():
@@ -322,10 +331,10 @@ def test_roots_are_the_root_closure():
     for label in IRREDUCIBLE_LABELS:
         data = root_data(label)
         fam, n = rootsystems._parse_label(label)
-        roots = weylenum._roots(data.cartan)
+        roots = weylenum._roots(data.cartan)[0]
         assert len(roots) == len(set(roots)) \
             == rootsystems._ROOT_COUNT[fam](n), label
-        weights = weylenum._orbit(data.cartan, _reflections(data.cartan, n))
+        weights = _orbit(data.cartan, _reflections(data.cartan))[0]
         assert set(weights) == {
             tuple(int(x) for x in np.array(b) @ np.array(data.cartan))
             for b in roots}, label
@@ -337,7 +346,7 @@ def test_roots_list_the_simple_roots_first():
     # is the root it sends alpha_i to
     for label in IRREDUCIBLE_LABELS:
         cartan = root_data(label).cartan
-        assert tuple(weylenum._roots(cartan)[:len(cartan)]) \
+        assert tuple(weylenum._roots(cartan)[0][:len(cartan)]) \
             == _identity(len(cartan)), label
 
 
@@ -346,11 +355,10 @@ def test_matrices_read_off_the_root_permutations():
     # the matrix gathered from w(alpha_1), ..., w(alpha_6) moves every
     # root where w does: b @ M is the root w(b)
     data = root_data("E6")
-    roots = weylenum._roots(data.cartan)
+    roots, moves = weylenum._roots(data.cartan)
     basis = np.array(roots, dtype=np.float64)
-    heads, prefix, tail = _perm_levels(
-        weylenum._coreflections(data.cartan),
-        _tower(data.cartan, data.weyl_order), roots)
+    levels = _perm_levels(moves, _tower(data.cartan, data.weyl_order))
+    heads, prefix, tail = levels[-1], levels[-2], _product(levels[:-2])
     seen = 0
     for h in heads:
         perms = np.frombuffer(b"".join(_coset([h], prefix, tail)),
@@ -382,6 +390,10 @@ def _both_kernels(monkeypatch, cartan, order):
     return by_matrix, weylenum.enumerate_orders(cartan, order)
 
 
+# D4 with its branch node numbered last
+D4_LAST = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1], [-1, -1, -1, 2]]
+
+
 def test_permutation_and_matrix_kernels_agree(monkeypatch):
     # each kernel is the other's reference, on every irreducible type of
     # rank <= 6 and on a reducible system
@@ -397,21 +409,62 @@ def test_permutation_and_matrix_kernels_agree(monkeypatch):
 def test_levels_through_reducible_leading_blocks(monkeypatch):
     # D4 with its branch node numbered last leads with A1+A1+A1, B2+G2
     # with B2+A1 and G2+B2 with G2+A1: the level below the top
-    d4_last = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1],
-               [-1, -1, -1, 2]]
     cases = [
-        (d4_last, 192, "D4", _block_cartan("A1", "A1", "A1")),
-        (_block_cartan("B2", "G2"), 96, "B2+G2", _block_cartan("B2", "A1")),
-        (_block_cartan("G2", "B2"), 96, "B2+G2", _block_cartan("G2", "A1")),
+        (D4_LAST, 192, "D4", "A1+A1+A1"),
+        (_block_cartan("B2", "G2"), 96, "B2+G2", "A1+B2"),
+        (_block_cartan("G2", "B2"), 96, "B2+G2", "A1+G2"),
     ]
-    blocks, _ = _record_levels(monkeypatch)
+    tallies, _ = _record_levels(monkeypatch)
     for cartan, order, label, lead in cases:
-        blocks.clear()
+        tallies.clear()
         by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
-        assert blocks[2] == blocks[6] == lead, label
+        # both runs' level 3, calls 3 and 7, is W(lead)
+        assert len(tallies) == 8
+        for run in (tallies[:3], tallies[4:7]):
+            assert 1 + sum(sum(t.values()) for t in run) \
+                == weyl_order(lead), label
         assert by_permutation == by_matrix, label
         assert sum(by_matrix.values()) == order
         assert frozenset(by_matrix) == weyl_element_orders(label).orders
+
+
+def _projected_suborbits(points, cartan, k):
+    """(first index, size) of each orbit of s_1, ..., s_{k-1} on the
+    weights W_k omega_k cut to their first k coordinates, walked with the
+    reflections of the leading k x k block, which must permute them."""
+    cut = [p[:k] for p in points]
+    index = {p: i for i, p in enumerate(cut)}
+    assert len(index) == len(cut)
+    block = [row[:k] for row in cartan[:k]]
+    seen, out = set(), []
+    for start, p in enumerate(cut):
+        if start not in seen:
+            orbit = {index[q] for q in
+                     _orbit([p], _reflections(block)[:k - 1])[0]}
+            assert start == min(orbit)
+            seen |= orbit
+            out.append((start, len(orbit)))
+    assert len(seen) == len(cut)
+    return out
+
+
+def test_suborbits_match_the_projected_walk():
+    # the suborbits read off the tables against the walk they replaced,
+    # on every level of every irreducible type and of D4_LAST; each table
+    # _orbit returns, on roots and on weights, permutes its points
+    cases = [(root_data(label).cartan, root_data(label).weyl_order)
+             for label in IRREDUCIBLE_LABELS] + [(D4_LAST, 192)]
+    for cartan, order in cases:
+        roots, tables = weylenum._roots(cartan)
+        assert all(sorted(t) == list(range(len(roots))) for t in tables)
+        moves = _reflections(cartan)
+        tower = _tower(cartan, order)
+        for k, omega in enumerate(_identity(len(cartan)), 1):
+            points, tables = _orbit([omega], moves[:k])
+            assert tables == tower[k - 1], (cartan, k)
+            assert all(sorted(t) == list(range(len(points))) for t in tables)
+            assert _suborbits(tables) \
+                == _projected_suborbits(points, cartan, k), (cartan, k)
 
 
 def test_permutation_kernel_reproduces_the_e7_tally(monkeypatch):
