@@ -2,7 +2,7 @@
 
 Classical types come from partition combinatorics, exceptional types,
 E8 included, from exact coset tallies of the Weyl group.  Expect about
-7 s on one core of a 2-vCPU Xeon, nearly all of it the E8 tally.
+6 s on one core of a 2-vCPU Xeon, nearly all of it the E8 tally.
 
 Run as: python3 demos/weyl_orders.py
 """

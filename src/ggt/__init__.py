@@ -4,10 +4,9 @@ matrix images of local parameters, admissible prime pairs, wild 2-adic
 image groups, Weyl element orders through rank 8, and finite group
 criteria of type (n, p).
 
-Importing ggt loads every module but cli and weylenum.  weylenum, the
-Weyl group engine, is the one module that imports numpy, and only for
-the E7 and E8 tallies; rootsystems loads weylenum with the first Weyl
-group element it needs, so importing ggt loads no numpy."""
+Importing ggt loads every module but cli and weylenum, the Weyl group
+engine, which rootsystems loads with the first Weyl group element it
+needs.  No module imports numpy, and ggt has no runtime dependency."""
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded, SearchExhausted

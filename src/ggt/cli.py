@@ -9,9 +9,8 @@ JSON with sorted keys, so identical invocations are byte-identical;
 --format text renders the same report for reading.
 
 Start-up pays only for what a command uses: the version string is the
-package's own __version__ (no package-metadata scan), and numpy is
-loaded only by the commands that tally E7 or E8 (weyl table, and weyl
-orders or weyl unique on a system with such a factor).
+package's own __version__ (no package-metadata scan), and the Weyl group
+engine is loaded only by the weyl and minuscule commands.
 """
 
 from __future__ import annotations

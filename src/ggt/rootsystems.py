@@ -13,9 +13,7 @@ imports only inside the functions that need one (root_data, the
 exceptional tallies and the weight-cycle witnesses, each cached); the
 classical order sets and the system table are integer and set
 arithmetic.  weylenum enumerates every Weyl group as bytes permutations
-of its roots; past its crossover (the E7 and E8 tallies) it reads
-float64 matrices off those permutations, and only there imports numpy,
-so no other command loads it.
+of its roots, E8 included, with no floating point and no numpy.
 
 Weights live in the coordinates of weylenum: row vectors over the
 fundamental weights, on which s_i(lambda) = lambda - lambda[i] C[i, :].

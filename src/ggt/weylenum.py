@@ -1,10 +1,9 @@
 """The Weyl group engine: root closures, weight orbits, full-cycle
 witnesses and exact element-order tallies of finite reflection groups.
 
-Weights and roots are int tuples and permutations are bytes; numpy is
-imported only by the matrix kernel of the largest tallies, inside its
-functions.  Every entry point takes its Cartan matrix (or simple roots)
-as any integer array-like, nested tuples included.
+Weights and roots are int tuples and permutations are bytes; no
+floating point and no numpy.  Every entry point takes its Cartan matrix
+(or simple roots) as any integer array-like, nested tuples included.
 
 One engine serves every Cartan matrix, including the block Cartan matrix
 of a reducible system: a tower of parabolic subgroups (Humphreys,
@@ -47,26 +46,27 @@ itself, whose tally is the one level k - 1 left; only the other cosets
 are walked.  One tower X_1..X_n serves every level, and every level
 acts on all the roots of W, so one set of root permutations serves
 them all: the levels k = 1..n run in one loop, each adding its walked
-cosets to one running tally and checking that it sums to |W_k|.  E8
-walks 4 of its 5 cosets of W(E7), 2,903,040 elements each, E7 3 of its
-4 cosets of W(E6), and E6 2 of its 3 cosets of W(D5).  Each coset is
-walked as x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is
-kept in memory.
+cosets to one running tally and checking that it sums to |W_k|.  Each
+coset is walked as x_O t W_{k-2}, one block per t in X_{k-1}, so only
+W_{k-2} is kept in memory.
 
 The roots span Q^n; an element fixing a spanning set is the identity,
 so W, and each W_k in it, acts faithfully on them (Humphreys 1.2).  A
 permutation of m <= 256 points is 256 bytes, fixing m..255, so
 bytes.translate composes two of them (E8 has 240 roots), and the order
-of w is the number of compositions with w that bring the identity back
-(_perm_order).  The permutation kernel takes each walked element's
-order so.  Past _MATRIX_WORK elements, where its per-element speed
-repays numpy's import, the matrix kernel reads row i of w's n x n
-matrix in the simple-root basis, the root w(alpha_i), off w[i]; it
-multiplies float64 matrices in batches, keys them by power traces
-(_trace_keys) and takes one _perm_order per new key.  Each entry of an
-element's matrix is a root coefficient, at most 6 (E8's highest root is
-2, 3, 4, 6, 5, 4, 3, 2), so every product and trace is an integer far
-below 2^53, exact in float64.
+of w is the number of compositions with w that bring the identity back;
+each element is tallied by that order and whether one of its powers is
+-1 (_perm_key).
+
+When -1 is in W (_minus_one; Humphreys 1.8, 3.19), it is central, and
+the bijection w -> -w of W maps the coset of the point p = x omega_n to
+that of -p, so the orbit O to -O.  The top level walks one orbit of
+each pair {O, -O} and adds the other's tally through the order of -w
+(_negated), and the orbit {-omega_n}, the coset -W_{n-1}, is the flip
+of the level below.  So E8 walks 2 of its 5 cosets of W(E7), 2,903,040
+elements each, E7 1 of its 4 cosets of W(E6), and E6, without -1, 2 of
+its 3 cosets of W(D5).  The finished tally must be the same under
+w -> -w, a second check on the flip.
 """
 
 from __future__ import annotations
@@ -84,16 +84,8 @@ __all__ = [
 ]
 
 # cap on the elements whose order one level of enumerate_orders computes
-# (E8 walks 4 * 2,903,040)
+# (E8 walks 2 * 2,903,040)
 _TALLY_BOUND = 20_000_000
-# a level that walks more than this runs the matrix kernel.  On one CPU
-# of a 2-vCPU Xeon, E7's top level (155,520 elements) took 0.17 s as
-# permutations of its 126 roots and 0.085 s as matrices, plus 36-46 ms
-# for numpy's import: they break even near 65,000 elements.  Any bound
-# from D7's top level (15,120) up to B7's (35,280) gives E6 and every
-# level below rank 7 permutations, E7, E8 and the classical rank 7 and
-# 8 top levels past it matrices
-_MATRIX_WORK = 20_000
 _IDENTITY = bytes(range(256))  # the identity permutation
 
 
@@ -165,17 +157,19 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
             tuple(root for root, _ in pairs))
 
 
-def _tower(cartan, expected_order: int) -> list[list[list[int]]]:
-    """For k = 1..n, the tables of s_1, ..., s_k on W_k omega_k; the
-    orbit sizes must multiply to the expected group order."""
+def _tower(cartan, expected_order: int) -> tuple[list, list]:
+    """The points of W omega_n and, for k = 1..n, the tables of
+    s_1, ..., s_k on W_k omega_k; the orbit sizes must multiply to the
+    expected group order."""
     moves, tower, size = _reflections(cartan), [], 1
     for k, omega in enumerate(_identity(len(cartan)), 1):
-        tower.append(_orbit([omega], moves[:k], expected_order // size)[1])
-        size *= len(tower[-1][0])
+        points, tables = _orbit([omega], moves[:k], expected_order // size)
+        tower.append(tables)
+        size *= len(points)
     if size != expected_order:
         raise AssertionError(
             f"tower has {size} elements, expected {expected_order}")
-    return tower
+    return points, tower
 
 
 def _roots(cartan) -> tuple[list, list[list[int]]]:
@@ -247,7 +241,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
             if not j:
                 raise AssertionError("the Coxeter element witness failed")
         return True
-    levels = _perm_levels(moves, _tower(cartan, order))
+    levels = _perm_levels(moves, _tower(cartan, order)[1])
     for w in _coset(levels[-1], levels[-2], _product(levels[:-2])):
         j, length = w[0], 1
         while j:
@@ -258,103 +252,98 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     return False
 
 
-def _suborbits(tables) -> list[tuple[int, int]]:
-    """(first index, size) of each orbit of s_1, ..., s_{k-1} on the
-    points of tables, the tables of s_1, ..., s_k."""
+def _suborbits(tables) -> list[list[int]]:
+    """The orbits of s_1, ..., s_{k-1} on the points of tables, the
+    tables of s_1, ..., s_k, each from its least point in walk order."""
     moves = [table.__getitem__ for table in tables[:-1]]
     seen, out = set(), []
     for start in range(len(tables[-1])):
         if start not in seen:
             orbit = _orbit([start], moves)[0]
             seen.update(orbit)
-            out.append((start, len(orbit)))
+            out.append(orbit)
     return out
 
 
-def _perm_order(w: bytes, one: bytes) -> int:
-    """The order of the root permutation w: the count of compositions
-    with itself that bring back one, the n simple roots' indices.  They
-    span Q^n, so w^k is the identity exactly when it fixes them, and the
-    loop composes n bytes, not one per root."""
-    power, order = one.translate(w), 1
-    while power != one:
-        power = power.translate(w)
-        order += 1
-    return order
+def _pairs(points, orbits) -> list[tuple[int, int, bool]]:
+    """The (start, size, paired) orbits to walk of W_{n-1} on points,
+    W omega_n, when -1 is in W: one of each pair {O, -O}, paired, and
+    each O = -O; {omega_n} and {-omega_n} are not walked."""
+    index = {p: a for a, p in enumerate(points)}
+    owner = {a: o for o, orbit in enumerate(orbits) for a in orbit}
+    walk = []
+    for o, orbit in enumerate(orbits[1:], 1):
+        partner = owner[index[tuple(-c for c in points[orbit[0]])]]
+        if partner >= o:
+            walk.append((orbit[0], len(orbit), partner > o))
+    return walk
 
 
-def _perm_tally(roots, heads, prefix, tail, orbits) -> Counter:
-    """The tally of the cosets x_O W_{k-1} = x_O X_{k-1} W_{k-2}, x_O in
-    heads, prefix being X_{k-1} and tail W_{k-2}, each element a
-    permutation of the roots."""
-    one = _IDENTITY[:len(roots[0])]
-    tally: Counter = Counter()
-    for start, size in orbits:
-        coset = _coset([heads[start]], prefix, tail)
-        for order, count in Counter(
-                map(_perm_order, coset, repeat(one))).items():
-            tally[order] += size * count
-    return tally
-
-
-def _trace_keys(w):
-    """One int64 per matrix that fixes its characteristic polynomial.
-
-    A matrix of finite order has roots of unity as eigenvalues, so
-    |tr(w^j)| <= n and tr(w^j) + n is a digit in base 2n + 1; the key
-    packs the digits for j = 1..n.  Newton's identities recover the
-    characteristic polynomial from these n power sums, and a matrix of
-    finite order is diagonalizable, so its order is the lcm of its
-    eigenvalues' orders: equal keys mean equal orders.  tr(w^j) is taken
-    as the sum of w^a * (w^b)^T with a + b = j, so only the powers up to
-    ceil(n/2) are multiplied out (three batched products for n = 8).
-    """
-    import numpy as np
-    n = w.shape[1]
-    half = (n + 1) // 2
-    powers = [w]
-    for _ in range(half - 1):
-        powers.append(powers[-1] @ w)
-    key = np.zeros(len(w), dtype=np.int64)
-    for j in range(n, 0, -1):
-        a = min(j, half)
-        if a == j:
-            t = np.einsum("kii->k", powers[a - 1])
+def _minus_one(roots, moves) -> bool:
+    """Whether -1 is in W, acting on the roots by the tables moves.  Right
+    multiplication by s_i adds one to the length of w when w(alpha_i) > 0,
+    so this descent from 1 ends at w0, which sends every simple root to a
+    negative one (Humphreys 1.6-1.8); -1 is in W if and only if w0 sends
+    every alpha_i to -alpha_i, which is s_i(alpha_i)."""
+    n = len(roots[0])
+    negative = [sum(b) < 0 for b in roots]
+    w, i = list(range(len(roots))), 0
+    while i < n:
+        if negative[w[i]]:
+            i += 1
         else:
-            t = np.einsum("kij,kji->k", powers[a - 1], powers[j - a - 1])
-        key = key * (2 * n + 1) + (np.rint(t).astype(np.int64) + n)
+            w, i = [w[a] for a in moves[i]], 0
+    return all(w[i] == moves[i][i] for i in range(n))
+
+
+def _perm_key(w: bytes, one: bytes, neg: bytes) -> int:
+    """2m + f for the root permutation w: m counts its compositions with
+    itself until one, the simple roots' indices, comes back, and f is 1
+    if neg, their negatives' indices, comes up, as -1 is then a power of
+    w.  They span Q^n, so the loop composes n bytes a step, not 256."""
+    power, key = one.translate(w), 2
+    while power != one:
+        if power == neg:
+            key += 1
+        power = power.translate(w)
+        key += 2
     return key
 
 
-def _matrix_tally(roots, heads, prefix, tail, orbits) -> Counter:
-    """The tally of the cosets x_O W_{k-1}, as _perm_tally takes them, in
-    float64 chunks x_O t W_{k-2} of n x n matrices keyed by their power
-    traces; the order of a new key is taken on its first element's root
-    permutation."""
-    import numpy as np
-    n = len(roots[0])
-    index = {p: j for j, p in enumerate(roots)}
-    pad, one = _IDENTITY[len(roots):], _IDENTITY[:n]
-    basis = np.array(roots, dtype=np.float64)
-    # row i of w's matrix is the root w(alpha_i), and roots[i] is alpha_i
-    top, prefix, tail = [basis[np.frombuffer(
-        b"".join(w[:n] for w in ws), dtype=np.uint8).reshape(-1, n)]
-        for ws in (heads, prefix, tail)]
-    tail = tail.reshape(-1, n)
-    cache: dict[int, int] = {}
+def _negated(key: int) -> int:
+    """The key of -w, with -1 central, from the key 2m + f of w: -w has
+    order m/2 if f and m/2 is odd, 2m if m is odd, and m otherwise, and
+    -1 is a power of -w when m is odd, or f and m/2 is even."""
+    m, f = divmod(key, 2)
+    if m % 2:
+        return 4 * m + 1
+    if f and m // 2 % 2:
+        return m
+    return key
+
+
+def _mapped(tally: Counter, f) -> Counter:
+    """The tally of f(key) over the keys of tally."""
+    out: Counter = Counter()
+    for key, count in tally.items():
+        out[f(key)] += count
+    return out
+
+
+def _perm_tally(heads, prefix, tail, walk, neg) -> Counter:
+    """The key tally of the cosets x_O W_{k-1} = x_O X_{k-1} W_{k-2}, size
+    times each, for (start, size, paired) in walk, x_O being heads[start],
+    prefix X_{k-1} and tail W_{k-2}, each element a permutation of the
+    roots; a paired one adds its flip, the coset of -O."""
+    one = _IDENTITY[:len(neg)]
     tally: Counter = Counter()
-    for start, size in orbits:
-        for x in prefix:
-            chunk = (tail @ (x @ top[start])).reshape(-1, n, n)
-            keys, first, counts = np.unique(
-                _trace_keys(chunk), return_index=True, return_counts=True)
-            for key, i, count in zip(keys.tolist(), first.tolist(),
-                                     counts.tolist()):
-                if key not in cache:
-                    images = np.rint(basis @ chunk[i]).astype(np.int64)
-                    w = bytes(index[b] for b in map(tuple, images.tolist()))
-                    cache[key] = _perm_order(w + pad, one)
-                tally[cache[key]] += size * count
+    for start, size, paired in walk:
+        coset = Counter(map(_perm_key, _coset([heads[start]], prefix, tail),
+                            repeat(one), repeat(neg)))
+        if paired:
+            coset.update(_mapped(coset, _negated))
+        for key, count in coset.items():
+            tally[key] += size * count
     return tally
 
 
@@ -366,32 +355,41 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
     One tower and one set of root permutations serve every level
     k = 1..n: level k adds the cosets x_O W_{k-1} other than W_{k-1}
     itself to the tally of W_{k-1} that the level below left, then checks
-    that the tally sums to |W_k|.  If any level would walk more than
-    _TALLY_BOUND elements, ResourceBoundExceeded is raised before any
-    level is walked; a level that walks more than _MATRIX_WORK runs the
-    matrix kernel, any other the permutation kernel.
+    that the tally sums to |W_k|.  When -1 is in W, the top level walks
+    one orbit of each pair {O, -O} and takes the coset -W_{n-1} as the
+    flip of the tally below, and the finished tally must be the same
+    under w -> -w.  If any level would walk more than _TALLY_BOUND
+    elements, ResourceBoundExceeded is raised before any level is walked.
     """
     cartan = _ints(cartan)
-    tower = _tower(cartan, expected_order)
+    n = len(cartan)
+    points, tower = _tower(cartan, expected_order)
+    roots, moves = _roots(cartan)
+    flip = _minus_one(roots, moves)
     plan, size = [], 1
-    for tables in tower:
+    for k, tables in enumerate(tower, 1):
         # orbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the coset
         # W_{k-1} itself, tallied by the level below
         orbits = _suborbits(tables)
-        work = (len(orbits) - 1) * size
+        walk = (_pairs(points, orbits) if flip and k == n else
+                [(orbit[0], len(orbit), False) for orbit in orbits[1:]])
+        work = len(walk) * size
         if work > _TALLY_BOUND:
             raise ResourceBoundExceeded(
                 f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
         size *= len(tables[0])
-        plan.append((orbits[1:], work, size))
-    roots, moves = _roots(cartan)
+        plan.append((walk, size))
+    neg = bytes(moves[i][i] for i in range(n))  # s_i(alpha_i) = -alpha_i
     levels = _perm_levels(moves, tower)
-    tally = Counter({1: 1})
-    for k, (orbits, work, size) in enumerate(plan, 1):
-        kernel = _matrix_tally if work > _MATRIX_WORK else _perm_tally
-        tally.update(kernel(roots, levels[k], levels[k - 1],
-                            _product(levels[:k - 1]), orbits))
+    tally = Counter({2: 1})  # the identity's key
+    for k, (walk, size) in enumerate(plan, 1):
+        if flip and k == n:
+            tally.update(_mapped(tally, _negated))  # the coset -W_{n-1}
+        tally.update(_perm_tally(levels[k], levels[k - 1],
+                                 _product(levels[:k - 1]), walk, neg))
         if sum(tally.values()) != size:
             raise AssertionError(f"rank {k} tally sums to "
                                  f"{sum(tally.values())}, expected {size}")
-    return tally
+    if flip and _mapped(tally, _negated) != tally:
+        raise AssertionError("the tally of -w differs from that of w")
+    return _mapped(tally, lambda key: key // 2)

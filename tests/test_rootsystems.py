@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -137,8 +137,7 @@ def test_type_d_orders_match_even_signed_permutations():
 
 
 def test_enumeration_agrees_with_partition_formulas():
-    # the permutation kernel (every level here walks at most
-    # _MATRIX_WORK elements) and the combinatorial route are independent
+    # the coset tower and the combinatorial route are independent
     labels = [lab for lab in IRREDUCIBLE_LABELS
               if lab[0] in "ABCD" and root_data(lab).rank <= 6]
     assert len(labels) == 6 + 5 + 4 + 3
@@ -183,20 +182,20 @@ def test_e8_tally_is_exact():
 
 
 def _record_levels(monkeypatch):
-    """Route both kernels through wrappers.  Returns the tallies the
+    """Route the kernel through a wrapper.  Returns the tallies the
     kernel calls return, in call order, which is level order, and a stack
     whose top is the call number (the level) of the running kernel
     call."""
     tallies, stack = [], []
-    for name in ("_perm_tally", "_matrix_tally"):
-        def recording(*args, real=getattr(weylenum, name)):
-            stack.append(len(tallies) + 1)
-            try:
-                tallies.append(real(*args))
-                return tallies[-1]
-            finally:
-                stack.pop()
-        monkeypatch.setattr(weylenum, name, recording)
+
+    def recording(*args, real=weylenum._perm_tally):
+        stack.append(len(tallies) + 1)
+        try:
+            tallies.append(real(*args))
+            return tallies[-1]
+        finally:
+            stack.pop()
+    monkeypatch.setattr(weylenum, "_perm_tally", recording)
     return tallies, stack
 
 
@@ -215,18 +214,18 @@ _ONE_WALK = ("_tower", "_roots", "_perm_levels")
 
 
 def test_tower_work_counter(monkeypatch):
-    # E8 walks 4 cosets of W(E7) and takes the fifth, W(E7) itself, from
-    # level 7's tally; the bound trips after the one tower walk, before
-    # the roots are closed or any level runs a kernel
+    # E8 walks 2 cosets of W(E7), the orbits of 56 and 126 points, flips
+    # the first into the other 56 and takes -W(E7) and W(E7) itself from
+    # level 7's tally; the bound trips after the one tower walk and the
+    # root closure that decides -1 in W, before any level runs a kernel
     data = root_data("E8")
     calls = _count_calls(monkeypatch, *_ONE_WALK)
-    for name in ("_perm_tally", "_matrix_tally"):
-        monkeypatch.setattr(weylenum, name,
-                            lambda *args: pytest.fail("a coset was walked"))
-    monkeypatch.setattr(weylenum, "_TALLY_BOUND", 4 * 2_903_040 - 1)
-    with pytest.raises(ResourceBoundExceeded, match="11612160 elements"):
+    monkeypatch.setattr(weylenum, "_perm_tally",
+                        lambda *args: pytest.fail("a coset was walked"))
+    monkeypatch.setattr(weylenum, "_TALLY_BOUND", 2 * 2_903_040 - 1)
+    with pytest.raises(ResourceBoundExceeded, match="5806080 elements"):
         weylenum.enumerate_orders(data.cartan, data.weyl_order)
-    assert calls == Counter(_tower=1)
+    assert calls == Counter(_tower=1, _roots=1)
 
 
 @pytest.mark.parametrize("label", ["F4", "E6", "E7"])
@@ -241,46 +240,42 @@ def test_tower_is_walked_once(monkeypatch, label):
 
 
 def test_each_level_walks_only_its_other_cosets(monkeypatch):
-    # E7 keys 3 cosets of W(E6) in 27 chunks each (4 cosets, 108 chunks,
-    # when the base coset was walked too); E6 walks 2 cosets of W(D5) as
-    # permutations (3 cosets, 5,760 elements, when it was walked too)
+    # E7 walks 1 coset of W(E6), 51,840 elements, and flips it into a
+    # second; -W(E6) and W(E6) itself come from level 6 (4 cosets when
+    # every coset was walked); E6, without -1, walks 2 cosets of W(D5)
+    # (3 cosets, 5,760 elements, when the base coset was walked too)
     tallies, stack = _record_levels(monkeypatch)
-    chunks, walked = Counter(), Counter()
-    real_keys, real_coset = weylenum._trace_keys, weylenum._coset
-
-    def keys(w):
-        chunks[stack[-1]] += 1
-        return real_keys(w)
+    walked = Counter()
+    real_coset = weylenum._coset
 
     def coset(*levels):
         for w in real_coset(*levels):
             walked[stack[-1]] += 1
             yield w
-    monkeypatch.setattr(weylenum, "_trace_keys", keys)
     monkeypatch.setattr(weylenum, "_coset", coset)
     data = root_data("E7")
     assert dict(weylenum.enumerate_orders(data.cartan, data.weyl_order)) \
         == BFS_TALLIES["E7"]
-    # the leading blocks A1, 2A1, A2+A1, A4, D5, E6 and E7, in order
+    # the leading blocks A1, 2A1, A2+A1, A4, D5, E6 and E7, in order;
+    # the kernel leaves E7's coset -W(E6) to the flip of level 6's tally
     assert list(itertools.accumulate(
         (sum(t.values()) for t in tallies), initial=1))[1:] \
-        == [2, 4, 12, 120, 1920, 51_840, 2_903_040]
-    assert dict(chunks) == {7: 81}
-    assert walked[7] == 0 and walked[6] == 3_840
+        == [2, 4, 12, 120, 1920, 51_840, 2_903_040 - 51_840]
+    assert walked[7] == 51_840 and walked[6] == 3_840
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_mass_formula_at_every_level(monkeypatch, rank):
     # F4's levels are A1, A2, B3 and F4; one extra element of order 2 in
     # the walked cosets of any level fails that level's mass formula,
-    # which the tower-size check cannot see
+    # which the tower-size check cannot see (key 4: order 2, no power -1)
     real, calls = weylenum._perm_tally, []
 
     def corrupt(*args):
         tally = real(*args)
         calls.append(tally)
         if len(calls) == rank:
-            tally[2] += 1
+            tally[4] += 1
         return tally
     monkeypatch.setattr(weylenum, "_perm_tally", corrupt)
     data = root_data("F4")
@@ -305,7 +300,7 @@ def test_weight_cycle_scan_peak_memory():
     assert not found
     assert peak <= 1_000_000
     # the walk meets every element once, each a distinct permutation
-    tower = _tower(data.cartan, data.weyl_order)
+    tower = _tower(data.cartan, data.weyl_order)[1]
     # the top level's tables act on the spin weights; points 64..255 of a
     # bytes permutation are fixed
     levels = _perm_levels(tower[-1], tower)
@@ -318,7 +313,7 @@ def test_permutations_hold_at_most_256_points():
     # E8's 240 roots are the largest spanning set; one point more fails
     # before any permutation is built
     a1 = ((2,),)
-    tower = _tower(a1, 2)
+    tower = _tower(a1, 2)[1]
     with pytest.raises(AssertionError, match="at most 256 points, not 257"):
         _perm_levels([list(range(257))], tower)
     assert len(weylenum._roots(root_data("E8").cartan)[0]) == 240
@@ -341,32 +336,13 @@ def test_roots_are_the_root_closure():
 
 
 def test_roots_list_the_simple_roots_first():
-    # both kernels read alpha_i as point i: the order loop composes only
-    # these n points, which span Q^n, and row i of an element's matrix
-    # is the root it sends alpha_i to
+    # the kernel reads alpha_i as point i: the order loop composes only
+    # these n points, which span Q^n, and -1 is the map sending each to
+    # -alpha_i
     for label in IRREDUCIBLE_LABELS:
         cartan = root_data(label).cartan
         assert tuple(weylenum._roots(cartan)[0][:len(cartan)]) \
             == _identity(len(cartan)), label
-
-
-def test_matrices_read_off_the_root_permutations():
-    # on every element of W(E6) that the top level's coset walk yields,
-    # the matrix gathered from w(alpha_1), ..., w(alpha_6) moves every
-    # root where w does: b @ M is the root w(b)
-    data = root_data("E6")
-    roots, moves = weylenum._roots(data.cartan)
-    basis = np.array(roots, dtype=np.float64)
-    levels = _perm_levels(moves, _tower(data.cartan, data.weyl_order))
-    heads, prefix, tail = levels[-1], levels[-2], _product(levels[:-2])
-    seen = 0
-    for h in heads:
-        perms = np.frombuffer(b"".join(_coset([h], prefix, tail)),
-                              dtype=np.uint8).reshape(-1, 256)[:, :72]
-        mats = basis[perms[:, :6]]
-        assert (np.rint(basis @ mats) == basis[perms]).all()
-        seen += len(perms)
-    assert seen == data.weyl_order == 51_840
 
 
 def _block_cartan(*labels):
@@ -381,29 +357,33 @@ def _block_cartan(*labels):
     return cartan
 
 
-def _both_kernels(monkeypatch, cartan, order):
-    """The tallies with every level on the matrix kernel, then with every
-    level on the permutation kernel."""
-    monkeypatch.setattr(weylenum, "_MATRIX_WORK", 0)
-    by_matrix = weylenum.enumerate_orders(cartan, order)
-    monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
-    return by_matrix, weylenum.enumerate_orders(cartan, order)
+def _flipped_and_walked(monkeypatch, cartan, order):
+    """The tally as enumerate_orders takes it, flipping the top level's
+    cosets when -1 is in W, then with the -1 decision forced off, so that
+    every coset is walked."""
+    flipped = weylenum.enumerate_orders(cartan, order)
+    with monkeypatch.context() as patch:
+        patch.setattr(weylenum, "_minus_one", lambda roots, moves: False)
+        return flipped, weylenum.enumerate_orders(cartan, order)
 
 
 # D4 with its branch node numbered last
 D4_LAST = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1], [-1, -1, -1, 2]]
 
 
-def test_permutation_and_matrix_kernels_agree(monkeypatch):
-    # each kernel is the other's reference, on every irreducible type of
-    # rank <= 6 and on a reducible system
-    cases = [(root_data(label).cartan, root_data(label).weyl_order)
-             for label in IRREDUCIBLE_LABELS if root_data(label).rank <= 6]
-    cases.append((_block_cartan("B2", "G2"), 8 * 12))
-    for cartan, order in cases:
-        by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
-        assert by_permutation == by_matrix, cartan
-        assert sum(by_permutation.values()) == order
+def test_flip_matches_walking_every_coset(monkeypatch):
+    # the walk of every coset is the flip's reference, on every
+    # irreducible type of rank <= 7, E7 and B7 among them, and on a
+    # reducible system
+    cases = [(label, root_data(label).cartan, root_data(label).weyl_order)
+             for label in IRREDUCIBLE_LABELS if root_data(label).rank <= 7]
+    cases.append(("B2+G2", _block_cartan("B2", "G2"), 8 * 12))
+    for label, cartan, order in cases:
+        flipped, walked = _flipped_and_walked(monkeypatch, cartan, order)
+        assert flipped == walked, label
+        assert sum(flipped.values()) == order
+        if label in BFS_TALLIES:
+            assert dict(flipped) == BFS_TALLIES[label]
 
 
 def test_levels_through_reducible_leading_blocks(monkeypatch):
@@ -417,15 +397,15 @@ def test_levels_through_reducible_leading_blocks(monkeypatch):
     tallies, _ = _record_levels(monkeypatch)
     for cartan, order, label, lead in cases:
         tallies.clear()
-        by_matrix, by_permutation = _both_kernels(monkeypatch, cartan, order)
+        flipped, walked = _flipped_and_walked(monkeypatch, cartan, order)
         # both runs' level 3, calls 3 and 7, is W(lead)
         assert len(tallies) == 8
         for run in (tallies[:3], tallies[4:7]):
             assert 1 + sum(sum(t.values()) for t in run) \
                 == weyl_order(lead), label
-        assert by_permutation == by_matrix, label
-        assert sum(by_matrix.values()) == order
-        assert frozenset(by_matrix) == weyl_element_orders(label).orders
+        assert flipped == walked, label
+        assert sum(flipped.values()) == order
+        assert frozenset(flipped) == weyl_element_orders(label).orders
 
 
 def _projected_suborbits(points, cartan, k):
@@ -458,20 +438,55 @@ def test_suborbits_match_the_projected_walk():
         roots, tables = weylenum._roots(cartan)
         assert all(sorted(t) == list(range(len(roots))) for t in tables)
         moves = _reflections(cartan)
-        tower = _tower(cartan, order)
+        tower = _tower(cartan, order)[1]
         for k, omega in enumerate(_identity(len(cartan)), 1):
             points, tables = _orbit([omega], moves[:k])
             assert tables == tower[k - 1], (cartan, k)
             assert all(sorted(t) == list(range(len(points))) for t in tables)
-            assert _suborbits(tables) \
+            assert [(orbit[0], len(orbit)) for orbit in _suborbits(tables)] \
                 == _projected_suborbits(points, cartan, k), (cartan, k)
 
 
-def test_permutation_kernel_reproduces_the_e7_tally(monkeypatch):
+# the degrees of the basic invariants (Humphreys 3.7): -1 is in W exactly
+# when every degree is even (Humphreys 3.19)
+DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: [*range(2, 2 * n - 1, 2), n],
+    "E": lambda n: {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
+    "F": lambda n: (2, 6, 8, 12),
+    "G": lambda n: (2, 6),
+}
+
+
+def test_minus_one_decision_matches_the_degrees():
+    # the descent to w0 on the root permutations against the degrees, on
+    # every irreducible type and on three sums; the degree table is
+    # checked against |W| first
+    labels = [*IRREDUCIBLE_LABELS, "A2+B2", "B2+G2", "A1+E7"]
+    for label in labels:
+        components = RootSystem.parse(label).components
+        degrees = [d for lab in components
+                   for d in DEGREES[lab[0]](int(lab[1:]))]
+        assert len(degrees) == RootSystem.parse(label).rank, label
+        assert prod(degrees) == weyl_order(label), label
+        roots, moves = weylenum._roots(_block_cartan(*components))
+        assert weylenum._minus_one(roots, moves) \
+            == all(d % 2 == 0 for d in degrees), label
+
+
+def test_a_wrong_negation_fails_the_flip_check(monkeypatch):
+    # a key map for -w that forgets whether -1 is a power of w gets -w
+    # wrong on E7's walked coset, where some w have -1 as a power; every
+    # mass formula still holds, but the tally is no longer the same under
+    # the map
+    real = weylenum._negated
+    monkeypatch.setattr(weylenum, "_negated", lambda key: real(key - key % 2))
     data = root_data("E7")
-    monkeypatch.setattr(weylenum, "_MATRIX_WORK", weylenum._TALLY_BOUND)
-    assert dict(enumerate_orders(data.cartan, data.weyl_order)) == \
-        BFS_TALLIES["E7"]
+    with pytest.raises(AssertionError, match="tally of -w"):
+        enumerate_orders(data.cartan, data.weyl_order)
 
 
 def test_composite_orders_via_block_cartan():

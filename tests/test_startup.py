@@ -20,7 +20,8 @@ import ggt.cli
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(ggt.__file__).resolve().parents[1]
 # modules a command must load only when it needs them; dataclasses never,
-# since ggt's records are plain classes that generate no code at import
+# since ggt's records are plain classes that generate no code at import,
+# and numpy never, since no module of ggt imports it
 WATCHED = ("numpy", "ggt.weylenum", "importlib.metadata", "dataclasses")
 
 
@@ -68,8 +69,8 @@ def test_the_readme_lists_eleven_sub_second_commands():
 
 @pytest.mark.parametrize("command", README_COMMANDS)
 def test_commands_without_weyl_matrices_never_load_numpy(command):
-    # the Weyl commands tally and scan groups through W(E6) as
-    # permutations, with no matrix
+    # the Weyl commands tally and scan groups as permutations of their
+    # roots, with no matrix
     weyl = command.split()[0] in ("weyl", "minuscule")
     probe = _fresh(command)
     assert probe["code"] == 0, probe["out"]
@@ -77,11 +78,11 @@ def test_commands_without_weyl_matrices_never_load_numpy(command):
     assert json.loads(probe["out"])["version"] == probe["version"]
 
 
-def test_weyl_orders_loads_numpy_with_the_first_matrix():
-    # E7 is past the crossover to the matrix kernel
+def test_weyl_orders_on_e7_loads_no_numpy():
+    # the largest tally a sub-second command runs, on root permutations
     probe = _fresh("weyl orders --type E7")
     assert probe["imported"] == [] and probe["code"] == 0
-    assert probe["loaded"] == ["ggt.weylenum", "numpy"]
+    assert probe["loaded"] == ["ggt.weylenum"]
 
 
 def test_report_version_is_the_package_version(capsys):
