@@ -254,31 +254,35 @@ def is_g2_parameter(param: TameParameter) -> G2Check:
 def g2_admissible_eigenvalues(eigs) -> bool:
     """Whether 7 roots of unity can be arranged as the G2 eigenvalue shape:
     {l1, 1/l1, l2, 1/l2, l3, 1/l3, 1} with l1 l2 l3 = 1 (exhaustive search
-    over pairings and sign choices)."""
-    eigs = sorted(eigs, key=lambda r: r.sort_key())
+    over pairings and sign choices, on the exponents over the lcm of the
+    orders)."""
+    eigs = list(eigs)
     if len(eigs) != 7:
         raise ValueError("need exactly 7 eigenvalues")
-    if ONE not in eigs:
+    n = lcm(*(e.den for e in eigs))
+    rest = [e.num * (n // e.den) for e in eigs]
+    if 0 not in rest:
         return False
-    rest = list(eigs)
-    rest.remove(ONE)
-    return _pairing_search(rest, ONE)
+    rest.remove(0)
+    return _pairing_search(rest, 0, n)
 
 
-def _pairing_search(rest: list[RootOfUnity], product: RootOfUnity) -> bool:
+def _pairing_search(rest: list[int], product: int, n: int) -> bool:
+    """Whether the exponents mod n in rest split into pairs {x, -x} whose
+    chosen members sum with product to 0 mod n.  x pairs with the first
+    copy of -x, as any other copy leaves the same multiset, and x = -x
+    has one sign to choose."""
     if not rest:
-        return product.is_one
-    x = rest[0]
-    inv = x.inverse()
-    for i in range(1, len(rest)):
-        if rest[i] == inv:
-            remaining = rest[1:i] + rest[i + 1:]
-            # the pair contributes x or x^{-1} to the product
-            if _pairing_search(remaining, product * x):
-                return True
-            if _pairing_search(remaining, product * inv):
-                return True
-    return False
+        return product % n == 0
+    x, inv = rest[0], -rest[0] % n
+    try:
+        i = rest.index(inv, 1)
+    except ValueError:
+        return False
+    remaining = rest[1:i] + rest[i + 1:]
+    # the pair contributes x or -x to the product
+    return (_pairing_search(remaining, product + x, n)
+            or (x != inv and _pairing_search(remaining, product - x, n)))
 
 
 def satake_lift_g2(lams) -> tuple[RootOfUnity, ...]:

@@ -358,8 +358,10 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
     that the tally sums to |W_k|.  When -1 is in W, the top level walks
     one orbit of each pair {O, -O} and takes the coset -W_{n-1} as the
     flip of the tally below, and the finished tally must be the same
-    under w -> -w.  If any level would walk more than _TALLY_BOUND
-    elements, ResourceBoundExceeded is raised before any level is walked.
+    under w -> -w.  The finished tally must hold exactly one element of
+    order 1, which a flip that maps the identity to itself would double.
+    If any level would walk more than _TALLY_BOUND elements,
+    ResourceBoundExceeded is raised before any level is walked.
     """
     cartan = _ints(cartan)
     n = len(cartan)
@@ -392,4 +394,8 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
                                  f"{sum(tally.values())}, expected {size}")
     if flip and _mapped(tally, _negated) != tally:
         raise AssertionError("the tally of -w differs from that of w")
-    return _mapped(tally, lambda key: key // 2)
+    orders = _mapped(tally, lambda key: key // 2)
+    if orders[1] != 1:
+        raise AssertionError(f"the tally holds {orders[1]} elements of "
+                             f"order 1")
+    return orders

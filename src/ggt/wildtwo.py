@@ -4,15 +4,17 @@ Two constructions live here.  For odd orthogonal groups, the image is a
 group of m x m sign-monomial matrices: m diagonal involutions, each with
 exactly two -1 entries in cyclically shifted positions, together with the
 m-cycle permuting them.  Nothing closes it: the report reads every
-clause off the F_2[C_m]-module.  A sign vector is an int bitmask, V is
+clause off the F_2[C_m]-module.  A sign vector is an int bitmask read
+along the cycle's path 0, c(0), c^2(0), ..., so that the cycle shifts it
+by rotating the m bits one place, as x does on F_2[x]/(x^m - 1).  V is
 the F_2 span of the shifted sign vectors (for the wild image the
-even-weight code), the cycle acts on V as x does on F_2[x]/(x^m - 1),
-and the group is V x| C_m of order 2^dim(V) * m.  dim V is the F_2
-rank of the shifts and, as a cyclic code, m - deg gcd(x^m - 1, s_i(x));
-the two must agree.  Its commutator subgroup is (1 + x)V, its
-abelianization V/(1 + x)V x C_m, and since no nontrivial power of an
-m-cycle fixes a point, the character norm is a sum over V alone, read
-off the classes of coordinates that agree on V.  For G2, the image is
+even-weight code), and the group is V x| C_m of order 2^dim(V) * m.
+dim V is the F_2 rank of the shifts and, as a cyclic code,
+m - deg gcd(x^m - 1, s_i(x)); the two must agree.  The group's
+commutator subgroup is (1 + x)V, its abelianization V/(1 + x)V x C_m,
+and since no nontrivial power of an m-cycle fixes a point, the
+character norm is a sum over V alone, read off the classes of
+coordinates that agree on V.  For G2, the image is
 the order-168 extension of F_8 by its multiplicative group and its
 field automorphisms, realized through the 21-dimensional monomial
 representation induced from the nontrivial additive character of F_8.
@@ -35,11 +37,11 @@ from collections import Counter
 from functools import cache
 from math import gcd
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup
-from .monomial import MonomialMatrix, _make
+from .monomial import MonomialMatrix, _make, gatherer
 from .record import Record
 from .roots import MINUS_ONE, ONE
 from .weilparams import g2_admissible_eigenvalues
@@ -76,44 +78,51 @@ class WildImageSO(Record):
                           generators=generators)
 
 
-# The largest m that build_so_wild takes.  Build plus report grow as m^2:
-# m = 1001 takes about 1 s and 63 MB, and m = 2001 about 4 s and 216 MB.
+# The largest m that build_so_wild takes.  Build plus report grow as m^2,
+# the m sign generators of size m: on one CPU of a 2-core x86-64 box,
+# m = 1001 takes about 0.06 s and 32 MB peak RSS, m = 2001 about 0.3 s
+# and 81 MB.
 _SO_M_BOUND = 1001
 
 
-def _sign_generator(m: int, j: int) -> MonomialMatrix:
-    diag = tuple(MINUS_ONE if (i + j) % m in (0, 1) else ONE
-                 for i in range(m))
-    return MonomialMatrix.diagonal(diag)
+def _sign_generator(ident: tuple[int, ...], j: int) -> MonomialMatrix:
+    """The sign involution with -1 at the points i where i + j is 0 or 1
+    mod m, on ident, the identity permutation of size m that every sign
+    generator shares."""
+    m = len(ident)
+    exps = [0] * m
+    exps[-j % m] = exps[(1 - j) % m] = 1
+    return tuple.__new__(MonomialMatrix, (ident, tuple(exps), 2))
 
 
 def build_so_wild(m: int) -> WildImageSO:
     """The monomial image for any odd m from 3 to _SO_M_BOUND.
 
-    Generated by one sign involution and the m-cycle; the other sign
-    involutions are its cycle conjugates, which is checked here.  Order
-    2^(m-1) * m; so_wild_report computes it from the sign vectors, and
-    nothing is closed here.  Building takes m^2 work (m = 101 takes
-    milliseconds); an m past _SO_M_BOUND is refused before any of it.
+    Generated by one sign involution and the m-cycle c; the other sign
+    involutions are its cycle conjugates, which is checked here.  c D c^-1
+    is diagonal with D's entry j at position c(j), so each check is one
+    gather of D's exponents; at j = 0 the product itself must agree too.
+    Order 2^(m-1) * m; so_wild_report computes it from the sign vectors,
+    and nothing is closed here.  Building takes m^2 work (m = 101 takes
+    under a millisecond); an m past _SO_M_BOUND is refused before any of
+    it.
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"m must be odd and at least 3, got {m}")
     if m > _SO_M_BOUND:
         raise ResourceBoundExceeded(f"m = {m} exceeds the bound {_SO_M_BOUND}")
-    signs = tuple(_sign_generator(m, j) for j in range(m))
+    ident = tuple(range(m))
+    signs = tuple(_sign_generator(ident, j) for j in range(m))
     cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in range(m)))
     cyc_inv = cycle.inverse()
-    for j in range(m):
-        if cycle * signs[j] * cyc_inv != signs[(j + 1) % m]:
-            raise AssertionError("cycle does not shift the sign generators")
+    # entry i of c D c^-1 is D's entry at c^-1(i)
+    conjugate = gatherer(cyc_inv.perm)
+    if (cycle * signs[0] * cyc_inv != signs[1]
+            or any(conjugate(d.exps) != e.exps
+                   for d, e in zip(signs, signs[1:] + signs[:1]))):
+        raise AssertionError("cycle does not shift the sign generators")
     return WildImageSO(m=m, sign_gens=signs, cycle=cycle,
                        generators=(signs[0], cycle))
-
-
-def _character_tuples(m: int) -> list[tuple[int, ...]]:
-    # sign tuple of the i-th cyclic shift of the base character
-    return [tuple(-1 if (i + j) % m in (0, 1) else 1 for j in range(m))
-            for i in range(m)]
 
 
 def _xor_basis(vectors: Iterable[int]) -> list[int]:
@@ -129,45 +138,46 @@ def _xor_basis(vectors: Iterable[int]) -> list[int]:
     return list(basis.values())
 
 
-def _sign_module(gens: Sequence[MonomialMatrix], m: int
-                 ) -> tuple[list[int], tuple[int, ...]]:
-    """The sign vectors of the diagonal generators, and the m-cycle.
+def _sign_module(gens: Sequence[MonomialMatrix], m: int) -> list[int]:
+    """The sign vectors of the diagonal generators, read along the cycle.
 
     The generators must be +-1 diagonal matrices and one permutation
-    matrix that is an m-cycle c.  Bit j of a sign vector is set when
-    entry j is -1; c D c^-1 moves entry j to c's image of j."""
-    signs, cycles = [], []
+    matrix that is an m-cycle c.  Bit t of a sign vector is set when
+    entry c^t(0) is -1.  c D c^-1 moves entry j to c(j), so along this
+    path the shift is a rotation of the m-bit int by one place: the
+    multiplication by x in F_2[x]/(x^m - 1)."""
+    ident = tuple(range(m))
+    diags, paths = [], []
     for g in gens:
         perm, exps, n = g
         if len(perm) != m or n > 2:
             raise ValueError(f"{g} is not an m x m sign-monomial matrix")
-        if all(i == j for j, i in enumerate(perm)):
-            signs.append(sum(e << j for j, e in enumerate(exps)))
+        if perm == ident:
+            diags.append(exps)
             continue
-        j, length = perm[0], 1
+        path, j = [0], perm[0]
         while j != 0:
-            j, length = perm[j], length + 1
-        if n != 1 or length != m:
+            path.append(j)
+            j = perm[j]
+        if n != 1 or len(path) != m:
             raise ValueError(f"{g} is neither a sign matrix nor an m-cycle")
-        cycles.append(perm)
-    if len(cycles) != 1:
-        raise ValueError(f"need exactly one m-cycle, got {len(cycles)}")
-    return signs, cycles[0]
+        paths.append(path)
+    if len(paths) != 1:
+        raise ValueError(f"need exactly one m-cycle, got {len(paths)}")
+    path, = paths
+    return [sum(exps[j] << t for t, j in enumerate(path)) for exps in diags]
 
 
-def _span_of_shifts(signs: Sequence[int], cycle: Sequence[int]
-                    ) -> tuple[list[int], Callable[[int], int]]:
-    """An xor basis of V, the span of every shift of the sign vectors,
-    and the shift itself."""
-    def shift(v: int) -> int:
-        return sum(1 << c for j, c in enumerate(cycle) if v >> j & 1)
+def _rotations(v: int, m: int) -> list[int]:
+    """x^t v in F_2[x]/(x^m - 1) for t = 0..m-1: the m-bit int v rotated
+    by t places."""
+    mask = (1 << m) - 1
+    return [(v << t | v >> (m - t)) & mask for t in range(m)]
 
-    orbit = []
-    for v in signs:
-        for _ in range(len(cycle)):
-            orbit.append(v)
-            v = shift(v)
-    return _xor_basis(orbit), shift
+
+def _span_of_shifts(signs: Sequence[int], m: int) -> list[int]:
+    """An xor basis of V, the span of every shift of the sign vectors."""
+    return _xor_basis(u for v in signs for u in _rotations(v, m))
 
 
 def _poly_gcd(a: int, b: int) -> int:
@@ -181,18 +191,13 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _cyclic_code_dim(signs: Sequence[int], cycle: Sequence[int]) -> int:
+def _cyclic_code_dim(signs: Sequence[int], m: int) -> int:
     """dim V as a cyclic code in F_2[x]/(x^m - 1): m - deg g, g the gcd of
-    x^m - 1 and the sign vectors read along the cycle, the point c^t(0)
-    giving x^t, so that the shift is multiplication by x."""
-    m = len(cycle)
-    path = [0]
-    for _ in range(m - 1):
-        path.append(cycle[path[-1]])
+    x^m - 1 and the sign vectors, which _sign_module reads so that the
+    shift is multiplication by x."""
     g = 1 << m | 1
     for v in signs:
-        g = _poly_gcd(g, sum(1 << t for t, j in enumerate(path)
-                             if v >> j & 1))
+        g = _poly_gcd(g, v)
     return m - (g.bit_length() - 1)
 
 
@@ -201,9 +206,11 @@ def _trace_square_sum(m: int, basis: Sequence[int]) -> int:
 
     tr(v)^2 sums (-1)^(v_j + v_k) over pairs of coordinates, and over V
     a pair sums to |V| when j and k agree on every basis vector, else to
-    0; so the total is |V| times the squared sizes of those classes."""
-    classes = Counter(sum((b >> j & 1) << i for i, b in enumerate(basis))
-                      for j in range(m))
+    0; so the total is |V| times the squared sizes of those classes.
+    Coordinate j's class is column j of the basis written as bit strings;
+    the constant column keeps all m coordinates in one class when V = 0."""
+    rows = [format(b, f"0{m}b") for b in basis]
+    classes = Counter(zip("0" * m, *rows))
     return 2 ** len(basis) * sum(n * n for n in classes.values())
 
 
@@ -242,15 +249,16 @@ def so_wild_report(w: WildImageSO) -> dict:
     are reported for the record; the JSON keeps them.
     """
     m = w.m
-    signs, cycle = _sign_module(w.generators, m)
-    basis, shift = _span_of_shifts(signs, cycle)
-    dim = _cyclic_code_dim(signs, cycle)
+    signs = _sign_module(w.generators, m)
+    basis = _span_of_shifts(signs, m)
+    dim = _cyclic_code_dim(signs, m)
     if dim != len(basis):
         raise AssertionError(f"the shifts have rank {len(basis)}, the "
                              f"cyclic code dimension {dim}")
     order = 2 ** dim * m
     # G' is the image of 1 + x on V, a subgroup of the elementary abelian V
-    comm = _xor_basis(v ^ shift(v) for v in basis)
+    mask = (1 << m) - 1
+    comm = _xor_basis(v ^ (v << 1 | v >> (m - 1)) & mask for v in basis)
     abelian = _invariant_factors([2] * (len(basis) - len(comm)) + [m])
 
     # det is a homomorphism, so the generators decide it
@@ -263,17 +271,17 @@ def so_wild_report(w: WildImageSO) -> dict:
     if norm % order != 0:
         raise AssertionError("character norm is not an integer")
 
-    tuples = _character_tuples(m)
-    # the joint kernel of the shifted characters inside the full sign
-    # group is {0, 1...1} when their rows have rank m - 1 and even weight
-    rows = [sum(1 << j for j, s in enumerate(t) if s == -1) for t in tuples]
+    # the shifted characters' rows: bit j set where the i-th shift of the
+    # base character is -1, at j = -i and 1 - i mod m; their joint kernel
+    # inside the full sign group is {0, 1...1} when the rows have rank
+    # m - 1 and even weight
+    rows = _rotations(0b11, m)
     joint_kernel = (len(_xor_basis(rows)) == m - 1
                     and all(r.bit_count() % 2 == 0 for r in rows))
 
     g2_obstruction = None
     if m == 7:
-        from .roots import RootOfUnity
-        eigs = [ONE] * 5 + [RootOfUnity(1, 2)] * 2
+        eigs = [ONE] * 5 + [MINUS_ONE] * 2
         g2_obstruction = not g2_admissible_eigenvalues(eigs)
 
     return {
@@ -287,7 +295,7 @@ def so_wild_report(w: WildImageSO) -> dict:
         "det_trivial": det_trivial,
         "irreducible": norm == order,
         "selfdual": True,
-        "conjugates_distinct": len(set(tuples)) == m,
+        "conjugates_distinct": len(set(rows)) == m,
         "joint_kernel_is_diagonal": joint_kernel,
         "g2_obstruction": g2_obstruction,
     }

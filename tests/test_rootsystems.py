@@ -397,6 +397,18 @@ def test_permutation_kernel_reproduces_the_e7_tally(monkeypatch):
     assert dict(flipped) == BFS_TALLIES["E7"]
 
 
+@pytest.mark.parametrize("label", ["G2", "F4"])
+def test_a_flip_that_fixes_the_identity_fails(monkeypatch, label):
+    # with _negated the identity, -W_{n-1} is tallied as W_{n-1} and the
+    # tally is still invariant under the flip, but it holds 2 elements
+    # of order 1
+    data = root_data(label)
+    monkeypatch.setattr(weylenum, "_negated", lambda key: key)
+    with pytest.raises(AssertionError,
+                       match="^the tally holds 2 elements of order 1$"):
+        weylenum.enumerate_orders(data.cartan, data.weyl_order)
+
+
 def test_levels_through_reducible_leading_blocks(monkeypatch):
     # D4 with its branch node numbered last leads with A1+A1+A1, B2+G2
     # with B2+A1 and G2+B2 with G2+A1: the level below the top

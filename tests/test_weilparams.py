@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -179,6 +181,63 @@ def test_g2_admissible_negative():
     assert not g2_admissible_eigenvalues((z3,) * 7)  # no eigenvalue 1
     with pytest.raises(ValueError):
         g2_admissible_eigenvalues((ONE,) * 6)
+
+
+def _matchings(items):
+    """Every split of items into unordered pairs."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for i, other in enumerate(rest):
+        for pairs in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + pairs
+
+
+def _brute_g2_admissible(eigs):
+    # every choice of the eigenvalue 1, every pairing of the other six
+    # into mutually inverse pairs and every choice of one member a pair
+    for k, one in enumerate(eigs):
+        if not one.is_one:
+            continue
+        for pairs in _matchings(eigs[:k] + eigs[k + 1:]):
+            if not all((a * b).is_one for a, b in pairs):
+                continue
+            for chosen in itertools.product(*pairs):
+                if (chosen[0] * chosen[1] * chosen[2]).is_one:
+                    return True
+    return False
+
+
+_ROOTS = st.one_of(
+    st.sampled_from([ONE, MINUS_ONE]),
+    st.builds(RootOfUnity, st.integers(0, 11), st.integers(1, 12)))
+
+
+@st.composite
+def _seven_roots(draw):
+    # either any 7 roots, or 1 with three inverse pairs, whose product
+    # is 1 only sometimes
+    if draw(st.booleans()):
+        return draw(st.lists(_ROOTS, min_size=7, max_size=7))
+    l1, l2, l3 = draw(_ROOTS), draw(_ROOTS), draw(_ROOTS)
+    if draw(st.booleans()):
+        l3 = (l1 * l2).inverse()
+    eigs = [ONE, l1, l1.inverse(), l2, l2.inverse(), l3, l3.inverse()]
+    return draw(st.permutations(eigs))
+
+
+@given(_seven_roots())
+def test_pairing_search_matches_brute_force(eigs):
+    # multisets of roots of order <= 12, repeated entries and +-1 among
+    # them, against every pairing and every sign choice
+    expected = _brute_g2_admissible(list(eigs))
+    assert g2_admissible_eigenvalues(eigs) == expected
+    n = lcm(*(e.den for e in eigs))
+    rest = [e.num * (n // e.den) for e in eigs]
+    if 0 in rest:
+        rest.remove(0)
+        assert weilparams._pairing_search(rest, 0, n) == expected
 
 
 def test_palindrome_split_positive():

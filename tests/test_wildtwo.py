@@ -64,10 +64,16 @@ def _gray_code_square_sum(m, basis):
 
 
 def _module_basis(w):
-    signs, cycle = wildtwo._sign_module(w.generators, w.m)
-    basis, _ = wildtwo._span_of_shifts(signs, cycle)
-    assert wildtwo._cyclic_code_dim(signs, cycle) == len(basis)
+    signs = wildtwo._sign_module(w.generators, w.m)
+    basis = wildtwo._span_of_shifts(signs, w.m)
+    assert wildtwo._cyclic_code_dim(signs, w.m) == len(basis)
     return basis
+
+
+def _character_tuples(m):
+    # sign tuple of the i-th cyclic shift of the base character
+    return [tuple(-1 if (i + j) % m in (0, 1) else 1 for j in range(m))
+            for i in range(m)]
 
 
 def _exhaustive_so_wild_report(w):
@@ -79,7 +85,7 @@ def _exhaustive_so_wild_report(w):
     det_trivial = all(g.det().is_one for g in grp.generators)
     norm = sum(g.trace_int() ** 2 for g in grp.elements)
     assert norm % grp.order == 0
-    tuples = wildtwo._character_tuples(m)
+    tuples = _character_tuples(m)
     kernel = [v for v in range(2 ** m)
               if all(sum((v >> j) & 1 for j in range(m)
                          if t[j] == -1) % 2 == 0 for t in tuples)]
@@ -204,7 +210,7 @@ def test_so_wild_report_checks_the_two_dim_paths(so_wild, monkeypatch):
     w = so_wild(5)
     code_dim = wildtwo._cyclic_code_dim
     monkeypatch.setattr(wildtwo, "_cyclic_code_dim",
-                        lambda signs, cycle: code_dim(signs, cycle) + 1)
+                        lambda signs, m: code_dim(signs, m) + 1)
     with pytest.raises(AssertionError, match="rank 4, the cyclic code "
                                              "dimension 5"):
         so_wild_report(w)
@@ -259,7 +265,7 @@ def test_so_wild_m_bound_refuses_before_building(monkeypatch):
 
     # an m past the bound makes no sign generator; an even one is still
     # bad input
-    def refuse(m, j):
+    def refuse(ident, j):
         raise AssertionError("built a sign generator")
 
     monkeypatch.setattr(wildtwo, "_sign_generator", refuse)
@@ -268,6 +274,37 @@ def test_so_wild_m_bound_refuses_before_building(monkeypatch):
         build_so_wild(7)
     with pytest.raises(ValueError):
         build_so_wild(20000)
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_so_wild_shift_check_fails_on_a_corrupted_generator(monkeypatch,
+                                                            bad):
+    # one entry of sign generator bad flips sign; at j = 0 both the
+    # product and the gathers see it, at j = 3 only the gathers do
+    make = wildtwo._sign_generator
+
+    def corrupted(ident, j):
+        d = make(ident, j)
+        if j != bad:
+            return d
+        diag = list(d.diag)
+        diag[2] = ONE if diag[2] == MINUS_ONE else MINUS_ONE
+        return MonomialMatrix.diagonal(tuple(diag))
+
+    monkeypatch.setattr(wildtwo, "_sign_generator", corrupted)
+    with pytest.raises(AssertionError,
+                       match="^cycle does not shift the sign generators$"):
+        build_so_wild(7)
+
+
+def test_so_wild_shift_check_is_tied_to_the_product(monkeypatch):
+    # the gathers agree whatever __mul__ does; a wrong product fails the
+    # check at j = 0
+    assert build_so_wild(5).sign_gens[0].exps == (1, 1, 0, 0, 0)
+    monkeypatch.setattr(MonomialMatrix, "__mul__", lambda a, b: a)
+    with pytest.raises(AssertionError,
+                       match="^cycle does not shift the sign generators$"):
+        build_so_wild(5)
 
 
 def test_so_wild_builds_past_fifteen():
