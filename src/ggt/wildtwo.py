@@ -1,26 +1,27 @@
 """Depth-one wild parameter images at the prime 2.
 
 Two constructions live here.  For odd orthogonal groups, the image is a
-group of m x m sign-monomial matrices: m diagonal involutions, each with
-exactly two -1 entries in cyclically shifted positions, together with the
-m-cycle permuting them.  Nothing closes it: the report reads every
-clause off the F_2[C_m]-module.  A sign vector is an int bitmask read
-along the cycle's path 0, c(0), c^2(0), ..., so that the cycle shifts it
-by rotating the m bits one place, as x does on F_2[x]/(x^m - 1).  V is
-the F_2 span of the shifted sign vectors (for the wild image the
-even-weight code), and the group is V x| C_m of order 2^dim(V) * m.
-dim V is the F_2 rank of the shifts and, as a cyclic code,
-m - deg gcd(x^m - 1, s_i(x)); the two must agree.  The group's
-commutator subgroup is (1 + x)V, its abelianization V/(1 + x)V x C_m,
-and since no nontrivial power of an m-cycle fixes a point, the
-character norm is a sum over V alone, read off the classes of
-coordinates that agree on V.  For G2, the image is
-the order-168 extension of F_8 by its multiplicative group and its
-field automorphisms, realized through the 21-dimensional monomial
-representation induced from the nontrivial additive character of F_8.
-The G2 side runs on tables: F_8 multiplication and Frobenius powers are
-looked up, the group is closed by FinGroup.generate, and the model is
-checked to be a homomorphism on the group's left multiplication tables.
+group of m x m sign-monomial matrices, held as its two generators: the
+diagonal involution D with -1 at two adjacent coordinates, and the
+m-cycle c, whose conjugates of D are its other m - 1 cyclic shifts.
+Nothing closes it: the report reads every clause off the
+F_2[C_m]-module.  A sign vector is an int bitmask read along the cycle's
+path 0, c(0), c^2(0), ..., so that the cycle shifts it by rotating the m
+bits one place, as x does on F_2[x]/(x^m - 1).  V is the F_2 span of the
+shifted sign vectors (for the wild image the even-weight code), and the
+group is V x| C_m of order 2^dim(V) * m.  dim V is the F_2 rank of the
+shifts and, as a cyclic code, m - deg gcd(x^m - 1, s_i(x)); the two must
+agree.  The group's commutator subgroup is (1 + x)V, its abelianization
+V/(1 + x)V x C_m, and since no nontrivial power of an m-cycle fixes a
+point, the character norm is a sum over V alone, read off the classes of
+coordinates that agree on V; at m = 7 the G2 clause reads the weights
+that occur in V.  For G2, the image is the order-168 extension of F_8 by
+its multiplicative group and its field automorphisms, realized through
+the 21-dimensional monomial representation induced from the nontrivial
+additive character of F_8.  The G2 side runs on tables: F_8
+multiplication and Frobenius powers are looked up, the group is closed
+by FinGroup.generate, and the model is checked to be a homomorphism on
+the group's left multiplication tables.
 
 All character arithmetic is exact: traces are integers, constituent
 values are integer coordinates (x, y) of x + y omega in Z[omega], omega a
@@ -41,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup
-from .monomial import MonomialMatrix, _make, gatherer
+from .monomial import MonomialMatrix, _make
 from .record import Record
 from .roots import MINUS_ONE, ONE
 from .weilparams import g2_admissible_eigenvalues
@@ -62,67 +63,51 @@ class WildImageSO(Record):
     """Sign-monomial image for the odd orthogonal group of size m.
 
     generators are what the report reads: +-1 diagonal matrices and one
-    m-cycle.  Nothing closes them; FinGroup.generate does for a caller
-    that wants the elements.
+    m-cycle; build_so_wild gives the sign involution D and the m-cycle c.
+    Nothing closes them; FinGroup.generate does for a caller that wants
+    the elements.
     """
 
     m: int
-    sign_gens: tuple[MonomialMatrix, ...]
-    cycle: MonomialMatrix
     generators: tuple[MonomialMatrix, ...]
 
-    def __init__(self, m: int, sign_gens: tuple[MonomialMatrix, ...],
-                 cycle: MonomialMatrix,
-                 generators: tuple[MonomialMatrix, ...]) -> None:
-        vars(self).update(m=m, sign_gens=sign_gens, cycle=cycle,
-                          generators=generators)
+    def __init__(self, m: int, generators: tuple[MonomialMatrix, ...]) -> None:
+        vars(self).update(m=m, generators=generators)
 
 
-# The largest m that build_so_wild takes.  Build plus report grow as m^2,
-# the m sign generators of size m: on one CPU of a 2-core x86-64 box,
-# m = 1001 takes about 0.06 s and 32 MB peak RSS, m = 2001 about 0.3 s
-# and 81 MB.
+# The largest m that build_so_wild takes.  The build is two matrices of
+# size m; the report grows as m^2, mostly in the character norm's table of
+# coordinate classes: in process on one CPU of a 2-core x86-64 box, build
+# plus report take about 0.03 s and 24 MB peak RSS at m = 1001, 0.11 s
+# and 51 MB at m = 2001.
 _SO_M_BOUND = 1001
-
-
-def _sign_generator(ident: tuple[int, ...], j: int) -> MonomialMatrix:
-    """The sign involution with -1 at the points i where i + j is 0 or 1
-    mod m, on ident, the identity permutation of size m that every sign
-    generator shares."""
-    m = len(ident)
-    exps = [0] * m
-    exps[-j % m] = exps[(1 - j) % m] = 1
-    return tuple.__new__(MonomialMatrix, (ident, tuple(exps), 2))
 
 
 def build_so_wild(m: int) -> WildImageSO:
     """The monomial image for any odd m from 3 to _SO_M_BOUND.
 
-    Generated by one sign involution and the m-cycle c; the other sign
-    involutions are its cycle conjugates, which is checked here.  c D c^-1
-    is diagonal with D's entry j at position c(j), so each check is one
-    gather of D's exponents; at j = 0 the product itself must agree too.
+    Generated by the sign involution D, -1 at coordinates 0 and 1, and
+    the m-cycle c: j -> j - 1; the other sign involutions are D's
+    conjugates and are never built.  One check ties the report's
+    rotation to the matrix product: c D c^-1 must be D with its sign
+    vector, read along c's path 0, c(0), c^2(0), ..., rotated one place.
     Order 2^(m-1) * m; so_wild_report computes it from the sign vectors,
-    and nothing is closed here.  Building takes m^2 work (m = 101 takes
-    under a millisecond); an m past _SO_M_BOUND is refused before any of
-    it.
+    and nothing is closed here.  An m past _SO_M_BOUND is refused before
+    any matrix is built.
     """
     if m % 2 == 0 or m < 3:
         raise ValueError(f"m must be odd and at least 3, got {m}")
     if m > _SO_M_BOUND:
         raise ResourceBoundExceeded(f"m = {m} exceeds the bound {_SO_M_BOUND}")
     ident = tuple(range(m))
-    signs = tuple(_sign_generator(ident, j) for j in range(m))
-    cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in range(m)))
-    cyc_inv = cycle.inverse()
-    # entry i of c D c^-1 is D's entry at c^-1(i)
-    conjugate = gatherer(cyc_inv.perm)
-    if (cycle * signs[0] * cyc_inv != signs[1]
-            or any(conjugate(d.exps) != e.exps
-                   for d, e in zip(signs, signs[1:] + signs[:1]))):
+    # c^t(0) = -t, so coordinate j of a sign vector is bit -j mod m
+    sign = 1 | 1 << (m - 1)
+    flip, shifted = (_make(ident, tuple(v >> (-j % m) & 1 for j in ident), 2)
+                     for v in (sign, _rotate(sign, m)))
+    cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in ident))
+    if cycle * flip * cycle.inverse() != shifted:
         raise AssertionError("cycle does not shift the sign generators")
-    return WildImageSO(m=m, sign_gens=signs, cycle=cycle,
-                       generators=(signs[0], cycle))
+    return WildImageSO(m=m, generators=(flip, cycle))
 
 
 def _xor_basis(vectors: Iterable[int]) -> list[int]:
@@ -168,11 +153,15 @@ def _sign_module(gens: Sequence[MonomialMatrix], m: int) -> list[int]:
     return [sum(exps[j] << t for t, j in enumerate(path)) for exps in diags]
 
 
+def _rotate(v: int, m: int, t: int = 1) -> int:
+    """x^t v in F_2[x]/(x^m - 1), 0 <= t < m: the m-bit int v rotated by
+    t places."""
+    return (v << t | v >> (m - t)) & ((1 << m) - 1)
+
+
 def _rotations(v: int, m: int) -> list[int]:
-    """x^t v in F_2[x]/(x^m - 1) for t = 0..m-1: the m-bit int v rotated
-    by t places."""
-    mask = (1 << m) - 1
-    return [(v << t | v >> (m - t)) & mask for t in range(m)]
+    """x^t v for t = 0..m-1."""
+    return [_rotate(v, m, t) for t in range(m)]
 
 
 def _span_of_shifts(signs: Sequence[int], m: int) -> list[int]:
@@ -231,7 +220,8 @@ def so_wild_report(w: WildImageSO) -> dict:
     Abelianization cyclic of order m, commutator elementary abelian of
     order 2^(m-1), determinant identically 1, irreducibility by character
     norm, self-duality because every element's trace is an integer, and
-    for m = 7 the negative eigenvalue arrangement result.
+    for m = 7 the G2 obstruction: some element's eigenvalues admit no G2
+    arrangement.
 
     Each clause comes from the F_2[C_m]-module V of sign vectors that the
     generators span, which must be +-1 diagonal matrices and one m-cycle
@@ -257,8 +247,7 @@ def so_wild_report(w: WildImageSO) -> dict:
                              f"cyclic code dimension {dim}")
     order = 2 ** dim * m
     # G' is the image of 1 + x on V, a subgroup of the elementary abelian V
-    mask = (1 << m) - 1
-    comm = _xor_basis(v ^ (v << 1 | v >> (m - 1)) & mask for v in basis)
+    comm = _xor_basis(v ^ _rotate(v, m) for v in basis)
     abelian = _invariant_factors([2] * (len(basis) - len(comm)) + [m])
 
     # det is a homomorphism, so the generators decide it
@@ -279,10 +268,17 @@ def so_wild_report(w: WildImageSO) -> dict:
     joint_kernel = (len(_xor_basis(rows)) == m - 1
                     and all(r.bit_count() % 2 == 0 for r in rows))
 
+    # an element v c^k, k != 0, is a signed 7-cycle: for even weight v its
+    # eigenvalues are the 7th roots of unity, admissible, and for odd
+    # weight v itself is not; so the weights that occur in V decide
     g2_obstruction = None
     if m == 7:
-        eigs = [ONE] * 5 + [MINUS_ONE] * 2
-        g2_obstruction = not g2_admissible_eigenvalues(eigs)
+        span = {0}
+        for b in basis:
+            span |= {v ^ b for v in span}
+        g2_obstruction = not all(
+            g2_admissible_eigenvalues([ONE] * (m - w) + [MINUS_ONE] * w)
+            for w in {v.bit_count() for v in span})
 
     return {
         "m": m,

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -42,8 +43,7 @@ def _signed_cycle_group(m, minus=(0,), cycle=None):
                                          for j in range(m)))
     cycle = MonomialMatrix.permutation(
         cycle or tuple((k - 1) % m for k in range(m)))
-    return WildImageSO(m=m, sign_gens=(flip,), cycle=cycle,
-                       generators=(flip, cycle))
+    return WildImageSO(m=m, generators=(flip, cycle))
 
 
 def test_so_wild_det_decided_on_generators():
@@ -70,6 +70,20 @@ def _module_basis(w):
     return basis
 
 
+def _eigenvalues(g):
+    # a cycle of length L whose entries multiply to zeta_n^s contributes
+    # the L-th roots of zeta_n^s
+    perm, exps, n = g
+    seen, eigs = set(), []
+    for j in range(len(perm)):
+        s, length = 0, 0
+        while j not in seen:
+            seen.add(j)
+            s, length, j = s + exps[j], length + 1, perm[j]
+        eigs += [RootOfUnity(s + n * k, n * length) for k in range(length)]
+    return eigs
+
+
 def _character_tuples(m):
     # sign tuple of the i-th cyclic shift of the base character
     return [tuple(-1 if (i + j) % m in (0, 1) else 1 for j in range(m))
@@ -91,8 +105,9 @@ def _exhaustive_so_wild_report(w):
                          if t[j] == -1) % 2 == 0 for t in tuples)]
     g2_obstruction = None
     if m == 7:
-        eigs = [ONE] * 5 + [MINUS_ONE] * 2
-        g2_obstruction = not wildtwo.g2_admissible_eigenvalues(eigs)
+        g2_obstruction = not all(
+            wildtwo.g2_admissible_eigenvalues(_eigenvalues(g))
+            for g in grp.elements)
     abelian = grp.abelianization()
     return {
         "m": m,
@@ -131,6 +146,10 @@ def test_so_wild_report_matches_the_closed_group(so_wild, m):
     # agree on V in the three classes mod 3, the norm is 8 (3^2 + 3^2 +
     # 3^2) = 216 = 3 |G|, and the character is reducible
     (9, (0, 3, 6), None, 72, [18]),
+    # -1 at 0, 2, 3 and 4: V is the [7, 3] simplex code, every nonzero
+    # word of weight 4, so no element of 2^3:7 has eigenvalues outside the
+    # G2 shape and g2_obstruction is false
+    (7, (0, 2, 3, 4), None, 56, [7]),
 ])
 def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
                                                   abelian):
@@ -138,6 +157,7 @@ def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
     rep = so_wild_report(w)
     assert rep == _exhaustive_so_wild_report(w)
     assert (rep["order"], rep["abelianization"]) == (order, abelian)
+    assert rep["g2_obstruction"] is (order != 56 if m == 7 else None)
     basis = _module_basis(w)
     norm = wildtwo._trace_square_sum(m, basis)
     assert norm == _gray_code_square_sum(m, basis)
@@ -198,8 +218,7 @@ def test_so_wild_report_does_no_group_work(monkeypatch):
      MonomialMatrix.permutation((1, 2, 0))],
 ])
 def test_so_wild_report_rejects_other_generators(gens):
-    w = WildImageSO(m=3, sign_gens=(), cycle=gens[-1],
-                    generators=tuple(gens))
+    w = WildImageSO(m=3, generators=tuple(gens))
     with pytest.raises(ValueError):
         so_wild_report(w)
 
@@ -243,10 +262,14 @@ def test_so_wild_seven_g2_obstruction(so_wild):
     rep = so_wild_report(w)
     assert rep["order"] == 448
     assert rep["g2_obstruction"] is True
-    # the obstruction is visible on any single sign generator: eigenvalue
-    # pattern (1^5, (-1)^2) admits no inverse-closed triple arrangement
-    assert all(sorted(g.exps) == [0] * 5 + [1] * 2 and g.n == 2
-               for g in w.sign_gens)
+    # the obstruction is visible on the sign generator D and on each of
+    # its conjugates, the rotations of its sign vector: eigenvalue pattern
+    # (1^5, (-1)^2) admits no inverse-closed triple arrangement
+    flip = w.generators[0]
+    assert sorted(flip.exps) == [0] * 5 + [1] * 2 and flip.n == 2
+    d, = wildtwo._sign_module(w.generators, 7)
+    assert all(v.bit_count() == 2 for v in wildtwo._rotations(d, 7))
+    assert not wildtwo.g2_admissible_eigenvalues([ONE] * 5 + [MINUS_ONE] * 2)
 
 
 def test_so_wild_rejects_bad_m():
@@ -263,12 +286,12 @@ def test_so_wild_m_bound_refuses_before_building(monkeypatch):
     monkeypatch.setattr(wildtwo, "_SO_M_BOUND", 5)
     assert so_wild_report(build_so_wild(5))["order"] == 80
 
-    # an m past the bound makes no sign generator; an even one is still
-    # bad input
-    def refuse(ident, j):
-        raise AssertionError("built a sign generator")
+    # an m past the bound builds no matrix; an even one is still bad input
+    def refuse(*args):
+        raise AssertionError("built a matrix")
 
-    monkeypatch.setattr(wildtwo, "_sign_generator", refuse)
+    monkeypatch.setattr(wildtwo, "_make", refuse)
+    monkeypatch.setattr(MonomialMatrix, "permutation", refuse)
     with pytest.raises(ResourceBoundExceeded,
                        match="^m = 7 exceeds the bound 5$"):
         build_so_wild(7)
@@ -276,35 +299,34 @@ def test_so_wild_m_bound_refuses_before_building(monkeypatch):
         build_so_wild(20000)
 
 
-@pytest.mark.parametrize("bad", [0, 3])
-def test_so_wild_shift_check_fails_on_a_corrupted_generator(monkeypatch,
-                                                            bad):
-    # one entry of sign generator bad flips sign; at j = 0 both the
-    # product and the gathers see it, at j = 3 only the gathers do
-    make = wildtwo._sign_generator
-
-    def corrupted(ident, j):
-        d = make(ident, j)
-        if j != bad:
-            return d
-        diag = list(d.diag)
-        diag[2] = ONE if diag[2] == MINUS_ONE else MINUS_ONE
-        return MonomialMatrix.diagonal(tuple(diag))
-
-    monkeypatch.setattr(wildtwo, "_sign_generator", corrupted)
+def test_so_wild_shift_check_fails_on_a_wrong_rotation(monkeypatch):
+    # c D c^-1 is D's sign vector rotated up one place; rotating it down
+    # gives c^-1 D c, which the check refuses
+    monkeypatch.setattr(wildtwo, "_rotate",
+                        lambda v, m: (v >> 1 | v << (m - 1)) & ((1 << m) - 1))
     with pytest.raises(AssertionError,
                        match="^cycle does not shift the sign generators$"):
         build_so_wild(7)
 
 
 def test_so_wild_shift_check_is_tied_to_the_product(monkeypatch):
-    # the gathers agree whatever __mul__ does; a wrong product fails the
-    # check at j = 0
-    assert build_so_wild(5).sign_gens[0].exps == (1, 1, 0, 0, 0)
+    # the rotation agrees whatever __mul__ does; a wrong product fails the
+    # check
+    assert build_so_wild(5).generators[0].exps == (1, 1, 0, 0, 0)
     monkeypatch.setattr(MonomialMatrix, "__mul__", lambda a, b: a)
     with pytest.raises(AssertionError,
                        match="^cycle does not shift the sign generators$"):
         build_so_wild(5)
+
+
+def test_so_wild_build_holds_two_matrices():
+    tracemalloc.start()
+    try:
+        w = build_so_wild(1001)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(w.generators) == 2 and held < 1 << 20
 
 
 def test_so_wild_builds_past_fifteen():
