@@ -12,7 +12,7 @@ points zeta^e e_j (monomial.point_action), so left multiplication by g
 is one gather of g's point table through that tuple, with no product.
 An element's index is the position where the search first finds it, so
 the identity is 0, and for each generator g the group keeps the table
-i -> index(g * x_i).  Elements are decoded only when first asked for.
+i -> index(g * x_i); the base images are dropped when the search ends.
 metacyclic(m, p) and the tame images of ggt.weilparams are built from
 their presentation instead: the generators t, f are checked, on their
 exponents, to present Z/p semidirect Z/m, and x_(a + p b) is the normal
@@ -20,10 +20,12 @@ form t^a f^b (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, ch. 8), so their tables are closed forms, with no search,
 no point orbit and no base image.
 
-Every constructor hands the group a spanning tree of its Cayley graph,
-the edge x_j = g x_i with i < j for each j > 0: the search records the
-step that found x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or,
-for a = 0, f f^(b-1).  The rest runs on indices and multiplies no
+Every constructor hands the group its generators, their tables and a
+spanning tree of its Cayley graph (Seress's Schreier tree), the edge
+x_j = g x_i with i < j for each j > 0: the search records the step that
+found x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or, for a = 0,
+f f^(b-1).  The tree is the one decoder: x_0 = 1 and x_j = g x_i, made
+when first asked for.  The rest runs on indices and multiplies no
 element: a subgroup is a frozenset of indices, and a quotient's
 projection maps an index of G to an index of G/N, so reporting a group
 decodes no element.  The spanning tree gives, for any element s, the
@@ -38,8 +40,8 @@ entry already known, so it pays for what it reads and not for |G|.
 g (x N) = g x N, so pushing the normal subgroup N through the tables
 labels the cosets in the order a search on G/N finds them: the labels
 are the quotient's tables, the step that found each coset is its tree
-edge, and its elements are the permutation matrices of its regular
-action.  The powers of x are the cycle of the
+edge, and its generators are the permutation matrices of their own
+tables, its left regular action.  The powers of x are the cycle of the
 identity under right multiplication by x, which gives element orders.
 In the abelian G/G', x -> x^p is a homomorphism, filled in along the
 spanning tree, and the numbers of elements its iterates kill give the
@@ -72,8 +74,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ResourceBoundExceeded
-from .monomial import (MonomialMatrix, gatherer, point_action,
-                       power_product_decoder)
+from .monomial import MonomialMatrix, gatherer, point_action
 from .numth import _order_dividing, factorize, is_prime
 from .record import Record
 from .roots import ONE, RootOfUnity
@@ -92,23 +93,17 @@ DEFAULT_CLOSURE_BOUND = 100_000
 
 
 class FinGroup:
-    """A finite group given by its Cayley tables and a spanning tree of
-    its Cayley graph; the elements are decoded on first use."""
+    """A finite group given by its Cayley tables, a spanning tree of its
+    Cayley graph and its generators; the elements are decoded along the
+    tree on first use."""
 
-    def __init__(self, tables: Sequence, tree: Sequence,
-                 images: Sequence | None = None,
-                 decode: Callable | None = None) -> None:
-        """tables holds for each generator g the list i -> index(g x_i),
-        x_0 the identity.  tree holds, for j = 1, ..., order - 1, the edge
-        (t, i) with i < j and x_j = g x_i, t the table of g (one of
-        tables, not a copy).  x_i is decode(images[i]); with no decode it
-        is the permutation matrix of the regular action
-        j -> index(x_j x_i^-1), as for a quotient."""
-        self.tables = list(tables)
-        self._tree = tree
-        if decode is None:
-            images, decode = range(self.order), self._regular
-        self._images, self._decode = images, decode
+    def __init__(self, tables: tuple, tree: tuple,
+                 generators: tuple) -> None:
+        """tables holds for each g of generators, in order, the tuple
+        i -> index(g x_i), x_0 the identity.  tree holds, for j = 1, ...,
+        order - 1, the edge (t, i) with i < j and x_j = g x_i, t the table
+        of g (one of tables, not a copy).  All three are tuples."""
+        self.tables, self._tree, self.generators = tables, tree, generators
         # cached results are tuples: a caller cannot change them
         self._conj: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[frozenset[int], ...] | None = None
@@ -126,9 +121,9 @@ class FinGroup:
         the call.
 
         The search runs on base images: monomial.point_action gives the
-        identity's base images, each generator as a table of point images
-        and the map back to matrices, so g * x is one gather of g's table
-        through x and no element is multiplied.
+        identity's base images and each generator as a table of point
+        images, so g * x is one gather of g's table through x and no
+        element is multiplied.
         """
         if not generators:
             raise ValueError("need at least one generator")
@@ -136,13 +131,13 @@ class FinGroup:
             bound = DEFAULT_CLOSURE_BOUND
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-        start, phis, decode = point_action(generators, bound)
+        start, phis = point_action(generators, bound)
         imgs, pos = [start], {start: 0}
-        tables, tree, found = [[] for _ in phis], [], [0]
-        # found holds the tables' own ints, so the tree adds no int objects
+        rows, edges, found = [[] for _ in phis], [], [0]
+        # found holds the rows' own ints, so the tree adds no int objects
         for i, x in zip(found, imgs):  # both grow while the loop runs
             gx = gatherer(x)
-            for phi, table in zip(phis, tables):
+            for k, (phi, row) in enumerate(zip(phis, rows)):
                 y = gx(phi)
                 j = pos.setdefault(y, len(imgs))
                 if j == len(imgs):
@@ -151,21 +146,22 @@ class FinGroup:
                             f"group closure exceeded {bound} elements")
                     imgs.append(y)
                     found.append(j)
-                    tree.append((table, i))
-                table.append(j)
-        return cls(tables, tree, imgs, decode)
-
-    @cached_property
-    def generators(self) -> list:
-        if self._images is None:  # decoded already
-            return [self.elements[t[0]] for t in self.tables]
-        return [self._decode(self._images[t[0]]) for t in self.tables]
+                    edges.append((k, i))
+                row.append(j)
+        del imgs, pos  # freed before the tuples are made, for the peak
+        tables = tuple(map(tuple, rows))
+        return cls(tables, tuple((tables[k], i) for k, i in edges),
+                   tuple(generators))
 
     @cached_property
     def elements(self) -> list:
-        """The elements in index order."""
-        els = list(map(self._decode, self._images))
-        self._images = None  # the base images are not needed again
+        """The elements in index order, decoded along the spanning tree:
+        x_0 = 1 and x_j = g x_i for the edge (t, i), g t's generator."""
+        gen = {id(t): g for t, g in zip(self.tables, self.generators)}
+        els = [MonomialMatrix.identity(self.generators[0].dim)]
+        append = els.append
+        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
+            append(gen[id(t)] * els[i])
         return els
 
     @cached_property
@@ -219,13 +215,6 @@ class FinGroup:
                 x = r[i] = t[x]
             return x
         return at
-
-    def _regular(self, s: int) -> MonomialMatrix:
-        """x_s as the permutation matrix e_i -> e_j, x_j = x_i x_s^-1."""
-        perm = [0] * self.order
-        for i, j in enumerate(self._right(s)):
-            perm[j] = i
-        return MonomialMatrix.permutation(tuple(perm))
 
     def _powers(self, i: int) -> list[int]:
         """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
@@ -394,8 +383,9 @@ class FinGroup:
         Pushing N through the generators' tables labels the cosets in the
         order a search on G/N finds them, so the labels of g x N are the
         quotient's tables, the step g x N that found a coset is its tree
-        edge, and nothing is generated.  Its elements are the
-        permutation matrices of its regular action, decoded on first use.
+        edge, and nothing is generated.  Its generators are the
+        permutation matrices e_i -> e_t[i] of their tables t, so x_j is
+        e_i -> e_index(x_j x_i), the left regular action.
         """
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
@@ -413,8 +403,10 @@ class FinGroup:
                     edges.append((k, c))
         if len(cosets) * len(sub) != self.order:
             raise AssertionError("quotient order mismatch")
-        tables = [[label[t[c[0]]] for c in cosets] for t in self.tables]
-        q = FinGroup(tables, [(tables[k], c) for k, c in edges])
+        tables = tuple(tuple(label[t[c[0]]] for c in cosets)
+                       for t in self.tables)
+        q = FinGroup(tables, tuple((tables[k], c) for k, c in edges),
+                     tuple(map(MonomialMatrix.permutation, tables)))
         return q, label.__getitem__
 
     def _power_table(self, e: int) -> list[int]:
@@ -685,11 +677,12 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix) -> FinGroup:
     for b, block in enumerate(blocks):
         ttab += rotate(block)
         ftab += scale(blocks[(b + 1) % m])
+    ttab, ftab = tuple(ttab), tuple(ftab)  # the tree's edges point at these
+    for b, block in enumerate(blocks):
         if b:
             tree.append((ftab, blocks[b - 1][0]))
         tree += zip(repeat(ttab), block[:-1])
-    return FinGroup([ttab, ftab], tree, range(len(ks)),
-                    power_product_decoder(t, f))
+    return FinGroup((ttab, ftab), tuple(tree), (t, f))
 
 
 def metacyclic(m: int, p: int) -> FinGroup:

@@ -14,6 +14,9 @@ Products, inverses, determinants and bilinear-form checks are all exact.
 A symmetric form is described by a pairing involution iota, the form
 sum_j x_j * x_{iota(j)}; the antidiagonal iota(j) = dim-1-j is the
 default.
+
+point_action is the action on the points zeta^e e_j that
+FinGroup.generate closes; no matrix is read back from points.
 """
 
 from __future__ import annotations
@@ -212,9 +215,8 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 
 
 def point_action(gens: Sequence[MonomialMatrix], bound: int
-                 ) -> tuple[tuple[int, ...], list, Callable]:
-    """The identity's base images, each generator as a table of point
-    images and the map from base images back to matrices.
+                 ) -> tuple[tuple[int, ...], list]:
+    """The identity's base images and each generator's point-image table.
 
     Over mu_N, N the lcm of the generators' moduli, a point (j, e)
     is the vector zeta^e e_j, and M sends it to (perm[j], exps[j] + e),
@@ -245,40 +247,4 @@ def point_action(gens: Sequence[MonomialMatrix], bound: int
                             f"group closure exceeded {bound} elements")
                     points.append(q)
                 phi.append(i)
-    cols, powers = zip(*points)
-
-    def decode(x: tuple[int, ...]) -> MonomialMatrix:
-        g = gatherer(x)
-        return _make(g(cols), g(powers), n)
-
-    return tuple(index[j, 0] for j in range(dim)), phis, decode
-
-
-def power_product_decoder(t: MonomialMatrix, f: MonomialMatrix
-                          ) -> Callable[[int], MonomialMatrix]:
-    """The map a + p*b -> t^a f^b, for t diagonal of modulus p.
-
-    Over mu_N, N = lcm(p, f.n), t^a f^b has f^b's permutation P and
-    entry k equal to a times t's exponent at P[k] plus f^b's at k.  The
-    powers f^b are kept as plain tuples, with t's exponents gathered
-    along P, and filled in as far as the decoded keys need, so each key
-    costs one _make."""
-    p, n = t.n, lcm(t.n, f.n)
-    texps = tuple(e * (n // p) for e in t.exps)
-    fperm, fexps = f.perm, tuple(e * (n // f.n) for e in f.exps)
-    powers = [(tuple(range(len(fperm))), (0,) * len(fperm), texps)]
-
-    def decode(key: int) -> MonomialMatrix:
-        b, a = divmod(key, p)
-        while len(powers) <= b:
-            # f^(b+1) = f f^b, the product rule with f gathered along P
-            perm, exps, _ = powers[-1]
-            g = gatherer(perm)
-            perm = g(fperm)
-            powers.append((perm, tuple(map(mod, map(add, g(fexps), exps),
-                                           repeat(n))), gatherer(perm)(texps)))
-        perm, exps, tp = powers[b]
-        return _make(perm, tuple(map(mod, map(add, map(mul, tp, repeat(a)),
-                                              exps), repeat(n))), n)
-
-    return decode
+    return tuple(index[j, 0] for j in range(dim)), phis

@@ -218,6 +218,11 @@ def test_direct_product_and_quotient():
     assert q.order == 6
     # the projection maps indices, the identity 0 to the identity 0
     assert proj(0) == 0 and q.elements[proj(0)].is_identity
+    # the quotient's elements are its left regular action: x_j sends e_i
+    # to e_index(x_j x_i), entry j of x_i's right table
+    rights = [q._right(i) for i in range(q.order)]
+    assert all(x.perm == tuple(r[j] for r in rights)
+               for j, x in enumerate(q.elements))
     with pytest.raises(ValueError):
         s3 = _sym(3)
         sub = s3.subgroup_closure(
@@ -527,7 +532,8 @@ def test_index_engine_matches_naive_definitions(gens, data):
              for _ in range(3)]
     subs = [_generated(seed, e) for seed in seeds]
     # the tables gathered on base images equal those made by products
-    assert grp.tables == [[els.index(g * x) for x in els] for g in gens]
+    assert grp.tables == tuple(tuple(els.index(g * x) for x in els)
+                               for g in gens)
     for seed, sub in zip(seeds, subs):
         assert decoded(grp.subgroup_closure(idx[x] for x in seed)) == sub
     for x in els:
@@ -644,8 +650,9 @@ def _comprehension_tables(p, m, alpha):
     """_split_metacyclic's tables and tree as three comprehensions over
     the keys k = a + p b, the way it once built them."""
     ks = list(range(p * m))
-    ttab = [ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks]
-    ftab = [ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)] for k in ks]
+    ttab = tuple(ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks)
+    ftab = tuple(ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)]
+                 for k in ks)
     tree = [(ttab, ks[k - 1]) if k % p else (ftab, ks[k - p]) for k in ks[1:]]
     return ttab, ftab, tree
 
@@ -682,22 +689,48 @@ def test_sliced_tables_match_the_comprehensions(monkeypatch):
             assert all(map(is_, map(own.__getitem__, parents), parents))
 
 
+def _assert_decoded_tables_hold(g: FinGroup) -> None:
+    # the elements decoded along the tree are distinct, and every table
+    # entry, not only the tree's edges, is the product it stands for
+    els = g.elements
+    assert len(set(els)) == g.order
+    for x, t in zip(g.generators, g.tables, strict=True):
+        assert all(x * y == els[j] for y, j in zip(els, t))
+
+
 def test_every_constructor_hands_over_its_spanning_tree():
     # tree edge (t, i) for x_j = g x_i: i < j, t is g's own table, and
-    # t[i] = j, for generate, the presented groups and a quotient
+    # t[i] = j, for generate, the presented groups and every quotient of
+    # two groups; all of it is tuples, and the tree decodes the elements
     image = parameter_image(build_tame_parameter(7, (RootOfUnity(1, 43),), 3))
     meta = metacyclic(6, 7)
-    groups = _battery() + [
+    quotients = [g.quotient(n)[0] for g in (_alt4(), _battery()[-1])
+                 for n in g.normal_subgroups()]
+    presented = [metacyclic(m, p) for p in (2, 3, 5, 7, 11, 13, 17, 19)
+                 for m in range(1, p) if (p - 1) % m == 0]
+    groups = _battery() + quotients + presented + [
         image,
-        meta,
         meta.quotient(meta.commutator_subgroup())[0],
         direct_product(cyclic(4), metacyclic(6, 7)),
     ]
+    assert len(quotients) == 3 + 6 and len(presented) == 31
     for g in groups:
         assert len(g._tree) == g.order - 1
+        assert all(type(x) is tuple for x in (g.tables, g._tree,
+                                               g.generators, *g.tables))
         for j, (t, i) in enumerate(g._tree, 1):
             assert i < j and t[i] == j
             assert any(t is table for table in g.tables)
+        _assert_decoded_tables_hold(g)
+    # an edge pointed at the other generator's table decodes x_j wrongly,
+    # which the table entry t[i] = j then contradicts
+    ttab, ftab = meta.tables
+    j = next(j for j, (t, _) in enumerate(meta._tree) if t is ftab)
+    tree = list(meta._tree)
+    tree[j] = (ttab, tree[j][1])
+    with pytest.raises(AssertionError):
+        _assert_decoded_tables_hold(
+            FinGroup(meta.tables, tuple(tree), meta.generators))
 
 
 def test_element_of_order_p_reads_powers_off_the_walk():
@@ -731,9 +764,10 @@ def test_elements_are_decoded_on_demand(monkeypatch):
     image = parameter_image(param)
     assert is_type_np(image, 6, 43) is not None
     assert image.order == 258 and made == []
-    # the elements are decoded once, on first use
+    # the elements are decoded once, on first use, along the spanning
+    # tree: the identity is built directly, then one product per edge
     first = image.elements
-    assert image.elements is first and len(made) == 258
+    assert image.elements is first and len(made) == 257
     assert len(set(first)) == 258 and first[0].is_identity
     # subgroups are index sets and projections map indices, so the full
     # report, quotients included, decodes nothing either
@@ -887,16 +921,10 @@ def test_presented_groups_run_no_closure(monkeypatch):
 def test_generators_decode_only_the_base_images(monkeypatch):
     made = _counting_decodes(monkeypatch)
     g = metacyclic(6, 1009)
-    assert made == []
-    # direct_product reads the three generators of its factors and
-    # closes the product; nothing else is decoded
+    # every group stores its generators, so direct_product reads the
+    # three generators of its factors and closes the product with no
+    # decode, and the product's generators are its own stored tuple
     prod = direct_product(cyclic(4), g)
-    assert len(made) == 3 and prod.order == 4 * 6 * 1009
-    made.clear()
+    assert prod.order == 4 * 6 * 1009
     gens = prod.generators
-    assert len(made) == 3 and [x.dim for x in gens] == [7, 7, 7]
-    # once the elements are decoded, the generators are read off them
-    c = cyclic(5)
-    elements = c.elements
-    made.clear()
-    assert c.generators[0] is elements[1] and made == []
+    assert made == [] and [x.dim for x in gens] == [7, 7, 7]

@@ -400,11 +400,13 @@ def test_g2_jordan_is_read_only_with_one_copy_of_each_matrix(g2_jordan):
 
 def test_cached_results_of_the_shared_group_cannot_be_changed(g2_jordan):
     # every report in the process reads the one shared group; a caller
-    # that tries to change what it has cached changes no later report
+    # that tries to change its tables, tree, generators or what it has
+    # cached changes no later report
     grp = g2_jordan.group
     before = g2_jordan_report(g2_jordan)
     conj = grp._conj_tables()
-    for cached in (grp.conjugacy_classes(), grp.normal_subgroups(), conj,
+    for cached in (grp.tables, grp.tables[0], grp._tree, grp.generators,
+                   grp.conjugacy_classes(), grp.normal_subgroups(), conj,
                    conj[0]):
         assert isinstance(cached, tuple)
         with pytest.raises(TypeError):
@@ -582,7 +584,9 @@ def test_g2_jordan_report_reads_traces_at_class_representatives(
 
 def test_g2_jordan_product_count(monkeypatch, uncached_g2):
     # generate, the homomorphism check and normal_subgroups run on index
-    # tables; what is left is build_g2_jordan squaring the 8 translations
+    # tables; what is left is decoding the group along its spanning tree,
+    # one product per non-identity element, and build_g2_jordan squaring
+    # the 8 translations
     made = _counting_mul(monkeypatch, MonomialMatrix)
     g2_jordan_report(build_g2_jordan())
-    assert len(made) == 8
+    assert len(made) == 167 + 8
