@@ -5,28 +5,28 @@ when its modulus is 1.  cyclic(n) is the 1x1 matrix diag(zeta_n), and
 metacyclic(m, p) the m x m group over mu_p induced from a character of
 Z/p (Serre, Linear Representations of Finite Groups, ch. 7).
 
-FinGroup.generate closes the generators by a breadth-first search on
-base images (Seress, Permutation Group Algorithms, 2003, ch. 4): an
-element is the tuple of its images of the base vectors e_j among the
-points zeta^e e_j (monomial.point_action), so left multiplication by g
-is one gather of g's point table through that tuple, with no product.
-An element's index is the position where the search first finds it, so
-the identity is 0, and for each generator g the group keeps the table
-i -> index(g * x_i); the base images are dropped when the search ends.
+FinGroup.generate closes the generators by the breadth-first walk of
+ggt.walk (Seress, Permutation Group Algorithms, 2003, ch. 4) on base
+images: an element is the tuple of its images of the base vectors e_j
+among the points zeta^e e_j (monomial.point_action), so left
+multiplication by g is one gather of g's point table through that tuple,
+with no product.  An element's index is where the walk first reaches it,
+so the identity is 0, and the walk's tables i -> index(g * x_i) are the
+group's; the base images are dropped when the walk ends.
 metacyclic(m, p) and the tame images of ggt.weilparams are built from
 their presentation instead: the generators t, f are checked, on their
 exponents, to present Z/p semidirect Z/m, and x_(a + p b) is the normal
 form t^a f^b (Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, ch. 8), so their tables are closed forms, with no search,
+Theory, 2005, ch. 8), so their tables are closed forms, with no walk,
 no point orbit and no base image.
 
 Every constructor hands the group its generators, their tables and a
 spanning tree of its Cayley graph (Seress's Schreier tree), the edge
-x_j = g x_i with i < j for each j > 0: the search records the step that
-found x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or, for a = 0,
-f f^(b-1).  The tree is the one decoder: x_0 = 1 and x_j = g x_i, made
-when first asked for.  The rest runs on indices and multiplies no
-element: a subgroup is a frozenset of indices, and a quotient's
+x_j = g x_i with i < j for each j > 0: the walk records the edge that
+first reached x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or,
+for a = 0, f f^(b-1).  The tree is the one decoder: x_0 = 1 and
+x_j = g x_i, made when first asked for.  The rest runs on indices and
+multiplies no element: a subgroup is a frozenset of indices, and a quotient's
 projection maps an index of G to an index of G/N, so reporting a group
 decodes no element.  The spanning tree gives, for any element s, the
 table i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
@@ -71,13 +71,15 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
 from .monomial import MonomialMatrix, gatherer, point_action
 from .numth import _order_dividing, factorize, is_prime
 from .record import Record
 from .roots import ONE, RootOfUnity
+from .walk import closure, orbits, walk
 
 __all__ = [
     "FinGroup",
@@ -114,13 +116,12 @@ class FinGroup:
     @classmethod
     def generate(cls, generators: Sequence,
                  bound: int | None = None) -> "FinGroup":
-        """Breadth-first closure by left multiplication, recording each
-        generator's table and, as the tree edge to each new element, the
-        step that found it.  Errors past the bound, which must be
-        positive; without one, past DEFAULT_CLOSURE_BOUND as it reads at
-        the call.
+        """Breadth-first closure by left multiplication, one walk
+        (ggt.walk) whose tables are the generators' and whose edges are
+        the tree.  Errors past the bound, which must be positive; without
+        one, past DEFAULT_CLOSURE_BOUND as it reads at the call.
 
-        The search runs on base images: monomial.point_action gives the
+        The walk runs on base images: monomial.point_action gives the
         identity's base images and each generator as a table of point
         images, so g * x is one gather of g's table through x and no
         element is multiplied.
@@ -131,30 +132,21 @@ class FinGroup:
             bound = DEFAULT_CLOSURE_BOUND
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-        start, phis = point_action(generators, bound)
-        imgs, pos = [start], {start: 0}
-        rows, edges, found = [[] for _ in phis], [], [0]
-        # found holds the rows' own ints, so the tree adds no int objects
-        for i, x in zip(found, imgs):  # both grow while the loop runs
-            gx = gatherer(x)
-            for k, (phi, row) in enumerate(zip(phis, rows)):
-                y = gx(phi)
-                j = pos.setdefault(y, len(imgs))
-                if j == len(imgs):
-                    if j >= bound:
-                        raise ResourceBoundExceeded(
-                            f"group closure exceeded {bound} elements")
-                    imgs.append(y)
-                    found.append(j)
-                    edges.append((k, i))
-                row.append(j)
-        del imgs, pos  # freed before the tuples are made, for the peak
+        try:
+            start, phis = point_action(generators, bound)
+            # one gatherer per element serves every generator's table; the
+            # base images are dropped before the tuples are made
+            rows, edges = walk(
+                [start], lambda x: map(gatherer(x), phis), bound)[1:]
+        except ResourceBoundExceeded:
+            raise ResourceBoundExceeded(
+                f"group closure exceeded {bound} elements") from None
         tables = tuple(map(tuple, rows))
         return cls(tables, tuple((tables[k], i) for k, i in edges),
                    tuple(generators))
 
     @cached_property
-    def elements(self) -> list:
+    def elements(self) -> tuple:
         """The elements in index order, decoded along the spanning tree:
         x_0 = 1 and x_j = g x_i for the edge (t, i), g t's generator."""
         gen = {id(t): g for t, g in zip(self.tables, self.generators)}
@@ -162,11 +154,12 @@ class FinGroup:
         append = els.append
         for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
             append(gen[id(t)] * els[i])
-        return els
+        return tuple(els)
 
     @cached_property
-    def index(self) -> dict:
-        return {x: i for i, x in enumerate(self.elements)}
+    def index(self) -> Mapping:
+        """{element: index}, read-only."""
+        return MappingProxyType({x: i for i, x in enumerate(self.elements)})
 
     @property
     def identity(self):
@@ -253,30 +246,11 @@ class FinGroup:
             out.append(t[self._right_at(inv)(y)])
         return out
 
-    def _conj_orbit(self, idx: set[int]) -> set[int]:
-        """Close a set of indices under conjugation, in place."""
-        conj = self._conj_tables()
-        stack = list(idx)
-        while stack:
-            i = stack.pop()
-            for c in conj:
-                j = c[i]
-                if j not in idx:
-                    idx.add(j)
-                    stack.append(j)
-        return idx
-
     def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
         """The conjugacy classes as index sets, numbered by least index."""
         if self._classes is None:
-            unseen = set(range(self.order))
-            classes = []
-            for i in range(self.order):
-                if i in unseen:
-                    orbit = frozenset(self._conj_orbit({i}))
-                    unseen -= orbit
-                    classes.append(orbit)
-            self._classes = tuple(classes)
+            self._classes = tuple(map(frozenset, orbits(
+                self._conj_tables(), self.order)))
         return self._classes
 
     def subgroup_closure(self, seed: Iterable[int]) -> frozenset[int]:
@@ -307,7 +281,7 @@ class FinGroup:
 
     def normal_closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Smallest normal subgroup containing the seed indices."""
-        return self.subgroup_closure(self._conj_orbit(set(seed)))
+        return self.subgroup_closure(closure(seed, self._conj_tables()))
 
     def normal_subgroups(self) -> tuple[frozenset[int], ...]:
         """Every normal subgroup, via joins of conjugacy class closures.

@@ -21,13 +21,13 @@ FinGroup.generate closes; no matrix is read back from points.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul
 from typing import Callable, Sequence
 
-from .errors import ResourceBoundExceeded
 from .roots import ONE, RootOfUnity
+from .walk import walk
 
 __all__ = ["MonomialMatrix", "antidiagonal_pairing"]
 
@@ -221,30 +221,17 @@ def point_action(gens: Sequence[MonomialMatrix], bound: int
     Over mu_N, N the lcm of the generators' moduli, a point (j, e)
     is the vector zeta^e e_j, and M sends it to (perm[j], exps[j] + e),
     as M * X does to the columns of X.  The points are the orbits of
-    the base points (j, 0), walked one orbit at a time.  An orbit has at
-    most |G| points, so one past bound points exceeds the bound."""
+    the base points (j, 0), numbered 0, ..., dim - 1, in one walk that
+    stops past dim * bound points: dim orbits of at most |G| points."""
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise ValueError("dimension mismatch")
     n = lcm(*(g.n for g in gens))
     acts = [(g.perm, tuple(e * (n // g.n) for e in g.exps))
             for g in gens]
-    points, index = [], {}
-    phis = [[] for _ in gens]
-    for base in range(dim):
-        if (base, 0) in index:
-            continue
-        start = index[base, 0] = len(points)
-        points.append((base, 0))
-        # the orbit of (base, 0) grows while the loop runs
-        for j, e in islice(points, start, None):
-            for (perm, exps), phi in zip(acts, phis):
-                q = (perm[j], (exps[j] + e) % n)
-                i = index.setdefault(q, len(points))
-                if i == len(points):
-                    if i - start >= bound:
-                        raise ResourceBoundExceeded(
-                            f"group closure exceeded {bound} elements")
-                    points.append(q)
-                phi.append(i)
-    return tuple(index[j, 0] for j in range(dim)), phis
+
+    def step(point):
+        j, e = point
+        return [(perm[j], (exps[j] + e) % n) for perm, exps in acts]
+    phis = walk([(j, 0) for j in range(dim)], step, dim * bound)[1]
+    return tuple(range(dim)), phis

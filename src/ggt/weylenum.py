@@ -18,21 +18,19 @@ Roots are row vectors of simple-root coordinates, where
 the roots are the closure of the simple roots, the unit vectors, under
 these maps (_roots).
 
-Every orbit is found by one breadth-first walk, _orbit, which keeps
-each map's table on the points it finds: tables[i][a] is the index of
-the image of point a under map i (the Schreier-vector walk; Seress,
-*Permutation Group Algorithms*, ch. 4).  The roots, the weight orbits,
-the tower and its suborbits are all read off such tables, so no map is
-applied to a point twice.
+Every orbit is a walk of ggt.walk, which keeps each map's table on the
+points it finds: tables[i][a] is the index of the image of point a
+under map i.  The roots, the weight orbits, the tower and its suborbits
+are all read off such walks, so no map is applied to a point twice.
 
 Within W_k = <s_1, ..., s_k> the stabilizer of omega_k is W_{k-1}, the
 parabolic generated by the simple reflections fixing it (Humphreys 1.12),
 so W_k = X_k W_{k-1}, where the transversal X_k holds one element per
 point of the orbit W_k omega_k.  The walk first reaches point j as s_i
-of an earlier point a, and x_0 = 1, x_j = s_i x_a sends omega_k to
-point j: these steps, applied to the identity as permutations, build
-X_k, and the group is the product of the transversals, with no group
-element hashed or deduplicated.
+of an earlier point a, its edge (i, a), and x_0 = 1, x_j = s_i x_a sends
+omega_k to point j: these edges, applied to the identity as
+permutations, build X_k, and the group is the product of the
+transversals, with no group element hashed or deduplicated.
 
 W_{k-1} permutes the cosets x W_{k-1} by conjugation, and conjugate
 elements have equal orders, so
@@ -41,10 +39,10 @@ elements have equal orders, so
                  |O| * tally(x_O W_{k-1}),
 
 where the orbits O are those of the tables of s_1, ..., s_{k-1}
-(_suborbits).  The orbit {omega_k}, with x = 1, gives the coset W_{k-1}
-itself, whose tally is the one level k - 1 left; only the other cosets
-are walked.  One tower X_1..X_n serves every level, and every level
-acts on all the roots of W, so one set of root permutations serves
+(ggt.walk's orbits).  The orbit {omega_k}, with x = 1, gives the coset
+W_{k-1} itself, whose tally is the one level k - 1 left; only the other
+cosets are walked.  One tower X_1..X_n serves every level, and every
+level acts on all the roots of W, so one set of root permutations serves
 them all: the levels k = 1..n run in one loop, each adding its walked
 cosets to one running tally and checking that it sums to |W_k|.  Each
 coset is walked as x_O t W_{k-2}, one block per t in X_{k-1}, so only
@@ -76,6 +74,7 @@ from itertools import repeat
 from operator import mul
 
 from .errors import ResourceBoundExceeded
+from .walk import orbits, walk
 
 __all__ = [
     "root_closure",
@@ -97,42 +96,26 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
 
 
-def _reflections(cartan) -> list:
-    """s_1, ..., s_n as maps on weights: p - p[i] C[i, :]."""
-    def reflect(p, i, root):
-        c = p[i]
-        return tuple(a - c * b for a, b in zip(p, root)) if c else p
-    return [lambda p, i=i, root=root: reflect(p, i, root)
-            for i, root in enumerate(cartan)]
+def _reflections(rows):
+    """The walk step p -> s_1(p), ..., s_k(p) on weights, s_i(p) =
+    p - p[i] C[i, :], for the rows C[1, :], ..., C[k, :] given."""
+    def step(p):
+        for i, root in enumerate(rows):
+            c = p[i]
+            yield tuple(a - c * b for a, b in zip(p, root)) if c else p
+    return step
 
 
-def _coreflections(cartan) -> list:
-    """s_1, ..., s_n as maps on roots: b - (b . C[:, j]) e_j."""
-    def coreflect(b, j, column):
-        c = sum(map(mul, b, column))
-        return b[:j] + (b[j] - c,) + b[j + 1:] if c else b
-    return [lambda b, j=j, column=column: coreflect(b, j, column)
-            for j, column in enumerate(zip(*cartan))]
+def _coreflections(cartan):
+    """The walk step b -> s_1(b), ..., s_n(b) on roots, s_j(b) =
+    b - (b . C[:, j]) e_j."""
+    columns = list(enumerate(zip(*cartan)))
 
-
-def _orbit(starts, moves, limit=None) -> tuple[list, list[list[int]]]:
-    """Every point reached from starts under the maps in moves, in
-    breadth-first order, and each map's table on them: tables[i][a] is
-    the index of moves[i](points[a]).  More than limit points raise
-    AssertionError."""
-    points = list(dict.fromkeys(starts))
-    index = {p: a for a, p in enumerate(points)}
-    tables = [[] for _ in moves]
-    for p in points:  # points grows while the loop runs
-        for move, table in zip(moves, tables):
-            q = move(p)
-            if q not in index:
-                index[q] = len(points)
-                points.append(q)
-            table.append(index[q])
-        if limit is not None and len(points) > limit:
-            raise AssertionError(f"orbit passed {limit} points")
-    return points, tables
+    def step(b):
+        for j, column in columns:
+            c = sum(map(mul, b, column))
+            yield b[:j] + (b[j] - c,) + b[j + 1:] if c else b
+    return step
 
 
 def root_closure(simple) -> tuple[tuple, tuple, tuple]:
@@ -158,13 +141,17 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
 
 
 def _tower(cartan, expected_order: int) -> tuple[list, list]:
-    """The points of W omega_n and, for k = 1..n, the tables of
-    s_1, ..., s_k on W_k omega_k; the orbit sizes must multiply to the
-    expected group order."""
-    moves, tower, size = _reflections(cartan), [], 1
+    """The points of W omega_n and, for k = 1..n, the walk of
+    s_1, ..., s_k from omega_k as (tables, edges) on W_k omega_k; the
+    orbit sizes must multiply to the expected group order."""
+    tower, size = [], 1
     for k, omega in enumerate(_identity(len(cartan)), 1):
-        points, tables = _orbit([omega], moves[:k], expected_order // size)
-        tower.append(tables)
+        try:
+            points, tables, edges = walk(
+                [omega], _reflections(cartan[:k]), expected_order // size)
+        except ResourceBoundExceeded as err:
+            raise AssertionError(str(err)) from None
+        tower.append((tables, edges))
         size *= len(points)
     if size != expected_order:
         raise AssertionError(
@@ -176,26 +163,23 @@ def _roots(cartan) -> tuple[list, list[list[int]]]:
     """The roots in simple-root coordinates, the simple roots (the unit
     vectors) first: their orbit under s_1, ..., s_n, with the tables of
     s_1, ..., s_n on them."""
-    return _orbit(_identity(len(cartan)), _coreflections(cartan))
+    return walk(_identity(len(cartan)), _coreflections(cartan))[:2]
 
 
 def _perm_levels(moves, tower) -> list[list[bytes]]:
     """[{1}, X_1, ..., X_n] as permutations of the points that moves, the
-    tables of s_1, ..., s_n, act on.  Point j of W_k omega_k is first
-    reached from the first (a, i), in order, with tables[i][a] == j, and
-    x_0 = 1, x_j = s_i x_a."""
+    tables of s_1, ..., s_n, act on: the walk of W_k omega_k first
+    reaches point j by its edge (i, a), and x_0 = 1, x_j = s_i x_a."""
     if len(moves[0]) > 256:
         raise AssertionError(f"a bytes permutation moves at most 256 "
                              f"points, not {len(moves[0])}")
     pad = _IDENTITY[len(moves[0]):]
     moves = [bytes(table) + pad for table in moves]
     levels = [[_IDENTITY]]
-    for tables in tower:
+    for _, edges in tower:
         xs = [_IDENTITY]
-        for a, x in enumerate(xs):  # xs grows while the loop runs
-            for table, move in zip(tables, moves):
-                if table[a] == len(xs):
-                    xs.append(x.translate(move))
+        for i, a in edges:
+            xs.append(xs[a].translate(moves[i]))
         levels.append(xs)
     return levels
 
@@ -229,7 +213,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     """
     cartan = _ints(cartan)
     omega = _identity(len(cartan))[k - 1]
-    points, moves = _orbit([omega], _reflections(cartan))
+    points, moves, _ = walk([omega], _reflections(cartan))
     if len(points) != size:
         raise AssertionError(f"omega_{k} has {len(points)} conjugates, "
                              f"expected {size}")
@@ -252,31 +236,18 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     return False
 
 
-def _suborbits(tables) -> list[list[int]]:
-    """The orbits of s_1, ..., s_{k-1} on the points of tables, the
-    tables of s_1, ..., s_k, each from its least point in walk order."""
-    moves = [table.__getitem__ for table in tables[:-1]]
-    seen, out = set(), []
-    for start in range(len(tables[-1])):
-        if start not in seen:
-            orbit = _orbit([start], moves)[0]
-            seen.update(orbit)
-            out.append(orbit)
-    return out
-
-
-def _pairs(points, orbits) -> list[tuple[int, int, bool]]:
+def _pairs(points, suborbits) -> list[tuple[int, int, bool]]:
     """The (start, size, paired) orbits to walk of W_{n-1} on points,
     W omega_n, when -1 is in W: one of each pair {O, -O}, paired, and
     each O = -O; {omega_n} and {-omega_n} are not walked."""
     index = {p: a for a, p in enumerate(points)}
-    owner = {a: o for o, orbit in enumerate(orbits) for a in orbit}
-    walk = []
-    for o, orbit in enumerate(orbits[1:], 1):
+    owner = {a: o for o, orbit in enumerate(suborbits) for a in orbit}
+    cosets = []
+    for o, orbit in enumerate(suborbits[1:], 1):
         partner = owner[index[tuple(-c for c in points[orbit[0]])]]
         if partner >= o:
-            walk.append((orbit[0], len(orbit), partner > o))
-    return walk
+            cosets.append((orbit[0], len(orbit), partner > o))
+    return cosets
 
 
 def _minus_one(roots, moves) -> bool:
@@ -330,14 +301,14 @@ def _mapped(tally: Counter, f) -> Counter:
     return out
 
 
-def _perm_tally(heads, prefix, tail, walk, neg) -> Counter:
+def _perm_tally(heads, prefix, tail, cosets, neg) -> Counter:
     """The key tally of the cosets x_O W_{k-1} = x_O X_{k-1} W_{k-2}, size
-    times each, for (start, size, paired) in walk, x_O being heads[start],
+    times each, for (start, size, paired) in cosets, x_O being heads[start],
     prefix X_{k-1} and tail W_{k-2}, each element a permutation of the
     roots; a paired one adds its flip, the coset of -O."""
     one = _IDENTITY[:len(neg)]
     tally: Counter = Counter()
-    for start, size, paired in walk:
+    for start, size, paired in cosets:
         coset = Counter(map(_perm_key, _coset([heads[start]], prefix, tail),
                             repeat(one), repeat(neg)))
         if paired:
@@ -369,26 +340,26 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
     roots, moves = _roots(cartan)
     flip = _minus_one(roots, moves)
     plan, size = [], 1
-    for k, tables in enumerate(tower, 1):
-        # orbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the coset
-        # W_{k-1} itself, tallied by the level below
-        orbits = _suborbits(tables)
-        walk = (_pairs(points, orbits) if flip and k == n else
-                [(orbit[0], len(orbit), False) for orbit in orbits[1:]])
-        work = len(walk) * size
+    for k, (tables, _) in enumerate(tower, 1):
+        # suborbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the
+        # coset W_{k-1} itself, tallied by the level below
+        suborbits = orbits(tables[:-1], len(tables[0]))
+        cosets = (_pairs(points, suborbits) if flip and k == n else
+                  [(orbit[0], len(orbit), False) for orbit in suborbits[1:]])
+        work = len(cosets) * size
         if work > _TALLY_BOUND:
             raise ResourceBoundExceeded(
                 f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
         size *= len(tables[0])
-        plan.append((walk, size))
+        plan.append((cosets, size))
     neg = bytes(moves[i][i] for i in range(n))  # s_i(alpha_i) = -alpha_i
     levels = _perm_levels(moves, tower)
     tally = Counter({2: 1})  # the identity's key
-    for k, (walk, size) in enumerate(plan, 1):
+    for k, (cosets, size) in enumerate(plan, 1):
         if flip and k == n:
             tally.update(_mapped(tally, _negated))  # the coset -W_{n-1}
         tally.update(_perm_tally(levels[k], levels[k - 1],
-                                 _product(levels[:k - 1]), walk, neg))
+                                 _product(levels[:k - 1]), cosets, neg))
         if sum(tally.values()) != size:
             raise AssertionError(f"rank {k} tally sums to "
                                  f"{sum(tally.values())}, expected {size}")

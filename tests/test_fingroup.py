@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggt import fingroup, monomial
+from ggt import fingroup, monomial, walk
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import (FinGroup, cyclic, direct_product, is_type_np,
                           is_type_npl, metacyclic)
 from ggt.fingroup import _split_metacyclic
 from ggt.monomial import MonomialMatrix
 from ggt.numth import is_prime, mult_order
-from ggt.roots import RootOfUnity
+from ggt.roots import ONE, RootOfUnity
 from ggt.weilparams import build_tame_parameter, parameter_image
 from ggt.wildtwo import build_g2_jordan, build_so_wild, so_wild_report
 
@@ -124,10 +124,22 @@ def test_generate_point_bound():
     swap = MonomialMatrix((1, 0), (zeta, zeta.inverse()))
     assert FinGroup.generate([swap]).order == 2
     # a cyclic group of order 10^6 has 10^6 points; the walk stops once
-    # one orbit passes bound of them
+    # the points pass dim * bound, and the message names generate's bound
     rot = MonomialMatrix.diagonal((RootOfUnity(1, 10 ** 6),))
     with pytest.raises(ResourceBoundExceeded):
         FinGroup.generate([rot], bound=1000)
+    rot = MonomialMatrix.diagonal((RootOfUnity(1, 10 ** 7), ONE, ONE))
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^group closure exceeded 1000 elements$"):
+        FinGroup.generate([rot], bound=1000)
+    # three orbits of 50 points, dim * bound of them, close at bound 50;
+    # at bound 49 the points pass 147 first, reported as the bound 49
+    z50 = RootOfUnity(1, 50)
+    scalar = MonomialMatrix.diagonal((z50,) * 3)
+    assert FinGroup.generate([scalar], bound=50).order == 50
+    with pytest.raises(ResourceBoundExceeded,
+                       match="^group closure exceeded 49 elements$"):
+        FinGroup.generate([scalar], bound=49)
     # -swap has order 2, one orbit of coordinates and two orbits of
     # points, {e_0, -e_1} and {e_1, -e_0}: each orbit is at most |G|
     neg_swap = MonomialMatrix((1, 0), (RootOfUnity(1, 2),) * 2)
@@ -897,25 +909,25 @@ def test_default_closure_bound_is_read_at_the_call(monkeypatch):
 def test_presented_groups_run_no_closure(monkeypatch):
     params = _tame_params()
     calls = []
-    generate, point_action = FinGroup.generate.__func__, fingroup.point_action
+    generate, real_walk = FinGroup.generate.__func__, walk.walk
 
     def counting_generate(cls, *args, **kwargs):
         calls.append("generate")
         return generate(cls, *args, **kwargs)
 
-    def counting_point_action(*args):
-        calls.append("point_action")
-        return point_action(*args)
+    def counting_walk(*args):
+        calls.append("walk")
+        return real_walk(*args)
 
     monkeypatch.setattr(FinGroup, "generate", classmethod(counting_generate))
-    monkeypatch.setattr(fingroup, "point_action", counting_point_action)
-    monkeypatch.setattr(monomial, "point_action", counting_point_action)
+    monkeypatch.setattr(fingroup, "walk", counting_walk)
+    monkeypatch.setattr(monomial, "walk", counting_walk)
     for param in params:
         parameter_image(param)
     metacyclic(6, 7)
     assert calls == []
-    cyclic(6)  # the counters do see a closure
-    assert calls == ["generate", "point_action"]
+    cyclic(6)  # the counters do see a closure: the points, then the group
+    assert calls == ["generate", "walk", "walk"]
 
 
 def test_generators_decode_only_the_base_images(monkeypatch):

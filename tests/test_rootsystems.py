@@ -18,8 +18,9 @@ from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              cyclic_weight_permutation_check,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
-from ggt.weylenum import (_coset, _identity, _orbit, _perm_levels, _product,
-                          _reflections, _suborbits, _tower, enumerate_orders,
+from ggt.walk import orbits, walk
+from ggt.weylenum import (_coset, _identity, _perm_levels, _product,
+                          _reflections, _tower, enumerate_orders,
                           weight_orbit_cycles)
 
 
@@ -68,8 +69,10 @@ def test_simple_reflections_are_reflections():
     # s_i as the matrix of images s_i(omega_1), ..., s_i(omega_n)
     for label in ("A3", "B3", "C3", "D4", "G2", "F4"):
         data = root_data(label)
-        for move in _reflections(data.cartan):
-            mat = np.array([move(omega) for omega in _identity(data.rank)])
+        images = [list(_reflections(data.cartan)(omega))
+                  for omega in _identity(data.rank)]
+        for column in zip(*images):
+            mat = np.array(column)
             assert round(np.linalg.det(mat)) == -1
             assert (mat @ mat == np.eye(data.rank, dtype=np.int64)).all()
 
@@ -303,10 +306,10 @@ def test_weight_cycle_scan_peak_memory():
     tower = _tower(data.cartan, data.weyl_order)[1]
     # the top level's tables act on the spin weights; points 64..255 of a
     # bytes permutation are fixed
-    levels = _perm_levels(tower[-1], tower)
-    walk = [w[:64] for w in _coset(levels[-1], levels[-2],
-                                   _product(levels[:-2]))]
-    assert len(walk) == len(set(walk)) == 46_080
+    levels = _perm_levels(tower[-1][0], tower)
+    scanned = [w[:64] for w in _coset(levels[-1], levels[-2],
+                                      _product(levels[:-2]))]
+    assert len(scanned) == len(set(scanned)) == 46_080
 
 
 def test_permutations_hold_at_most_256_points():
@@ -329,7 +332,7 @@ def test_roots_are_the_root_closure():
         roots = weylenum._roots(data.cartan)[0]
         assert len(roots) == len(set(roots)) \
             == rootsystems._ROOT_COUNT[fam](n), label
-        weights = _orbit(data.cartan, _reflections(data.cartan))[0]
+        weights = walk(data.cartan, _reflections(data.cartan))[0]
         assert set(weights) == {
             tuple(int(x) for x in np.array(b) @ np.array(data.cartan))
             for b in roots}, label
@@ -443,7 +446,7 @@ def _projected_suborbits(points, cartan, k):
     for start, p in enumerate(cut):
         if start not in seen:
             orbit = {index[q] for q in
-                     _orbit([p], _reflections(block)[:k - 1])[0]}
+                     walk([p], _reflections(block[:k - 1]))[0]}
             assert start == min(orbit)
             seen |= orbit
             out.append((start, len(orbit)))
@@ -454,19 +457,19 @@ def _projected_suborbits(points, cartan, k):
 def test_suborbits_match_the_projected_walk():
     # the suborbits read off the tables against the walk they replaced,
     # on every level of every irreducible type and of D4_LAST; each table
-    # _orbit returns, on roots and on weights, permutes its points
+    # walk returns, on roots and on weights, permutes its points
     cases = [(root_data(label).cartan, root_data(label).weyl_order)
              for label in IRREDUCIBLE_LABELS] + [(D4_LAST, 192)]
     for cartan, order in cases:
         roots, tables = weylenum._roots(cartan)
         assert all(sorted(t) == list(range(len(roots))) for t in tables)
-        moves = _reflections(cartan)
         tower = _tower(cartan, order)[1]
         for k, omega in enumerate(_identity(len(cartan)), 1):
-            points, tables = _orbit([omega], moves[:k])
-            assert tables == tower[k - 1], (cartan, k)
+            points, tables, _ = walk([omega], _reflections(cartan[:k]))
+            assert tables == tower[k - 1][0], (cartan, k)
             assert all(sorted(t) == list(range(len(points))) for t in tables)
-            assert [(orbit[0], len(orbit)) for orbit in _suborbits(tables)] \
+            suborbits = orbits(tables[:-1], len(tables[0]))
+            assert [(orbit[0], len(orbit)) for orbit in suborbits] \
                 == _projected_suborbits(points, cartan, k), (cartan, k)
 
 
@@ -571,6 +574,10 @@ def test_enumerate_orders_rejects_wrong_group_order():
         enumerate_orders(data.cartan, 13)
     with pytest.raises(AssertionError):
         enumerate_orders(data.cartan, 24)
+    # the tower's walk passes expected_order // 2 = 2 points at level 2:
+    # a wrong order, AssertionError, not a hit resource bound
+    with pytest.raises(AssertionError, match="walk passed 2 points"):
+        enumerate_orders(data.cartan, 5)
 
 
 @pytest.mark.slow

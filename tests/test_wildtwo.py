@@ -400,19 +400,21 @@ def test_g2_jordan_is_read_only_with_one_copy_of_each_matrix(g2_jordan):
 
 def test_cached_results_of_the_shared_group_cannot_be_changed(g2_jordan):
     # every report in the process reads the one shared group; a caller
-    # that tries to change its tables, tree, generators or what it has
-    # cached changes no later report
+    # that tries to change its tables, tree, generators, elements, index
+    # or what it has cached changes no later report
     grp = g2_jordan.group
     before = g2_jordan_report(g2_jordan)
     conj = grp._conj_tables()
     for cached in (grp.tables, grp.tables[0], grp._tree, grp.generators,
                    grp.conjugacy_classes(), grp.normal_subgroups(), conj,
-                   conj[0]):
+                   conj[0], grp.elements):
         assert isinstance(cached, tuple)
         with pytest.raises(TypeError):
             cached[0] = cached[-1]
         with pytest.raises(AttributeError):
             cached.append(cached[-1])
+    with pytest.raises(TypeError):
+        grp.index[grp.elements[1]] = 0
     assert g2_jordan_report(build_g2_jordan()) == before
 
 
