@@ -38,7 +38,6 @@ import itertools
 from functools import lru_cache
 from math import factorial, lcm
 
-from .errors import ResourceBoundExceeded
 from .record import Record
 
 __all__ = [
@@ -473,11 +472,6 @@ def almost_minuscule_data(rs: RootSystem | str) -> tuple[int, int]:
     return data.short_root_count + zero_mult, zero_mult
 
 
-# the exhaustive scans walk the whole group, one element at a time:
-# W(B6) is the largest group they take
-_SCAN_BOUND = 46_080
-
-
 def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
     """Whether a Weyl element cycles all nonzero weights of the named
     orthogonal weight system in a single full cycle.
@@ -487,10 +481,9 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
     for B_n standard (dim 2n+1), G2 (dim 7) and D_n standard (dim 2n);
     omega_n for B_n spin (dim 2^n); omega_2 for A3 six-dimensional.
     The B_n standard case is witnessed by the Coxeter element, which
-    cycles the 2n short roots; every other case scans the whole group
-    (G2 finds a cycling element, the even-dimensional controls of
-    even_dimension_controls find none).  A scan of a group larger than
-    W(B6) raises ResourceBoundExceeded.
+    cycles the 2n short roots; every other case counts the cycling
+    elements with the order tally's engine (G2 and B2 spin have some;
+    D_n standard and B_n spin of rank 3 to 8 have none).
     """
     if isinstance(rs, str):
         rs = RootSystem.parse(rs)
@@ -508,12 +501,6 @@ def cyclic_weight_permutation_check(rs: RootSystem | str, dim: int) -> bool:
     else:
         raise ValueError(
             f"unsupported weight system ({rs.label}, dim={dim})")
-
-    order = weyl_order(rs)
-    if not standard_b and order > _SCAN_BOUND:
-        raise ResourceBoundExceeded(
-            f"scanning {order} elements of W({label}) exceeds the bound "
-            f"{_SCAN_BOUND}")
     # odd dimensions add one zero weight
     return _weight_cycle(label, k, dim - dim % 2, standard_b)
 

@@ -1,5 +1,5 @@
-"""The Weyl group engine: root closures, weight orbits, full-cycle
-witnesses and exact element-order tallies of finite reflection groups.
+"""The Weyl group engine: root closures, weight orbits and exact tallies
+of class functions on finite reflection groups: orders, weight cycles.
 
 Weights and roots are int tuples and permutations are bytes; no
 floating point and no numpy.  Every entry point takes its Cartan matrix
@@ -32,8 +32,8 @@ omega_k to point j: these edges, applied to the identity as
 permutations, build X_k, and the group is the product of the
 transversals, with no group element hashed or deduplicated.
 
-W_{k-1} permutes the cosets x W_{k-1} by conjugation, and conjugate
-elements have equal orders, so
+W_{k-1} permutes the cosets x W_{k-1} by conjugation, and a class
+function, such as the order, is constant on conjugates, so
 
     tally(W_k) = sum over W_{k-1}-orbits O on W_k omega_k of
                  |O| * tally(x_O W_{k-1}),
@@ -41,12 +41,12 @@ elements have equal orders, so
 where the orbits O are those of the tables of s_1, ..., s_{k-1}
 (ggt.walk's orbits).  The orbit {omega_k}, with x = 1, gives the coset
 W_{k-1} itself, whose tally is the one level k - 1 left; only the other
-cosets are walked.  One tower X_1..X_n serves every level, and every
-level acts on all the roots of W, so one set of root permutations serves
-them all: the levels k = 1..n run in one loop, each adding its walked
-cosets to one running tally and checking that it sums to |W_k|.  Each
-coset is walked as x_O t W_{k-2}, one block per t in X_{k-1}, so only
-W_{k-2} is kept in memory.
+cosets are walked.  One tower X_1..X_n and one set of permutations, of
+the roots or of a weight orbit, serve every level: the levels k = 1..n
+run in one loop (_tally), each adding its walked cosets to one running
+tally and checking that it sums to |W_k|.  Each coset is walked as
+x_O t W_{k-2}, one block per t in X_{k-1}, so only W_{k-2} is kept in
+memory.
 
 The roots span Q^n; an element fixing a spanning set is the identity,
 so W, and each W_k in it, acts faithfully on them (Humphreys 1.2).  A
@@ -70,10 +70,12 @@ w -> -w, a second check on the flip.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import repeat
 from operator import mul
 
 from .errors import ResourceBoundExceeded
+from .numth import euler_phi, factorize
 from .walk import orbits, walk
 
 __all__ = [
@@ -82,8 +84,8 @@ __all__ = [
     "enumerate_orders",
 ]
 
-# cap on the elements whose order one level of enumerate_orders computes
-# (E8 walks 2 * 2,903,040)
+# cap on the elements one level of a tally keys, by order or by weight
+# cycle (E8 walks 2 * 2,903,040)
 _TALLY_BOUND = 20_000_000
 _IDENTITY = bytes(range(256))  # the identity permutation
 
@@ -201,6 +203,21 @@ def _coset(heads, prefix, tail):
             yield from map(bytes.translate, tail, repeat(t.translate(h)))
 
 
+def _cycle_count(cartan, moves, order: int) -> int:
+    """The number of elements of the reflection group of the Cartan
+    matrix, of the given order, that permute the points that moves, the
+    tables of s_1, ..., s_n, act on in one cycle (_tally); the action need
+    not be faithful, as the tower lists each element once."""
+    size = len(moves[0])
+
+    def full_cycle(w):  # the walk from point 0 returns after size steps
+        j, steps = w[0], 1
+        while j:
+            j, steps = w[j], steps + 1
+        return steps == size
+    return _tally(cartan, order, moves, full_cycle, False)[True]
+
+
 def weight_orbit_cycles(cartan, k: int, size: int, order: int,
                         coxeter: bool) -> bool:
     """Whether some element of the reflection group of the Cartan matrix,
@@ -208,8 +225,8 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     `size` points, in one full cycle.
 
     With coxeter the one element tried is the Coxeter element
-    s_1 ... s_n, and it must cycle; otherwise the whole group is
-    scanned, one element at a time.
+    s_1 ... s_n, and it must cycle; otherwise the cycling elements are
+    counted as enumerate_orders counts orders (_cycle_count).
     """
     cartan = _ints(cartan)
     omega = _identity(len(cartan))[k - 1]
@@ -225,15 +242,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
             if not j:
                 raise AssertionError("the Coxeter element witness failed")
         return True
-    levels = _perm_levels(moves, _tower(cartan, order)[1])
-    for w in _coset(levels[-1], levels[-2], _product(levels[:-2])):
-        j, length = w[0], 1
-        while j:
-            j = w[j]
-            length += 1
-        if length == size:
-            return True
-    return False
+    return _cycle_count(cartan, moves, order) > 0
 
 
 def _pairs(points, suborbits) -> list[tuple[int, int, bool]]:
@@ -267,7 +276,7 @@ def _minus_one(roots, moves) -> bool:
     return all(w[i] == moves[i][i] for i in range(n))
 
 
-def _perm_key(w: bytes, one: bytes, neg: bytes) -> int:
+def _perm_key(one: bytes, neg: bytes, w: bytes) -> int:
     """2m + f for the root permutation w: m counts its compositions with
     itself until one, the simple roots' indices, comes back, and f is 1
     if neg, their negatives' indices, comes up, as -1 is then a power of
@@ -301,44 +310,29 @@ def _mapped(tally: Counter, f) -> Counter:
     return out
 
 
-def _perm_tally(heads, prefix, tail, cosets, neg) -> Counter:
+def _perm_tally(heads, prefix, tail, cosets, key) -> Counter:
     """The key tally of the cosets x_O W_{k-1} = x_O X_{k-1} W_{k-2}, size
     times each, for (start, size, paired) in cosets, x_O being heads[start],
-    prefix X_{k-1} and tail W_{k-2}, each element a permutation of the
-    roots; a paired one adds its flip, the coset of -O."""
-    one = _IDENTITY[:len(neg)]
+    prefix X_{k-1} and tail W_{k-2}, each element a permutation; a paired
+    one adds its flip, the coset of -O."""
     tally: Counter = Counter()
     for start, size, paired in cosets:
-        coset = Counter(map(_perm_key, _coset([heads[start]], prefix, tail),
-                            repeat(one), repeat(neg)))
+        coset = Counter(map(key, _coset([heads[start]], prefix, tail)))
         if paired:
             coset.update(_mapped(coset, _negated))
-        for key, count in coset.items():
-            tally[key] += size * count
+        tally.update({value: size * c for value, c in coset.items()})
     return tally
 
 
-def enumerate_orders(cartan, expected_order: int) -> Counter:
-    """Order tally {order: element count} of the reflection group of the
-    Cartan matrix, whose order must come out as expected_order, and which
-    the tally must sum to.
-
-    One tower and one set of root permutations serve every level
-    k = 1..n: level k adds the cosets x_O W_{k-1} other than W_{k-1}
-    itself to the tally of W_{k-1} that the level below left, then checks
-    that the tally sums to |W_k|.  When -1 is in W, the top level walks
-    one orbit of each pair {O, -O} and takes the coset -W_{n-1} as the
-    flip of the tally below, and the finished tally must be the same
-    under w -> -w.  The finished tally must hold exactly one element of
-    order 1, which a flip that maps the identity to itself would double.
-    If any level would walk more than _TALLY_BOUND elements,
-    ResourceBoundExceeded is raised before any level is walked.
-    """
-    cartan = _ints(cartan)
-    n = len(cartan)
-    points, tower = _tower(cartan, expected_order)
-    roots, moves = _roots(cartan)
-    flip = _minus_one(roots, moves)
+def _tally(cartan, order: int, moves, key, flip: bool) -> Counter:
+    """The tally {key(w): count} of the class function key over the
+    reflection group of the Cartan matrix, of the given order, each w a
+    permutation of the points that moves, the tables of s_1, ..., s_n,
+    act on.  With flip (root keys, -1 in W) the top level walks one orbit
+    of each pair {O, -O}.  A level that would walk more than _TALLY_BOUND
+    elements raises ResourceBoundExceeded before any level is walked."""
+    points, tower = _tower(cartan, order)
+    n = len(tower)
     plan, size = [], 1
     for k, (tables, _) in enumerate(tower, 1):
         # suborbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the
@@ -352,21 +346,51 @@ def enumerate_orders(cartan, expected_order: int) -> Counter:
                 f"{work} elements to tally exceed the bound {_TALLY_BOUND}")
         size *= len(tables[0])
         plan.append((cosets, size))
-    neg = bytes(moves[i][i] for i in range(n))  # s_i(alpha_i) = -alpha_i
     levels = _perm_levels(moves, tower)
-    tally = Counter({2: 1})  # the identity's key
+    tally = Counter({key(_IDENTITY): 1})
     for k, (cosets, size) in enumerate(plan, 1):
         if flip and k == n:
             tally.update(_mapped(tally, _negated))  # the coset -W_{n-1}
         tally.update(_perm_tally(levels[k], levels[k - 1],
-                                 _product(levels[:k - 1]), cosets, neg))
+                                 _product(levels[:k - 1]), cosets, key))
         if sum(tally.values()) != size:
             raise AssertionError(f"rank {k} tally sums to "
                                  f"{sum(tally.values())}, expected {size}")
     if flip and _mapped(tally, _negated) != tally:
         raise AssertionError("the tally of -w differs from that of w")
+    return tally
+
+
+def enumerate_orders(cartan, expected_order: int) -> Counter:
+    """Order tally {order: element count} of the reflection group of the
+    Cartan matrix, whose order must come out as expected_order, and which
+    the tally must sum to: the _tally of each root permutation's order
+    and whether -1 is a power of it (_perm_key), flipped when -1 is in W.
+
+    The finished tally must hold exactly one element of order 1, which a
+    flip that maps the identity to itself would double.  It must pass
+    Frobenius's theorem (1895): for every m dividing |W|, the number of w
+    with w^m = 1 is a multiple of m.  And it must count each order d in
+    whole sets of phi(d), the generators of one cyclic subgroup.
+    """
+    cartan = _ints(cartan)
+    n = len(cartan)
+    roots, moves = _roots(cartan)
+    neg = bytes(moves[i][i] for i in range(n))  # s_i(alpha_i) = -alpha_i
+    tally = _tally(cartan, expected_order, moves,
+                   partial(_perm_key, _IDENTITY[:n], neg),
+                   _minus_one(roots, moves))
     orders = _mapped(tally, lambda key: key // 2)
     if orders[1] != 1:
         raise AssertionError(f"the tally holds {orders[1]} elements of "
                              f"order 1")
+    divisors = [1]
+    for p, e in factorize(expected_order).items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    frobenius = sorted(m for m in divisors if sum(
+        count for d, count in orders.items() if m % d == 0) % m)
+    phi = sorted(d for d, count in orders.items() if count % euler_phi(d))
+    if frobenius or phi:
+        raise AssertionError(f"Frobenius fails at m in {frobenius}, "
+                             f"phi(d) | N_d at d in {phi}")
     return orders

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from ggt.rootsystems import (IRREDUCIBLE_LABELS, OrderSet, RootData,
                              even_dimension_controls, order_table, root_data,
                              uniqueness_scan, weyl_element_orders, weyl_order)
 from ggt.walk import orbits, walk
-from ggt.weylenum import (_coset, _identity, _perm_levels, _product,
-                          _reflections, _tower, enumerate_orders,
+from ggt.weylenum import (_coset, _cycle_count, _identity, _perm_levels,
+                          _product, _reflections, _tower, enumerate_orders,
                           weight_orbit_cycles)
 
 
@@ -288,24 +288,103 @@ def test_mass_formula_at_every_level(monkeypatch, rank):
         enumerate_orders(data.cartan, data.weyl_order)
 
 
-def test_weight_cycle_scan_peak_memory():
-    # the largest scanned group, W(B6) on its 64 spin weights: the scan
-    # walks x t W(A4) one element at a time, so the peak stays far below
-    # the whole group's 46,080 permutations (about 13 MB as bytes)
-    data = root_data("B6")
+@pytest.mark.parametrize("moved,frobenius,phi", [
+    # 1 element from order 4 (key 8) to order 2 (key 4): 893 involutions
+    ((8, 4, 1), r"\[2, ", r"\[4\]"),
+    # 4 elements from order 10 (key 20) to order 5 (key 10)
+    ((20, 10, 4), r"\[5, ", r"\[\]"),
+], ids=["order_4_to_2", "order_10_to_5"])
+def test_certificates_catch_a_moved_count(monkeypatch, moved, frobenius,
+                                          phi):
+    # E6 has no -1, so no flip check; the moved counts keep every mass
+    # formula, and Frobenius's theorem or phi(d) | N_d catches them
+    data = root_data("E6")
+    real, calls = weylenum._perm_tally, []
+    source, target, count = moved
+
+    def corrupt(*args):
+        tally = real(*args)
+        calls.append(tally)
+        if len(calls) == 6:
+            tally[source] -= count
+            tally[target] += count
+        return tally
+    monkeypatch.setattr(weylenum, "_perm_tally", corrupt)
+    with pytest.raises(AssertionError, match=f"^Frobenius fails at m in "
+                       f"{frobenius}.*, phi\\(d\\) \\| N_d at d in {phi}$"):
+        enumerate_orders(data.cartan, data.weyl_order)
+
+
+def _weight_moves(label, k):
+    """The tables of s_1, ..., s_n on the W-orbit of omega_k."""
+    data = root_data(label)
+    return walk([_identity(data.rank)[k - 1]], _reflections(data.cartan))[1]
+
+
+def _scanned_cycles(label, k):
+    """The elements of W that permute W omega_k in one cycle, counted one
+    at a time over the whole group, as the tower lists it."""
+    data, moves = root_data(label), _weight_moves(label, k)
+    levels = _perm_levels(moves, _tower(data.cartan, data.weyl_order)[1])
+    count = 0
+    for w in _coset(levels[-1], levels[-2], _product(levels[:-2])):
+        cycle, j = [0], w[0]
+        while j:
+            cycle.append(j)
+            j = w[j]
+        count += len(cycle) == len(moves[0])
+    return count
+
+
+# (label, k) of every supported weight system with |W| <= 46,080
+SCANNED_WEIGHTS = [("G2", 1), ("A3", 2),
+                   *((f"B{n}", k) for n in range(2, 7) for k in (1, n)),
+                   *((f"D{n}", 1) for n in range(4, 7))]
+
+
+@pytest.mark.parametrize("label,k", SCANNED_WEIGHTS)
+def test_cycle_count_matches_the_whole_group_scan(label, k):
+    data = root_data(label)
+    assert _cycle_count(data.cartan, _weight_moves(label, k),
+                        data.weyl_order) == _scanned_cycles(label, k)
+
+
+def test_cycle_count_is_the_coxeter_class():
+    # on B_n standard the 2n short roots are cycled by the Coxeter
+    # elements alone, |W| / h = 2^(n-1) (n-1)! of them, h = 2n; on G2,
+    # h = 6, by the 2 of the 12 elements that have order 6
+    for n in range(2, 9):
+        data = root_data(f"B{n}")
+        assert _cycle_count(data.cartan, _weight_moves(f"B{n}", 1),
+                            data.weyl_order) \
+            == data.weyl_order // (2 * n) == 2 ** (n - 1) * factorial(n - 1)
+    assert _cycle_count(root_data("G2").cartan, _weight_moves("G2", 1),
+                        12) == 2
+
+
+def test_weight_cycle_scan_peak_memory(monkeypatch):
+    # the largest weight orbit a bytes permutation holds, the 256 spin
+    # weights of B8: the tally walks x t W_{k-2} one element at a time, so
+    # the peak stays far below the 10,321,920 permutations of W(B8), and
+    # the tower is walked once, with no root closure
+    data = root_data("B8")
+    calls = _count_calls(monkeypatch, *_ONE_WALK)
     tracemalloc.start()
     try:
-        found = weight_orbit_cycles(data.cartan, 6, 64, data.weyl_order,
+        found = weight_orbit_cycles(data.cartan, 8, 256, data.weyl_order,
                                     False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not found
-    assert peak <= 1_000_000
-    # the walk meets every element once, each a distinct permutation
+    assert peak <= 4_000_000
+    assert calls == Counter(_tower=1, _perm_levels=1)
+    # the tower lists each element once, so the action it tallies need
+    # not be faithful: on the 64 spin weights of B6, which are, its walk
+    # meets 46,080 distinct permutations
+    data = root_data("B6")
     tower = _tower(data.cartan, data.weyl_order)[1]
-    # the top level's tables act on the spin weights; points 64..255 of a
-    # bytes permutation are fixed
+    # points 64..255 of a bytes permutation are fixed
     levels = _perm_levels(tower[-1][0], tower)
     scanned = [w[:64] for w in _coset(levels[-1], levels[-2],
                                       _product(levels[:-2]))]
@@ -691,6 +770,15 @@ def test_weight_cycle_negatives():
         cyclic_weight_permutation_check("F4", 26)
     with pytest.raises(ValueError):
         cyclic_weight_permutation_check("B3", 9)
-    # W(D7) has 322,560 elements: past the scan bound, before any is built
-    with pytest.raises(ResourceBoundExceeded, match="322560 elements"):
-        cyclic_weight_permutation_check("D7", 14)
+    # W(D7) has 322,560 elements, which the tally takes
+    assert cyclic_weight_permutation_check("D7", 14) is False
+
+
+@pytest.mark.parametrize("label,dim,cycles", [
+    *((f"D{n}", 2 * n, False) for n in range(4, 9)),
+    *((f"B{n}", 2 ** n, False) for n in range(3, 9)),
+    # the 4-point orbit of C2's standard representation
+    ("B2", 4, True),
+])
+def test_weight_cycles_through_rank_eight(label, dim, cycles):
+    assert cyclic_weight_permutation_check(label, dim) is cycles
