@@ -12,11 +12,17 @@ shifted sign vectors (for the wild image the even-weight code), and the
 group is V x| C_m of order 2^dim(V) * m.  dim V is the F_2 rank of the
 shifts and, as a cyclic code, m - deg gcd(x^m - 1, s_i(x)); the two must
 agree.  The group's commutator subgroup is (1 + x)V, its abelianization
-V/(1 + x)V x C_m, and since no nontrivial power of an m-cycle fixes a
-point, the character norm is a sum over V alone, read off the classes of
-coordinates that agree on V; at m = 7 the G2 clause reads the weights
-that occur in V.  For G2, the image is the order-168 extension of F_8 by
-its multiplicative group and its field automorphisms, realized through
+V/(1 + x)V x C_m, and its determinant (-1)^wt(v) on a sign vector v and
+(-1)^(m-1) on the cycle.  Since no nontrivial power of an m-cycle fixes
+a point, the character norm is a sum over V alone: V is closed under
+rotation, so coordinates j and k agree on V exactly when V's period
+delta divides k - j, and the norm is |V| m^2 / delta.  delta is read
+twice, as the least rotation that fixes the shifts' basis and as the
+order of x modulo the check polynomial (x^m - 1)/g, g that gcd; the two
+must agree.  At m = 7 the G2 clause reads the weights that occur in V.
+
+For G2, the image is the order-168 extension of F_8 by its
+multiplicative group and its field automorphisms, realized through
 the 21-dimensional monomial representation induced from the nontrivial
 additive character of F_8.  The G2 side runs on tables: F_8
 multiplication and Frobenius powers are looked up, the group is closed
@@ -34,11 +40,10 @@ that each constituent is constant on every class.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup
@@ -76,10 +81,12 @@ class WildImageSO(Record):
 
 
 # The largest m that build_so_wild takes.  The build is two matrices of
-# size m; the report grows as m^2, mostly in the character norm's table of
-# coordinate classes: in process on one CPU of a 2-core x86-64 box, build
-# plus report take about 0.03 s and 24 MB peak RSS at m = 1001, 0.11 s
-# and 51 MB at m = 2001.
+# size m; the report's time is set by the F_2 spans of the m shifts (xor
+# bases of m-bit ints) and the cyclic code's gcd, each quadratic in m in
+# bit operations, while its memory stays linear: on one CPU of a 2-core
+# x86-64 box, a fresh process builds and reports in 3-5 ms with 16.2 MB
+# peak RSS at m = 1001 (16.0 MB of it the interpreter and the imports),
+# in 6-11 ms with 17.7 MB at m = 2001; traced peaks 0.5 and 1.5 MB.
 _SO_M_BOUND = 1001
 
 
@@ -105,7 +112,8 @@ def build_so_wild(m: int) -> WildImageSO:
     flip, shifted = (_make(ident, tuple(v >> (-j % m) & 1 for j in ident), 2)
                      for v in (sign, _rotate(sign, m)))
     cycle = MonomialMatrix.permutation(tuple((k - 1) % m for k in ident))
-    if cycle * flip * cycle.inverse() != shifted:
+    # c D c^-1 = D' exactly when c D = D' c
+    if cycle * flip != shifted * cycle:
         raise AssertionError("cycle does not shift the sign generators")
     return WildImageSO(m=m, generators=(flip, cycle))
 
@@ -169,38 +177,52 @@ def _span_of_shifts(signs: Sequence[int], m: int) -> list[int]:
     return _xor_basis(u for v in signs for u in _rotations(v, m))
 
 
+def _poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder over F_2 of polynomials as bitmasks, bit i
+    the coefficient of x^i; b must be nonzero."""
+    q, n = 0, b.bit_length()
+    while a.bit_length() >= n:
+        s = a.bit_length() - n
+        q |= 1 << s
+        a ^= b << s
+    return q, a
+
+
 def _poly_gcd(a: int, b: int) -> int:
-    """gcd over F_2 of polynomials as bitmasks, bit i the coefficient of
-    x^i, by Euclid."""
+    """gcd over F_2 of polynomials as bitmasks, by Euclid."""
     while b:
-        n = b.bit_length()
-        while a.bit_length() >= n:
-            a ^= b << (a.bit_length() - n)
-        a, b = b, a
+        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
-def _cyclic_code_dim(signs: Sequence[int], m: int) -> int:
-    """dim V as a cyclic code in F_2[x]/(x^m - 1): m - deg g, g the gcd of
-    x^m - 1 and the sign vectors, which _sign_module reads so that the
-    shift is multiplication by x."""
+def _check_polynomial(signs: Sequence[int], m: int) -> int:
+    """h = (x^m - 1)/g for V as a cyclic code in F_2[x]/(x^m - 1), g the
+    gcd of x^m - 1 and the sign vectors, which _sign_module reads so that
+    the shift is multiplication by x.  V is the ideal (g), so dim V =
+    m - deg g = deg h, and x^d fixes V exactly when h divides x^d - 1."""
     g = 1 << m | 1
     for v in signs:
         g = _poly_gcd(g, v)
-    return m - (g.bit_length() - 1)
+    return _poly_divmod(1 << m | 1, g)[0]
 
 
-def _trace_square_sum(m: int, basis: Sequence[int]) -> int:
-    """The sum of tr(v)^2 = (m - 2 wt v)^2 over V, the span of basis.
+def _least_divisor(m: int, holds: Callable[[int], bool]) -> int:
+    """The least divisor d of m for which holds(d), else m, where a period
+    always holds: x^m = 1 in F_2[x]/(x^m - 1)."""
+    return next((d for d in range(1, m) if m % d == 0 and holds(d)), m)
 
-    tr(v)^2 sums (-1)^(v_j + v_k) over pairs of coordinates, and over V
-    a pair sums to |V| when j and k agree on every basis vector, else to
-    0; so the total is |V| times the squared sizes of those classes.
-    Coordinate j's class is column j of the basis written as bit strings;
-    the constant column keeps all m coordinates in one class when V = 0."""
-    rows = [format(b, f"0{m}b") for b in basis]
-    classes = Counter(zip("0" * m, *rows))
-    return 2 ** len(basis) * sum(n * n for n in classes.values())
+
+def _period(basis: Sequence[int], m: int) -> int:
+    """V's least period: the least d with x^d v = v for each basis vector.
+    The d that fix V form a subgroup of Z/mZ, so it divides m."""
+    return _least_divisor(m, lambda d: all(_rotate(b, m, d) == b
+                                           for b in basis))
+
+
+def _code_period(h: int, m: int) -> int:
+    """V's least period on the cyclic-code side: the least d with h
+    dividing x^d - 1, h the check polynomial."""
+    return _least_divisor(m, lambda d: not _poly_divmod(1 << d | 1, h)[1])
 
 
 def _invariant_factors(orders: Iterable[int]) -> list[int]:
@@ -228,8 +250,13 @@ def so_wild_report(w: WildImageSO) -> dict:
     (else ValueError).  V is normal and meets <c> trivially, so the group
     is V x| <c> and its order 2^dim(V) * m; dim V is computed twice, as
     the F_2 rank of the shifted sign vectors and as m - deg gcd(x^m - 1,
-    s_i(x)), and the two must agree.  No group is closed, and no element
-    is multiplied or decoded.
+    s_i(x)), and the two must agree.  The determinant is read off the
+    sign weights, (-1)^wt(v), and the cycle's sign (-1)^(m-1).  The
+    character norm is |V| m^2 / delta, delta V's least period, which is
+    read twice, as the least rotation fixing the xor basis of V and as
+    the least d with the check polynomial (x^m - 1)/g dividing x^d - 1,
+    and the two must agree.  No group is closed, and no element is
+    multiplied or decoded.
 
     Three clauses are facts for every odd m, by construction, rather than
     checks that could fail: `selfdual` (every entry is +-1, so every trace
@@ -241,7 +268,8 @@ def so_wild_report(w: WildImageSO) -> dict:
     m = w.m
     signs = _sign_module(w.generators, m)
     basis = _span_of_shifts(signs, m)
-    dim = _cyclic_code_dim(signs, m)
+    h = _check_polynomial(signs, m)
+    dim = h.bit_length() - 1
     if dim != len(basis):
         raise AssertionError(f"the shifts have rank {len(basis)}, the "
                              f"cyclic code dimension {dim}")
@@ -250,15 +278,21 @@ def so_wild_report(w: WildImageSO) -> dict:
     comm = _xor_basis(v ^ _rotate(v, m) for v in basis)
     abelian = _invariant_factors([2] * (len(basis) - len(comm)) + [m])
 
-    # det is a homomorphism, so the generators decide it
-    det_trivial = all(g.det().is_one for g in w.generators)
+    # det is a homomorphism, so the generators decide it: (-1)^wt(v) on a
+    # sign vector v and the sign (-1)^(m-1) of the m-cycle
+    det_trivial = m % 2 == 1 and all(v.bit_count() % 2 == 0 for v in signs)
 
     # every entry is +-1, so the character is integer-valued: chi(g^-1) =
     # chi(g), and it is self-dual; tr(v c^k) = 0 for k != 0, so the norm
-    # sums over V
-    norm = _trace_square_sum(m, basis)
-    if norm % order != 0:
-        raise AssertionError("character norm is not an integer")
+    # sums tr(v)^2 = sum over pairs j, k of (-1)^(v_j + v_k) over V, and a
+    # pair sums to |V| when j and k agree on V, else to 0: the classes are
+    # the delta cosets of delta Z/mZ, m/delta points each
+    delta = _period(basis, m)
+    code_delta = _code_period(h, m)
+    if delta != code_delta:
+        raise AssertionError(f"the shifts have period {delta}, the cyclic "
+                             f"code period {code_delta}")
+    norm = 2 ** dim * m * m // delta
 
     # the shifted characters' rows: bit j set where the i-th shift of the
     # base character is -1, at j = -i and 1 - i mod m; their joint kernel

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from math import comb
 
@@ -53,6 +54,29 @@ def test_so_wild_det_decided_on_generators():
     assert so_wild_report(w)["det_trivial"] is False
 
 
+@pytest.mark.parametrize("m, minus, cycle", [
+    (3, (0,), None),
+    (5, (0, 1), None),
+    (5, (), None),
+    # an m-cycle of even length is an odd permutation, so det is -1 even
+    # when every sign vector has even weight
+    (4, (0,), None),
+    (4, (0, 1), None),
+    (6, (), None),
+    (7, (0, 1, 3), None),
+    (7, (0, 1, 3), (3, 6, 5, 1, 0, 4, 2)),
+    (9, (0, 3, 6), None),
+    (7, (0, 2, 3, 4), None),
+])
+def test_so_wild_det_read_off_the_sign_weights(m, minus, cycle):
+    # the report reads det from the weights and the cycle's length; the
+    # matrices' own determinants must agree
+    w = _signed_cycle_group(m, minus, cycle)
+    assert (so_wild_report(w)["det_trivial"]
+            is all(g.det().is_one for g in w.generators)
+            is (m % 2 == 1 and len(minus) % 2 == 0))
+
+
 def _gray_code_square_sum(m, basis):
     """The sum of (m - 2 wt v)^2 over the span of basis, by a Gray-code
     walk: step k flips the basis vector at k's lowest set bit."""
@@ -66,8 +90,15 @@ def _gray_code_square_sum(m, basis):
 def _module_basis(w):
     signs = wildtwo._sign_module(w.generators, w.m)
     basis = wildtwo._span_of_shifts(signs, w.m)
-    assert wildtwo._cyclic_code_dim(signs, w.m) == len(basis)
+    h = wildtwo._check_polynomial(signs, w.m)
+    assert h.bit_length() - 1 == len(basis)
+    assert wildtwo._code_period(h, w.m) == wildtwo._period(basis, w.m)
     return basis
+
+
+def _period_norm(m, basis):
+    # the report's closed form: |V| m^2 / delta
+    return 2 ** len(basis) * m * m // wildtwo._period(basis, m)
 
 
 def _eigenvalues(g):
@@ -159,7 +190,7 @@ def test_other_sign_groups_match_the_closed_group(m, minus, cycle, order,
     assert (rep["order"], rep["abelianization"]) == (order, abelian)
     assert rep["g2_obstruction"] is (order != 56 if m == 7 else None)
     basis = _module_basis(w)
-    norm = wildtwo._trace_square_sum(m, basis)
+    norm = _period_norm(m, basis)
     assert norm == _gray_code_square_sum(m, basis)
     assert rep["irreducible"] == (norm == order) == (m != 9)
 
@@ -225,27 +256,81 @@ def test_so_wild_report_rejects_other_generators(gens):
 
 def test_so_wild_report_checks_the_two_dim_paths(so_wild, monkeypatch):
     # the order is 2^dim(V) * m, and a cyclic-code dimension one off the
-    # xor rank fails the report
+    # xor rank fails the report: x h has degree one more than h
     w = so_wild(5)
-    code_dim = wildtwo._cyclic_code_dim
-    monkeypatch.setattr(wildtwo, "_cyclic_code_dim",
-                        lambda signs, m: code_dim(signs, m) + 1)
+    check = wildtwo._check_polynomial
+    monkeypatch.setattr(wildtwo, "_check_polynomial",
+                        lambda signs, m: check(signs, m) << 1)
     with pytest.raises(AssertionError, match="rank 4, the cyclic code "
                                              "dimension 5"):
+        so_wild_report(w)
+
+
+def test_so_wild_report_checks_the_dim_on_the_basis_side(so_wild,
+                                                         monkeypatch):
+    # an xor basis one vector short fails the report too
+    w = so_wild(5)
+    span = wildtwo._span_of_shifts
+    monkeypatch.setattr(wildtwo, "_span_of_shifts",
+                        lambda signs, m: span(signs, m)[1:])
+    with pytest.raises(AssertionError, match="rank 3, the cyclic code "
+                                             "dimension 4"):
+        so_wild_report(w)
+
+
+def _least_period(signs, m):
+    # x^d fixes V exactly when it fixes each sign vector, since the
+    # rotations commute: the least such d, scanned over 1..m
+    return next(d for d in range(1, m + 1)
+                if all(wildtwo._rotate(v, m, d % m) == v for v in signs))
+
+
+def test_the_two_periods_agree():
+    # random sign sets for every odd m up to 63: vectors with all m bits
+    # random, vectors repeating a random pattern of each divisor's length,
+    # and V = 0, which has period 1 whichever side reads it
+    rng = random.Random(0)
+    for m in range(1, 64, 2):
+        sets = [[], [0], [0, 0]]
+        for _ in range(4):
+            sets.append([rng.getrandbits(m) for _ in range(rng.randint(1, 3))])
+        for d in range(1, m + 1):
+            if m % d == 0:
+                block = rng.getrandbits(d)
+                sets.append([sum(block << k for k in range(0, m, d))])
+        for signs in sets:
+            basis = wildtwo._span_of_shifts(signs, m)
+            h = wildtwo._check_polynomial(signs, m)
+            delta = wildtwo._period(basis, m)
+            assert h.bit_length() - 1 == len(basis), (m, signs)
+            assert wildtwo._code_period(h, m) == delta, (m, signs)
+            assert delta == _least_period(signs, m), (m, signs)
+            assert m % delta == 0
+            if not any(signs):
+                assert (delta, h) == (1, 1)
+
+
+@pytest.mark.parametrize("side", ["_period", "_code_period"])
+def test_so_wild_report_checks_the_two_periods(so_wild, monkeypatch, side):
+    # the norm is |V| m^2 / delta, and a period that one side reads wrong
+    # fails the report
+    w = so_wild(5)
+    monkeypatch.setattr(wildtwo, side, lambda v, m: 1)
+    with pytest.raises(AssertionError, match="period"):
         so_wild_report(w)
 
 
 def test_trace_square_sum_closed_form():
     # the weight enumerator of the even-weight code gives the norm
     # sum over even w of C(m, w) (m - 2w)^2 = m 2^(m-1) = |G|, and both
-    # the coordinate classes and the Gray-code walk over V reach it
+    # V's period (m, so |V| m^2 / m) and the Gray-code walk over V reach it
     for m in range(1, 200, 2):
         assert sum(comb(m, w) * (m - 2 * w) ** 2
                    for w in range(0, m + 1, 2)) == m * 2 ** (m - 1)
     for m in range(3, 16, 2):
         basis = _module_basis(build_so_wild(m))
         assert len(basis) == m - 1
-        assert (wildtwo._trace_square_sum(m, basis)
+        assert (_period_norm(m, basis)
                 == _gray_code_square_sum(m, basis) == m * 2 ** (m - 1))
 
 
@@ -327,6 +412,17 @@ def test_so_wild_build_holds_two_matrices():
     finally:
         tracemalloc.stop()
     assert len(w.generators) == 2 and held < 1 << 20
+
+
+def test_so_wild_report_peaks_below_a_megabyte():
+    # the norm reads V's period, not an m x m table of coordinate classes
+    tracemalloc.start()
+    try:
+        rep = so_wild_report(build_so_wild(1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["irreducible"] and peak < 1 << 20
 
 
 def test_so_wild_builds_past_fifteen():
