@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_fingroup import _counting_mul
 
-from ggt import wildtwo
+from ggt import fingroup, wildtwo
 from ggt.cyclotomic import Cyc
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import FinGroup
@@ -404,6 +404,38 @@ def test_so_wild_shift_check_is_tied_to_the_product(monkeypatch):
         build_so_wild(5)
 
 
+@pytest.mark.parametrize("m", [3, 7, 101])
+def test_so_wild_report_spans_twice(so_wild, monkeypatch, m):
+    # one span for V and one for its commutator (1 + x)V; the rows of the
+    # shifted characters, the rotations of 0b11, are not spanned
+    calls = []
+    xor_basis = wildtwo._xor_basis
+
+    def counting(vectors):
+        calls.append(m)
+        return xor_basis(vectors)
+
+    monkeypatch.setattr(wildtwo, "_xor_basis", counting)
+    rep = so_wild_report(so_wild(m))
+    assert len(calls) == 2
+    assert rep["conjugates_distinct"] and rep["joint_kernel_is_diagonal"]
+
+
+def test_so_wild_report_refuses_m_below_three():
+    # at m = 2 the shifted characters' two rows coincide, so the clauses
+    # reported as constants would not hold
+    with pytest.raises(ValueError, match="^m must be at least 3, got 2$"):
+        so_wild_report(_signed_cycle_group(2, (0, 1)))
+
+
+def test_so_wild_cycle_is_the_permutation_matrix():
+    for m in (3, 7, 101):
+        flip, cycle = build_so_wild(m).generators
+        want = MonomialMatrix.permutation(tuple((k - 1) % m for k in range(m)))
+        assert type(cycle) is MonomialMatrix and cycle == want
+        assert cycle.n == 1 and cycle.det().is_one
+
+
 def test_so_wild_build_holds_two_matrices():
     tracemalloc.start()
     try:
@@ -683,8 +715,16 @@ def test_g2_jordan_report_reads_traces_at_class_representatives(
 def test_g2_jordan_product_count(monkeypatch, uncached_g2):
     # generate, the homomorphism check and normal_subgroups run on index
     # tables; what is left is decoding the group along its spanning tree,
-    # one product per non-identity element, and build_g2_jordan squaring
-    # the 8 translations
+    # one gathered matrix per non-identity element and no product, and
+    # build_g2_jordan squaring the 8 translations
     made = _counting_mul(monkeypatch, MonomialMatrix)
+    decoded = []
+    make = fingroup._make
+
+    def counting(*args):
+        decoded.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(fingroup, "_make", counting)
     g2_jordan_report(build_g2_jordan())
-    assert len(made) == 167 + 8
+    assert len(made) == 8 and len(decoded) == 167
