@@ -70,12 +70,12 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mod
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
-from .monomial import MonomialMatrix, _make, gatherer, point_action
+from .monomial import MonomialMatrix, gatherer, point_action, tree_products
 from .numth import _order_dividing, factorize, is_prime
 from .record import Record
 from .roots import ONE, RootOfUnity
@@ -148,28 +148,10 @@ class FinGroup:
     @cached_property
     def elements(self) -> tuple:
         """The elements in index order, decoded along the spanning tree:
-        x_0 = 1 and x_j = g x_i for the edge (t, i), g t's generator.
-
-        The product is MonomialMatrix.__mul__'s without its per-product
-        setup: each generator is lifted once to N, the lcm of their moduli,
-        and the exponents of every x_i are kept over mu_N while the decode
-        runs, so g x_i is g's permutation and exponents gathered along x_i's
-        permutation, x_i's exponents added mod N, and one _make."""
-        gens = self.generators
-        n = lcm(*(g.n for g in gens))
-        lift = {id(t): (perm, tuple(e * (n // k) for e in exps))
-                for t, (perm, exps, k) in zip(self.tables, gens)}
-        dim = gens[0].dim
-        zero = (0,) * dim
-        els, raw = [MonomialMatrix.identity(dim)], [zero]
-        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
-            perm, exps = lift[id(t)]
-            gather = gatherer(els[i][0])
-            e = zero if n == 1 else tuple(
-                map(mod, map(add, gather(exps), raw[i]), repeat(n)))
-            raw.append(e)
-            els.append(_make(gather(perm), e, n))
-        return tuple(els)
+        x_0 = 1 and x_j = g x_i for the edge (t, i), g t's generator."""
+        gen = {id(t): k for k, t in enumerate(self.tables)}
+        return tree_products(self.generators,
+                             ((gen[id(t)], i) for t, i in self._tree))
 
     @cached_property
     def index(self) -> Mapping:

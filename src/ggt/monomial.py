@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .roots import ONE, RootOfUnity
 from .walk import walk
@@ -53,6 +53,41 @@ def _make(perm: tuple[int, ...], exps: tuple[int, ...],
         n //= g
         exps = tuple(e // g for e in exps)
     return tuple.__new__(MonomialMatrix, (perm, exps, n))
+
+
+def _lifted(m: "MonomialMatrix", n: int) -> tuple[int, ...]:
+    # m's exponents over mu_n, n a multiple of m.n
+    _, exps, k = m
+    return exps if k == n else tuple(map(mul, exps, repeat(n // k)))
+
+
+def _times(p1: tuple[int, ...], e1: tuple[int, ...], p2: tuple[int, ...],
+           e2: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
+    # (A B)'s permutation and exponents over mu_n, A = (p1, e1) and
+    # B = (p2, e2) both over mu_n: (A B) e_k = B_k A_{p2[k]} e_{p1[p2[k]]},
+    # so A is gathered along p2; over mu_1 every exponent is 0
+    g = gatherer(p2)
+    if n == 1:
+        return g(p1), e2
+    return g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n)))
+
+
+def tree_products(gens: Sequence["MonomialMatrix"],
+                  edges: Iterable[tuple[int, int]]) -> tuple:
+    """x_0 = 1 and x_j = gens[k] x_i for the j-th edge (k, i), i < j.
+
+    Each generator is lifted once to N, the lcm of their moduli, and
+    each x_i's exponents are kept over mu_N while the products run, so
+    an edge is one _times and one _make, with no per-product lift."""
+    n = lcm(*(g.n for g in gens))
+    lifted = [(g.perm, _lifted(g, n)) for g in gens]
+    dim = gens[0].dim
+    els, raw = [MonomialMatrix.identity(dim)], [(0,) * dim]
+    for k, i in edges:
+        perm, exps = _times(*lifted[k], els[i][0], raw[i], n)
+        raw.append(exps)
+        els.append(_make(perm, exps, n))
+    return tuple(els)
 
 
 class MonomialMatrix(tuple):
@@ -129,13 +164,8 @@ class MonomialMatrix(tuple):
         n = n1
         if n1 != n2:
             n = lcm(n1, n2)
-            if n != n1:
-                e1 = tuple(map(mul, e1, repeat(n // n1)))
-            if n != n2:
-                e2 = tuple(map(mul, e2, repeat(n // n2)))
-        g = gatherer(p2)
-        return _make(g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n))),
-                     n)
+            e1, e2 = _lifted(self, n), _lifted(other, n)
+        return _make(*_times(p1, e1, p2, e2, n), n)
 
     def inverse(self) -> "MonomialMatrix":
         perm, exps, n = self

@@ -764,9 +764,7 @@ def _counting_decodes(monkeypatch) -> list:
         made.append(perm)
         return make(perm, exps, n)
 
-    # the tree decode calls fingroup's own name for it
     monkeypatch.setattr(monomial, "_make", counting)
-    monkeypatch.setattr(fingroup, "_make", counting)
     return made
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_fingroup import _counting_mul
 
-from ggt import fingroup, wildtwo
+from ggt import monomial, wildtwo
 from ggt.cyclotomic import Cyc
 from ggt.errors import ResourceBoundExceeded
 from ggt.fingroup import FinGroup
@@ -716,15 +716,16 @@ def test_g2_jordan_product_count(monkeypatch, uncached_g2):
     # generate, the homomorphism check and normal_subgroups run on index
     # tables; what is left is decoding the group along its spanning tree,
     # one gathered matrix per non-identity element and no product, and
-    # build_g2_jordan squaring the 8 translations
+    # build_g2_jordan squaring the 8 translations; each of the 167 + 8
+    # makes one matrix
     made = _counting_mul(monkeypatch, MonomialMatrix)
     decoded = []
-    make = fingroup._make
+    make = monomial._make
 
     def counting(*args):
         decoded.append(args)
         return make(*args)
 
-    monkeypatch.setattr(fingroup, "_make", counting)
+    monkeypatch.setattr(monomial, "_make", counting)
     g2_jordan_report(build_g2_jordan())
-    assert len(made) == 8 and len(decoded) == 167
+    assert len(made) == 8 and len(decoded) == 167 + 8

@@ -1,29 +1,33 @@
-"""Mutation gate: every named check of `ggt wild so` and `ggt param tame`
-must be able to fail, and the tests must see it when it does.
+"""Mutation gate: the tests must see a break in what each named check of
+`ggt wild so` and `ggt param tame` reads.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # only the named rows
+    python3 tools/mutants.py
 
 Run it from the root of a ggt checkout; it needs pytest and hypothesis,
 nothing else past the standard library.  Each row of MUTANTS names a
 file under src/, an exact fragment of it, the fragment's replacement and
-the test files that must catch the change.  For each row the script
-copies src/, tests/ and pyproject.toml into a fresh temporary directory,
-applies the one replacement there, and runs the row's test files with
-`-x -m "not slow" --hypothesis-seed=0`, one process at a time; the
-checkout itself is never changed.  First the same is done once with no
-mutant, and every listed test file must pass on that copy (else exit 2),
-so a kill is the mutant's doing.  A mutant whose tests all pass survives:
-the script names each survivor and exits 1, and exits 0 when every
-mutant is killed.
+the test files that must catch the change.  First the union of those
+test files is run once on an unmutated copy of the checkout, and must
+pass (else exit 2), so a kill is the mutant's doing.  Then, for each
+row, the script copies src/, tests/ and pyproject.toml into a fresh
+temporary directory, applies the one replacement there, and runs the
+row's test files with `-x -m "not slow" --hypothesis-seed=0`, one
+process at a time; the checkout itself is never changed.  A mutant whose
+tests all pass survives: the script names each survivor and exits 1,
+and exits 0 when every mutant is killed.
 
 A row breaks the computation a check reads, not the check itself, so
 that a kill shows the check tied to something the tests pin.  Where a
 clause is computed two ways and the two must agree (dim V, V's period
-delta), each way has its own row.  tests/test_mutants.py asserts that
-each fragment occurs exactly once in its file and that each mutated file
-still parses, so a refactor that moves the code fails fast and no
-mutant is "killed" by a syntax error.
+delta), each way has its own row.  The `wild so` rows show that each of
+its checks can read False.  The `param tame` rows do not: a break in
+what det, form, conj_relation or type_np reads is caught by the
+builder's own assertions (build_tame_parameter's self-checks,
+parameter_image's type check), which raise before the command builds
+its checks, so those checks never read False in a report.
+tests/test_mutants.py asserts that each fragment occurs exactly once in
+its file and that each mutated file still parses, so a refactor that
+moves the code fails fast and no mutant is "killed" by a syntax error.
 """
 
 from __future__ import annotations
@@ -114,34 +118,27 @@ def run_tests(root: Path, row: tuple | None, tests: tuple) -> bool:
         return proc.returncode == 0
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     root = Path.cwd()
-    names = [r[0] for r in MUTANTS]
-    unknown = [a for a in argv if a not in names]
-    if unknown:
-        print(f"unknown mutants {unknown}; the rows are: {names}",
-              file=sys.stderr)
-        return 2
-    rows = [r for r in MUTANTS if not argv or r[0] in argv]
-    for row in rows:
+    for row in MUTANTS:
         mutated(root, row)  # every fragment is found before anything runs
     start = time.perf_counter()
-    tests = tuple(dict.fromkeys(t for r in rows for t in r[4]))
+    tests = tuple(dict.fromkeys(t for r in MUTANTS for t in r[4]))
     if not run_tests(root, None, tests):
         print("the unmutated copy fails its tests", file=sys.stderr)
         return 2
     survivors = []
-    for row in rows:
+    for row in MUTANTS:
         killed = not run_tests(root, row, row[4])
         print(f"{'killed' if killed else 'SURVIVED'}: {row[0]}", flush=True)
         if not killed:
             survivors.append(row[0])
-    print(f"{len(rows) - len(survivors)} of {len(rows)} mutants killed in "
-          f"{time.perf_counter() - start:.0f} s")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
     for name in survivors:
         print(f"survivor: {name}")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
