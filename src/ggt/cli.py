@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__ as VERSION
 from . import primesearch
@@ -105,6 +104,7 @@ def _cmd_param_tame(args):
 
 
 def _cmd_param_real(args):
+    from fractions import Fraction
     vals = [Fraction(part) for part in args.a.split(",")]
     rp = real_parameter(vals)
     results = rp.to_json()

@@ -1,12 +1,14 @@
 """Integer number theory: primality, multiplicative orders, cyclotomic values.
 
 Everything here is exact integer arithmetic.  No floats, no probabilistic
-answers: is_prime runs Miller-Rabin with the smallest proven witness set
-for the size of n.  Each tier below ends at the least strong pseudoprime
-to all of its witnesses, so every n under that limit is decided
-(Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993, Sorenson-Webster
-2015):
+answers: is_prime divides by the primes up to 47, then runs Miller-Rabin
+with the smallest proven witness set for the size of n.  Each tier below
+ends at the least strong pseudoprime to all of its witnesses, so every n
+under that limit is decided (Pomerance-Selfridge-Wagstaff 1980, Jaeschke
+1993, Sorenson-Webster 2015); below 53^2 the divisions alone decide, as
+a composite that small has a prime factor of at most 47:
 
+    n < 2,809            trial division by the primes 2 to 47
     n < 1,373,653        bases 2, 3
     n < 25,326,001       bases 2, 3, 5
     n < 3,215,031,751    bases 2, 3, 5, 7
@@ -46,6 +48,9 @@ _MR_TIERS = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# the square of the next prime: below it, no factor in _SMALL_PRIMES
+# means prime
+_TRIAL_BOUND = 53 * 53
 
 # factorize tries no divisor past this: it settles every n below 10^12,
 # in at most 166,667 steps of its loop
@@ -62,6 +67,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_BOUND:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -18,8 +18,6 @@ tuple of the two, but a root never equals a tuple.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from fractions import Fraction
 
 from .errors import ResourceBoundExceeded
 from .numth import factorize, is_prime, mult_order
@@ -73,6 +71,7 @@ class RootOfUnity:
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
         """Parse 'num/den' (or a bare integer exponent, meaning 1)."""
+        from fractions import Fraction
         frac = Fraction(text.strip())
         return cls(frac.numerator, frac.denominator)
 
@@ -95,6 +94,7 @@ class RootOfUnity:
         return RootOfUnity(-self.num, self.den)
 
     def exponent(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.num, self.den)
 
     def sort_key(self) -> tuple[int, int]:
@@ -121,29 +121,33 @@ class FrobeniusOrbit(Record):
 
     elements[i+1] = elements[i]^q cyclically; the listing starts at the
     orbit member with the smallest exponent so equal orbits compare equal.
+    The elements' numerators (over their common den) and selfdual, whether
+    the inverse of the first is among them, are read once, when the orbit
+    is made, and kept outside the fields.
     """
 
     q: int
     elements: tuple[RootOfUnity, ...]
 
     def __init__(self, q: int, elements: tuple[RootOfUnity, ...]) -> None:
-        vars(self).update(q=q, elements=elements)
+        self._fill(q, elements, tuple([r.num for r in elements]))
+
+    def _fill(self, q: int, elements: tuple[RootOfUnity, ...],
+              exponents: tuple[int, ...]) -> None:
+        selfdual = -exponents[0] % elements[0].den in exponents
+        vars(self).update(q=q, elements=elements, exponents=exponents,
+                          selfdual=selfdual)
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def selfdual(self) -> bool:
-        first = self.elements[0]
-        return -first.num % first.den in {r.num for r in self.elements}
 
     def to_json(self) -> dict:
         den = self.elements[0].den
         return {
             "q": self.q,
             "den": den,
-            "exponents": [r.num for r in self.elements],
+            "exponents": list(self.exponents),
             "size": self.size,
             "selfdual": self.selfdual,
         }
@@ -186,7 +190,10 @@ def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
         set_num(r, e)
         set_den(r, n)
         elements.append(r)
-    return FrobeniusOrbit(q=q, elements=tuple(elements))
+    # the exponents are at hand, so the orbit need not read them back
+    orbit = new(FrobeniusOrbit)
+    orbit._fill(q, tuple(elements), tuple(exps))
+    return orbit
 
 
 def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:
@@ -196,15 +203,15 @@ def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:
     the orbit then the size is even, say 2n, and tau^{-1} = tau^{q^n}.
     Returns True as well for orbits that are not self-dual.
     """
-    if orbit.elements[0].den <= 2:
+    den, exps = orbit.elements[0].den, orbit.exponents
+    if den <= 2:
         raise ValueError("orbit of +-1 is excluded")
     if not orbit.selfdual:
         return True
-    m = orbit.size
+    m = len(exps)
     if m % 2 != 0:
         return False
-    inv = orbit.elements[0].inverse()
-    return orbit.elements[m // 2] == inv
+    return exps[m // 2] == -exps[0] % den
 
 
 def selfdual_root(q: int, n: int, p: int | str = "maximal") -> RootOfUnity:

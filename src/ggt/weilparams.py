@@ -15,14 +15,13 @@ landing in G2: three inverse pairs multiplying to 1 around a fixed vector.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup, _split_metacyclic, is_type_np
-from .monomial import MonomialMatrix
+from .monomial import MonomialMatrix, _make
 from .numth import is_prime
 from .record import Record
 from .roots import ONE, FrobeniusOrbit, RootOfUnity, frobenius_orbit
@@ -82,7 +81,7 @@ class TameParameter(Record):
     @cached_property
     def _checks(self) -> dict:
         t, f = self.inertia, self.frobenius
-        tq = MonomialMatrix.diagonal(tuple(x ** self.q for x in t.diag))
+        tq = _make(t.perm, tuple([e * self.q % t.n for e in t.exps]), t.n)
         out = {
             "det": t.det().is_one and f.det().is_one,
             "form": t.preserves_form(self.pairing)
@@ -110,7 +109,7 @@ class TameParameter(Record):
             "q": self.q,
             "monodromy": 0,
             "orbits": [{"den": o.elements[0].den,
-                        "exponents": [r.num for r in o.elements]}
+                        "exponents": list(o.exponents)}
                        for o in self.orbits],
             "taus": [str(t) for t in self.taus],
             "inertia": self.inertia.to_json(),
@@ -134,45 +133,40 @@ def build_tame_parameter(q: int, taus, n: int) -> TameParameter:
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     taus = tuple(taus)
-    orbits = []
-    orbit_sets: list[frozenset] = []
-    blocks: list[list[RootOfUnity]] = []
+    orbits: list[FrobeniusOrbit] = []
     for tau in taus:
         orb = frobenius_orbit(tau, q)
         if not orb.selfdual or orb.size % 2 != 0 or orb.size < 2:
             raise ValueError(
                 f"orbit of {tau} is not self-dual of even size: "
                 f"size {orb.size}, selfdual {orb.selfdual}")
-        mem = frozenset(orb.elements)
-        if mem in orbit_sets:
+        if orb in orbits:  # an orbit's listing is canonical
             raise ValueError(f"orbit of {tau} repeats an earlier orbit")
-        orbit_sets.append(mem)
         orbits.append(orb)
-        ni = orb.size // 2
-        half = [tau ** (q**j) for j in range(ni)]
-        blocks.append(half + [x.inverse() for x in half])
-    if sum(len(b) for b in blocks) != 2 * n:
-        raise ValueError(
-            f"orbit sizes sum to {sum(len(b) for b in blocks)}, need {2*n}")
+    total = sum(orb.size for orb in orbits)
+    if total != 2 * n:
+        raise ValueError(f"orbit sizes sum to {total}, need {2*n}")
 
-    dim = 2 * n + 1
-    s = len(taus)
-    diag = [x for b in blocks for x in b] + [ONE]
+    # the blocks as exponents over mu_N, N the lcm of the taus' orders:
+    # tau^(q^j) for j < size/2, then their inverses
+    dim, big = 2 * n + 1, lcm(*(tau.den for tau in taus))
+    exps: list[int] = []
     perm = list(range(dim))
     pairing = list(range(dim))
-    fdiag = [ONE] * dim
     offset = 0
-    for b in blocks:
-        size = len(b)
+    for tau, orb in zip(taus, orbits):
+        size, den = orb.size, tau.den
         ni = size // 2
+        half = [tau.num * pow(q, j, den) % den * (big // den)
+                for j in range(ni)]
+        exps += half + [-e % big for e in half]
         for j in range(size):
             perm[offset + j] = offset + (j - 1) % size
             pairing[offset + j] = offset + (j + ni) % size
         offset += size
-    fdiag[dim - 1] = ONE if s % 2 == 0 else RootOfUnity(1, 2)
-
-    inertia = MonomialMatrix.diagonal(tuple(diag))
-    frob = MonomialMatrix(tuple(perm), tuple(fdiag))
+    inertia = _make(tuple(range(dim)), tuple(exps) + (0,), big)
+    # Frobenius carries -1 on the last coordinate when s is odd, so det = 1
+    frob = _make(tuple(perm), (0,) * (dim - 1) + (len(taus) % 2,), 2)
     param = TameParameter(q=q, taus=taus, orbits=tuple(orbits), n=n,
                           inertia=inertia, frobenius=frob,
                           pairing=tuple(pairing))
@@ -240,10 +234,10 @@ def is_g2_parameter(param: TameParameter) -> G2Check:
         return G2Check(False,
                        f"single orbit: tau^(q^2-q+1) = {e}, not 1")
     if param.s == 3:
-        exps = [t.exponent() for t in param.taus]
+        big = lcm(*(t.den for t in param.taus))
+        exps = [t.num * (big // t.den) for t in param.taus]
         for signs in itertools.product((1, -1), repeat=3):
-            total = sum(s * e for s, e in zip(signs, exps))
-            if total == int(total):
+            if sum(s * e for s, e in zip(signs, exps)) % big == 0:
                 return G2Check(
                     True, f"three orbits: signs {signs} multiply to 1")
         return G2Check(False, "three orbits: no sign choice multiplies to 1")
@@ -383,6 +377,7 @@ class RealParameter(Record):
         vars(self).update(a=a)
 
     def infinitesimal_character(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return self.a + tuple(-x for x in self.a) + (Fraction(0),)
 
     def to_json(self) -> dict:
@@ -396,6 +391,7 @@ class RealParameter(Record):
 
 
 def real_parameter(a) -> RealParameter:
+    from fractions import Fraction
     vals = tuple(Fraction(x) for x in a)
     if any(v == 0 for v in vals):
         raise ValueError("weights must be nonzero")

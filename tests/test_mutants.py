@@ -48,6 +48,11 @@ def test_every_named_check_has_a_mutant():
     # the clauses read two ways, each way mutated on its own
     assert sum(n.startswith("wild so: dim V, ") for n in names) == 2
     assert sum(n.startswith("wild so: delta, ") for n in names) == 2
+    # and the facts the small queries compute once
+    for name in ("param tame: a block's inverse exponents",
+                 "is_prime: the trial-division bound",
+                 "orbit: selfdual, the inverse's negation"):
+        assert name in names
 
 
 def test_a_fragment_that_moved_is_refused(tmp_path):

@@ -28,6 +28,20 @@ def test_is_prime_small_range():
         assert is_prime(n) == _trial_prime(n), n
 
 
+def test_is_prime_matches_trial_division_below_ten_thousand():
+    # below 53^2 = 2,809 the divisions by the primes up to 47 settle n;
+    # from there on Miller-Rabin does
+    for n in range(10_000):
+        assert is_prime(n) == _trial_prime(n), n
+    assert numth._TRIAL_BOUND == 2809
+    # composites with no prime factor up to 47, on either side of it:
+    # 47 * 53 and 47 * 59 below, 53^2 at it; and the primes around it
+    for n in (2491, 2773, 2809):
+        assert not is_prime(n), n
+    for n in (2801, 2803, 2819):
+        assert is_prime(n), n
+
+
 def test_is_prime_pseudoprime_traps():
     # Carmichael numbers and strong-pseudoprime classics
     for n in (561, 1105, 1729, 41041, 3215031751, 3825123056546413051):

@@ -164,6 +164,35 @@ def test_orbit_elements_are_reduced_roots(den, q, data):
     assert FrobeniusOrbit.from_json(orbit.to_json()) == orbit
 
 
+def test_orbit_exponents_and_selfdual_match_their_definitions():
+    # every prime q < 50 and every den <= 100 prime to it, every orbit of
+    # the units mod den: the exponents and selfdual read when the orbit is
+    # made agree with the elements, and survive a JSON round trip
+    primes = [q for q in range(2, 50) if all(q % k for k in range(2, q))]
+    for q in primes:
+        for den in range(1, 101):
+            if math.gcd(q, den) != 1:
+                continue
+            seen = set()
+            for a in range(den):
+                if math.gcd(a, den) != 1 or a in seen:
+                    continue
+                orbit = frobenius_orbit(RootOfUnity(a, den), q)
+                exps = [r.num for r in orbit.elements]
+                seen.update(exps)
+                assert orbit.exponents == tuple(exps)
+                assert orbit.to_json()["exponents"] == exps
+                assert orbit.selfdual == (
+                    RootOfUnity(-a, den) in orbit.elements), (q, a, den)
+                again = FrobeniusOrbit.from_json(orbit.to_json())
+                assert again == orbit and again.selfdual == orbit.selfdual
+                assert again.exponents == orbit.exponents
+                if den > 2:
+                    assert check_selfdual_orbit(orbit), (q, a, den)
+            assert len(seen) == sum(math.gcd(a, den) == 1
+                                    for a in range(den))
+
+
 def test_root_is_an_immutable_value():
     # the constructor and the orbit's slot writes give one value
     slow = RootOfUnity(6, 14)

@@ -21,8 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(ggt.__file__).resolve().parents[1]
 # modules a command must load only when it needs them; dataclasses never,
 # since ggt's records are plain classes that generate no code at import,
-# and numpy never, since no module of ggt imports it
-WATCHED = ("numpy", "ggt.weylenum", "importlib.metadata", "dataclasses")
+# numpy never, since no module of ggt imports it, and fractions (with
+# decimal, 2 ms of import) only where a Fraction is made
+WATCHED = ("numpy", "ggt.weylenum", "importlib.metadata", "dataclasses",
+           "fractions")
+# the commands that parse an exponent or a weight as a Fraction
+FRACTIONS = ("orbit", "param real", "eigs")
 
 
 def _readme_commands() -> list[str]:
@@ -72,9 +76,11 @@ def test_commands_without_weyl_matrices_never_load_numpy(command):
     # the Weyl commands tally and scan groups as permutations of their
     # roots, with no matrix
     weyl = command.split()[0] in ("weyl", "minuscule")
+    fractions = command.startswith(FRACTIONS)
     probe = _fresh(command)
     assert probe["code"] == 0, probe["out"]
-    assert probe["loaded"] == (["ggt.weylenum"] if weyl else []), command
+    assert probe["loaded"] == ["fractions"] * fractions + \
+        ["ggt.weylenum"] * weyl, command
     assert json.loads(probe["out"])["version"] == probe["version"]
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -78,6 +80,53 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         # orbit sizes sum to 2, but n = 2 was requested
         build_tame_parameter(5, [RootOfUnity(1, 3)], 2)
+
+
+def test_build_error_messages():
+    with pytest.raises(ValueError, match=r"^orbit of 1/11 is not self-dual "
+                       r"of even size: size 5, selfdual False$"):
+        build_tame_parameter(5, [RootOfUnity(1, 11)], 3)
+    with pytest.raises(ValueError,
+                       match="^orbit of 2/3 repeats an earlier orbit$"):
+        build_tame_parameter(5, [RootOfUnity(1, 3), RootOfUnity(2, 3)], 2)
+    with pytest.raises(ValueError,
+                       match="^orbit sizes sum to 6, need 8$"):
+        build_tame_parameter(3, [RootOfUnity(1, 5), RootOfUnity(1, 4)], 4)
+
+
+def _order(a, n):
+    k, x = 1, a % n
+    while x != 1:
+        x, k = x * a % n, k + 1
+    return k
+
+
+# SHA-256 of the JSON of every parameter of _tame_cases, as the builder
+# that held each entry as a RootOfUnity wrote them
+TAME_DIGEST = \
+    "00f955a907ed4e4938da11a8fa408614f0c5621b24bef4cc4d31cd06b88b61c3"
+
+
+def _tame_cases():
+    # the 65 cells (q, p) of the benchmark's tame grid: q < 50 and p < 500
+    # primes with ord_p(q) even and at most 8, tau = 1/p; then two orbits,
+    # and three orbits at n = 3
+    primes = [p for p in range(2, 500) if all(p % k for k in range(2, p))]
+    cells = [(q, p) for q in primes if q < 50 for p in primes
+             if p > 2 and p != q and _order(q, p) % 2 == 0
+             and _order(q, p) <= 8]
+    assert len(cells) == 65
+    cases = [(q, [RootOfUnity(1, p)], _order(q, p) // 2) for q, p in cells]
+    return cases + [
+        (3, [RootOfUnity(1, 5), RootOfUnity(1, 4)], 3),
+        (11, [RootOfUnity(1, 3), RootOfUnity(1, 12), RootOfUnity(7, 12)], 3)]
+
+
+def test_tame_parameters_match_the_pinned_digest():
+    data = [build_tame_parameter(q, taus, n).to_json()
+            for q, taus, n in _tame_cases()]
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == TAME_DIGEST
 
 
 def test_parameter_image_order():

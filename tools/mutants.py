@@ -1,5 +1,8 @@
 """Mutation gate: the tests must see a break in what each named check of
-`ggt wild so` and `ggt param tame` reads.
+`ggt wild so` and `ggt param tame` reads, and in three facts the small
+queries compute once and then trust: the bound below which is_prime
+stops after its trial divisions, an orbit's selfdual, and the inverse
+exponents of a tame block.
 
     python3 tools/mutants.py
 
@@ -73,8 +76,7 @@ MUTANTS = (
      "not _poly_divmod(1 << d | 1, h)[1]",
      "not _poly_divmod(1 << d | 1, h)[0]", WILD),
     ("param tame: det", "src/ggt/weilparams.py",
-     "fdiag[dim - 1] = ONE if s % 2 == 0 else RootOfUnity(1, 2)\n",
-     "fdiag[dim - 1] = ONE\n", TAME),
+     "(0,) * (dim - 1) + (len(taus) % 2,)", "(0,) * dim", TAME),
     ("param tame: form", "src/ggt/weilparams.py",
      "pairing[offset + j] = offset + (j + ni) % size\n",
      "pairing[offset + j] = offset + (size - 1 - j)\n", TAME),
@@ -83,6 +85,14 @@ MUTANTS = (
      "perm[offset + j] = offset + (j + 1) % size\n", TAME),
     ("param tame: type_np", "src/ggt/fingroup.py",
      "if image == n:\n", "if image == 2 * n:\n", TAME),
+    ("param tame: a block's inverse exponents", "src/ggt/weilparams.py",
+     "[-e % big for e in half]", "[e % big for e in half]", TAME),
+    ("is_prime: the trial-division bound", "src/ggt/numth.py",
+     "_TRIAL_BOUND = 53 * 53\n", "_TRIAL_BOUND = 53 * 53 + 1\n",
+     ("tests/test_numth.py",)),
+    ("orbit: selfdual, the inverse's negation", "src/ggt/roots.py",
+     "selfdual = -exponents[0] % ", "selfdual = exponents[0] % ",
+     ("tests/test_roots.py",)),
 )
 
 
