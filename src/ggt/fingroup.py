@@ -22,27 +22,32 @@ no point orbit and no base image.
 
 Every constructor hands the group its generators, their tables and a
 spanning tree of its Cayley graph (Seress's Schreier tree), the edge
-x_j = g x_i with i < j for each j > 0: the walk records the edge that
-first reached x_j, and the normal form t^a f^b is t (t^(a-1) f^b) or,
-for a = 0, f f^(b-1).  The tree is the one decoder: x_0 = 1 and
-x_j = g x_i, made when first asked for.  The rest runs on indices and
-multiplies no element: a subgroup is a frozenset of indices, and a quotient's
-projection maps an index of G to an index of G/N, so reporting a group
-decodes no element.  The spanning tree gives, for any element s, the
-table i -> index(x_i s) in one pass: x = g_a y gives x s = g_a (y s).
-Conjugation by a generator g is the table x g -> g x, so the conjugacy
-classes, normality tests and normal closures are orbits of index tables,
-and the commutator subgroup is the normal closure of the h^-1 (g h g^-1)
-for generators g and h.  A query that reads only a few entries of a right
-table (the powers of one element, one conjugate g y g^-1 = g (y g^-1) per
-generator g) fills them on demand, each by walking its tree path up to an
-entry already known, so it pays for what it reads and not for |G|.
+x_j = g x_i with i < j for each j > 0, held as a Schreier vector: two
+flat tuples, one of the tables of the g (references, not copies) and
+one of the parents i, with no object per edge.  The walk records the
+edge that first reached x_j, and the normal form t^a f^b is
+t (t^(a-1) f^b) or, for a = 0, f f^(b-1).  The tree is the one decoder:
+x_0 = 1 and x_j = g x_i, made when first asked for.  The rest runs on
+indices and multiplies no element: a subgroup is a frozenset of
+indices, and a quotient's projection maps an index of G to an index of
+G/N, so reporting a group decodes no element.  The spanning tree
+gives, for any element s, the table i -> index(x_i s) in one pass:
+x = g_a y gives x s = g_a (y s).  Conjugation by a generator g is the
+table x g -> g x, so the conjugacy classes, normality tests and normal
+closures are orbits of index tables, and the commutator subgroup is the
+normal closure of the h^-1 (g h g^-1) for generators g and h.  A query
+that reads only a few entries of a right table (the powers of one
+element that is not a generator, one conjugate g y g^-1 = g (y g^-1)
+per generator g) fills them on demand, each by walking its tree path up
+to an entry already known, so it pays for what it reads and not for
+|G|.
 g (x N) = g x N, so pushing the normal subgroup N through the tables
 labels the cosets in the order a search on G/N finds them: the labels
 are the quotient's tables, the step that found each coset is its tree
 edge, and its generators are the permutation matrices of their own
 tables, its left regular action.  The powers of x are the cycle of the
-identity under right multiplication by x, which gives element orders.
+identity under right multiplication by x, which gives element orders;
+a generator's are read off its own table, x^(k+1) = x x^k.
 In the abelian G/G', x -> x^p is a homomorphism, filled in along the
 spanning tree, and the numbers of elements its iterates kill give the
 invariant factors.  Subgroup closures run Dimino's algorithm (Butler,
@@ -58,17 +63,17 @@ Group Theory, 2005, ch. 4), so normal_subgroups closes one conjugacy
 class per rational class.  The quotient by {1} is G itself: the
 ell-core criterion and the abelianization of an abelian group use G and
 build no quotient.  A type (n, p) witness builds the cyclic group <y>
-once, as the map y^k -> k, and reads one conjugate of y per generator
-through it: <y> is normal exactly when every generator conjugates y into
-<y>, and the same conjugates give the exponents, so on a fresh tame image
-no whole table is built.  The intended scale is a few tens of thousands
-of elements (the wild image at m = 13 has 53,248).
+once, as the list of its powers, and finds one conjugate of y per
+generator in it: <y> is normal exactly when every generator conjugates
+y into <y>, and the positions of the same conjugates are the exponents,
+so on a fresh tame image no whole table is built.  The intended scale
+is a few tens of thousands of elements (the wild image at m = 13 has
+53,248).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
@@ -102,9 +107,11 @@ class FinGroup:
     def __init__(self, tables: tuple, tree: tuple,
                  generators: tuple) -> None:
         """tables holds for each g of generators, in order, the tuple
-        i -> index(g x_i), x_0 the identity.  tree holds, for j = 1, ...,
-        order - 1, the edge (t, i) with i < j and x_j = g x_i, t the table
-        of g (one of tables, not a copy).  All three are tuples."""
+        i -> index(g x_i), x_0 the identity.  tree is the pair (via,
+        parents) of flat tuples of length order - 1: for j = 1, ...,
+        order - 1, x_j = g x_i with i = parents[j - 1] < j and via[j - 1]
+        the table of g (one of tables, not a copy).  All of it is
+        tuples."""
         self.tables, self._tree, self.generators = tables, tree, generators
         # cached results are tuples: a caller cannot change them
         self._conj: tuple[tuple[int, ...], ...] | None = None
@@ -142,16 +149,19 @@ class FinGroup:
             raise ResourceBoundExceeded(
                 f"group closure exceeded {bound} elements") from None
         tables = tuple(map(tuple, rows))
-        return cls(tables, tuple((tables[k], i) for k, i in edges),
+        via = tuple(map(tables.__getitem__, map(itemgetter(0), edges)))
+        return cls(tables, (via, tuple(map(itemgetter(1), edges))),
                    tuple(generators))
 
     @cached_property
     def elements(self) -> tuple:
         """The elements in index order, decoded along the spanning tree:
-        x_0 = 1 and x_j = g x_i for the edge (t, i), g t's generator."""
+        x_0 = 1 and x_j = g x_i, i x_j's parent and g the generator of
+        the table that reached it."""
         gen = {id(t): k for k, t in enumerate(self.tables)}
+        via, parents = self._tree
         return tree_products(self.generators,
-                             ((gen[id(t)], i) for t, i in self._tree))
+                             zip(map(gen.__getitem__, map(id, via)), parents))
 
     @cached_property
     def index(self) -> Mapping:
@@ -177,7 +187,7 @@ class FinGroup:
         x = g y gives x x_s = g (y x_s)."""
         r = [s]
         append = r.append
-        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
+        for t, i in zip(*self._tree):  # x_j = g x_i, j = 1, 2, ...
             append(t[r[i]])
         return r
 
@@ -187,29 +197,32 @@ class FinGroup:
         already known, then back down, keeping every entry on the way."""
         r: list[int | None] = [None] * self.order
         r[0] = s
-        tree = self._tree
+        via, parents = self._tree
 
         def at(i: int) -> int:
             x = r[i]
             if x is None:
-                t, j = tree[i - 1]  # x_i = g x_j: x_i x_s = g (x_j x_s)
+                j = parents[i - 1]  # x_i = g x_j: x_i x_s = g (x_j x_s)
                 x = r[j]
                 if x is None:  # up the tree to a known entry, then down
                     path = []
                     while x is None:
                         path.append(j)
-                        j = tree[j - 1][1]
+                        j = parents[j - 1]
                         x = r[j]
                     for k in reversed(path):
-                        x = r[k] = tree[k - 1][0][x]
-                x = r[i] = t[x]
+                        x = r[k] = via[k - 1][x]
+                x = r[i] = via[i - 1][x]
             return x
         return at
 
     def _powers(self, i: int) -> list[int]:
         """[x, x^2, ..., x^ord(x) = 1] as indices, x = x_i: the cycle of
-        the identity under right multiplication by x."""
-        at, out = self._right_at(i), [i]
+        the identity under right multiplication by x.  When x is a
+        generator, x^(k+1) = x x^k is read off its own table."""
+        own = next((t for t in self.tables if t[0] == i), None)
+        at = self._right_at(i) if own is None else own.__getitem__
+        out = [at(0)]  # x = 1 x
         while out[-1]:
             out.append(at(out[-1]))
         return out
@@ -361,7 +374,7 @@ class FinGroup:
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         label = [-1] * self.order  # -1 until the coset is found
-        cosets, edges = [list(sub)], []  # N is coset 0
+        cosets, gens, parents = [list(sub)], [], []  # N is coset 0
         for i in cosets[0]:
             label[i] = 0
         for c, coset in enumerate(cosets):  # cosets grows in the loop
@@ -371,12 +384,14 @@ class FinGroup:
                     for i in image:
                         label[i] = len(cosets)
                     cosets.append(image)
-                    edges.append((k, c))
+                    gens.append(k)
+                    parents.append(c)
         if len(cosets) * len(sub) != self.order:
             raise AssertionError("quotient order mismatch")
         tables = tuple(tuple(label[t[c[0]]] for c in cosets)
                        for t in self.tables)
-        q = FinGroup(tables, tuple((tables[k], c) for k, c in edges),
+        q = FinGroup(tables, (tuple(map(tables.__getitem__, gens)),
+                              tuple(parents)),
                      tuple(map(MonomialMatrix.permutation, tables)))
         return q, label.__getitem__
 
@@ -389,9 +404,10 @@ class FinGroup:
             for _ in range(e):
                 y = t[y]
             times[id(t)] = self._right(y)
+        via, parents = self._tree
         out = [0]
-        for t, i in self._tree:  # x_j = g x_i, j = 1, 2, ...
-            out.append(times[id(t)][out[i]])
+        for r, i in zip(map(times.__getitem__, map(id, via)), parents):
+            out.append(r[out[i]])  # x_j = g x_i, j = 1, 2, ...
         return out
 
     def abelianization(self) -> list[int]:
@@ -513,10 +529,9 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     if g.order % p != 0:
         return None
     for powers in _order_p_normal_subgroups(g, p):
-        # the exponents k with gen y gen^-1 = y^k, y the generator
-        y = next(iter(powers))
-        exps = [powers.get(c) for c in g._conjugates(y)]
-        if None in exps:  # some generator moves y out of <y>: not normal
+        # the exponents k with gen y gen^-1 = y^k, y = powers[0]
+        exps = _exponents(powers, g._conjugates(powers[0]))
+        if exps is None:  # some generator moves y out of <y>: not normal
             continue
         # (Z/p)* is cyclic: the units generate a subgroup of order the lcm
         # of their orders (is_type_np has checked that p is prime)
@@ -526,14 +541,14 @@ def _find_type_np(g: FinGroup, n: int, p: int) -> TypeNPWitness | None:
     return None
 
 
-def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
-    """The candidate normal subgroups of order p, one power map
-    {index(y^k): k} (k = 1..p, the generator y first) per subgroup.
+def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[list[int]]:
+    """The candidate normal subgroups of order p, as the powers
+    [y, y^2, ..., y^p = 1] of a generator y of each.
 
     When p^2 does not divide |G| the one candidate <y> is returned
     without a normality test: <y> is normal exactly when every generator
     conjugates y into <y>, which _find_type_np reads off the same
-    conjugates it needs for the exponents (a None among them means not
+    conjugates it needs for the exponents (no exponents means not
     normal), so the test runs once, on one conjugate per generator."""
     t = g.order
     pp = 1
@@ -544,17 +559,18 @@ def _order_p_normal_subgroups(g: FinGroup, p: int) -> list[dict]:
         # Order-p subgroups are Sylow, hence all conjugate: a normal one
         # must be the unique one, so a single probe settles it.
         ys = _element_of_order_p(g, p)
-        return [] if ys is None else [_power_map(ys)]
-    out = []
-    for nsub in g.normal_subgroups():
-        if len(nsub) == p:
-            out.append(_power_map(g._powers(min(nsub - {0}))))
-    return out
+        return [] if ys is None else [ys]
+    return [g._powers(min(nsub - {0}))
+            for nsub in g.normal_subgroups() if len(nsub) == p]
 
 
-def _power_map(powers: list[int]) -> dict[int, int]:
-    """{index(y^k): k} from the powers [y, y^2, ..., y^p = 1]."""
-    return {z: k for k, z in enumerate(powers, 1)}
+def _exponents(powers: list[int], xs: list[int]) -> list[int] | None:
+    """The k with x = y^k for each x of xs, read off the powers
+    [y, y^2, ..., y^p = 1]; None when some x lies outside <y>."""
+    try:
+        return [powers.index(x) + 1 for x in xs]
+    except ValueError:
+        return None
 
 
 def is_type_npl(g: FinGroup, n: int, p: int, ell: int) -> bool:
@@ -604,14 +620,15 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix) -> FinGroup:
     The tables are closed forms on the keys a + p*b: t (t^a f^b) =
     t^(a+1) f^b and f (t^a f^b) = t^(alpha a) f^(b+1), exponents mod p
     and m.  The tree edge to t^a f^b is t from t^(a-1) f^b when a > 0,
-    else f from f^(b-1).  They are gathered one block of keys
-    p b, ..., p b + p - 1 at a time: t's block is the block rotated by
-    one, f's the next block read at alpha a mod p, and the tree holds the
-    f edge from the previous block's first key, then the t edges along
-    the block, so the tables and the tree share one int per key.  The
-    numbering differs from generate's, but the Cayley graph is the same,
-    so every reported number, a group invariant, is too; the key a + p*b
-    decodes to t^a f^b.
+    else f from f^(b-1).  All of it is sliced from one list of the keys,
+    so the tables and the tree share one int per key: t's table is the
+    keys shifted by one with each block p b, ..., p b + p - 1 closed
+    into a cycle, f's is each next block read at alpha a mod p, the
+    parents are the keys shifted by one with p (b - 1) at the key p b,
+    and the edge tables are t's but f's at those keys.  The numbering
+    differs from generate's, but the Cayley graph is the same, so every
+    reported number, a group invariant, is too; the key a + p*b decodes
+    to t^a f^b.
     """
     tperm, texps, p = t
     fperm, fexps, fn = f
@@ -638,22 +655,21 @@ def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix) -> FinGroup:
         raise ResourceBoundExceeded(
             f"group closure exceeded {DEFAULT_CLOSURE_BOUND} elements")
     # x_(a + p b) = t^a f^b: t x = t^(a+1) f^b, f x = t^(alpha a) f^(b+1).
-    # Block b holds the keys p b, ..., p b + p - 1; the tables and the tree
-    # are gathered from the blocks, so they share the ints of ks
-    ks = list(range(p * m))
-    blocks = [ks[base:base + p] for base in range(0, len(ks), p)]
-    rotate = itemgetter(*range(1, p), 0)
+    # Block b holds the keys p b, ..., p b + p - 1; everything below is
+    # sliced from ks, so it shares the ints of ks
+    n = p * m
+    ks = list(range(n))
+    ttab = ks[1:] + ks[:1]
+    ttab[p - 1::p] = ks[::p]  # t^(p-1) f^b -> f^b
     scale = itemgetter(*(alpha * a % p for a in range(p)))
-    ttab, ftab, tree = [], [], []
-    for b, block in enumerate(blocks):
-        ttab += rotate(block)
-        ftab += scale(blocks[(b + 1) % m])
+    nxt, ftab = ks[p:] + ks[:p], []  # block b + 1 at block b
+    for base in range(0, n, p):
+        ftab += scale(nxt[base:base + p])
     ttab, ftab = tuple(ttab), tuple(ftab)  # the tree's edges point at these
-    for b, block in enumerate(blocks):
-        if b:
-            tree.append((ftab, blocks[b - 1][0]))
-        tree += zip(repeat(ttab), block[:-1])
-    return FinGroup((ttab, ftab), tuple(tree), (t, f))
+    parents, via = ks[:-1], [ttab] * (n - 1)
+    parents[p - 1::p] = ks[:n - p:p]  # f^b from f^(b-1)
+    via[p - 1::p] = [ftab] * (m - 1)
+    return FinGroup((ttab, ftab), (tuple(via), tuple(parents)), (t, f))
 
 
 def metacyclic(m: int, p: int) -> FinGroup:

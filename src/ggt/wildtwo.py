@@ -42,7 +42,7 @@ that each constituent is constant on every class.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -390,6 +390,8 @@ class G2JordanGroup(Record):
     mapping, sends each to its sign-monomial matrix, the group's own
     element; group is the FinGroup that the matrices of the three
     generators generate; jordan is the translation subgroup of order 8.
+    Its constituents are decomposed, with every check of
+    mackey_decompose, once per group, on first use.
     """
 
     triples: tuple[tuple[int, int, int], ...]
@@ -405,6 +407,12 @@ class G2JordanGroup(Record):
 
     def trace(self, g: tuple[int, int, int]) -> int:
         return self.matrix[g].trace_int()
+
+    @cached_property
+    def constituents(self) -> tuple[Constituent, ...]:
+        """mackey_decompose's answer, a tuple of records: no caller can
+        change it."""
+        return tuple(mackey_decompose(self))
 
     def __reduce__(self):
         # copies and unpickled records are the group the process shares
@@ -627,7 +635,7 @@ def mackey_decompose(g2j: G2JordanGroup) -> list[Constituent]:
 
 
 def g2_jordan_report(g2j: G2JordanGroup) -> dict:
-    cons = mackey_decompose(g2j)
+    cons = g2j.constituents
     return {
         "order": g2j.group.order,
         "normal_subgroup_orders": [len(n)

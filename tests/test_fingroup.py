@@ -1,6 +1,6 @@
 from collections import Counter
 from math import lcm
-from operator import is_, itemgetter
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -596,8 +596,8 @@ def test_is_type_np_is_cached(monkeypatch):
 
 def test_is_type_np_right_tables(monkeypatch):
     # on a fresh tame image no whole right table is built: the powers of
-    # the first element whose order 43 divides (the identity is skipped)
-    # are walked through a lazy right table, and the one conjugate per
+    # the first element whose order 43 divides (the identity is skipped),
+    # x_1 = t, are read off t's own table, and the one conjugate per
     # generator that the exponents and the normality test read is a
     # single lazy entry
     made = []
@@ -617,10 +617,13 @@ def test_is_type_np_right_tables(monkeypatch):
 
 
 def _lazy_oracle_groups():
+    # the last product has p^2 | |G| for p = 7 and two normal Z/7, so the
+    # witness reads them off normal_subgroups, not off one Sylow probe
     return _battery() + [
         metacyclic(18, 19),
         direct_product(cyclic(4), metacyclic(6, 7)),
         build_g2_jordan().group,
+        direct_product(metacyclic(6, 7), cyclic(7)),
     ]
 
 
@@ -648,9 +651,9 @@ def test_one_probe_normality_agrees_with_is_normal():
                 powers = g._powers(y)
                 if len(powers) != p:
                     continue
-                pmap = fingroup._power_map(powers)
-                probe = None not in [pmap.get(c) for c in g._conjugates(y)]
-                assert probe == g.is_normal(pmap)
+                exps = fingroup._exponents(powers, g._conjugates(y))
+                probe = exps is not None
+                assert probe == g.is_normal(set(powers))
                 seen.add((g.order, p, probe))
     assert {(6, 2, False), (12, 3, False), (6, 3, True)} <= seen
     assert is_type_np(_sym(3), 2, 2) is None
@@ -658,20 +661,86 @@ def test_one_probe_normality_agrees_with_is_normal():
     assert is_type_np(_sym(3), 2, 3) is not None
 
 
+def test_generator_powers_follow_its_own_table(monkeypatch):
+    # x^(k+1) = x x^k: a generator's powers read off its own table are
+    # the cycle of the identity under its lazy right table
+    for g in _lazy_oracle_groups():
+        for t in g.tables:
+            at, cycle = g._right_at(t[0]), [t[0]]
+            while cycle[-1]:
+                cycle.append(at(cycle[-1]))
+            assert g._powers(t[0]) == cycle
+    # and they build no right table, lazy or whole
+    def refuse(self, s):
+        raise AssertionError("a right table was built")
+
+    g = metacyclic(18, 19)
+    monkeypatch.setattr(FinGroup, "_right_at", refuse)
+    monkeypatch.setattr(FinGroup, "_right", refuse)
+    assert [len(g._powers(t[0])) for t in g.tables] == [19, 18]
+
+
+def test_exponents_read_off_the_powers_match_the_power_map():
+    # the exponents list.index reads equal those of the map
+    # {index(y^k): k}, and a conjugate outside <y> gives none
+    for g in _lazy_oracle_groups():
+        for y in range(g.order):
+            powers = g._powers(y)
+            pmap = {z: k for k, z in enumerate(powers, 1)}
+            want = [pmap.get(c) for c in g._conjugates(y)]
+            assert fingroup._exponents(powers, g._conjugates(y)) == (
+                None if None in want else want)
+            assert fingroup._exponents(powers, powers) == \
+                [pmap[z] for z in powers]
+
+
+def _conjugation_images(g: FinGroup, p: int) -> set[int]:
+    """The order of the conjugation action on each normal subgroup of
+    order p, from the whole conjugation and right tables."""
+    images = set()
+    for nsub in g.normal_subgroups():
+        if len(nsub) != p:
+            continue
+        y = min(nsub - {0})
+        r, powers = g._right(y), [y]
+        while powers[-1]:
+            powers.append(r[powers[-1]])
+        exps = [powers.index(c[y]) + 1 for c in g._conj_tables()]
+        images.add(lcm(*(mult_order(e, p) for e in exps)))
+    return images
+
+
+def test_type_np_witness_matches_its_definition():
+    # a witness of order n exists exactly when some normal Z/p is acted
+    # on with order n; p^2 divides the order of the last oracle group
+    found = set()
+    for g in _lazy_oracle_groups():
+        for p in (2, 3, 5, 7, 19):
+            images = _conjugation_images(g, p)
+            for n in range(2, p):
+                w = is_type_np(g, n, p)
+                assert (w is not None) == (n in images), (g.order, n, p)
+                if w is not None:
+                    assert w.image_order == n
+                    found.add((g.order, n, p))
+    assert (294, 6, 7) in found and (342, 18, 19) in found
+
+
 def _comprehension_tables(p, m, alpha):
-    """_split_metacyclic's tables and tree as three comprehensions over
-    the keys k = a + p b, the way it once built them."""
+    """_split_metacyclic's tables and tree as comprehensions over the
+    keys k = a + p b, the way it once built them."""
     ks = list(range(p * m))
     ttab = tuple(ks[k + 1 if (k + 1) % p else k + 1 - p] for k in ks)
     ftab = tuple(ks[alpha * (k % p) % p + (k - k % p + p) % len(ks)]
                  for k in ks)
-    tree = [(ttab, ks[k - 1]) if k % p else (ftab, ks[k - p]) for k in ks[1:]]
-    return ttab, ftab, tree
+    via = [ttab if k % p else ftab for k in ks[1:]]
+    parents = [ks[k - 1] if k % p else ks[k - p] for k in ks[1:]]
+    return ttab, ftab, via, parents
 
 
-def _edge_tables(tree, ttab, ftab):
+def _edge_tables(via, ttab, ftab):
     """For each tree edge, 0 if it uses ttab, 1 if ftab, else None."""
-    return [0 if t is ttab else 1 if t is ftab else None for t, _ in tree]
+    return [0 if t is ttab else 1 if t is ftab else None for t in via]
 
 
 def test_sliced_tables_match_the_comprehensions(monkeypatch):
@@ -688,12 +757,13 @@ def test_sliced_tables_match_the_comprehensions(monkeypatch):
                 tuple((i - 1) % m for i in range(m)))
             grp = _split_metacyclic(t, f)
             ttab, ftab = grp.tables
-            old_t, old_f, old_tree = _comprehension_tables(p, m, a)
+            via, parents = grp._tree
+            old_t, old_f, old_via, old_parents = _comprehension_tables(
+                p, m, a)
             assert (ttab, ftab) == (old_t, old_f), (p, m)
-            parents = list(map(itemgetter(1), grp._tree))
-            assert parents == list(map(itemgetter(1), old_tree)), (p, m)
-            assert _edge_tables(grp._tree, ttab, ftab) == \
-                _edge_tables(old_tree, old_t, old_f), (p, m)
+            assert list(parents) == old_parents, (p, m)
+            assert _edge_tables(via, ttab, ftab) == \
+                _edge_tables(old_via, old_t, old_f), (p, m)
             # one int object per element, shared by tables and tree
             own = {k: k for k in ttab}
             assert len(own) == p * m
@@ -711,9 +781,10 @@ def _assert_decoded_tables_hold(g: FinGroup) -> None:
 
 
 def test_every_constructor_hands_over_its_spanning_tree():
-    # tree edge (t, i) for x_j = g x_i: i < j, t is g's own table, and
-    # t[i] = j, for generate, the presented groups and every quotient of
-    # two groups; all of it is tuples, and the tree decodes the elements
+    # tree edge j: x_j = g x_i with i = parents[j - 1] < j, t = via[j - 1]
+    # g's own table and t[i] = j, for generate, the presented groups and
+    # every quotient of two groups; all of it is tuples, and the tree
+    # decodes the elements
     image = parameter_image(build_tame_parameter(7, (RootOfUnity(1, 43),), 3))
     meta = metacyclic(6, 7)
     quotients = [g.quotient(n)[0] for g in (_alt4(), _battery()[-1])
@@ -727,22 +798,39 @@ def test_every_constructor_hands_over_its_spanning_tree():
     ]
     assert len(quotients) == 3 + 6 and len(presented) == 31
     for g in groups:
-        assert len(g._tree) == g.order - 1
-        assert all(type(x) is tuple for x in (g.tables, g._tree,
-                                               g.generators, *g.tables))
-        for j, (t, i) in enumerate(g._tree, 1):
+        via, parents = g._tree
+        assert len(via) == len(parents) == g.order - 1
+        assert all(type(x) is tuple for x in (g.tables, g._tree, via,
+                                               parents, g.generators,
+                                               *g.tables))
+        for j, (t, i) in enumerate(zip(via, parents), 1):
             assert i < j and t[i] == j
             assert any(t is table for table in g.tables)
         _assert_decoded_tables_hold(g)
     # an edge pointed at the other generator's table decodes x_j wrongly,
     # which the table entry t[i] = j then contradicts
     ttab, ftab = meta.tables
-    j = next(j for j, (t, _) in enumerate(meta._tree) if t is ftab)
-    tree = list(meta._tree)
-    tree[j] = (ttab, tree[j][1])
+    via, parents = meta._tree
+    j = next(j for j, t in enumerate(via) if t is ftab)
+    via = list(via)
+    via[j] = ttab
     with pytest.raises(AssertionError):
         _assert_decoded_tables_hold(
-            FinGroup(meta.tables, tuple(tree), meta.generators))
+            FinGroup(meta.tables, (tuple(via), parents), meta.generators))
+
+
+def test_presented_trees_are_two_flat_tuples_over_shared_ints():
+    # a presented group's tree is two tuples of order - 1 entries, its
+    # edge tables the group's own tables and its parents the very int
+    # objects of those tables, so no object is made per edge (the
+    # orders are past 256, beyond CPython's small-int cache)
+    image = parameter_image(build_tame_parameter(7, (RootOfUnity(1, 43),), 3))
+    for g in (metacyclic(18, 19), image):
+        via, parents = g._tree
+        assert len(via) == len(parents) == g.order - 1 > 256
+        assert {id(t) for t in via} == {id(t) for t in g.tables}
+        own = {k: k for k in g.tables[0]}
+        assert all(map(is_, map(own.__getitem__, parents), parents))
 
 
 def test_element_of_order_p_reads_powers_off_the_walk():
@@ -772,7 +860,7 @@ def _mul_decode(g: FinGroup) -> tuple:
     # the tree decode by MonomialMatrix products: x_0 = 1, x_j = g x_i
     gen = {id(t): x for t, x in zip(g.tables, g.generators)}
     els = [MonomialMatrix.identity(g.generators[0].dim)]
-    for t, i in g._tree:
+    for t, i in zip(*g._tree):
         els.append(gen[id(t)] * els[i])
     return tuple(els)
 

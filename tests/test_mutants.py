@@ -53,6 +53,11 @@ def test_every_named_check_has_a_mutant():
                  "is_prime: the trial-division bound",
                  "orbit: selfdual, the inverse's negation"):
         assert name in names
+    # and the two reads of the group engine that replaced a right table
+    # and a power map
+    for name in ("fingroup: a generator's powers, off its own table",
+                 "fingroup: an exponent, off the power list"):
+        assert name in names
 
 
 def test_a_fragment_that_moved_is_refused(tmp_path):

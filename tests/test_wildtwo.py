@@ -528,14 +528,16 @@ def test_g2_jordan_is_read_only_with_one_copy_of_each_matrix(g2_jordan):
 
 def test_cached_results_of_the_shared_group_cannot_be_changed(g2_jordan):
     # every report in the process reads the one shared group; a caller
-    # that tries to change its tables, tree, generators, elements, index
-    # or what it has cached changes no later report
+    # that tries to change its tables, tree, generators, elements, index,
+    # constituents or what it has cached changes no later report
     grp = g2_jordan.group
     before = g2_jordan_report(g2_jordan)
     conj = grp._conj_tables()
-    for cached in (grp.tables, grp.tables[0], grp._tree, grp.generators,
-                   grp.conjugacy_classes(), grp.normal_subgroups(), conj,
-                   conj[0], grp.elements):
+    cons = g2_jordan.constituents
+    for cached in (grp.tables, grp.tables[0], grp._tree, *grp._tree,
+                   grp.generators, grp.conjugacy_classes(),
+                   grp.normal_subgroups(), conj, conj[0], grp.elements,
+                   cons):
         assert isinstance(cached, tuple)
         with pytest.raises(TypeError):
             cached[0] = cached[-1]
@@ -543,7 +545,12 @@ def test_cached_results_of_the_shared_group_cannot_be_changed(g2_jordan):
             cached.append(cached[-1])
     with pytest.raises(TypeError):
         grp.index[grp.elements[1]] = 0
+    with pytest.raises(AttributeError):
+        g2_jordan.constituents = cons[:1]
+    with pytest.raises(AttributeError):
+        cons[0].selfdual = not cons[0].selfdual
     assert g2_jordan_report(build_g2_jordan()) == before
+    assert g2_jordan.constituents is cons
 
 
 def test_f8_tables_match_definitions():
@@ -697,7 +704,8 @@ def test_mackey_rejects_merged_classes(monkeypatch, g2_jordan):
 
 def test_g2_jordan_report_reads_traces_at_class_representatives(
         monkeypatch):
-    g2j = build_g2_jordan()
+    # a group of its own, whose constituents no earlier report has read
+    g2j = build_g2_jordan.__wrapped__()
     read = []
     trace_int = MonomialMatrix.trace_int
 
@@ -710,6 +718,25 @@ def test_g2_jordan_report_reads_traces_at_class_representatives(
     assert len(read) == 8
     assert ({g2j.group.index[x] for x in read}
             == {min(c) for c in g2j.group.conjugacy_classes()})
+    # a second report reads the kept constituents
+    g2_jordan_report(g2j)
+    assert len(read) == 8
+
+
+def test_g2_jordan_reports_decompose_once(monkeypatch, uncached_g2):
+    # the shared group keeps its constituents, so the second report runs
+    # no Mackey decomposition and repeats none of its checks
+    calls = []
+    decompose = wildtwo.mackey_decompose
+
+    def counting(g2j):
+        calls.append(g2j)
+        return decompose(g2j)
+
+    monkeypatch.setattr(wildtwo, "mackey_decompose", counting)
+    first = g2_jordan_report(build_g2_jordan())
+    assert g2_jordan_report(build_g2_jordan()) == first
+    assert calls == [build_g2_jordan()]
 
 
 def test_g2_jordan_product_count(monkeypatch, uncached_g2):

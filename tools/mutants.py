@@ -1,8 +1,10 @@
 """Mutation gate: the tests must see a break in what each named check of
-`ggt wild so` and `ggt param tame` reads, and in three facts the small
+`ggt wild so` and `ggt param tame` reads, in three facts the small
 queries compute once and then trust: the bound below which is_prime
 stops after its trial divisions, an orbit's selfdual, and the inverse
-exponents of a tame block.
+exponents of a tame block, and in two reads of the group engine: a
+generator's powers off its own table, and the type (n, p) exponents off
+a power list.
 
     python3 tools/mutants.py
 
@@ -93,6 +95,12 @@ MUTANTS = (
     ("orbit: selfdual, the inverse's negation", "src/ggt/roots.py",
      "selfdual = -exponents[0] % ", "selfdual = exponents[0] % ",
      ("tests/test_roots.py",)),
+    ("fingroup: a generator's powers, off its own table",
+     "src/ggt/fingroup.py", "if t[0] == i), None)", "if t[0] != i), None)",
+     ("tests/test_fingroup.py",)),
+    ("fingroup: an exponent, off the power list", "src/ggt/fingroup.py",
+     "[powers.index(x) + 1 for x in xs]", "[powers.index(x) for x in xs]",
+     ("tests/test_fingroup.py",)),
 )
 
 
