@@ -12,7 +12,7 @@ from ggt import (RootOfUnity, build_tame_parameter, frobenius_orbit,
 tau = RootOfUnity(1, 43)
 orbit = frobenius_orbit(tau, 7)
 print("orbit of", tau, "under q = 7:")
-print("  exponents", [r.num for r in orbit.elements])
+print("  exponents", list(orbit.exponents))
 print("  size", orbit.size, "selfdual", orbit.selfdual)
 
 # 43 was no accident: it is the largest prime factor of 7^3 + 1 whose

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__ as VERSION
@@ -25,7 +26,8 @@ from . import primesearch
 from .errors import ResourceBoundExceeded
 from .fingroup import cyclic, is_type_np, metacyclic
 from .numth import factorize, is_prime, mult_order
-from .roots import RootOfUnity, check_selfdual_orbit, frobenius_orbit
+from .roots import (RootOfUnity, _fraction, check_selfdual_orbit,
+                    frobenius_orbit)
 from .rootsystems import (RootSystem, almost_minuscule_data,
                           cyclic_weight_permutation_check, order_table,
                           uniqueness_scan, weyl_element_orders, weyl_order)
@@ -41,10 +43,6 @@ def _check(name: str, ok: bool, witness=None) -> dict:
     if witness is not None:
         out["witness"] = witness
     return out
-
-
-def _parse_eigs(text: str):
-    return [RootOfUnity.parse(part) for part in text.split(",")]
 
 
 def _cmd_orbit(args):
@@ -104,8 +102,7 @@ def _cmd_param_tame(args):
 
 
 def _cmd_param_real(args):
-    from fractions import Fraction
-    vals = [Fraction(part) for part in args.a.split(",")]
+    vals = [_fraction(part) for part in args.a.split(",")]
     rp = real_parameter(vals)
     results = rp.to_json()
     # read off the weights returned, not the ones asked for
@@ -267,7 +264,7 @@ def _cmd_group_analyze(args):
 
 
 def _cmd_eigs_g2check(args):
-    eigs = _parse_eigs(args.eigs)
+    eigs = [RootOfUnity.parse(part) for part in args.eigs.split(",")]
     admissible = g2_admissible_eigenvalues(eigs)
     shape = char_poly_shape(eigs)
     results = {
@@ -285,7 +282,7 @@ def _cmd_eigs_g2check(args):
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--out", metavar="FILE", default=None,
-                     help="also write the report to FILE")
+                     help="write the report to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,16 +428,20 @@ def main(argv=None) -> int:
         rendered = _render_text(report)
     else:
         rendered = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered + "\n")
-        except OSError as err:
-            print(f"ggt: cannot write {args.out}: {err.strerror}",
-                  file=sys.stderr)
-            return 2
-    else:
-        print(rendered)
+        else:
+            print(rendered)
+            sys.stdout.flush()
+    except OSError as err:
+        if isinstance(err, BrokenPipeError) and not args.out:
+            # the reader is gone: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ggt: cannot write {args.out or 'stdout'}: {err.strerror}",
+              file=sys.stderr)
+        return 2
     return 0 if all(c["pass"] for c in checks) else 1
 
 

@@ -80,10 +80,10 @@ from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
-from .monomial import MonomialMatrix, gatherer, point_action, tree_products
+from .monomial import (MonomialMatrix, _make, gatherer, point_action,
+                       tree_products)
 from .numth import _order_dividing, factorize, is_prime
 from .record import Record
-from .roots import ONE, RootOfUnity
 from .walk import closure, orbits, walk
 
 __all__ = [
@@ -143,15 +143,14 @@ class FinGroup:
             start, phis = point_action(generators, bound)
             # one gatherer per element serves every generator's table; the
             # base images are dropped before the tuples are made
-            rows, edges = walk(
+            rows, via, parents = walk(
                 [start], lambda x: map(gatherer(x), phis), bound)[1:]
         except ResourceBoundExceeded:
             raise ResourceBoundExceeded(
                 f"group closure exceeded {bound} elements") from None
         tables = tuple(map(tuple, rows))
-        via = tuple(map(tables.__getitem__, map(itemgetter(0), edges)))
-        return cls(tables, (via, tuple(map(itemgetter(1), edges))),
-                   tuple(generators))
+        return cls(tables, (tuple(map(tables.__getitem__, via)),
+                            tuple(parents)), tuple(generators))
 
     @cached_property
     def elements(self) -> tuple:
@@ -598,7 +597,7 @@ def cyclic(n: int) -> FinGroup:
     """Z/n as the 1x1 matrix diag(zeta_n)."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
-    return FinGroup.generate([MonomialMatrix.diagonal((RootOfUnity(1, n),))])
+    return FinGroup.generate([_make((0,), (1 % n,), n)])
 
 
 def _split_metacyclic(t: MonomialMatrix, f: MonomialMatrix) -> FinGroup:
@@ -687,9 +686,8 @@ def metacyclic(m: int, p: int) -> FinGroup:
     root = next(g for g in range(1, p)
                 if _order_dividing(g, p, p - 1) == p - 1)
     a = pow(root, (p - 1) // m, p)
-    trans = MonomialMatrix.diagonal(
-        tuple(RootOfUnity(pow(a, i, p), p) for i in range(m)))
-    mult = MonomialMatrix.permutation(tuple((i - 1) % m for i in range(m)))
+    trans = _make(tuple(range(m)), tuple(pow(a, i, p) for i in range(m)), p)
+    mult = _make(tuple((i - 1) % m for i in range(m)), (0,) * m, 1)
     grp = _split_metacyclic(trans, mult)
     if grp.order != m * p:
         raise AssertionError("metacyclic construction has wrong order")
@@ -699,8 +697,8 @@ def metacyclic(m: int, p: int) -> FinGroup:
 def direct_product(a: FinGroup, b: FinGroup) -> FinGroup:
     """Direct product of any two groups, as block-diagonal matrices."""
     da, db = a.generators[0].dim, b.generators[0].dim
-    gens = [MonomialMatrix(g.perm + tuple(range(da, da + db)),
-                           g.diag + (ONE,) * db) for g in a.generators]
-    gens += [MonomialMatrix(tuple(range(da)) + tuple(da + j for j in h.perm),
-                            (ONE,) * da + h.diag) for h in b.generators]
+    gens = [_make(g.perm + tuple(range(da, da + db)), g.exps + (0,) * db,
+                  g.n) for g in a.generators]
+    gens += [_make(tuple(range(da)) + tuple(da + j for j in h.perm),
+                   (0,) * da + h.exps, h.n) for h in b.generators]
     return FinGroup.generate(gens, bound=a.order * b.order)

@@ -8,7 +8,8 @@ being exp(2*pi*i * exps[j]/n).  The modulus is canonical, the lcm of the
 entry orders (n = 1 for a permutation matrix), so equal matrices have
 equal (perm, exps, n) and equality, hashing and ordering are those of
 that tuple.  RootOfUnity objects appear only at the boundary: the
-constructor, .diag, det() and the JSON form.
+constructor, .diag, det() and the JSON form; det_is_one() reads the
+determinant off the exponents.
 
 Products, inverses, determinants and bilinear-form checks are all exact.
 A symmetric form is described by a pairing involution iota, the form
@@ -176,11 +177,14 @@ class MonomialMatrix(tuple):
             tuple(pinv), tuple(-exps[j] % n for j in pinv), n))
 
     def det(self) -> RootOfUnity:
-        _, exps, n = self
-        d = RootOfUnity(sum(exps), n)
-        if _perm_sign(self[0]) < 0:
-            d = d * RootOfUnity(1, 2)
-        return d
+        # zeta_n^(sum exps), times -1 = zeta_2n^n when perm is odd
+        perm, exps, n = self
+        return RootOfUnity(2 * sum(exps) + n * (_perm_sign(perm) < 0), 2 * n)
+
+    def det_is_one(self) -> bool:
+        """Whether det() is 1, read off the exponents."""
+        perm, exps, n = self
+        return (2 * sum(exps) + n * (_perm_sign(perm) < 0)) % (2 * n) == 0
 
     def preserves_form(self, pairing: tuple[int, ...] | None = None) -> bool:
         """Whether M^T J M = J for the symmetric form given by the pairing."""

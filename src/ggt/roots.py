@@ -8,11 +8,12 @@ tau^{-1}, and a self-dual orbit of a root other than +-1 always has even
 size 2n with the inverse sitting exactly n steps along.
 
 RootOfUnity is an immutable value with two slots, num and den.  The
-constructor reduces its input; code that already holds a reduced pair
-(an orbit, whose exponents are units times a unit) writes the slots
-directly through their descriptors, skipping both the reduction and
-the constructor call.  Equality and hashing go by (num, den), as for a
-tuple of the two, but a root never equals a tuple.
+constructor reduces its input.  Equality and hashing go by (num, den),
+as for a tuple of the two, but a root never equals a tuple.  An orbit
+is held as ints, its exponents over one den, and makes roots only when
+a caller reads its elements: each exponent is a unit times a unit, so
+it writes the reduced pair straight into the slots through their
+descriptors, skipping both the reduction and the constructor call.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class RootOfUnity:
     @classmethod
     def parse(cls, text: str) -> "RootOfUnity":
         """Parse 'num/den' (or a bare integer exponent, meaning 1)."""
-        from fractions import Fraction
-        frac = Fraction(text.strip())
+        frac = _fraction(text)
         return cls(frac.numerator, frac.denominator)
 
     @property
@@ -107,6 +107,15 @@ class RootOfUnity:
         return f"RootOfUnity({self.num}, {self.den})"
 
 
+def _fraction(x):
+    """Fraction(x), with a ValueError naming x for a zero denominator."""
+    from fractions import Fraction
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
 # the slot writers, bound once: __setattr__ refuses every assignment
 _set_num = RootOfUnity.num.__set__
 _set_den = RootOfUnity.den.__set__
@@ -119,44 +128,47 @@ MINUS_ONE = RootOfUnity(1, 2)
 class FrobeniusOrbit(Record):
     """Orbit of a root of unity under exponent multiplication by q.
 
-    elements[i+1] = elements[i]^q cyclically; the listing starts at the
-    orbit member with the smallest exponent so equal orbits compare equal.
-    The elements' numerators (over their common den) and selfdual, whether
-    the inverse of the first is among them, are read once, when the orbit
-    is made, and kept outside the fields.
+    The orbit is held by its exponents over den: exponents[i+1] =
+    q * exponents[i] mod den cyclically, each a unit mod den, and the
+    listing starts at the least exponent so equal orbits compare equal.
+    selfdual, whether the inverse of the first member is among them, is
+    read when the orbit is made and kept outside the fields.
     """
 
     q: int
-    elements: tuple[RootOfUnity, ...]
+    den: int
+    exponents: tuple[int, ...]
 
-    def __init__(self, q: int, elements: tuple[RootOfUnity, ...]) -> None:
-        self._fill(q, elements, tuple([r.num for r in elements]))
-
-    def _fill(self, q: int, elements: tuple[RootOfUnity, ...],
-              exponents: tuple[int, ...]) -> None:
-        selfdual = -exponents[0] % elements[0].den in exponents
-        vars(self).update(q=q, elements=elements, exponents=exponents,
-                          selfdual=selfdual)
+    def __init__(self, q: int, den: int, exponents: tuple[int, ...]) -> None:
+        vars(self).update(q=q, den=den, exponents=exponents,
+                          selfdual=-exponents[0] % den in exponents)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.exponents)
+
+    @property
+    def elements(self) -> tuple[RootOfUnity, ...]:
+        """The members as roots, made on each read from the units."""
+        new, den, elements = object.__new__, self.den, []
+        for e in self.exponents:
+            r = new(RootOfUnity)
+            _set_num(r, e)
+            _set_den(r, den)
+            elements.append(r)
+        return tuple(elements)
 
     def to_json(self) -> dict:
-        den = self.elements[0].den
-        return {
-            "q": self.q,
-            "den": den,
-            "exponents": list(self.exponents),
-            "size": self.size,
-            "selfdual": self.selfdual,
-        }
+        return {"q": self.q, "den": self.den,
+                "exponents": list(self.exponents), "size": self.size,
+                "selfdual": self.selfdual}
 
     @classmethod
     def from_json(cls, data: dict) -> "FrobeniusOrbit":
-        den = data["den"]
-        els = tuple(RootOfUnity(e, den) for e in data["exponents"])
-        return cls(q=data["q"], elements=els)
+        den, exps = data["den"], tuple(data["exponents"])
+        if not all(0 <= e < den and math.gcd(e, den) == 1 for e in exps):
+            raise ValueError(f"orbit exponents {exps} are not units mod {den}")
+        return cls(data["q"], den, exps)
 
 
 def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
@@ -167,8 +179,7 @@ def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
     a, n = tau.num, tau.den
     if math.gcd(q, n) != 1:
         raise ValueError(f"q = {q} shares a factor with the order {n}")
-    exps = [a]
-    e = a * q % n
+    exps, e = [a], a * q % n
     for _ in range(DEFAULT_ORBIT_BOUND - 1):
         if e == a:
             break
@@ -178,22 +189,9 @@ def frobenius_orbit(tau: RootOfUnity, q: int) -> FrobeniusOrbit:
         if e != a:
             raise ResourceBoundExceeded(
                 f"Frobenius orbit exceeded {DEFAULT_ORBIT_BOUND} elements")
-    # Rotate so the smallest exponent leads; q-steps are preserved.
+    # rotated so the least leads; each e = tau.num q^k is a unit mod n
     i = exps.index(min(exps))
-    exps = exps[i:] + exps[:i]
-    # every e is tau.num times a power of q: a unit mod n when tau is one,
-    # and tau is reduced, so the slots take e and n as they are
-    elements = []
-    new, set_num, set_den = object.__new__, _set_num, _set_den
-    for e in exps:
-        r = new(RootOfUnity)
-        set_num(r, e)
-        set_den(r, n)
-        elements.append(r)
-    # the exponents are at hand, so the orbit need not read them back
-    orbit = new(FrobeniusOrbit)
-    orbit._fill(q, tuple(elements), tuple(exps))
-    return orbit
+    return FrobeniusOrbit(q, n, tuple(exps[i:] + exps[:i]))
 
 
 def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:
@@ -203,15 +201,13 @@ def check_selfdual_orbit(orbit: FrobeniusOrbit) -> bool:
     the orbit then the size is even, say 2n, and tau^{-1} = tau^{q^n}.
     Returns True as well for orbits that are not self-dual.
     """
-    den, exps = orbit.elements[0].den, orbit.exponents
+    den, exps = orbit.den, orbit.exponents
     if den <= 2:
         raise ValueError("orbit of +-1 is excluded")
     if not orbit.selfdual:
         return True
     m = len(exps)
-    if m % 2 != 0:
-        return False
-    return exps[m // 2] == -exps[0] % den
+    return m % 2 == 0 and exps[m // 2] == -exps[0] % den
 
 
 def selfdual_root(q: int, n: int, p: int | str = "maximal") -> RootOfUnity:

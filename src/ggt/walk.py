@@ -3,9 +3,9 @@
 walk is the Schreier-vector walk (Seress, *Permutation Group
 Algorithms*, 2003, ch. 4): it numbers each point where it is first
 reached, keeps each map's table on the numbered points and records the
-edge that first reached each point, a spanning tree.  closure and
-orbits walk maps already given as index tables, where a point is its
-own index.
+map and the point that first reached each point, a spanning tree held
+as two flat lists.  closure and orbits walk maps already given as index
+tables, where a point is its own index.
 """
 
 from __future__ import annotations
@@ -13,21 +13,22 @@ from __future__ import annotations
 from .errors import ResourceBoundExceeded
 
 
-def walk(starts, step, limit: int | None = None) -> tuple[list, list, list]:
-    """(points, tables, edges) of the breadth-first walk from starts.
+def walk(starts, step, limit: int | None = None) -> tuple[list, ...]:
+    """(points, tables, via, parents) of the breadth-first walk from starts.
 
     step(p) yields p's image under each map in turn; the first start is
     stepped once more to count the maps.  points lists the distinct
     starts, then each point in the order the walk first reaches it;
-    tables[k][a] is the index of the k-th image of points[a]; edges
-    holds, for each point past the starts, the (k, a) that first reached
-    it.  Reaching more than limit points raises ResourceBoundExceeded.
+    tables[k][a] is the index of the k-th image of points[a], and the
+    j-th point past the starts was first reached as the via[j]-th image
+    of points[parents[j]].  Reaching more than limit points raises
+    ResourceBoundExceeded.
     """
     points = list(dict.fromkeys(starts))
     index = {p: a for a, p in enumerate(points)}
     tables = [[] for _ in step(points[0])]
-    edges = []
-    # found holds the tables' own ints, so the edges add no int objects
+    via, parents = [], []
+    # found holds the tables' own ints, so the tree adds no int objects
     found = list(index.values())
     for a, p in zip(found, points):  # both grow while the loop runs
         for k, (q, table) in enumerate(zip(step(p), tables)):
@@ -37,9 +38,10 @@ def walk(starts, step, limit: int | None = None) -> tuple[list, list, list]:
                     raise ResourceBoundExceeded(f"walk passed {limit} points")
                 points.append(q)
                 found.append(j)
-                edges.append((k, a))
+                via.append(k)
+                parents.append(a)
             table.append(j)
-    return points, tables, edges
+    return points, tables, via, parents
 
 
 def closure(seed, tables) -> list[int]:

@@ -143,17 +143,17 @@ def root_closure(simple) -> tuple[tuple, tuple, tuple]:
 
 
 def _tower(cartan, expected_order: int) -> tuple[list, list]:
-    """The points of W omega_n and, for k = 1..n, the walk of
-    s_1, ..., s_k from omega_k as (tables, edges) on W_k omega_k; the
-    orbit sizes must multiply to the expected group order."""
+    """The points of W omega_n and, for k = 1..n, the walk of s_1, ...,
+    s_k from omega_k as [tables, via, parents] on W_k omega_k; the orbit
+    sizes must multiply to the expected group order."""
     tower, size = [], 1
     for k, omega in enumerate(_identity(len(cartan)), 1):
         try:
-            points, tables, edges = walk(
+            points, *level = walk(
                 [omega], _reflections(cartan[:k]), expected_order // size)
         except ResourceBoundExceeded as err:
             raise AssertionError(str(err)) from None
-        tower.append((tables, edges))
+        tower.append(level)
         size *= len(points)
     if size != expected_order:
         raise AssertionError(
@@ -170,17 +170,17 @@ def _roots(cartan) -> tuple[list, list[list[int]]]:
 
 def _perm_levels(moves, tower) -> list[list[bytes]]:
     """[{1}, X_1, ..., X_n] as permutations of the points that moves, the
-    tables of s_1, ..., s_n, act on: the walk of W_k omega_k first
-    reaches point j by its edge (i, a), and x_0 = 1, x_j = s_i x_a."""
+    tables of s_1, ..., s_n, act on: x_0 = 1 and x_j = s_i x_a, where
+    the walk of W_k omega_k first reaches point j as s_i of point a."""
     if len(moves[0]) > 256:
         raise AssertionError(f"a bytes permutation moves at most 256 "
                              f"points, not {len(moves[0])}")
     pad = _IDENTITY[len(moves[0]):]
     moves = [bytes(table) + pad for table in moves]
     levels = [[_IDENTITY]]
-    for _, edges in tower:
+    for _, via, parents in tower:
         xs = [_IDENTITY]
-        for i, a in edges:
+        for i, a in zip(via, parents):
             xs.append(xs[a].translate(moves[i]))
         levels.append(xs)
     return levels
@@ -230,7 +230,7 @@ def weight_orbit_cycles(cartan, k: int, size: int, order: int,
     """
     cartan = _ints(cartan)
     omega = _identity(len(cartan))[k - 1]
-    points, moves, _ = walk([omega], _reflections(cartan))
+    points, moves = walk([omega], _reflections(cartan))[:2]
     if len(points) != size:
         raise AssertionError(f"omega_{k} has {len(points)} conjugates, "
                              f"expected {size}")
@@ -334,7 +334,7 @@ def _tally(cartan, order: int, moves, key, flip: bool) -> Counter:
     points, tower = _tower(cartan, order)
     n = len(tower)
     plan, size = [], 1
-    for k, (tables, _) in enumerate(tower, 1):
+    for k, (tables, _, _) in enumerate(tower, 1):
         # suborbits[0] is {omega_k}, fixed by W_{k-1}, with x = 1: the
         # coset W_{k-1} itself, tallied by the level below
         suborbits = orbits(tables[:-1], len(tables[0]))

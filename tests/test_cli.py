@@ -1,7 +1,14 @@
 import argparse
+import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from ggt import cli, primesearch, rootsystems
 from ggt.cli import main
@@ -111,7 +118,8 @@ def test_orbit_closed_fails_on_a_short_orbit(capsys, monkeypatch):
     # drop the last element: q^5 does not fix 1/43, and 5 != ord_43(7)
     def short(tau, q):
         orbit = frobenius_orbit(tau, q)
-        return FrobeniusOrbit(q=q, elements=orbit.elements[:-1])
+        return FrobeniusOrbit(q=q, den=orbit.den,
+                              exponents=orbit.exponents[:-1])
 
     monkeypatch.setattr(cli, "frobenius_orbit", short)
     code, report = _report(capsys, ["orbit", "--tau", "1/43", "--q", "7"])
@@ -125,7 +133,8 @@ def test_orbit_closed_fails_on_a_doubled_orbit(capsys, monkeypatch):
     # twice round the orbit: q^12 fixes 1/43, but so does q^6
     def doubled(tau, q):
         orbit = frobenius_orbit(tau, q)
-        return FrobeniusOrbit(q=q, elements=orbit.elements * 2)
+        return FrobeniusOrbit(q=q, den=orbit.den,
+                              exponents=orbit.exponents * 2)
 
     monkeypatch.setattr(cli, "frobenius_orbit", doubled)
     code, report = _report(capsys, ["orbit", "--tau", "1/43", "--q", "7"])
@@ -500,6 +509,86 @@ def test_out_file_that_cannot_be_opened_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class _FailingStdout:
+    """A stdout whose every write raises err, on a real file descriptor
+    so that a redirect of it can be seen."""
+
+    def __init__(self, err, fd):
+        self.err, self.fd = err, fd
+
+    def write(self, text):
+        raise self.err
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("err, reason", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), "Broken pipe"),
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "No space left on device"),
+])
+def test_a_stdout_that_fails_exits_2(tmp_path, capsys, monkeypatch, err,
+                                     reason):
+    target = tmp_path / "stdout"
+    with open(target, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(err, fh.fileno()))
+        code = main(["orbit", "--tau", "1/43", "--q", "7"])
+        monkeypatch.undo()
+        assert code == 2
+        stderr = capsys.readouterr().err
+        assert stderr == f"ggt: cannot write stdout: {reason}\n"
+        # a closed pipe sends what is flushed at exit to devnull; a full
+        # device keeps its stdout
+        os.write(fh.fileno(), b"after")
+    piped = isinstance(err, BrokenPipeError)
+    assert target.read_bytes() == (b"" if piped else b"after")
+
+
+def _ggt(argv, stdout):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "ggt.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _ggt(["orbit", "--tau", "1/43", "--q", "7"], full)
+    assert proc.returncode == 2
+    assert proc.stderr == "ggt: cannot write stdout: No space left on device\n"
+
+
+def test_a_closed_pipe_exits_2_with_one_line():
+    # the read end is closed before the process starts, so its first
+    # write to stdout meets no reader
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _ggt(["orbit", "--tau", "1/43", "--q", "7"], w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == "ggt: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--tau", "1/0", "--q", "7"],
+    ["eigs", "g2check", "--eigs", "0,1/7,-1/7,2/7,-2/7,3/7,1/0"],
+    ["param", "real", "--a", "1/2,1/0"],
+])
+def test_a_zero_denominator_is_named(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "ggt: zero denominator in '1/0'\n"
+
+
 def test_text_format(capsys):
     code, out = _run(capsys, ["orbit", "--tau", "1/3", "--q", "5",
                               "--format", "text"])
@@ -578,23 +667,23 @@ def test_commands_match_golden_output(capsys):
 # from the parent's usage line; the explicit progs must not move a byte
 HELP_GOLDEN = {
     "ggt": "be2d4debd0885c4a",
-    "ggt orbit": "ac5fcfb47d52049c",
-    "ggt primes": "2e72d7783d1e16a3",
+    "ggt orbit": "3b20c42c111c7bb6",
+    "ggt primes": "5dd53f85839a2d48",
     "ggt param": "d288ffc52bdd7945",
-    "ggt param tame": "a11e64149d3af01e",
-    "ggt param real": "fe47ab4912baaa24",
+    "ggt param tame": "b74c25a9ed4ad005",
+    "ggt param real": "a20c2989a1ba36e6",
     "ggt wild": "30bf44a134f6e41e",
-    "ggt wild so": "036074e19e84e2b6",
-    "ggt wild g2": "46321449a328f216",
+    "ggt wild so": "c96024cb57de2739",
+    "ggt wild g2": "cda160bcef7e3b66",
     "ggt weyl": "50bc22902374a34a",
-    "ggt weyl orders": "288a350566a9a62e",
-    "ggt weyl table": "98bf12a02f094d34",
-    "ggt weyl unique": "088ea3e6448dcf85",
-    "ggt minuscule": "1d3e93fbabdfbb8f",
+    "ggt weyl orders": "96b30a8783a31fa9",
+    "ggt weyl table": "ecfb5fa9645ce457",
+    "ggt weyl unique": "fc217fd2ba4e4434",
+    "ggt minuscule": "a080fb9b6f9d9949",
     "ggt group": "0e910262b0d9faf7",
-    "ggt group analyze": "0b75cb3f1ec1066e",
+    "ggt group analyze": "6c8d98e01cc3420c",
     "ggt eigs": "fde524e5c0a23cd7",
-    "ggt eigs g2check": "cb4d5f493f96649b",
+    "ggt eigs g2check": "a010b98b521dd542",
 }
 
 

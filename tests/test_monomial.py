@@ -54,6 +54,16 @@ def test_det_multiplicative(m):
     assert (m.det() * m.inverse().det()).is_one
 
 
+@given(monomials())
+def test_det_is_one_reads_det_off_the_exponents(m):
+    # m and m times diag(det(m)^-1, 1, ..., 1), whose det is 1
+    fix = MonomialMatrix.diagonal(
+        (m.det().inverse(),) + (ONE,) * (m.dim - 1))
+    for x in (m, m * fix):
+        assert x.det_is_one() == x.det().is_one
+    assert (m * fix).det_is_one()
+
+
 def test_det_sign_of_permutation():
     swap = MonomialMatrix.permutation((1, 0, 2))
     assert swap.det() == RootOfUnity(1, 2)

@@ -41,7 +41,8 @@ def test_every_named_check_has_a_mutant():
     assert len(set(names)) == len(names)
     checks = {"wild so": ["order", "abelianization", "commutator",
                           "det_trivial", "irreducible", "g2_obstruction"],
-              "param tame": ["det", "form", "conj_relation", "type_np"]}
+              "param tame": ["det", "form", "conj_relation", "type_np"],
+              "orbit": ["selfdual_halfway"]}
     for command, named in checks.items():
         for check in named:
             assert f"{command}: {check}" in names

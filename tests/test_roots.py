@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ggt.roots
 from ggt.errors import ResourceBoundExceeded
 from ggt.numth import mult_order
 from ggt.roots import (FrobeniusOrbit, RootOfUnity, check_selfdual_orbit,
                        frobenius_orbit, selfdual_root)
+from ggt.weilparams import build_tame_parameter
 
 roots = st.builds(RootOfUnity,
                   st.integers(min_value=-40, max_value=40),
@@ -140,6 +142,11 @@ def test_orbit_json_round_trip():
     orb = frobenius_orbit(RootOfUnity(2, 9), 5)
     again = FrobeniusOrbit.from_json(orb.to_json())
     assert again == orb
+    # elements writes the exponents into roots as they are, so JSON from
+    # outside must hold units mod den
+    for exps in ([2], [4], [-1], [1, 2]):
+        with pytest.raises(ValueError, match="not units mod 4"):
+            FrobeniusOrbit.from_json({"q": 7, "den": 4, "exponents": exps})
 
 
 @given(st.integers(min_value=1, max_value=200),
@@ -158,10 +165,53 @@ def test_orbit_elements_are_reduced_roots(den, q, data):
         (r.num, r.den) for r in built]
     assert hash(orbit.elements) == hash(built)
     assert orbit.selfdual == (orbit.elements[0].inverse() in built)
-    again = FrobeniusOrbit(q=q, elements=built)
+    again = FrobeniusOrbit(q=q, den=den,
+                           exponents=tuple(r.num for r in built))
     assert again == orbit and hash(again) == hash(orbit)
     assert again.to_json() == orbit.to_json()
     assert FrobeniusOrbit.from_json(orbit.to_json()) == orbit
+
+
+def test_an_orbit_makes_no_root_beyond_its_input(monkeypatch):
+    # every root, from the constructor or from an orbit's elements, has
+    # its num slot written once by ggt.roots._set_num
+    made = []
+    set_num = ggt.roots._set_num
+    monkeypatch.setattr(ggt.roots, "_set_num",
+                        lambda r, num: (made.append(num), set_num(r, num)))
+    tau = RootOfUnity(1, 43)
+    assert made == [1]
+    orbit = frobenius_orbit(tau, 7)
+    assert orbit.size == 6 and orbit.selfdual
+    again = FrobeniusOrbit.from_json(orbit.to_json())
+    assert again == orbit and hash(again) == hash(orbit)
+    assert again.to_json() == orbit.to_json()
+    assert check_selfdual_orbit(orbit)
+    build_tame_parameter(7, (tau,), 3)
+    assert made == [1]
+    # a caller that asks for the roots gets them, made afresh
+    assert orbit.elements == orbit.elements
+    assert made == [1] + list(orbit.exponents) * 2
+
+
+@given(st.integers(min_value=1, max_value=200),
+       st.integers(min_value=2, max_value=60), st.data())
+def test_elements_are_the_reduced_roots_of_the_exponents(den, q, data):
+    # elements is read-only and equals, as a tuple of roots, what the
+    # constructor makes of each exponent over den, for an orbit from
+    # frobenius_orbit and for one rebuilt from its fields or its JSON
+    assume(math.gcd(q, den) == 1)
+    a = data.draw(st.sampled_from(
+        [a for a in range(den) if math.gcd(a, den) == 1]))
+    orbit = frobenius_orbit(RootOfUnity(a, den), q)
+    want = tuple(RootOfUnity(e, den) for e in orbit.exponents)
+    for o in (orbit, FrobeniusOrbit(q, den, orbit.exponents),
+              FrobeniusOrbit.from_json(orbit.to_json())):
+        assert o.elements == want and hash(o.elements) == hash(want)
+        assert [(r.num, r.den) for r in o.elements] == [
+            (r.num, r.den) for r in want]
+    with pytest.raises(AttributeError):
+        orbit.elements = want
 
 
 def test_orbit_exponents_and_selfdual_match_their_definitions():

@@ -544,7 +544,7 @@ def test_suborbits_match_the_projected_walk():
         assert all(sorted(t) == list(range(len(roots))) for t in tables)
         tower = _tower(cartan, order)[1]
         for k, omega in enumerate(_identity(len(cartan)), 1):
-            points, tables, _ = walk([omega], _reflections(cartan[:k]))
+            points, tables, _, _ = walk([omega], _reflections(cartan[:k]))
             assert tables == tower[k - 1][0], (cartan, k)
             assert all(sorted(t) == list(range(len(points))) for t in tables)
             suborbits = orbits(tables[:-1], len(tables[0]))

@@ -41,7 +41,7 @@ def _step(maps):
 def test_walk_is_the_breadth_first_walk(case, data):
     size, maps = case
     starts = data.draw(st.lists(st.integers(0, size - 1), min_size=1))
-    points, tables, edges = walk(starts, _step(maps))
+    points, tables, via, parents = walk(starts, _step(maps))
     assert points == _bfs(starts, maps)
     assert len(tables) == len(maps)
     # tables[k][a] is the index of the k-th image of point a
@@ -49,8 +49,8 @@ def test_walk_is_the_breadth_first_walk(case, data):
         assert [points[j] for j in tables[k]] == [t[p] for p in points]
     # each point past the starts by the edge that first reached it
     heads = len(dict.fromkeys(starts))
-    assert len(edges) == len(points) - heads
-    for j, (k, a) in enumerate(edges, heads):
+    assert len(via) == len(parents) == len(points) - heads
+    for j, (k, a) in enumerate(zip(via, parents), heads):
         assert tables[k][a] == j
         assert (a, k) == min((b, i) for i, table in enumerate(tables)
                              for b, c in enumerate(table) if c == j)

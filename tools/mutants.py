@@ -1,10 +1,10 @@
 """Mutation gate: the tests must see a break in what each named check of
-`ggt wild so` and `ggt param tame` reads, in three facts the small
-queries compute once and then trust: the bound below which is_prime
-stops after its trial divisions, an orbit's selfdual, and the inverse
-exponents of a tame block, and in two reads of the group engine: a
-generator's powers off its own table, and the type (n, p) exponents off
-a power list.
+`ggt wild so` and `ggt param tame`, and the `selfdual_halfway` check of
+`ggt orbit`, reads, in three facts the small queries compute once and
+then trust: the bound below which is_prime stops after its trial
+divisions, an orbit's selfdual, and the inverse exponents of a tame
+block, and in two reads of the group engine: a generator's powers off
+its own table, and the type (n, p) exponents off a power list.
 
     python3 tools/mutants.py
 
@@ -93,7 +93,10 @@ MUTANTS = (
      "_TRIAL_BOUND = 53 * 53\n", "_TRIAL_BOUND = 53 * 53 + 1\n",
      ("tests/test_numth.py",)),
     ("orbit: selfdual, the inverse's negation", "src/ggt/roots.py",
-     "selfdual = -exponents[0] % ", "selfdual = exponents[0] % ",
+     "selfdual=-exponents[0] % ", "selfdual=exponents[0] % ",
+     ("tests/test_roots.py",)),
+    ("orbit: selfdual_halfway", "src/ggt/roots.py",
+     "exps[m // 2] == -exps[0] % den", "exps[m // 2] == -exps[0] % (den + 1)",
      ("tests/test_roots.py",)),
     ("fingroup: a generator's powers, off its own table",
      "src/ggt/fingroup.py", "if t[0] == i), None)", "if t[0] != i), None)",
