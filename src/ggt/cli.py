@@ -70,8 +70,7 @@ def _cmd_primes(args):
                                     conductor_bound=args.conductor_bound)
     cert = primesearch.find_prime_pair(req, ceiling=args.ceiling)
     val = primesearch.validate_certificate(cert)
-    checks = [_check(k, v if isinstance(v, bool) else v.get("ok", False))
-              for k, v in val.items() if k != "all_ok"]
+    checks = [_check(k, v) for k, v in val.items() if k != "all_ok"]
     checks.append(_check("order_recomputed",
                          mult_order(cert.pair.q, cert.pair.p) == 2 * args.n))
     return req.to_json(), cert.to_json(), checks
@@ -152,10 +151,8 @@ def _cmd_wild_g2(args):
 def _cmd_weyl_orders(args):
     rs = RootSystem.parse(args.type)
     oset = weyl_element_orders(rs)
-    results = {"root_system": rs.label, "mode": oset.mode,
-               "orders": sorted(oset.orders),
-               "maximal": sorted(oset.maximal),
-               "weyl_order": weyl_order(rs)}
+    results = oset.to_json()
+    results.update(root_system=rs.label, weyl_order=weyl_order(rs))
     maximal = oset.maximal
     checks = [
         _check("contains_identity", 1 in oset.orders),

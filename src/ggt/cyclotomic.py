@@ -3,61 +3,19 @@
 Elements live in the group ring Z[x]/(x^N - 1) as integer vectors of
 length N, which makes multiplication a cyclic convolution and conjugation
 an index flip.  Equality, rationality and hashing go through the canonical
-form modulo the N-th cyclotomic polynomial, so coincidences like
-1 + zeta + ... + zeta^{p-1} = 0 are recognized exactly.
+form modulo the N-th cyclotomic polynomial, the remainder of the vector
+divided by it (numth's one long division, which skips the polynomial's
+zero coefficients), so coincidences like 1 + zeta + ... + zeta^{p-1} = 0
+are recognized exactly.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .numth import cyclotomic_poly, is_prime
+from .numth import _polydiv, cyclotomic_poly
 from .record import Record
 from .roots import RootOfUnity
 
 __all__ = ["Cyc"]
-
-
-class _CtxData:
-    """Per-modulus data: the cyclotomic polynomial and power-reduction table."""
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("modulus must be positive")
-        self.n = n
-        poly = cyclotomic_poly(n)
-        self.deg = len(poly) - 1
-        self.prime = is_prime(n)
-        if not self.prime:
-            # x^k mod Phi_n for k < n, each a vector of length deg: past
-            # x^(deg-1), x times the row before, with the top coefficient
-            # c folded down as c * (x^deg - Phi_n)
-            deg = self.deg
-            table = [tuple(int(i == k) for i in range(deg))
-                     for k in range(min(n, deg))]
-            for _ in range(deg, n):
-                c = table[-1][-1]
-                table.append(tuple(a - c * b for a, b in
-                                   zip((0,) + table[-1][:-1], poly)))
-            self.powtable = tuple(table)
-
-    def reduce(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if self.prime:
-            # Phi_p = 1 + x + ... + x^{p-1}: fold the top coefficient down.
-            top = vec[-1]
-            return tuple(c - top for c in vec[:-1])
-        out = [0] * self.deg
-        for k, c in enumerate(vec):
-            if c:
-                row = self.powtable[k]
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _Ctx(n: int) -> _CtxData:
-    return _CtxData(n)
 
 
 class Cyc(Record):
@@ -123,8 +81,9 @@ class Cyc(Record):
         return Cyc(self.n, (self.vec[0],) + self.vec[1:][::-1])
 
     def reduced(self) -> tuple[int, ...]:
-        """Canonical coordinates modulo the N-th cyclotomic polynomial."""
-        return _Ctx(self.n).reduce(self.vec)
+        """Canonical coordinates modulo the N-th cyclotomic polynomial:
+        the remainder of vec divided by it."""
+        return tuple(_polydiv(self.vec, cyclotomic_poly(self.n))[1])
 
     def is_zero(self) -> bool:
         return not any(self.reduced())

@@ -27,7 +27,8 @@ flat tuples, one of the tables of the g (references, not copies) and
 one of the parents i, with no object per edge.  The walk records the
 edge that first reached x_j, and the normal form t^a f^b is
 t (t^(a-1) f^b) or, for a = 0, f f^(b-1).  The tree is the one decoder:
-x_0 = 1 and x_j = g x_i, made when first asked for.  The rest runs on
+x_0 = 1 and x_j = g x_i, made when first asked for, each x_j one call of
+the product kernel of ggt.monomial.  The rest runs on
 indices and multiplies no element: a subgroup is a frozenset of
 indices, and a quotient's projection maps an index of G to an index of
 G/N, so reporting a group decodes no element.  The spanning tree
@@ -80,8 +81,8 @@ from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ResourceBoundExceeded
-from .monomial import (MonomialMatrix, _make, gatherer, point_action,
-                       tree_products)
+from .monomial import (MonomialMatrix, _make, _product, gatherer,
+                       point_action)
 from .numth import _order_dividing, factorize, is_prime
 from .record import Record
 from .walk import closure, orbits, walk
@@ -156,11 +157,15 @@ class FinGroup:
     def elements(self) -> tuple:
         """The elements in index order, decoded along the spanning tree:
         x_0 = 1 and x_j = g x_i, i x_j's parent and g the generator of
-        the table that reached it."""
-        gen = {id(t): k for k, t in enumerate(self.tables)}
-        via, parents = self._tree
-        return tree_products(self.generators,
-                             zip(map(gen.__getitem__, map(id, via)), parents))
+        the table that reached it.  Each x_j is one call of monomial's
+        product kernel, made directly, not through
+        MonomialMatrix.__mul__, so a wrapper of __mul__ sees no decode."""
+        gen = {id(t): x for t, x in zip(self.tables, self.generators)}
+        els = [MonomialMatrix.identity(self.generators[0].dim)]
+        append = els.append
+        for t, i in zip(*self._tree):
+            append(_product(gen[id(t)], els[i]))
+        return tuple(els)
 
     @cached_property
     def index(self) -> Mapping:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mod, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .roots import ONE, RootOfUnity
 from .walk import walk
@@ -62,33 +62,24 @@ def _lifted(m: "MonomialMatrix", n: int) -> tuple[int, ...]:
     return exps if k == n else tuple(map(mul, exps, repeat(n // k)))
 
 
-def _times(p1: tuple[int, ...], e1: tuple[int, ...], p2: tuple[int, ...],
-           e2: tuple[int, ...], n: int) -> tuple[tuple, tuple]:
-    # (A B)'s permutation and exponents over mu_n, A = (p1, e1) and
-    # B = (p2, e2) both over mu_n: (A B) e_k = B_k A_{p2[k]} e_{p1[p2[k]]},
-    # so A is gathered along p2; over mu_1 every exponent is 0
+def _product(a: "MonomialMatrix", b: "MonomialMatrix") -> "MonomialMatrix":
+    """The product A B, the one product kernel: MonomialMatrix.__mul__,
+    and the step of FinGroup's spanning-tree decode, which calls it
+    directly.  With both exponent vectors over mu_n, n the lcm of the
+    two moduli, (A B) e_k = B_k A_{p2[k]} e_{p1[p2[k]]}, so A is
+    gathered along p2; over mu_1 every exponent is 0."""
+    p1, e1, n1 = a
+    p2, e2, n2 = b
+    if len(p1) != len(p2):
+        raise ValueError("dimension mismatch")
+    n = n1
+    if n1 != n2:
+        n = lcm(n1, n2)
+        e1, e2 = _lifted(a, n), _lifted(b, n)
     g = gatherer(p2)
     if n == 1:
-        return g(p1), e2
-    return g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n)))
-
-
-def tree_products(gens: Sequence["MonomialMatrix"],
-                  edges: Iterable[tuple[int, int]]) -> tuple:
-    """x_0 = 1 and x_j = gens[k] x_i for the j-th edge (k, i), i < j.
-
-    Each generator is lifted once to N, the lcm of their moduli, and
-    each x_i's exponents are kept over mu_N while the products run, so
-    an edge is one _times and one _make, with no per-product lift."""
-    n = lcm(*(g.n for g in gens))
-    lifted = [(g.perm, _lifted(g, n)) for g in gens]
-    dim = gens[0].dim
-    els, raw = [MonomialMatrix.identity(dim)], [(0,) * dim]
-    for k, i in edges:
-        perm, exps = _times(*lifted[k], els[i][0], raw[i], n)
-        raw.append(exps)
-        els.append(_make(perm, exps, n))
-    return tuple(els)
+        return _make(g(p1), e2, n)
+    return _make(g(p1), tuple(map(mod, map(add, g(e1), e2), repeat(n))), n)
 
 
 class MonomialMatrix(tuple):
@@ -156,17 +147,7 @@ class MonomialMatrix(tuple):
     def permutation(cls, perm: tuple[int, ...]) -> "MonomialMatrix":
         return cls(perm, (ONE,) * len(perm))
 
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        # (A B) e_k = B_k A_{p2[k]} e_{p1[p2[k]]}: gather A along p2
-        p1, e1, n1 = self
-        p2, e2, n2 = other
-        if len(p1) != len(p2):
-            raise ValueError("dimension mismatch")
-        n = n1
-        if n1 != n2:
-            n = lcm(n1, n2)
-            e1, e2 = _lifted(self, n), _lifted(other, n)
-        return _make(*_times(p1, e1, p2, e2, n), n)
+    __mul__ = _product
 
     def inverse(self) -> "MonomialMatrix":
         perm, exps, n = self

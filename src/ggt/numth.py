@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import ResourceBoundExceeded
 from .record import Record
@@ -154,23 +155,31 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(e)))
+            num, rem = _polydiv(num, cyclotomic_poly(e))
+            if any(rem):
+                raise AssertionError(f"Phi_{e} does not divide x^{d} - 1")
     return tuple(num)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, den monic.
-    assert den[-1] == 1
+def _polydiv(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
+    """Long division by the monic integer polynomial den, coefficients
+    low to high: (quotient, remainder), num = quotient * den + remainder
+    with at most len(den) - 1 remainder coefficients.  The coefficients
+    of num may lie in any ring that takes - and * by an int (Cyc, say);
+    the zero coefficients of den are skipped."""
+    if den[-1] != 1:
+        raise AssertionError("the divisor must be monic")
+    top = len(den) - 1
+    terms = [(j, dj) for j, dj in enumerate(den[:top]) if dj]
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+    q = [0] * (len(num) - top)
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
+        # the leading term c x^(i + top) is cancelled by c x^i den
+        c = q[i] = num[i + top]
         if c:
-            for j, dj in enumerate(den):
+            for j, dj in terms:
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return q
+    return q, num[:top]
 
 
 def cyclotomic_value(d: int, q: int) -> int:

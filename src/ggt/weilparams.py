@@ -22,7 +22,7 @@ from .cyclotomic import Cyc
 from .errors import ResourceBoundExceeded
 from .fingroup import FinGroup, _split_metacyclic, is_type_np
 from .monomial import MonomialMatrix, _make
-from .numth import is_prime
+from .numth import _polydiv, is_prime
 from .record import Record
 from .roots import (ONE, FrobeniusOrbit, RootOfUnity, _fraction,
                     frobenius_orbit)
@@ -44,8 +44,10 @@ __all__ = [
 ]
 
 # The largest least common order of eigenvalues that palindrome_split
-# takes.  Its ring Z[x]/(x^n - 1) has vectors of length n, and a composite
-# n sets up an n-row power table: 840 takes 0.3 s and 990 0.9 s.
+# takes.  Its ring Z[x]/(x^n - 1) has vectors of length n, each compared
+# by its remainder modulo Phi_n: one split of seven eigenvalues, Phi_n
+# not yet cached, takes 22 ms at n = 840 and 27 ms at n = 990 on one CPU
+# of a 2-vCPU Xeon.
 _MODULUS_BOUND = 1000
 
 
@@ -343,12 +345,7 @@ def palindrome_split(eigs) -> tuple[bool, tuple[Cyc, ...]]:
         poly = [(poly[k - 1] if k else Cyc.zero(n)) -
                 (poly[k] * root if k < len(poly) else Cyc.zero(n))
                 for k in range(len(poly) + 1)]
-    # synthetic division by (x - 1)
-    g = [Cyc.zero(n)] * (len(poly) - 1)
-    g[-1] = poly[-1]
-    for k in range(len(g) - 1, 0, -1):
-        g[k - 1] = poly[k] + g[k]
-    rem = poly[0] + g[0]
+    g, (rem,) = _polydiv(poly, (-1, 1))
     if not rem.is_zero():
         raise AssertionError("division by (x - 1) left a remainder")
     deg = len(g) - 1

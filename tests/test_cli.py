@@ -279,6 +279,17 @@ def _usage_error(capsys, argv):
     assert "Traceback" not in err and "resource bound" not in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["param", "tame", "--q", "7", "--p", "45", "--n", "3"],
+    ["group", "analyze", "--preset", "metacyclic", "--m", "6"],
+    ["group", "analyze", "--preset", "cyclic"],
+    ["group", "analyze", "--preset", "cyclic", "--m", "6", "--type-np", "6"],
+])
+def test_inconsistent_options_exit_2(capsys, argv):
+    # a composite p, a preset missing its sizes, a type without its prime
+    _usage_error(capsys, argv)
+
+
 def test_non_positive_bounds_exit_2(capsys):
     # a ceiling no prime lies below is bad input, not a resource bound
     # that was hit

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ggt.cyclotomic import Cyc, _Ctx
+from ggt.cyclotomic import Cyc
 from ggt.numth import cyclotomic_poly
 from ggt.roots import RootOfUnity
 
@@ -69,25 +69,25 @@ def test_vector_length_checked():
         Cyc(3, (1, 0))
 
 
-def _reduce_by(vec: list[int], poly: tuple[int, ...]) -> list[int]:
-    # remainder of vec modulo the monic integer polynomial poly, by long
-    # division from the top coefficient down
-    deg = len(poly) - 1
-    vec = list(vec) + [0] * max(0, deg - len(vec))
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            for j in range(deg + 1):
-                vec[i - deg + j] -= c * poly[j]
-    return vec[:deg]
-
-
-@pytest.mark.parametrize("n", [4, 12, 30, 60, 210, 990])
-def test_power_table_rows_are_the_reduced_powers(n):
-    # each row x^k mod Phi_n, built from the row before, against the
-    # division of x^k itself
+def _power_rows(n: int) -> list[tuple[int, ...]]:
+    # x^k mod Phi_n for k < n, each a vector of length deg Phi_n: past
+    # x^(deg-1), x times the row before, with the top coefficient c
+    # folded down as c * (x^deg - Phi_n)
     poly = cyclotomic_poly(n)
-    want = tuple(tuple(_reduce_by([0] * k + [1], poly)) for k in range(n))
-    assert _Ctx(n).powtable == want
-    with pytest.raises(TypeError):  # shared by every Cyc of modulus n
-        _Ctx(n).powtable[1] = want[0]
+    deg = len(poly) - 1
+    rows = [tuple(int(i == k) for i in range(deg))
+            for k in range(min(n, deg))]
+    for _ in range(deg, n):
+        c = rows[-1][-1]
+        rows.append(tuple(a - c * b for a, b in
+                          zip((0,) + rows[-1][:-1], poly)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [4, 12, 30, 60, 210, 990, 997])
+def test_power_table_rows_are_the_reduced_powers(n):
+    # the division by Phi_n, against the powers of x reduced one step at
+    # a time; 997 is a prime near palindrome_split's modulus bound, whose
+    # last row folds x^996 into -(1 + x + ... + x^995)
+    want = _power_rows(n)
+    assert [Cyc.root(n, k).reduced() for k in range(n)] == want

@@ -856,26 +856,19 @@ def _counting_decodes(monkeypatch) -> list:
     return made
 
 
-def _mul_decode(g: FinGroup) -> tuple:
-    # the tree decode by MonomialMatrix products: x_0 = 1, x_j = g x_i
-    gen = {id(t): x for t, x in zip(g.tables, g.generators)}
-    els = [MonomialMatrix.identity(g.generators[0].dim)]
-    for t, i in zip(*g._tree):
-        els.append(gen[id(t)] * els[i])
-    return tuple(els)
-
-
 def test_tree_decode_matches_the_product_decode(g2_jordan):
-    # the gathers over the common modulus give the same (perm, exps, n)
-    # as the products, moduli reduced alike: mixed moduli (the G2 group's
-    # signs and permutations, Z/4 x Z/7 : Z/6 over mu_28) and modulus 1
+    # every Cayley-table entry agrees with the product it names, moduli
+    # reduced alike: mixed moduli (the G2 group's signs and permutations,
+    # Z/4 x Z/7 : Z/6 over mu_28) and modulus 1
     groups = [cyclic(5), metacyclic(6, 7), g2_jordan.group,
               direct_product(cyclic(4), metacyclic(6, 7)),
               FinGroup.generate([_pm((1, 2, 3, 4, 0)), _pm((1, 0, 2, 3, 4))])]
     for g in groups:
-        want = _mul_decode(g)
-        assert g.elements == want
-        assert all(type(x) is MonomialMatrix for x in g.elements)
+        els = g.elements
+        assert all(type(x) is MonomialMatrix for x in els)
+        assert els[0] == MonomialMatrix.identity(g.generators[0].dim)
+        for x, t in zip(g.generators, g.tables):
+            assert all(els[t[i]] == x * y for i, y in enumerate(els))
 
 
 def test_elements_are_decoded_on_demand(monkeypatch):

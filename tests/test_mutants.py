@@ -42,6 +42,7 @@ def test_every_named_check_has_a_mutant():
     checks = {"wild so": ["order", "abelianization", "commutator",
                           "det_trivial", "irreducible", "g2_obstruction"],
               "param tame": ["det", "form", "conj_relation", "type_np"],
+              "eigs g2check": ["admissible", "palindromic_shape"],
               "orbit": ["selfdual_halfway"]}
     for command, named in checks.items():
         for check in named:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -172,6 +173,26 @@ def _polymul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def test_polydiv_quotient_and_remainder():
+    # x^4 + 2x^3 + 3x + 5 = (x^2 + x)(x^2 + x - 1) + 4x + 5
+    assert numth._polydiv([5, 3, 0, 2, 1], (-1, 1, 1)) == ([0, 1, 1], [5, 4])
+    # a dividend of lower degree is its own remainder
+    assert numth._polydiv([7], (1, 0, 1)) == ([], [7])
+    with pytest.raises(AssertionError, match="monic"):
+        numth._polydiv([1, 2, 3], (1, 2))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+       st.lists(st.integers(-3, 3), max_size=5))
+def test_polydiv_reconstructs_the_dividend(num, low):
+    # low terms with zeros among them, which the division skips
+    den = low + [1]
+    q, r = numth._polydiv(num, den)
+    assert len(r) == min(len(num), len(den) - 1)
+    back = _polymul(q, den) if q else [0] * len(num)
+    assert [a + b for a, b in zip_longest(back, r, fillvalue=0)] == num
 
 
 def test_cyclotomic_product_identity():

@@ -85,10 +85,14 @@ def test_corner_cells():
         ((1, 2, 1, 1), (3, 5)),
         ((3, 3, 3, 5), (19, 601)),
         ((4, 7, 4, 10), (97, 3137)),
+        # no surrogate modulus up to the conductor bound 1: the q step
+        # is doubled from 1 to stay on odd candidates
+        ((1, 3, 1, 1, 1), (5, 19)),
     ]:
         req = SearchRequest(*args)
         cert = find_prime_pair(req)
         assert (cert.pair.p, cert.pair.q) == expected, args
+        assert cert.pair.q % 2 == 1
         verdict = validate_certificate(cert)
         assert verdict["all_ok"], (args, verdict)
         assert cert.pair.m == 2 * req.n

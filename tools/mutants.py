@@ -1,10 +1,11 @@
 """Mutation gate: the tests must see a break in what each named check of
-`ggt wild so` and `ggt param tame`, and the `selfdual_halfway` check of
-`ggt orbit`, reads, in three facts the small queries compute once and
-then trust: the bound below which is_prime stops after its trial
-divisions, an orbit's selfdual, and the inverse exponents of a tame
-block, and in two reads of the group engine: a generator's powers off
-its own table, and the type (n, p) exponents off a power list.
+`ggt wild so`, `ggt param tame` and `ggt eigs g2check`, and the
+`selfdual_halfway` check of `ggt orbit`, reads, in three facts the small
+queries compute once and then trust: the bound below which is_prime
+stops after its trial divisions, an orbit's selfdual, and the inverse
+exponents of a tame block, and in two reads of the group engine: a
+generator's powers off its own table, and the type (n, p) exponents off
+a power list.
 
     python3 tools/mutants.py
 
@@ -29,7 +30,10 @@ its checks can read False.  The `param tame` rows do not: a break in
 what det, form, conj_relation or type_np reads is caught by the
 builder's own assertions (build_tame_parameter's self-checks,
 parameter_image's type check), which raise before the command builds
-its checks, so those checks never read False in a report.
+its checks, so those checks never read False in a report.  The
+`eigs g2check` palindromic_shape row zeroes every remainder of numth's
+one long division, which both Cyc equality and the division by (x - 1)
+read, so that shape reads True for every eigenvalue set.
 tests/test_mutants.py asserts that each fragment occurs exactly once in
 its file and that each mutated file still parses, so a refactor that
 moves the code fails fast and no mutant is "killed" by a syntax error.
@@ -47,6 +51,7 @@ from pathlib import Path
 
 WILD = ("tests/test_wildtwo.py", "tests/test_cli.py")
 TAME = ("tests/test_weilparams.py", "tests/test_cli.py")
+EIGS = TAME
 
 # (name, file, fragment, replacement, test files)
 MUTANTS = (
@@ -89,6 +94,12 @@ MUTANTS = (
      "if image == n:\n", "if image == 2 * n:\n", TAME),
     ("param tame: a block's inverse exponents", "src/ggt/weilparams.py",
      "[-e % big for e in half]", "[e % big for e in half]", TAME),
+    ("eigs g2check: admissible", "src/ggt/weilparams.py",
+     "_pairing_search(remaining, product - x, n)",
+     "_pairing_search(remaining, product + x, n)", EIGS),
+    ("eigs g2check: palindromic_shape", "src/ggt/numth.py",
+     "return q, num[:top]\n", "return q, [c * 0 for c in num[:top]]\n",
+     EIGS),
     ("is_prime: the trial-division bound", "src/ggt/numth.py",
      "_TRIAL_BOUND = 53 * 53\n", "_TRIAL_BOUND = 53 * 53 + 1\n",
      ("tests/test_numth.py",)),
